@@ -4,7 +4,6 @@ variables, quasi-periodic reducibility, and small-divisor diagnostics."""
 
 __version__ = "0.1.0"
 
-from ._accel import BACKEND
 from .analytic import (
     AnalyticFunction,
     ScalarSeries,
@@ -69,7 +68,6 @@ from .nashmoser import (
     assemble_solution,
     init_state,
     initial_quadratic_form,
-    linearize_Q,
     residual,
     solve,
     step,
@@ -84,7 +82,6 @@ from .opalg import (
     dx3_commutator,
     exp_apply,
     exp_conjugate,
-    exp_operator,
     materialize,
     mult_op,
     op_norm,

@@ -1,32 +1,17 @@
-"""Backend selection for the hot convolution kernel.
+"""The sparse Fourier product kernel.
 
-The sparse Fourier product is the one inner loop that is neither BLAS nor
-FFT bound, so it carries a numba-compiled variant next to a pure-numpy one.
-The backend is fixed at import time from the environment variable
-``AIRYKAM_BACKEND``:
-
-* ``"numba"`` -- force the jitted kernel (raises if numba is missing),
-* ``"numpy"`` -- force the pure-numpy kernel,
-* ``"auto"`` (default) -- numba when importable, numpy otherwise.
-
-Both paths accumulate products in the same (a-major, b-minor) order; each is
-deterministic run to run, and they agree with each other to final rounding
-(instruction selection may differ by one ulp).  ``benchmarks/bench_kernels.py``
-compares their speed and agreement.
+The sparse coefficient convolution is the one inner loop that is neither
+BLAS nor FFT bound.  ``convolve_into`` does it with numpy fancy indexing and
+an unbuffered ``np.add.at``, accumulating products in (a-major, b-minor)
+order, so it is deterministic run to run.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_CHOICE = os.environ.get("AIRYKAM_BACKEND", "auto").strip().lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError(f"AIRYKAM_BACKEND must be auto|numba|numpy, got {_CHOICE!r}")
 
-
-def _convolve_numpy(ia, ja, va, ib, jb, vb, conv, jmax, out):
+def convolve_into(ia, ja, va, ib, jb, vb, conv, jmax, out):
     """Accumulate the truncated convolution of two sparse coefficient lists.
 
     ``ia, ja, va`` index the left factor (lattice index, x-mode, value) and
@@ -42,33 +27,3 @@ def _convolve_numpy(ia, ja, va, ib, jb, vb, conv, jmax, out):
     vals = va[:, None] * vb[None, :]
     flat = lo[keep] * out.shape[1] + (jo[keep] + jmax)
     np.add.at(out.reshape(-1), flat, vals[keep])
-
-
-def _convolve_loops(ia, ja, va, ib, jb, vb, conv, jmax, out):
-    nb = ib.shape[0]
-    for s in range(ia.shape[0]):
-        p = ia[s]
-        jA = ja[s]
-        x = va[s]
-        for t in range(nb):
-            q = conv[p, ib[t]]
-            if q < 0:
-                continue
-            jo = jA + jb[t]
-            if jo < -jmax or jo > jmax:
-                continue
-            out[q, jo + jmax] += x * vb[t]
-
-
-BACKEND = "numpy"
-convolve_into = _convolve_numpy
-
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        convolve_into = njit(cache=True)(_convolve_loops)
-        BACKEND = "numba"
-    except ImportError:
-        if _CHOICE == "numba":
-            raise

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (or convergence), 2 clean numerical non-convergence or
 membership failure, 1 input/config errors.  All JSON reports are written with
-sorted keys, so identical configs and seeds produce byte-identical reports;
-trace CSVs carry a wall-clock ``seconds`` column that is exempt from that
-guarantee.
+sorted keys, so identical configs and seeds produce byte-identical reports,
+and are strict JSON: a non-finite number is written as the string "inf",
+"-inf" or "nan".  Trace CSVs carry a wall-clock ``seconds`` column that is
+exempt from the byte-identity guarantee.
 """
 
 from __future__ import annotations
@@ -50,17 +51,17 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return repr(float(obj))
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
     return obj
 
 
 def _write_json(path: Path, doc: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, sort_keys=True, indent=2)
+        json.dump(_jsonable(doc), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -1,13 +1,16 @@
 """Flat key = value run configuration.
 
 Lines hold ``dotted.key = value`` with ``#`` comments; values are parsed as
-JSON where possible and kept as strings otherwise.  Forcing and coefficient
-functions are written as lists of entries ``[[[site, l_site], ...], j, re, im]``.
+JSON where possible and kept as strings otherwise.  A value holding NaN or
+an infinity (``NaN``, ``Infinity``, an overflowing ``1e999``) is rejected.
+Forcing and coefficient functions are written as lists of entries
+``[[[site, l_site], ...], j, re, im]``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +42,23 @@ def parse_config_text(text: str) -> dict:
             out[key] = json.loads(value)
         except json.JSONDecodeError:
             out[key] = value
+        if not _all_finite(out[key]):
+            raise ConfigError(f"line {lineno}: {key} holds a non-finite number")
     return out
+
+
+def _all_finite(value) -> bool:
+    """False if value holds NaN or an infinity, also one spelled as a string."""
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            return True
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def load_config(path) -> dict:
@@ -60,11 +79,14 @@ def get(cfg: dict, key: str, default):
 
 
 def lattice_from(cfg: dict) -> LatticeParams:
-    return LatticeParams(
-        eta=float(require(cfg, "problem.eta")),
-        M=int(require(cfg, "truncation.M")),
-        K=float(require(cfg, "truncation.K")),
-    )
+    eta = require(cfg, "problem.eta")
+    M = require(cfg, "truncation.M")
+    K = require(cfg, "truncation.K")
+    try:
+        # M unconverted: LatticeParams rejects a fractional M that int() would truncate
+        return LatticeParams(eta=float(eta), M=M, K=float(K))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad lattice (problem.eta, truncation.M, truncation.K): {exc}") from None
 
 
 def function_from_entries(entries, lattice, jmax, real=True) -> AnalyticFunction:

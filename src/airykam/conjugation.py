@@ -242,6 +242,25 @@ def build_translation(c1: AnalyticFunction, a1: AnalyticFunction, lambda1: float
 # -- probe-based transport of the first stage ---------------------------------
 
 
+def _perturbed_operator(L: DifferentialOperator, qp: QuadraticPerturbation):
+    """u -> (L + Q') u with all four orders, unprojected.
+
+    That is om.d_phi u + (lambda3 + d3) u_xxx + d2 u_xx + (B + d1) u_x + (C + d0) u;
+    unlike DifferentialOperator.apply it keeps the x-average of the result.
+    """
+    p3 = qp.d3 + L.lambda3
+    lower = [(p, m) for p, m in ((qp.d2, 2), (L.B + qp.d1, 1), (L.C + qp.d0, 0))
+             if p.coeffs]
+
+    def apply(u):
+        out = om_dphi(u, L.omega) + multiply(p3, dx(u, 3))
+        for p, m in lower:
+            out = out + multiply(p, dx(u, m) if m else u)
+        return out
+
+    return apply
+
+
 def _mode_shift(u: AnalyticFunction, s: int) -> AnalyticFunction:
     """Multiply by e^{i s x}: (l, j) -> (l, j + s), dropping the fallen band."""
     out = {}
@@ -259,28 +278,15 @@ def _transported_coefficients(L: DifferentialOperator, qp: QuadraticPerturbation
     4x4 Vandermonde system in (ik)^m for the coefficient functions.
     """
     lat, jmax = L.lattice, L.jmax
-    p3 = qp.d3 + L.lambda3
-    p2 = qp.d2
-    p1 = L.B + qp.d1
-    p0 = L.C + qp.d0
     jac = 1.0 + dx(alpha, 1)
     jac_t = 1.0 + dx(alpha_tilde, 1)
-
-    def l0_apply(u):
-        out = om_dphi(u, L.omega) + multiply(p3, dx(u, 3))
-        if p2.coeffs:
-            out = out + multiply(p2, dx(u, 2))
-        if p1.coeffs:
-            out = out + multiply(p1, dx(u, 1))
-        if p0.coeffs:
-            out = out + multiply(p0, u)
-        return out
+    l0q_apply = _perturbed_operator(L, qp)
 
     probes = []
     for k in range(1, 5):
         e = AnalyticFunction(lat, jmax, {(MultiIndex.zero(), k): 1.0 + 0j}, real=False)
         w = multiply(jac, compose_x_diffeo(e, alpha))
-        w = l0_apply(w)
+        w = l0q_apply(w)
         w = multiply(jac_t, compose_x_diffeo(w, alpha_tilde))
         probes.append(_mode_shift(w, -k))
 
@@ -474,18 +480,7 @@ def conjugation_dense_residual(L: DifferentialOperator, qp: QuadraticPerturbatio
         [abs(j) <= jwin and (not l or _eta(l, eta) <= lwin + 1e-12) for l, j in labels]
     )
 
-    def l0q_apply(u):
-        out = om_dphi(u, L.omega) + multiply(qp.d3 + L.lambda3, dx(u, 3))
-        if qp.d2.coeffs:
-            out = out + multiply(qp.d2, dx(u, 2))
-        b = L.B + qp.d1
-        if b.coeffs:
-            out = out + multiply(b, dx(u, 1))
-        c = L.C + qp.d0
-        if c.coeffs:
-            out = out + multiply(c, u)
-        return out
-
+    l0q_apply = _perturbed_operator(L, qp)
     worst = 0.0
     for col, (l, j) in enumerate(labels):
         if not inside[col]:

@@ -27,7 +27,6 @@ from . import _grid
 from .analytic import AnalyticFunction, multiply, pi0, pi0_perp, to_payload
 from .conjugation import (
     QuadraticForm,
-    QuadraticPerturbation,
     apply_transform,
     apply_transform_inverse,
     conjugate_step,
@@ -55,7 +54,6 @@ __all__ = [
     "ResidualReport",
     "initial_quadratic_form",
     "init_state",
-    "linearize_Q",
     "step",
     "assemble_solution",
     "residual",
@@ -199,10 +197,6 @@ def init_state(spec: ProblemSpec) -> IterationState:
     return IterationState(n=0, f=spec.forcing, L=L0, Q=Q0)
 
 
-def linearize_Q(Q: QuadraticForm, h: AnalyticFunction) -> QuadraticPerturbation:
-    return linearize_quadratic(Q, h)
-
-
 def step(state: IterationState, spec: ProblemSpec) -> IterationState:
     """One full outer step: solve, change variables, transport."""
     t0 = time.perf_counter()
@@ -218,7 +212,7 @@ def step(state: IterationState, spec: ProblemSpec) -> IterationState:
     inv_rep = {}
     h = invert_via_diagonalization(red, state.f, gamma_step, report=inv_rep)
 
-    qp = linearize_Q(state.Q, h)
+    qp = linearize_quadratic(state.Q, h)
     conj_rep = {}
     res = conjugate_step(state.L, qp, spec.omega, spec.gbar, report=conj_rep)
 

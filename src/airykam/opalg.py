@@ -40,7 +40,6 @@ __all__ = [
     "ad_power",
     "phi_derivative",
     "materialize",
-    "exp_operator",
     "exp_apply",
     "exp_conjugate",
     "lie_series",
@@ -396,13 +395,15 @@ def _series_guard(norms, k, tol, scale):
 
 def lie_series(G: OperatorMatrix, X: OperatorMatrix, tol=1e-14, max_terms=MAX_SERIES_TERMS,
                start_factor=1):
-    """sum_{k>=1} Ad_G^{k-1}(X) / (k + start_factor - 1)! ... internal helper.
+    """sum_{k>=0} Ad_G^k(X) / (k + start_factor)!, with Ad_G(X) = [X, G].
 
-    With start_factor=1 this is X + [X,G]/2! + ... = the series such that
+    With start_factor=0 this is e^{-G} X e^{G} = X + [X,G] + [[X,G],G]/2! + ...;
+    with start_factor=1 it is X + [X,G]/2! + ... = the series such that
     e^{-G} (omega.d_phi) e^{G} = omega.d_phi + lie_series(G, phi_derivative(G)).
     Returns (sum, terms_used).
     """
-    term = X * (1.0 / math.factorial(start_factor))
+    lead = 1.0 / math.factorial(start_factor)
+    term = X if lead == 1.0 else X * lead   # a unit factor needs no scaled copy of X
     total = term
     norms = [op_norm(term, 0.0)]
     scale = norms[0]
@@ -433,18 +434,7 @@ def exp_conjugate(G: OperatorMatrix, B: OperatorMatrix, tol=1e-14,
         return OperatorMatrix(out.lattice, out.jmax, out.blocks, omega=B.omega, real=out.real)
     if not G.blocks:
         return B
-    term = B
-    total = B
-    norms = [op_norm(B, 0.0)]
-    scale = norms[0]
-    for k in range(1, max_terms + 1):
-        term = commutator(term, G) * (1.0 / k)
-        total = total + term
-        norms.append(op_norm(term, 0.0))
-        if _series_guard(norms, k, tol, scale) == "done":
-            log.debug("exp_conjugate used %d terms", k + 1)
-            return total
-    raise SeriesDivergenceError(f"conjugation series did not converge in {max_terms} terms")
+    return lie_series(G, B, tol=tol, max_terms=max_terms, start_factor=0)[0]
 
 
 def exp_apply(G: OperatorMatrix, u: AnalyticFunction, tol=1e-14,
@@ -465,24 +455,6 @@ def exp_apply(G: OperatorMatrix, u: AnalyticFunction, tol=1e-14,
         if _series_guard(norms, k, tol, scale) == "done":
             return total
     raise SeriesDivergenceError(f"flow series did not converge in {max_terms} terms")
-
-
-def exp_operator(G: OperatorMatrix, tol=1e-14, max_terms=MAX_SERIES_TERMS) -> OperatorMatrix:
-    """e^{G} as an operator matrix."""
-    if G.omega is not None:
-        raise ValueError("generator must be a bounded operator")
-    total = identity_op(G.lattice, G.jmax) + G
-    term = G
-    norms = [op_norm(G, 0.0)]
-    if norms[0] == 0.0:
-        return identity_op(G.lattice, G.jmax)
-    for k in range(2, max_terms + 1):
-        term = compose(term, G) * (1.0 / k)
-        total = total + term
-        norms.append(op_norm(term, 0.0))
-        if _series_guard(norms, k - 1, tol, 1.0) == "done":
-            return total
-    raise SeriesDivergenceError(f"exponential did not converge in {max_terms} terms")
 
 
 def dx3_commutator(g: AnalyticFunction):

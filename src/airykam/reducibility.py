@@ -27,8 +27,6 @@ from .opalg import (
     dx_op,
     exp_apply,
     exp_conjugate,
-    exp_operator,
-    identity_op,
     lie_series,
     materialize,
     mult_op,
@@ -71,8 +69,29 @@ class KamSchedule:
     series_tol: float = 1e-15
 
 
+class _Frequencies:
+    """Frequencies Omega(j) = -lambda3 j^3 + lambda1 j + r(j) of a diagonal operator.
+
+    Shared by KamState and ReductionResult, which carry lambda3, lambda1, the
+    correction r (indexed j + jmax, r[jmax] = 0) and jmax.
+    """
+
+    def omega_values(self) -> np.ndarray:
+        """Omega(j), indexed j + jmax, with the j = 0 slot set to 0."""
+        j = np.arange(-self.jmax, self.jmax + 1, dtype=float)
+        out = -self.lambda3 * j**3 + self.lambda1 * j + self.r
+        out[self.jmax] = 0.0
+        return out
+
+    def omega_table(self) -> dict:
+        """{j: Omega(j)} for 0 < |j| <= jmax."""
+        vals = self.omega_values()
+        return {j: float(vals[j + self.jmax])
+                for j in range(-self.jmax, self.jmax + 1) if j != 0}
+
+
 @dataclass
-class KamState:
+class KamState(_Frequencies):
     k: int
     lambda3: float
     lambda1: float
@@ -85,18 +104,6 @@ class KamState:
     @property
     def jmax(self):
         return self.P.jmax
-
-    def omega_values(self) -> np.ndarray:
-        """Omega_k(j) = -lambda3 j^3 + lambda1 j + r_k(j), indexed j + jmax."""
-        j = np.arange(-self.jmax, self.jmax + 1, dtype=float)
-        out = -self.lambda3 * j**3 + self.lambda1 * j + self.r
-        out[self.jmax] = 0.0
-        return out
-
-    def omega_table(self) -> dict:
-        vals = self.omega_values()
-        return {j: float(vals[j + self.jmax])
-                for j in range(-self.jmax, self.jmax + 1) if j != 0}
 
 
 @dataclass
@@ -310,7 +317,7 @@ def kam_iterate(state: KamState, omega, schedule: KamSchedule) -> KamResult:
 
 
 @dataclass
-class ReductionResult:
+class ReductionResult(_Frequencies):
     """Everything needed to use the diagonalizing map M = exp(G) Phi_0 Phi_1 ...."""
 
     L: DifferentialOperator
@@ -331,17 +338,6 @@ class ReductionResult:
     def jmax(self):
         return self.L.jmax
 
-    def omega_values(self) -> np.ndarray:
-        j = np.arange(-self.jmax, self.jmax + 1, dtype=float)
-        out = -self.lambda3 * j**3 + self.lambda1 * j + self.r
-        out[self.jmax] = 0.0
-        return out
-
-    def omega_table(self) -> dict:
-        vals = self.omega_values()
-        return {j: float(vals[j + self.jmax])
-                for j in range(-self.jmax, self.jmax + 1) if j != 0}
-
     def apply_M(self, u: AnalyticFunction, tol=1e-15) -> AnalyticFunction:
         for gen in reversed(self.gens):
             u = exp_apply(gen, u, tol=tol)
@@ -351,12 +347,6 @@ class ReductionResult:
         for gen in self.gens:
             u = exp_apply(-gen, u, tol=tol)
         return u
-
-    def M_matrix(self) -> OperatorMatrix:
-        out = identity_op(self.lattice, self.jmax)
-        for gen in self.gens:
-            out = compose(out, exp_operator(gen))
-        return out
 
 
 def reduce_operator(L: DifferentialOperator, omega, schedule: KamSchedule, *,

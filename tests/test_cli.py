@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from airykam.cli import main
+from airykam.cli import _write_json, main
 from airykam.config import ConfigError, load_config, parse_config_text, problem_spec_from
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -42,6 +43,48 @@ def test_cli_missing_file_exit_code(tmp_path, capsys):
     code = main(["solve", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def _solve_small_with(tmp_path, old, new):
+    """Run solve on solve_small.cfg with one line replaced."""
+    base = read(CONFIGS / "solve_small.cfg")
+    assert old in base
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(base.replace(old, new))
+    out = tmp_path / "o"
+    return main(["solve", "--config", str(cfg), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+def test_cli_rejects_non_finite_config_number(tmp_path, capsys, literal):
+    code, out = _solve_small_with(
+        tmp_path, "forcing.entries = [[[[1, 1]], 1, 5e-07, 0.0]]",
+        f"forcing.entries = [[[[1, 1]], 1, {literal}, 0.0]]")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "forcing.entries" in err and "line " in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("truncation.M = 2", "truncation.M = 0"),
+    ("truncation.M = 2", "truncation.M = 2.5"),
+    ("problem.eta = 1.0", "problem.eta = -1"),
+], ids=["M-zero", "M-fractional", "eta-negative"])
+def test_cli_bad_lattice_is_config_error(tmp_path, capsys, old, new):
+    code, out = _solve_small_with(tmp_path, old, new)
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_write_json_is_strict(tmp_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    path = tmp_path / "r.json"
+    _write_json(path, {"a": np.float64("inf"), "b": float("nan")})
+    assert json.loads(path.read_text(), parse_constant=reject) == {"a": "inf", "b": "nan"}
 
 
 def test_cmd_measure_deterministic(tmp_path):

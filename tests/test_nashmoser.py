@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from airykam.analytic import AnalyticFunction, dx, multiply
-from airykam.conjugation import evaluate_quadratic
+from airykam.conjugation import evaluate_quadratic, linearize_quadratic
 from airykam.errors import SmallDivisorError
 from airykam.lattice import LatticeParams, MultiIndex
 from airykam.nashmoser import (
@@ -11,7 +11,6 @@ from airykam.nashmoser import (
     assemble_solution,
     init_state,
     initial_quadratic_form,
-    linearize_Q,
     residual,
     solve,
     step,
@@ -87,7 +86,7 @@ def test_init_state_checks_omega(lat2, jmax):
 def test_linearize_Q_shortcut(lat2, jmax, rand_fct):
     Q = initial_quadratic_form((0.0, 0.0, 0.0, 1.0), lat2, jmax)
     h = rand_fct(4, amp=0.01)
-    qp = linearize_Q(Q, h)
+    qp = linearize_quadratic(Q, h)
     # d3 = 6 c3 h_x for the pure cubic-gradient density
     assert (qp.d3 - 6.0 * dx(h, 1)).norm(0.0) < 1e-14
     assert qp.hamiltonian_defect() < 1e-14

@@ -17,7 +17,6 @@ from airykam.opalg import (
     dx_op,
     exp_apply,
     exp_conjugate,
-    exp_operator,
     identity_op,
     materialize,
     mult_op,
@@ -298,14 +297,6 @@ def test_series_divergence_detection(lat2, jmax):
     B = dx_op(lat2, jmax, 1)
     with pytest.raises(SeriesDivergenceError):
         exp_conjugate(big, B, tol=1e-14, max_terms=25)
-
-
-def test_exp_operator_matches_flow(lat2, jmax):
-    g = dx_inv(AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 0.02), (ZERO, 2, 0.01)]))
-    G = smoothing_generator_op(g)
-    M = exp_operator(G, tol=1e-15)
-    u = AnalyticFunction.from_modes(lat2, jmax, [(E1, 2, 1.0), (ZERO, 3, 0.5)])
-    assert (apply_op(M, u) - exp_apply(G, u)).norm(0.0) < 1e-12 * u.norm(0.0)
 
 
 def test_phi_derivative_entries(lat2, jmax, omega2):
