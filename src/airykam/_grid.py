@@ -52,18 +52,29 @@ def grid_sizes(lattice, jmax: int, factor: int = 2) -> tuple:
     return phi_sizes(lattice, factor) + (next_fast_len(f * (2 * jmax + 1) + 1),)
 
 
+def _grid_index(lattice, sizes, jmax=None):
+    """Grid position of every (lattice index[, x-mode]) in FFT order.
+
+    Returns a tuple of index arrays that selects an (enum.size,) array of the
+    phi grid, or with ``jmax`` an (enum.size, 2*jmax+1) array of the full grid.
+    """
+    dense = get_enumeration(lattice).dense
+    idx = tuple(dense[:, i] % sizes[i] for i in range(lattice.M))
+    if jmax is None:
+        return idx
+    jcol = np.arange(-jmax, jmax + 1) % sizes[-1]
+    return tuple(ix[:, None] for ix in idx) + (jcol[None, :],)
+
+
 def _place(u, sizes, with_x: bool):
     """Dense FFT-ordered spectrum of u on the given grid shape."""
     spec = np.zeros(sizes, dtype=complex)
-    m = u.lattice.M
-    for (l, j), c in u.coeffs.items():
-        dense = l.dense(m)
-        idx = tuple(dense[i] % sizes[i] for i in range(m))
-        if with_x:
-            idx = idx + (j % sizes[-1],)
-        elif j != 0:
-            raise ValueError("phi-grid placement requires a function of phi only")
-        spec[idx] += c
+    if with_x:
+        spec[_grid_index(u.lattice, sizes, u.jmax)] = u.data
+    elif not u.phi_only:
+        raise ValueError("phi-grid placement requires a function of phi only")
+    else:
+        spec[_grid_index(u.lattice, sizes)] = u.data[:, u.jmax]
     return spec
 
 
@@ -92,10 +103,8 @@ def _extract(vals, lattice, jmax, *, real, alias_tol, context, report=None, with
     spec = np.fft.fftn(vals) / float(np.prod(sizes))
     absspec = np.abs(spec)
     total = float(absspec.sum())
-    enum = get_enumeration(lattice)
     bounds = site_bounds(lattice)
 
-    outer = np.zeros((), dtype=bool)
     masks = []
     for ax, n in enumerate(sizes):
         cap = 2 * bounds[ax] if (ax < lattice.M) else 2 * jmax
@@ -109,21 +118,15 @@ def _extract(vals, lattice, jmax, *, real, alias_tol, context, report=None, with
     alias = float(absspec[np.broadcast_to(outer, sizes)].sum())
     alias_rel = alias / max(total, 1e-300)
 
-    coeffs = {}
     floor = 8e-16 * float(absspec.max(initial=0.0))
-    retained = 0.0
-    m = lattice.M
-    jrange = range(-jmax, jmax + 1) if with_x else (0,)
-    for p, l in enumerate(enum.indices):
-        dense = l.dense(m)
-        base = tuple(dense[i] % sizes[i] for i in range(m))
-        for j in jrange:
-            idx = base + ((j % sizes[-1],) if with_x else ())
-            c = spec[idx]
-            a = abs(c)
-            if a > floor:
-                coeffs[(l, j)] = c
-                retained += a
+    data = np.zeros((get_enumeration(lattice).size, 2 * jmax + 1), dtype=complex)
+    if with_x:
+        data[:] = spec[_grid_index(lattice, sizes, jmax)]
+    else:
+        data[:, jmax] = spec[_grid_index(lattice, sizes)]
+    kept = np.abs(data) > floor
+    data[~kept] = 0.0
+    retained = float(np.abs(data[kept]).sum())
     if report is not None:
         report["alias_rel"] = alias_rel
         report["discard_rel"] = (total - retained) / max(total, 1e-300)
@@ -133,7 +136,7 @@ def _extract(vals, lattice, jmax, *, real, alias_tol, context, report=None, with
             alias_rel=alias_rel,
             context=context,
         )
-    return _an.AnalyticFunction(lattice, jmax, coeffs, real=real)
+    return _an.AnalyticFunction.from_array(lattice, jmax, data, real=real)
 
 
 def _phi_ifft(spec, mphi, sizes):
@@ -141,17 +144,16 @@ def _phi_ifft(spec, mphi, sizes):
     return np.fft.ifftn(spec, axes=axes) * float(np.prod(sizes[:mphi]))
 
 
-def _phi_axis_angle(l, sizes_phi, m):
-    """Grid of l . phi over the phi tensor grid."""
-    dense = l.dense(m)
-    angle = 0.0
-    for i in range(m):
-        if dense[i]:
+def _phi_angle(row, sizes_phi):
+    """Grid of l . phi over the phi tensor grid, for l given as a dense row."""
+    angle = np.zeros(sizes_phi)
+    for i, v in enumerate(row):
+        if v:
             ax = _TWO_PI * np.arange(sizes_phi[i]) / sizes_phi[i]
             shape = [1] * len(sizes_phi)
             shape[i] = sizes_phi[i]
-            angle = angle + dense[i] * ax.reshape(shape)
-    return angle if not np.isscalar(angle) else np.zeros(sizes_phi)
+            angle = angle + v * ax.reshape(shape)
+    return angle
 
 
 def compose_x_diffeo(u, alpha, factor=2, alias_tol=1e-7, report=None):
@@ -187,20 +189,16 @@ def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
         raise ValueError("incompatible lattices")
     if not beta.phi_only:
         raise ValueError("shift amplitude must depend on phi only")
-    om = np.asarray(omega, dtype=float)
-    m = u.lattice.M
+    enum = get_enumeration(u.lattice)
+    dots = enum.dots(omega)
     sphi = phi_sizes(u.lattice, factor)
     bvals = _real_grid_values(beta, sphi, False, "time-reparametrization amplitude")
     nx = next_fast_len(max(2, int(factor)) * (2 * u.jmax + 1) + 1)
     T = np.zeros(sphi + (nx,), dtype=complex)
-    cache = {}
-    for (l, j), c in u.coeffs.items():
-        E = cache.get(l)
-        if E is None:
-            wl = float(np.dot(l.dense(m), om)) if l else 0.0
-            E = np.exp(1j * (_phi_axis_angle(l, sphi, m) + wl * bvals))
-            cache[l] = E
-        T[..., j % nx] += c * E
+    for p in np.flatnonzero(u.data.any(axis=1)):
+        E = np.exp(1j * (_phi_angle(enum.dense[p], sphi) + dots[p] * bvals))
+        cols = np.flatnonzero(u.data[p])
+        T[..., (cols - u.jmax) % nx] += E[..., None] * u.data[p, cols]
     val = np.fft.ifft(T, axis=-1) * nx
     return _extract(
         val, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
@@ -289,26 +287,21 @@ def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1
     """beta_tilde with phi + omega beta evaluated at theta + omega beta_tilde == theta."""
     if not beta.phi_only:
         raise ValueError("shift amplitude must depend on phi only")
-    om = np.asarray(omega, dtype=float)
-    m = beta.lattice.M
-    slope = sum(
-        abs(float(np.dot(l.dense(m), om))) * abs(c) for (l, _), c in beta.coeffs.items() if l
-    )
+    enum = get_enumeration(beta.lattice)
+    rows = np.flatnonzero(beta.data[:, beta.jmax])
+    coef = beta.data[rows, beta.jmax]
+    dots = enum.dots(omega)[rows]
+    slope = float(np.sum(np.abs(dots) * np.abs(coef)))
     if slope >= 0.9:
         raise NonContractionError(f"|omega.d_phi beta| ~ {slope:.3f} too large to invert")
     sphi = phi_sizes(beta.lattice, factor)
-    phases = {}
-    dots = {}
-    for (l, _), _c in beta.coeffs.items():
-        if l not in phases:
-            phases[l] = np.exp(1j * _phi_axis_angle(l, sphi, m))
-            dots[l] = float(np.dot(l.dense(m), om)) if l else 0.0
+    phases = [c * np.exp(1j * _phi_angle(enum.dense[p], sphi)) for p, c in zip(rows, coef)]
     s = np.zeros(sphi)
     last = np.inf
     for _ in range(max_iter):
         acc = np.zeros(sphi, dtype=complex)
-        for (l, _j), c in beta.coeffs.items():
-            acc += c * phases[l] * np.exp(1j * dots[l] * s)
+        for phase, d in zip(phases, dots):
+            acc += phase * np.exp(1j * d * s)
         new = -acc.real
         step = float(np.max(np.abs(new - s)))
         s = new

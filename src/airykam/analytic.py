@@ -1,9 +1,16 @@
 """Truncated analytic functions on the product torus (phi, x).
 
-A function is a sparse Fourier series sum c(l, j) e^{i l.phi + i j x} with l
-on the truncated frequency lattice and |j| <= jmax.  The weighted norm
+A function is a Fourier series sum c(l, j) e^{i l.phi + i j x} with l on the
+truncated frequency lattice and |j| <= jmax.  The weighted norm
 sum e^{sigma(|l|_eta + |j|)} |c(l, j)| measures analyticity in a strip of
 width sigma, shared between the phi and x directions.
+
+Storage is one complex array ``data`` of shape (enum.size, 2*jmax+1): row p
+holds the coefficients of the p-th multi-index of the lattice enumeration
+(``lattice.get_enumeration``), column j + jmax the x-mode j.  The canonical
+coefficient order is the array order.  ``MultiIndex`` appears only at the
+boundary: the dict constructor, ``get``, the read-only ``coeffs`` view and
+serialization.
 
 Real-on-real functions satisfy c(l, j) = conj(c(-l, -j)); the flag is
 enforced by exact symmetrization so the residual of that identity is zero.
@@ -12,20 +19,14 @@ enforced by exact symmetrization so the residual of that identity is zero.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from ._accel import convolve_into
 from .errors import SmallDivisorError
-from .lattice import (
-    LatticeParams,
-    MultiIndex,
-    diophantine_weight,
-    eta_norm,
-    get_enumeration,
-)
+from .lattice import LatticeParams, MultiIndex, get_enumeration
 
 __all__ = [
     "AnalyticFunction",
@@ -55,58 +56,55 @@ __all__ = [
 ]
 
 
-def _sort_key(lattice):
-    eta = lattice.eta
-
-    def key(item):
-        (l, j), _ = item
-        return (eta_norm(l, eta) if l else 0.0, l.entries, j)
-
-    return key
+def _zero_data(lattice, jmax) -> np.ndarray:
+    return np.zeros((get_enumeration(lattice).size, 2 * int(jmax) + 1), dtype=complex)
 
 
 class AnalyticFunction:
-    """Sparse truncated Fourier series; immutable by convention."""
+    """Truncated Fourier series on the enumerated lattice; immutable by convention."""
 
-    __slots__ = ("lattice", "jmax", "coeffs", "real")
+    __slots__ = ("lattice", "jmax", "data", "real")
 
     def __init__(self, lattice: LatticeParams, jmax: int, coeffs=None, real=True):
+        """Build from a dict {(MultiIndex, j): c}; entries outside the truncation are dropped."""
         if jmax < 0:
             raise ValueError("jmax must be >= 0")
+        index_of = get_enumeration(lattice).index_of
+        data = _zero_data(lattice, jmax)
+        for (l, j), c in (coeffs or {}).items():
+            p = index_of.get(l)
+            if p is not None and abs(j) <= jmax:
+                data[p, j + jmax] = c
+        self._set(lattice, jmax, data, real)
+
+    def _set(self, lattice, jmax, data, real):
         self.lattice = lattice
         self.jmax = int(jmax)
         self.real = bool(real)
-        self.coeffs = self._finalize(coeffs or {})
-
-    def _finalize(self, raw):
-        enum = get_enumeration(self.lattice)
-        kept = {}
-        for (l, j), c in raw.items():
-            if c == 0 or abs(j) > self.jmax or l not in enum.index_of:
-                continue
-            kept[(l, j)] = complex(c)
         if self.real:
-            keys = set(kept) | {(-l, -j) for (l, j) in kept if abs(j) <= self.jmax}
-            half = {}
-            for (l, j) in keys:
-                c = kept.get((l, j), 0.0)
-                mirror = kept.get((-l, -j), 0.0)
-                val = 0.5 * (complex(c) + np.conj(complex(mirror)))
-                if val != 0:
-                    half[(l, j)] = val
-            kept = half
-        return dict(sorted(kept.items(), key=_sort_key(self.lattice)))
+            mirror = data[get_enumeration(lattice).neg, ::-1]
+            data = 0.5 * (data + np.conj(mirror))
+        self.data = data
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def from_array(cls, lattice, jmax, data, real=True):
+        """Wrap a (enum.size, 2*jmax+1) coefficient array; it is not copied unless real."""
+        out = cls.__new__(cls)
+        out._set(lattice, jmax, data, real)
+        return out
+
+    @classmethod
     def zeros(cls, lattice, jmax, real=True):
-        return cls(lattice, jmax, {}, real=real)
+        return cls.from_array(lattice, jmax, _zero_data(lattice, jmax), real)
 
     @classmethod
     def constant(cls, lattice, jmax, value, real=None):
         real = (abs(complex(value).imag) == 0.0) if real is None else real
-        return cls(lattice, jmax, {(MultiIndex.zero(), 0): complex(value)}, real=real)
+        data = _zero_data(lattice, jmax)
+        data[0, jmax] = value
+        return cls.from_array(lattice, jmax, data, real)
 
     @classmethod
     def from_modes(cls, lattice, jmax, modes, real=True):
@@ -125,52 +123,49 @@ class AnalyticFunction:
 
     # -- basic accessors ---------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """Read-only {(MultiIndex, j): c} of the nonzero coefficients, in canonical order."""
+        indices = get_enumeration(self.lattice).indices
+        rows, cols = np.nonzero(self.data)
+        vals = self.data[rows, cols].tolist()
+        return MappingProxyType({
+            (indices[p], j - self.jmax): c
+            for p, j, c in zip(rows.tolist(), cols.tolist(), vals)
+        })
+
     def get(self, l, j):
-        return self.coeffs.get((l, j), 0j)
+        p = get_enumeration(self.lattice).index_of.get(l)
+        if p is None or abs(j) > self.jmax:
+            return 0j
+        return complex(self.data[p, j + self.jmax])
+
+    def is_zero(self) -> bool:
+        return not self.data.any()
 
     @property
     def zero_x_average(self) -> bool:
-        return all(j != 0 for (_, j) in self.coeffs)
+        return not self.data[:, self.jmax].any()
 
     @property
     def phi_only(self) -> bool:
-        return all(j == 0 for (_, j) in self.coeffs)
+        return not (self.data[:, :self.jmax].any() or self.data[:, self.jmax + 1:].any())
 
     def norm(self, sigma: float) -> float:
         """Strip norm sum e^{sigma(|l|_eta + |j|)} |c(l, j)|."""
         if sigma < 0:
             raise ValueError("sigma must be >= 0")
-        eta = self.lattice.eta
-        total = 0.0
-        for (l, j), c in self.coeffs.items():
-            total += math.exp(sigma * (eta_norm(l, eta) if l else 0.0) + sigma * abs(j)) * abs(c)
-        return total
-
-    def prune(self, tol: float) -> "AnalyticFunction":
-        if tol <= 0:
-            return self
-        kept = {k: c for k, c in self.coeffs.items() if abs(c) > tol}
-        return AnalyticFunction(self.lattice, self.jmax, kept, real=self.real)
-
-    def arrays(self, enum=None):
-        """Canonical parallel arrays (lattice index, j, value)."""
-        enum = enum or get_enumeration(self.lattice)
-        n = len(self.coeffs)
-        il = np.empty(n, dtype=np.int64)
-        jj = np.empty(n, dtype=np.int64)
-        vv = np.empty(n, dtype=complex)
-        for k, ((l, j), c) in enumerate(self.coeffs.items()):
-            il[k] = enum.index_of[l]
-            jj[k] = j
-            vv[k] = c
-        return il, jj, vv
+        size = np.abs(self.data)
+        if sigma:
+            absj = np.abs(np.arange(-self.jmax, self.jmax + 1))
+            norms = get_enumeration(self.lattice).eta_norms
+            size = size * np.exp(sigma * (norms[:, None] + absj[None, :]))
+        return float(size.sum())
 
     def conjugate_symmetry_residual(self) -> float:
         """Max |c(l,j) - conj(c(-l,-j))|; zero for enforced real functions."""
-        worst = 0.0
-        for (l, j), c in self.coeffs.items():
-            worst = max(worst, abs(c - np.conj(self.coeffs.get((-l, -j), 0j))))
-        return worst
+        mirror = self.data[get_enumeration(self.lattice).neg, ::-1]
+        return float(np.max(np.abs(self.data - np.conj(mirror)), initial=0.0))
 
     # -- linear structure ---------------------------------------------------
 
@@ -178,21 +173,19 @@ class AnalyticFunction:
         if self.lattice != other.lattice or self.jmax != other.jmax:
             raise ValueError("incompatible truncations")
 
+    def _like(self, data, real):
+        return AnalyticFunction.from_array(self.lattice, self.jmax, data, real)
+
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = AnalyticFunction.constant(self.lattice, self.jmax, other)
         self._check_compat(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return AnalyticFunction(self.lattice, self.jmax, out, real=self.real and other.real)
+        return self._like(self.data + other.data, self.real and other.real)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AnalyticFunction(
-            self.lattice, self.jmax, {k: -c for k, c in self.coeffs.items()}, real=self.real
-        )
+        return self._like(-self.data, self.real)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -206,17 +199,14 @@ class AnalyticFunction:
         if isinstance(scalar, AnalyticFunction):
             return multiply(self, scalar)
         s = complex(scalar)
-        real = self.real and s.imag == 0.0
-        return AnalyticFunction(
-            self.lattice, self.jmax, {k: c * s for k, c in self.coeffs.items()}, real=real
-        )
+        return self._like(self.data * s, self.real and s.imag == 0.0)
 
     __rmul__ = __mul__
 
     def __repr__(self):
         return (
             f"AnalyticFunction(M={self.lattice.M}, K={self.lattice.K}, "
-            f"jmax={self.jmax}, modes={len(self.coeffs)})"
+            f"jmax={self.jmax}, modes={np.count_nonzero(self.data)})"
         )
 
 
@@ -232,23 +222,16 @@ def multiply(u: AnalyticFunction, v: AnalyticFunction, prune_rel: float = 1e-18)
     and perturbs the product by far less than any verification tolerance).
     """
     u._check_compat(v)
-    if not u.coeffs or not v.coeffs:
-        return AnalyticFunction.zeros(u.lattice, u.jmax, real=u.real and v.real)
-    enum = get_enumeration(u.lattice)
-    conv = enum.conv_table()
-    ia, ja, va = u.arrays(enum)
-    ib, jb, vb = v.arrays(enum)
-    nj = 2 * u.jmax + 1
-    out = np.zeros((enum.size, nj), dtype=complex)
-    convolve_into(ia, ja, va, ib, jb, vb, conv, u.jmax, out)
-    tol = prune_rel * u.norm(0.0) * v.norm(0.0)
-    coeffs = {}
-    rows, cols = np.nonzero(out)
-    for r, cidx in zip(rows, cols):
-        c = out[r, cidx]
-        if abs(c) > tol:
-            coeffs[(enum.indices[r], int(cidx) - u.jmax)] = c
-    return AnalyticFunction(u.lattice, u.jmax, coeffs, real=u.real and v.real)
+    real = u.real and v.real
+    if u.is_zero() or v.is_zero():
+        return AnalyticFunction.zeros(u.lattice, u.jmax, real=real)
+    ia, ja = np.nonzero(u.data)
+    ib, jb = np.nonzero(v.data)
+    out = np.zeros_like(u.data)
+    convolve_into(ia, ja - u.jmax, u.data[ia, ja], ib, jb - v.jmax, v.data[ib, jb],
+                  get_enumeration(u.lattice).conv_table(), u.jmax, out)
+    out[np.abs(out) <= prune_rel * u.norm(0.0) * v.norm(0.0)] = 0.0
+    return u._like(out, real)
 
 
 def linear_combination(funcs, weights, real=False) -> AnalyticFunction:
@@ -256,42 +239,38 @@ def linear_combination(funcs, weights, real=False) -> AnalyticFunction:
     funcs = list(funcs)
     if not funcs:
         raise ValueError("need at least one function")
-    out = {}
+    out = np.zeros_like(funcs[0].data)
     for f, w in zip(funcs, weights):
         funcs[0]._check_compat(f)
-        w = complex(w)
-        for k, c in f.coeffs.items():
-            out[k] = out.get(k, 0.0) + w * c
-    return AnalyticFunction(funcs[0].lattice, funcs[0].jmax, out, real=real)
+        out = out + complex(w) * f.data
+    return funcs[0]._like(out, real)
+
+
+def _j_axis(u: AnalyticFunction) -> np.ndarray:
+    return np.arange(-u.jmax, u.jmax + 1)
 
 
 def dx(u: AnalyticFunction, order: int = 1) -> AnalyticFunction:
     """Spatial derivative: c(l, j) -> (i j)^order c(l, j)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    out = {}
-    for (l, j), c in u.coeffs.items():
-        if j != 0:
-            out[(l, j)] = (1j * j) ** order * c
-    return AnalyticFunction(u.lattice, u.jmax, out, real=u.real)
+    return u._like(u.data * (1j * _j_axis(u)) ** order, u.real)
 
 
 def dx_inv(u: AnalyticFunction) -> AnalyticFunction:
     """Zero-average spatial antiderivative; rejects nonzero x-average input."""
     if not u.zero_x_average:
         raise ValueError("dx_inv requires zero x-average")
-    out = {(l, j): c / (1j * j) for (l, j), c in u.coeffs.items()}
-    return AnalyticFunction(u.lattice, u.jmax, out, real=u.real)
+    jj = _j_axis(u)
+    out = np.zeros_like(u.data)
+    np.divide(u.data, 1j * jj, out=out, where=(jj != 0)[None, :])
+    return u._like(out, u.real)
 
 
 def om_dphi(u: AnalyticFunction, omega) -> AnalyticFunction:
     """Directional derivative along the frequency vector: c -> i (omega.l) c."""
-    om = np.asarray(omega, dtype=float)
-    out = {}
-    for (l, j), c in u.coeffs.items():
-        if l:
-            out[(l, j)] = 1j * float(np.dot(l.dense(len(om)), om)) * c
-    return AnalyticFunction(u.lattice, u.jmax, out, real=u.real)
+    dots = get_enumeration(u.lattice).dots(omega)
+    return u._like(u.data * (1j * dots)[:, None], u.real)
 
 
 def om_dphi_inv(u: AnalyticFunction, omega, gamma: float) -> AnalyticFunction:
@@ -299,60 +278,60 @@ def om_dphi_inv(u: AnalyticFunction, omega, gamma: float) -> AnalyticFunction:
 
     Divisors |omega.l| are required to clear the Diophantine floor
     gamma * prod 1/(1 + l_i^2 i^2); a breach raises SmallDivisorError naming
-    the offending index.  Divisors are never regularized.
+    the first offending index in canonical order.  Divisors are never
+    regularized.
     """
-    om = np.asarray(omega, dtype=float)
-    dust = 1e-13 * u.norm(0.0)
-    out = {}
-    for (l, j), c in u.coeffs.items():
-        if not l:
-            if abs(c) > dust:
-                raise ValueError("om_dphi_inv requires zero phi-average")
-            continue
-        div = float(np.dot(l.dense(len(om)), om))
-        floor = gamma * diophantine_weight(l)
-        if abs(div) <= floor:
-            raise SmallDivisorError(
-                f"divisor |omega.l| = {abs(div):.3e} under floor {floor:.3e} at l={l!r}",
-                l=l, divisor=div, floor=floor,
-            )
-        out[(l, j)] = c / (1j * div)
-    return AnalyticFunction(u.lattice, u.jmax, out, real=u.real)
+    enum = get_enumeration(u.lattice)
+    if np.any(np.abs(u.data[0]) > 1e-13 * u.norm(0.0)):
+        raise ValueError("om_dphi_inv requires zero phi-average")
+    div = enum.dots(omega)[1:]
+    floor = gamma * enum.dioph[1:]
+    used = u.data[1:].any(axis=1)
+    breach = np.flatnonzero(used & (np.abs(div) <= floor))
+    if breach.size:
+        p = breach[0]
+        l = enum.indices[p + 1]
+        raise SmallDivisorError(
+            f"divisor |omega.l| = {abs(div[p]):.3e} under floor {floor[p]:.3e} at l={l!r}",
+            l=l, divisor=float(div[p]), floor=float(floor[p]),
+        )
+    out = np.zeros_like(u.data)
+    out[1:] = u.data[1:] / (1j * div)[:, None]
+    return u._like(out, u.real)
+
+
+def _masked(u: AnalyticFunction, rows=True, cols=True) -> AnalyticFunction:
+    """u with the coefficients outside the lattice-row and x-mode masks set to zero."""
+    keep = np.logical_and(np.reshape(rows, (-1, 1)), np.reshape(cols, (1, -1)))
+    return u._like(np.where(keep, u.data, 0.0), u.real)
 
 
 def pi0(u: AnalyticFunction) -> AnalyticFunction:
     """x-average: keep only the j = 0 column (a function of phi)."""
-    out = {k: c for k, c in u.coeffs.items() if k[1] == 0}
-    return AnalyticFunction(u.lattice, u.jmax, out, real=u.real)
+    return _masked(u, cols=_j_axis(u) == 0)
 
 
 def pi0_perp(u: AnalyticFunction) -> AnalyticFunction:
-    out = {k: c for k, c in u.coeffs.items() if k[1] != 0}
-    return AnalyticFunction(u.lattice, u.jmax, out, real=u.real)
+    return _masked(u, cols=_j_axis(u) != 0)
 
 
 def project_N(u: AnalyticFunction, N: float) -> AnalyticFunction:
     """Keep modes with |l|_eta <= N."""
-    eta = u.lattice.eta
-    out = {(l, j): c for (l, j), c in u.coeffs.items() if eta_norm(l, eta) <= N + 1e-12 or not l}
-    return AnalyticFunction(u.lattice, u.jmax, out, real=u.real)
+    return _masked(u, rows=get_enumeration(u.lattice).within(N))
 
 
 def project_N_perp(u: AnalyticFunction, N: float) -> AnalyticFunction:
-    eta = u.lattice.eta
-    out = {(l, j): c for (l, j), c in u.coeffs.items() if l and eta_norm(l, eta) > N + 1e-12}
-    return AnalyticFunction(u.lattice, u.jmax, out, real=u.real)
+    return _masked(u, rows=~get_enumeration(u.lattice).within(N))
 
 
 def phi_average(u: AnalyticFunction) -> AnalyticFunction:
     """phi-average: keep only the l = 0 row (equals the coeff(0, .) column)."""
-    out = {k: c for k, c in u.coeffs.items() if not k[0]}
-    return AnalyticFunction(u.lattice, u.jmax, out, real=u.real)
+    return _masked(u, rows=np.arange(len(u.data)) == 0)
 
 
 def mean_phi_x(u: AnalyticFunction) -> complex:
     """Joint average over phi and x, i.e. the (0, 0) coefficient."""
-    return u.get(MultiIndex.zero(), 0)
+    return complex(u.data[0, u.jmax])
 
 
 def lipschitz_norm(samples, gamma: float, sigma: float) -> float:

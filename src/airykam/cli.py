@@ -21,8 +21,10 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
+    check_convolution_size,
     function_from_entries,
     get,
+    jmax_from,
     lattice_from,
     load_config,
     omega_from,
@@ -113,7 +115,8 @@ def cmd_solve(cfg: dict, out: Path, seed_override=None) -> int:
 
 def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
     lattice = lattice_from(cfg)
-    jmax = int(require(cfg, "truncation.jmax"))
+    check_convolution_size(lattice)
+    jmax = jmax_from(cfg)
     omega = omega_from(cfg, lattice, jmax, seed_override=seed_override)
     B = function_from_entries(get(cfg, "reduce.B.entries", []), lattice, jmax)
     C = function_from_entries(get(cfg, "reduce.C.entries", []), lattice, jmax)
@@ -167,7 +170,7 @@ def cmd_measure(cfg: dict, out: Path, seed_override=None) -> int:
     n_samples = int(get(cfg, "measure.samples", 1000))
     grid = [float(g) for g in get(cfg, "measure.gamma_grid", [0.5, 0.25, 0.125])]
     which = get(cfg, "measure.predicate", "dgamma")
-    jmax = int(get(cfg, "truncation.jmax", 0))
+    jmax = jmax_from(cfg, default=0)
 
     rows = []
     for gamma in grid:
@@ -197,7 +200,7 @@ def cmd_measure(cfg: dict, out: Path, seed_override=None) -> int:
 
 def cmd_check_omega(cfg: dict, out: Path, seed_override=None) -> int:
     lattice = lattice_from(cfg)
-    jmax = int(require(cfg, "truncation.jmax"))
+    jmax = jmax_from(cfg)
     omega = omega_from(cfg, lattice, jmax, seed_override=seed_override)
     gbar = float(require(cfg, "problem.gbar"))
     gamma0 = float(require(cfg, "problem.gamma0"))

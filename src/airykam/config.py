@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .lattice import LatticeParams, MultiIndex
+from .lattice import Enumeration, LatticeParams, MultiIndex, get_enumeration
 from .nashmoser import ProblemSpec
 from .smalldiv import is_airy_nonresonant, is_diophantine
 
@@ -89,17 +89,43 @@ def lattice_from(cfg: dict) -> LatticeParams:
         raise ConfigError(f"bad lattice (problem.eta, truncation.M, truncation.K): {exc}") from None
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; integral floats such as 2.0 are accepted, 1.5 is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def jmax_from(cfg: dict, default=None) -> int:
+    """truncation.jmax as an integer >= 0, required unless a default is given."""
+    raw = require(cfg, "truncation.jmax") if default is None else get(cfg, "truncation.jmax", default)
+    jmax = _integer(raw, "truncation.jmax")
+    if jmax < 0:
+        raise ConfigError(f"truncation.jmax must be >= 0, got {jmax}")
+    return jmax
+
+
+def check_convolution_size(lattice: LatticeParams):
+    """Reject a lattice too large for the convolution table of the spectral algebra."""
+    size, limit = get_enumeration(lattice).size, Enumeration._CONV_LIMIT
+    if size > limit:
+        raise ConfigError(f"lattice of {size} indices exceeds the convolution-table limit "
+                          f"of {limit}; lower truncation.K or truncation.M")
+
+
 def function_from_entries(entries, lattice, jmax, real=True) -> AnalyticFunction:
     coeffs = {}
     for item in entries:
         try:
             pairs, j, re, im = item
-            l = MultiIndex.from_pairs([(int(s), int(v)) for s, v in pairs])
+            l = MultiIndex.from_pairs([(_integer(s, "site"), _integer(v, "lattice mode"))
+                                       for s, v in pairs])
+            j = _integer(j, "x-mode")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad function entry {item!r}: {exc}") from None
-        coeffs[(l, int(j))] = coeffs.get((l, int(j)), 0.0) + complex(float(re), float(im))
+        coeffs[(l, j)] = coeffs.get((l, j), 0.0) + complex(float(re), float(im))
         if real:
-            key = (-l, -int(j))
+            key = (-l, -j)
             coeffs[key] = coeffs.get(key, 0.0) + complex(float(re), -float(im))
     return AnalyticFunction(lattice, jmax, coeffs, real=real)
 
@@ -128,7 +154,8 @@ def omega_from(cfg: dict, lattice, jmax, seed_override=None):
 
 def problem_spec_from(cfg: dict, seed_override=None) -> ProblemSpec:
     lattice = lattice_from(cfg)
-    jmax = int(require(cfg, "truncation.jmax"))
+    check_convolution_size(lattice)
+    jmax = jmax_from(cfg)
     forcing = function_from_entries(require(cfg, "forcing.entries"), lattice, jmax)
     omega = omega_from(cfg, lattice, jmax, seed_override=seed_override)
     return ProblemSpec(

@@ -47,8 +47,8 @@ from .analytic import (
     pi0,
     pi0_perp,
 )
-from .lattice import MultiIndex
-from .opalg import DifferentialOperator, dense_labels, materialize, to_dense
+from .lattice import get_enumeration
+from .opalg import DifferentialOperator, materialize, to_dense
 
 __all__ = [
     "TransformationData",
@@ -131,7 +131,7 @@ class QuadraticForm:
             key = (int(key[0]), int(key[1]))
             if key not in QUADRATIC_KEYS:
                 raise ValueError(f"index {key} outside the quadratic table")
-            if fct.coeffs:
+            if not fct.is_zero():
                 self.coeffs[key] = fct
 
     def get(self, i, j):
@@ -178,8 +178,9 @@ def linearize_quadratic(Q: QuadraticForm, h: AnalyticFunction) -> QuadraticPertu
 
 def _drop_mean(f: AnalyticFunction) -> AnalyticFunction:
     """Remove the (l, j) = (0, 0) coefficient exactly."""
-    out = {k: c for k, c in f.coeffs.items() if k != (MultiIndex.zero(), 0)}
-    return AnalyticFunction(f.lattice, f.jmax, out, real=f.real)
+    out = f.data.copy()
+    out[0, f.jmax] = 0.0
+    return AnalyticFunction.from_array(f.lattice, f.jmax, out, real=f.real)
 
 
 def moser_power(f: AnalyticFunction, exponent: float, label="") -> AnalyticFunction:
@@ -250,7 +251,7 @@ def _perturbed_operator(L: DifferentialOperator, qp: QuadraticPerturbation):
     """
     p3 = qp.d3 + L.lambda3
     lower = [(p, m) for p, m in ((qp.d2, 2), (L.B + qp.d1, 1), (L.C + qp.d0, 0))
-             if p.coeffs]
+             if not p.is_zero()]
 
     def apply(u):
         out = om_dphi(u, L.omega) + multiply(p3, dx(u, 3))
@@ -261,13 +262,21 @@ def _perturbed_operator(L: DifferentialOperator, qp: QuadraticPerturbation):
     return apply
 
 
+def _unit(lattice, jmax, p: int, j: int) -> AnalyticFunction:
+    """The complex mode e^{i(l_p.phi + j x)}."""
+    data = AnalyticFunction.zeros(lattice, jmax, real=False).data
+    data[p, j + jmax] = 1.0
+    return AnalyticFunction.from_array(lattice, jmax, data, real=False)
+
+
 def _mode_shift(u: AnalyticFunction, s: int) -> AnalyticFunction:
     """Multiply by e^{i s x}: (l, j) -> (l, j + s), dropping the fallen band."""
-    out = {}
-    for (l, j), c in u.coeffs.items():
-        if abs(j + s) <= u.jmax:
-            out[(l, j + s)] = c
-    return AnalyticFunction(u.lattice, u.jmax, out, real=False)
+    out = np.zeros_like(u.data)
+    if s >= 0:
+        out[:, s:] = u.data[:, :out.shape[1] - s]
+    else:
+        out[:, :s] = u.data[:, -s:]
+    return AnalyticFunction.from_array(u.lattice, u.jmax, out, real=False)
 
 
 def _transported_coefficients(L: DifferentialOperator, qp: QuadraticPerturbation,
@@ -284,7 +293,7 @@ def _transported_coefficients(L: DifferentialOperator, qp: QuadraticPerturbation
 
     probes = []
     for k in range(1, 5):
-        e = AnalyticFunction(lat, jmax, {(MultiIndex.zero(), k): 1.0 + 0j}, real=False)
+        e = _unit(lat, jmax, 0, k)
         w = multiply(jac, compose_x_diffeo(e, alpha))
         w = l0q_apply(w)
         w = multiply(jac_t, compose_x_diffeo(w, alpha_tilde))
@@ -297,7 +306,7 @@ def _transported_coefficients(L: DifferentialOperator, qp: QuadraticPerturbation
     for m in range(4):
         em = linear_combination(probes, Vinv[m], real=False)
         sym_defect = max(sym_defect, em.conjugate_symmetry_residual())
-        coeffs.append(AnalyticFunction(lat, jmax, em.coeffs, real=True))
+        coeffs.append(AnalyticFunction.from_array(lat, jmax, em.data, real=True))
     if report is not None:
         report["probe_symmetry_defect"] = sym_defect
     e0, e1, e2, e3 = coeffs
@@ -373,36 +382,36 @@ def homological_identity_residuals(T: TransformationData, lambda3: float,
 
 def apply_transform(T: TransformationData, u: AnalyticFunction) -> AnalyticFunction:
     """T u = T1(T2(T3 u))."""
-    w = compose_x_translation(u, T.p) if T.p.coeffs else u
-    if T.beta.coeffs:
+    w = u if T.p.is_zero() else compose_x_translation(u, T.p)
+    if not T.beta.is_zero():
         w = compose_phi_shift(w, T.beta, T.omega)
-    if T.alpha.coeffs:
+    if not T.alpha.is_zero():
         w = multiply(1.0 + dx(T.alpha, 1), compose_x_diffeo(w, T.alpha))
+    return w
+
+
+def _inverse(T: TransformationData, u: AnalyticFunction, jacobian: bool) -> AnalyticFunction:
+    """T3^{-1}(T2^{-1}(S1^{-1} u)), with S1^{-1} = T1^{-1} or its substitution alone."""
+    w = u
+    if not T.alpha.is_zero():
+        w = compose_x_diffeo(w, T.alpha_tilde)
+        if jacobian:
+            w = multiply(1.0 + dx(T.alpha_tilde, 1), w)
+    if not T.beta.is_zero():
+        w = compose_phi_shift(w, T.beta_tilde, T.omega)
+    if not T.p.is_zero():
+        w = compose_x_translation(w, -T.p)
     return w
 
 
 def apply_transform_inverse(T: TransformationData, u: AnalyticFunction) -> AnalyticFunction:
     """T^{-1} u = T3^{-1}(T2^{-1}(T1^{-1} u))."""
-    w = u
-    if T.alpha.coeffs:
-        w = multiply(1.0 + dx(T.alpha_tilde, 1), compose_x_diffeo(w, T.alpha_tilde))
-    if T.beta.coeffs:
-        w = compose_phi_shift(w, T.beta_tilde, T.omega)
-    if T.p.coeffs:
-        w = compose_x_translation(w, -T.p)
-    return w
+    return _inverse(T, u, jacobian=True)
 
 
 def apply_substitution_inverse(T: TransformationData, u: AnalyticFunction) -> AnalyticFunction:
     """The substitution part of T^{-1} (no Jacobian prefactor), for scalars."""
-    w = u
-    if T.alpha.coeffs:
-        w = compose_x_diffeo(w, T.alpha_tilde)
-    if T.beta.coeffs:
-        w = compose_phi_shift(w, T.beta_tilde, T.omega)
-    if T.p.coeffs:
-        w = compose_x_translation(w, -T.p)
-    return w
+    return _inverse(T, u, jacobian=False)
 
 
 def push_quadratic(Q: QuadraticForm, T: TransformationData) -> QuadraticForm:
@@ -425,7 +434,7 @@ def push_quadratic(Q: QuadraticForm, T: TransformationData) -> QuadraticForm:
             below = G.get((l - 1, i))
             if below is not None:
                 term = term + multiply(below, jac)
-            if term.coeffs:
+            if not term.is_zero():
                 G[(l, i + 1)] = term
 
     out = {}
@@ -453,11 +462,9 @@ def push_quadratic(Q: QuadraticForm, T: TransformationData) -> QuadraticForm:
 
 def symplectic_pairing(u: AnalyticFunction, v: AnalyticFunction) -> complex:
     """< dx^{-1} u, v > averaged over phi and x, on the zero-average parts."""
-    total = 0j
     ui = dx_inv(pi0_perp(u))
-    for (l, j), c in ui.coeffs.items():
-        total += c * v.get(-l, -j)
-    return total
+    mirror = v.data[get_enumeration(v.lattice).neg, ::-1]     # v(-l, -j)
+    return complex(np.sum(ui.data * mirror))
 
 
 def conjugation_dense_residual(L: DifferentialOperator, qp: QuadraticPerturbation,
@@ -466,33 +473,25 @@ def conjugation_dense_residual(L: DifferentialOperator, qp: QuadraticPerturbatio
 
     The left side is assembled column by column by applying the transformed
     operator to basis modes inside the window; the difference is measured as
-    the largest window-restricted column l1-norm.
+    the largest window-restricted column l1-norm.  Columns are ordered as in
+    to_dense: lattice index major, then j != 0.
     """
-    from .lattice import eta_norm as _eta
-
     lat, jmax = L.lattice, L.jmax
     T = result.transform
     dense_plus = to_dense(materialize(result.L_plus))
-    labels, _ = dense_labels(lat, jmax)
-    col_of = {lab: idx for idx, lab in enumerate(labels)}
-    eta = lat.eta
-    inside = np.array(
-        [abs(j) <= jwin and (not l or _eta(l, eta) <= lwin + 1e-12) for l, j in labels]
-    )
+    jlist = [j for j in range(-jmax, jmax + 1) if j != 0]
+    jslots = np.array(jlist) + jmax
+    inside = np.outer(get_enumeration(lat).within(lwin),
+                      np.abs(np.array(jlist)) <= jwin).ravel()
 
     l0q_apply = _perturbed_operator(L, qp)
     worst = 0.0
-    for col, (l, j) in enumerate(labels):
-        if not inside[col]:
-            continue
-        e = AnalyticFunction(lat, jmax, {(l, j): 1.0 + 0j}, real=False)
-        w = apply_transform(T, e)
+    for col in np.flatnonzero(inside):
+        p, k = divmod(int(col), len(jlist))
+        w = apply_transform(T, _unit(lat, jmax, p, jlist[k]))
         w = l0q_apply(w)
         w = multiply(T.r, apply_transform_inverse(T, w))
-        lhs = np.zeros(len(labels), dtype=complex)
-        for (lo, jo), c in w.coeffs.items():
-            if jo != 0:
-                lhs[col_of[(lo, jo)]] = c
+        lhs = w.data[:, jslots].ravel()
         diff = np.abs(lhs - dense_plus[:, col]) * inside
         worst = max(worst, float(diff.sum()))
     return worst

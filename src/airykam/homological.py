@@ -13,7 +13,7 @@ import numpy as np
 
 from .analytic import AnalyticFunction, om_dphi_inv
 from .errors import SmallDivisorError
-from .lattice import divisor_weight
+from .lattice import get_enumeration
 
 __all__ = ["DiagonalModel", "solve_airy", "solve_diagonal", "solve_scalar_phi"]
 
@@ -39,6 +39,25 @@ class DiagonalModel:
         return worst
 
 
+def _divide(f: AnalyticFunction, div, floor, what: str) -> AnalyticFunction:
+    """h = -f / (i div) on the nonzero coefficients of f, whose divisors must
+    clear the floor; the first breach in canonical order raises with its witness."""
+    used = f.data != 0
+    div, floor = np.broadcast_arrays(div, floor, used)[:2]
+    breach = np.argwhere(used & (np.abs(div) < floor))
+    if breach.size:
+        p, col = breach[0]
+        l, j = get_enumeration(f.lattice).indices[p], int(col) - f.jmax
+        d, fl = float(div[p, col]), float(floor[p, col])
+        raise SmallDivisorError(
+            f"divisor {abs(d):.3e} under {what} {fl:.3e} at (l={l!r}, j={j})",
+            l=l, j=j, divisor=d, floor=fl,
+        )
+    out = np.zeros_like(f.data)
+    np.divide(-f.data, 1j * div, out=out, where=used)
+    return AnalyticFunction.from_array(f.lattice, f.jmax, out, real=f.real)
+
+
 def solve_airy(f: AnalyticFunction, omega, gamma0: float,
                lambda3: float = 1.0) -> AnalyticFunction:
     """h with (omega.d_phi + lambda3 dx^3) h = -f, exactly on the truncation.
@@ -48,18 +67,10 @@ def solve_airy(f: AnalyticFunction, omega, gamma0: float,
     """
     if not f.zero_x_average:
         raise ValueError("forcing must have zero x-average")
-    om = np.asarray(omega, dtype=float)
-    out = {}
-    for (l, j), c in f.coeffs.items():
-        div = float(np.dot(l.dense(len(om)), om)) - lambda3 * j**3
-        floor = gamma0 / divisor_weight(l)
-        if abs(div) < floor:
-            raise SmallDivisorError(
-                f"divisor {abs(div):.3e} under floor {floor:.3e} at (l={l!r}, j={j})",
-                l=l, j=j, divisor=div, floor=floor,
-            )
-        out[(l, j)] = -c / (1j * div)
-    return AnalyticFunction(f.lattice, f.jmax, out, real=f.real)
+    enum = get_enumeration(f.lattice)
+    jj = np.arange(-f.jmax, f.jmax + 1)
+    div = enum.dots(omega)[:, None] - lambda3 * (jj**3)[None, :]
+    return _divide(f, div, (gamma0 / enum.dvals)[:, None], "floor")
 
 
 def solve_diagonal(model: DiagonalModel, f: AnalyticFunction, gamma: float) -> AnalyticFunction:
@@ -70,20 +81,15 @@ def solve_diagonal(model: DiagonalModel, f: AnalyticFunction, gamma: float) -> A
     """
     if not f.zero_x_average:
         raise ValueError("forcing must have zero x-average")
-    om = model.omega
-    out = {}
-    for (l, j), c in f.coeffs.items():
-        if j not in model.Omega:
-            raise ValueError(f"mode j={j} outside the frequency table")
-        div = float(np.dot(l.dense(len(om)), om)) + model.Omega[j]
-        floor = gamma * abs(j) ** 3 / divisor_weight(l)
-        if abs(div) < floor:
-            raise SmallDivisorError(
-                f"divisor {abs(div):.3e} under Melnikov floor {floor:.3e} at (l={l!r}, j={j})",
-                l=l, j=j, divisor=div, floor=floor,
-            )
-        out[(l, j)] = -c / (1j * div)
-    return AnalyticFunction(f.lattice, f.jmax, out, real=f.real)
+    jj = np.arange(-f.jmax, f.jmax + 1)
+    missing = [j for j in jj[f.data.any(axis=0)].tolist() if j not in model.Omega]
+    if missing:
+        raise ValueError(f"mode j={missing[0]} outside the frequency table")
+    enum = get_enumeration(f.lattice)
+    Omega = np.array([model.Omega.get(j, 0.0) for j in jj.tolist()])
+    div = enum.dots(model.omega)[:, None] + Omega[None, :]
+    floor = (gamma * np.abs(jj) ** 3)[None, :] / enum.dvals[:, None]
+    return _divide(f, div, floor, "Melnikov floor")
 
 
 def solve_scalar_phi(rhs: AnalyticFunction, omega, gamma: float) -> AnalyticFunction:

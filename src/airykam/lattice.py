@@ -191,7 +191,13 @@ def enumerate_indices(params: LatticeParams) -> tuple:
 
 
 class Enumeration:
-    """Cached arrays for one lattice truncation (index maps, weights, tables)."""
+    """Cached arrays for one lattice truncation: the single index of all spectral data.
+
+    Row p of ``dense`` is the p-th multi-index in canonical order (eta-norm,
+    then entries); index 0 is the zero multi-index.  Functions and operators
+    store their coefficients by this index, so every table here (negation,
+    sums, norms, divisor weights) applies to them by plain array indexing.
+    """
 
     _CONV_LIMIT = 4096
 
@@ -213,8 +219,24 @@ class Enumeration:
         self.dioph = np.array(
             [diophantine_weight(l) if l else np.inf for l in self.indices]
         )
-        self.neg = np.array([self.index_of[-l] for l in self.indices], dtype=np.int64)
+        self.neg = self.lookup(-self.dense)
         self._conv = None
+
+    def lookup(self, rows) -> np.ndarray:
+        """Index of each dense row (length M), or -1 when it is outside the truncation."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.params.M)
+        _, group = np.unique(np.concatenate([self.dense, rows]), axis=0,
+                             return_inverse=True)
+        group = group.reshape(-1)
+        index = np.full(group.max() + 1, -1, dtype=np.int64)
+        index[group[:self.size]] = np.arange(self.size)
+        return index[group[self.size:]]
+
+    def within(self, N: float) -> np.ndarray:
+        """Mask of the indices with |l|_eta <= N; the zero index is always inside."""
+        mask = self.eta_norms <= N + 1e-12
+        mask[0] = True
+        return mask
 
     def dots(self, omega) -> np.ndarray:
         """omega . l for every enumerated l."""
@@ -230,13 +252,7 @@ class Enumeration:
             if n > self._CONV_LIMIT:
                 raise ValueError(f"lattice too large for a convolution table ({n})")
             sums = self.dense[:, None, :] + self.dense[None, :, :]
-            conv = np.full((n, n), -1, dtype=np.int64)
-            flat = sums.reshape(n * n, self.params.M)
-            for k, row in enumerate(map(tuple, flat)):
-                hit = self.index_of.get(MultiIndex(row))
-                if hit is not None:
-                    conv[k // n, k % n] = hit
-            self._conv = conv
+            self._conv = self.lookup(sums).reshape(n, n)
         return self._conv
 
 

@@ -8,7 +8,11 @@ all algebra helpers treat that part structurally.
 
 Blocks are (2 jmax + 1) x (2 jmax + 1) complex arrays indexed by j + jmax;
 the j = 0 row and column are kept identically zero (operators act on
-zero-x-average functions).
+zero-x-average functions).  ``OperatorMatrix.data`` holds the nonzero blocks
+keyed by lattice enumeration index, in ascending order; the target index of
+a product of blocks comes from the enumeration's convolution table.
+``MultiIndex`` keys appear only at the boundary: the dict constructor and
+the read-only ``blocks`` view.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .analytic import AnalyticFunction, dx, multiply, om_dphi, pi0, pi0_perp
+from .analytic import AnalyticFunction, dx, mean_phi_x, multiply, om_dphi, pi0, pi0_perp
 from .errors import SeriesDivergenceError
-from .lattice import MultiIndex, eta_norm, get_enumeration
+from .lattice import get_enumeration
 
 __all__ = [
     "OperatorMatrix",
@@ -34,6 +39,7 @@ __all__ = [
     "smoothing_generator_op",
     "op_norm",
     "restrict",
+    "split_by_norm",
     "apply_op",
     "compose",
     "commutator",
@@ -56,46 +62,58 @@ MAX_SERIES_TERMS = 60
 class OperatorMatrix:
     """Block-convolution operator, optionally including omega.d_phi."""
 
-    __slots__ = ("lattice", "jmax", "blocks", "omega", "real")
+    __slots__ = ("lattice", "jmax", "data", "omega", "real")
 
     def __init__(self, lattice, jmax, blocks=None, omega=None, real=True):
+        """Build from a dict {MultiIndex: block}; indices outside the truncation are dropped."""
+        index_of = get_enumeration(lattice).index_of
+        by_index = {index_of[l]: b for l, b in (blocks or {}).items() if l in index_of}
+        self._set(lattice, jmax, by_index, omega, real)
+
+    @classmethod
+    def from_indexed(cls, lattice, jmax, blocks, omega=None, real=True):
+        """Build from a dict {enumeration index: block}."""
+        out = cls.__new__(cls)
+        out._set(lattice, jmax, blocks, omega, real)
+        return out
+
+    def _set(self, lattice, jmax, blocks, omega, real):
         self.lattice = lattice
         self.jmax = int(jmax)
         self.omega = None if omega is None else np.asarray(omega, dtype=float)
         self.real = bool(real)
-        self.blocks = self._finalize(blocks or {})
+        self.data = self._normalized(blocks)
 
     @property
     def nj(self) -> int:
         return 2 * self.jmax + 1
 
-    def _finalize(self, raw):
-        enum = get_enumeration(self.lattice)
+    @property
+    def blocks(self):
+        """Read-only {MultiIndex: block} of the nonzero blocks, in enumeration order."""
+        indices = get_enumeration(self.lattice).indices
+        return MappingProxyType({indices[p]: b for p, b in self.data.items()})
+
+    def _normalized(self, raw):
+        """Copies of the blocks with the j = 0 row and column zeroed, symmetrized
+        when real, zero blocks dropped, sorted by index."""
         nj = self.nj
         kept = {}
-        for l, b in raw.items():
-            if l not in enum.index_of:
-                continue
-            b = np.asarray(b, dtype=complex)
+        for p, b in raw.items():
+            b = np.array(b, dtype=complex)
             if b.shape != (nj, nj):
                 raise ValueError("block shape mismatch")
-            b = b.copy()
             b[self.jmax, :] = 0.0
             b[:, self.jmax] = 0.0
             if np.any(b):
-                kept[l] = b
+                kept[int(p)] = b
         if self.real:
-            keys = set(kept) | {-l for l in kept}
-            sym = {}
-            for l in keys:
-                b = kept.get(l)
-                mirror = kept.get(-l)
-                flipped = np.conj(mirror[::-1, ::-1]) if mirror is not None else 0.0
-                here = b if b is not None else 0.0
-                sym[l] = 0.5 * (here + flipped)
-            kept = {l: b for l, b in sym.items() if np.any(b)}
-        order = sorted(kept, key=lambda l: enum.index_of[l])
-        return {l: kept[l] for l in order}
+            neg = get_enumeration(self.lattice).neg.tolist()
+            zero = np.zeros((nj, nj), dtype=complex)
+            sym = {p: 0.5 * (kept.get(p, zero) + np.conj(kept.get(neg[p], zero)[::-1, ::-1]))
+                   for p in set(kept) | {neg[p] for p in kept}}
+            kept = {p: b for p, b in sym.items() if np.any(b)}
+        return {p: kept[p] for p in sorted(kept)}
 
     # -- linear structure ---------------------------------------------------
 
@@ -114,36 +132,33 @@ class OperatorMatrix:
             raise ValueError("cannot negate an omega.d_phi part by subtraction")
         return self.omega if self.omega is not None else other.omega
 
+    def _like(self, blocks, omega=None, real=None):
+        return OperatorMatrix.from_indexed(
+            self.lattice, self.jmax, blocks, omega=omega,
+            real=self.real if real is None else real,
+        )
+
     def __add__(self, other):
         self._check_compat(other)
-        out = {l: b.copy() for l, b in self.blocks.items()}
-        for l, b in other.blocks.items():
-            out[l] = out.get(l, 0.0) + b
-        return OperatorMatrix(
-            self.lattice, self.jmax, out,
-            omega=self._merge_omega(other), real=self.real and other.real,
-        )
+        out = dict(self.data)
+        for p, b in other.data.items():
+            out[p] = out[p] + b if p in out else b
+        return self._like(out, self._merge_omega(other), self.real and other.real)
 
     def __sub__(self, other):
         self._check_compat(other)
-        out = {l: b.copy() for l, b in self.blocks.items()}
-        for l, b in other.blocks.items():
-            out[l] = out.get(l, 0.0) - b
-        return OperatorMatrix(
-            self.lattice, self.jmax, out,
-            omega=self._merge_omega(other, subtract=True),
-            real=self.real and other.real,
-        )
+        out = dict(self.data)
+        for p, b in other.data.items():
+            out[p] = out[p] - b if p in out else -b
+        return self._like(out, self._merge_omega(other, subtract=True),
+                          self.real and other.real)
 
     def __mul__(self, scalar):
         s = complex(scalar)
         if self.omega is not None and s != 1.0:
             raise ValueError("cannot scale an operator containing omega.d_phi")
-        real = self.real and s.imag == 0.0
-        return OperatorMatrix(
-            self.lattice, self.jmax, {l: s * b for l, b in self.blocks.items()},
-            omega=self.omega, real=real,
-        )
+        return self._like({p: s * b for p, b in self.data.items()}, self.omega,
+                          self.real and s.imag == 0.0)
 
     __rmul__ = __mul__
 
@@ -155,20 +170,16 @@ class OperatorMatrix:
 
     def convolution_part(self) -> "OperatorMatrix":
         """The same operator with the omega.d_phi term stripped."""
-        return OperatorMatrix(self.lattice, self.jmax, dict(self.blocks), real=self.real)
-
-    def max_entry(self) -> float:
-        return max((float(np.max(np.abs(b))) for b in self.blocks.values()), default=0.0)
+        return self._like(self.data)
 
     def __repr__(self):
         tag = ", +omega.d_phi" if self.omega is not None else ""
-        return f"OperatorMatrix(jmax={self.jmax}, blocks={len(self.blocks)}{tag})"
+        return f"OperatorMatrix(jmax={self.jmax}, blocks={len(self.data)}{tag})"
 
 
 def identity_op(lattice, jmax) -> OperatorMatrix:
     nj = 2 * jmax + 1
-    b = np.eye(nj, dtype=complex)
-    return OperatorMatrix(lattice, jmax, {MultiIndex.zero(): b})
+    return OperatorMatrix.from_indexed(lattice, jmax, {0: np.eye(nj, dtype=complex)})
 
 
 def x_symbol_op(lattice, jmax, symbol) -> OperatorMatrix:
@@ -178,7 +189,7 @@ def x_symbol_op(lattice, jmax, symbol) -> OperatorMatrix:
     for j in range(-jmax, jmax + 1):
         if j != 0:
             d[j + jmax] = symbol(j)
-    return OperatorMatrix(lattice, jmax, {MultiIndex.zero(): np.diag(d)})
+    return OperatorMatrix.from_indexed(lattice, jmax, {0: np.diag(d)})
 
 
 def dx_op(lattice, jmax, order=1) -> OperatorMatrix:
@@ -189,31 +200,28 @@ def dx_inv_op(lattice, jmax) -> OperatorMatrix:
     return x_symbol_op(lattice, jmax, lambda j: 1.0 / (1j * j))
 
 
+def _toeplitz_blocks(a: AnalyticFunction, column_divisor):
+    """Blocks b_p[j, j'] = a(l_p, j - j') / column_divisor[j'] of every nonzero row p."""
+    jmax = a.jmax
+    jj = np.arange(-jmax, jmax + 1)
+    shift = jj[:, None] - jj[None, :]
+    inside = np.abs(shift) <= jmax
+    rows = np.flatnonzero(a.data.any(axis=1))
+    stack = np.where(inside, a.data[rows][:, np.where(inside, shift + jmax, 0)], 0.0)
+    blocks = dict(zip(rows.tolist(), stack / column_divisor))
+    return OperatorMatrix.from_indexed(a.lattice, jmax, blocks, real=a.real)
+
+
 def mult_op(a: AnalyticFunction) -> OperatorMatrix:
     """Multiplication by a(phi, x), restricted to zero-average functions."""
-    jmax = a.jmax
-    nj = 2 * jmax + 1
-    blocks = {}
-    jj = np.arange(-jmax, jmax + 1)
-    for (l, m), c in a.coeffs.items():
-        b = blocks.setdefault(l, np.zeros((nj, nj), dtype=complex))
-        jp = jj[np.abs(jj + m) <= jmax]
-        b[jp + m + jmax, jp + jmax] += c
-    return OperatorMatrix(a.lattice, jmax, blocks, real=a.real)
+    return _toeplitz_blocks(a, 1.0)
 
 
 def smoothing_generator_op(g: AnalyticFunction) -> OperatorMatrix:
     """The order -1 generator pi0_perp g(phi, x) dx^{-1}."""
-    jmax = g.jmax
-    nj = 2 * jmax + 1
-    blocks = {}
-    jj = np.arange(-jmax, jmax + 1)
-    jnz = jj[jj != 0]
-    for (l, m), c in g.coeffs.items():
-        b = blocks.setdefault(l, np.zeros((nj, nj), dtype=complex))
-        jp = jnz[np.abs(jnz + m) <= jmax]
-        b[jp + m + jmax, jp + jmax] += c / (1j * jp)
-    return OperatorMatrix(g.lattice, jmax, blocks, real=g.real)
+    jj = np.arange(-g.jmax, g.jmax + 1)
+    # the j' = 0 column is dropped by the block normalization
+    return _toeplitz_blocks(g, np.where(jj != 0, 1j * jj, 1.0))
 
 
 def op_norm(R: OperatorMatrix, sigma: float, m: float = 0.0) -> float:
@@ -227,55 +235,45 @@ def op_norm(R: OperatorMatrix, sigma: float, m: float = 0.0) -> float:
     absj[jmax] = 1.0
     colw = absj ** (-float(m)) if m else np.ones_like(absj)
     colw[jmax] = 0.0
-    eta = R.lattice.eta
+    norms = get_enumeration(R.lattice).eta_norms
     total = 0.0
-    for l, b in R.blocks.items():
+    for p, b in R.data.items():
         cols = (W * np.abs(b)).sum(axis=0) * colw
-        total += math.exp(sigma * (eta_norm(l, eta) if l else 0.0)) * float(cols.max())
+        total += math.exp(sigma * norms[p]) * float(cols.max())
     return total
+
+
+def split_by_norm(R: OperatorMatrix, N: float):
+    """The parts of R with blocks |l|_eta <= N and > N (omega.d_phi stays in the first)."""
+    inside = get_enumeration(R.lattice).within(N)
+    low = {p: b for p, b in R.data.items() if inside[p]}
+    high = {p: b for p, b in R.data.items() if not inside[p]}
+    return R._like(low, R.omega), R._like(high)
 
 
 def restrict(R: OperatorMatrix, jwin: int, lwin: float) -> OperatorMatrix:
     """Zero out rows/columns with |j| > jwin and drop blocks |l|_eta > lwin."""
-    jmax = R.jmax
-    jj = np.arange(-jmax, jmax + 1)
-    keep = np.abs(jj) <= jwin
+    keep = np.abs(np.arange(-R.jmax, R.jmax + 1)) <= jwin
     mask = np.outer(keep, keep)
-    eta = R.lattice.eta
-    blocks = {}
-    for l, b in R.blocks.items():
-        if l and eta_norm(l, eta) > lwin + 1e-12:
-            continue
-        blocks[l] = b * mask
-    return OperatorMatrix(R.lattice, R.jmax, blocks, omega=R.omega, real=R.real)
+    inside = get_enumeration(R.lattice).within(lwin)
+    return R._like({p: b * mask for p, b in R.data.items() if inside[p]}, R.omega)
 
 
 def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
     """Apply the operator to a function (its j = 0 column is ignored)."""
     if R.lattice != u.lattice or R.jmax != u.jmax:
         raise ValueError("incompatible truncations")
-    enum = get_enumeration(u.lattice)
-    jmax = u.jmax
-    nj = 2 * jmax + 1
-    groups = {}
-    for (l, j), c in u.coeffs.items():
-        if j == 0:
-            continue
-        groups.setdefault(l, np.zeros(nj, dtype=complex))[j + jmax] = c
-    out = {}
-    for ld, b in R.blocks.items():
-        for lp, vec in groups.items():
-            lo = ld + lp
-            if lo in enum.index_of:
-                acc = out.setdefault(lo, np.zeros(nj, dtype=complex))
-                acc += b @ vec
-    coeffs = {}
-    for lo in sorted(out, key=lambda l: enum.index_of[l]):
-        vec = out[lo]
-        nz = np.nonzero(vec)[0]
-        for k in nz:
-            coeffs[(lo, int(k) - jmax)] = vec[k]
-    result = AnalyticFunction(u.lattice, u.jmax, coeffs, real=R.real and u.real)
+    conv = get_enumeration(u.lattice).conv_table()
+    vecs = u.data.copy()
+    vecs[:, u.jmax] = 0.0
+    rows = np.flatnonzero(vecs.any(axis=1))
+    out = np.zeros_like(u.data)
+    for pd, b in R.data.items():
+        target = conv[pd, rows]
+        hit = target >= 0
+        # l_d + l_p is injective in p, so the targets of one block are distinct
+        out[target[hit]] += vecs[rows[hit]] @ b.T
+    result = u._like(out, R.real and u.real)
     if R.omega is not None:
         result = result + om_dphi(u, R.omega)
     return result
@@ -286,16 +284,17 @@ def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     A._check_compat(B)
     if A.omega is not None or B.omega is not None:
         raise ValueError("compose requires bounded operators; handle omega.d_phi structurally")
-    enum = get_enumeration(A.lattice)
+    conv = get_enumeration(A.lattice).conv_table()
+    b_index = list(B.data)
+    b_blocks = list(B.data.values())
     out = {}
-    for la, ba in A.blocks.items():
-        for lb, bb in B.blocks.items():
-            lo = la + lb
-            if lo in enum.index_of:
-                acc = out.get(lo)
+    for pa, ba in A.data.items():
+        for q, bb in zip(conv[pa, b_index].tolist(), b_blocks):
+            if q >= 0:
+                acc = out.get(q)
                 prod = ba @ bb
-                out[lo] = prod if acc is None else acc + prod
-    return OperatorMatrix(A.lattice, A.jmax, out, real=A.real and B.real)
+                out[q] = prod if acc is None else acc + prod
+    return A._like(out, real=A.real and B.real)
 
 
 def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
@@ -313,13 +312,8 @@ def ad_power(A: OperatorMatrix, B: OperatorMatrix, k: int) -> OperatorMatrix:
 
 def phi_derivative(R: OperatorMatrix, omega) -> OperatorMatrix:
     """Derivative of the coefficients along omega: blocks scaled by i (omega.l)."""
-    om = np.asarray(omega, dtype=float)
-    m = R.lattice.M
-    blocks = {}
-    for l, b in R.blocks.items():
-        if l:
-            blocks[l] = (1j * float(np.dot(l.dense(m), om))) * b
-    return OperatorMatrix(R.lattice, R.jmax, blocks, real=R.real)
+    dots = get_enumeration(R.lattice).dots(omega)
+    return R._like({p: (1j * dots[p]) * b for p, b in R.data.items() if p})
 
 
 # -- structured differential operators ---------------------------------------
@@ -350,7 +344,7 @@ class DifferentialOperator:
     def lambda1(self, tol=1e-8):
         """x-average of B, which must be phi-independent up to tol."""
         avg = pi0(self.B)
-        const = complex(avg.get(MultiIndex.zero(), 0))
+        const = mean_phi_x(avg)
         rest = (avg - AnalyticFunction.constant(self.B.lattice, self.B.jmax, const)).norm(0.0)
         scale = max(1.0, abs(const))
         if rest > tol * scale:
@@ -360,9 +354,9 @@ class DifferentialOperator:
     def apply(self, u: AnalyticFunction) -> AnalyticFunction:
         """Structured application, projected back to zero x-average."""
         out = om_dphi(u, self.omega) + self.lambda3 * dx(u, 3)
-        if self.B.coeffs:
+        if not self.B.is_zero():
             out = out + multiply(self.B, dx(u, 1))
-        if self.C.coeffs:
+        if not self.C.is_zero():
             out = out + multiply(self.C, u)
         return pi0_perp(out)
 
@@ -372,11 +366,11 @@ def materialize(L: DifferentialOperator) -> OperatorMatrix:
     lat, jmax = L.lattice, L.jmax
     airy = x_symbol_op(lat, jmax, lambda j: -1j * L.lambda3 * j**3)
     out = airy
-    if L.B.coeffs:
+    if not L.B.is_zero():
         out = out + compose(mult_op(L.B), dx_op(lat, jmax))
-    if L.C.coeffs:
+    if not L.C.is_zero():
         out = out + mult_op(L.C)
-    return OperatorMatrix(lat, jmax, out.blocks, omega=L.omega, real=out.real)
+    return out._like(out.data, L.omega)
 
 
 # -- exponential series -------------------------------------------------------
@@ -431,8 +425,8 @@ def exp_conjugate(G: OperatorMatrix, B: OperatorMatrix, tol=1e-14,
         extra, terms = lie_series(G, gdot, tol=tol, max_terms=max_terms)
         log.debug("exp_conjugate omega-part used %d terms", terms)
         out = conv + extra
-        return OperatorMatrix(out.lattice, out.jmax, out.blocks, omega=B.omega, real=out.real)
-    if not G.blocks:
+        return out._like(out.data, B.omega)
+    if not G.data:
         return B
     return lie_series(G, B, tol=tol, max_terms=max_terms, start_factor=0)[0]
 
@@ -446,7 +440,7 @@ def exp_apply(G: OperatorMatrix, u: AnalyticFunction, tol=1e-14,
     total = u
     norms = [u.norm(0.0)]
     scale = norms[0]
-    if scale == 0.0 or not G.blocks:
+    if scale == 0.0 or not G.data:
         return u
     for k in range(1, max_terms + 1):
         term = apply_op(G, term) * (1.0 / k)
@@ -483,21 +477,15 @@ def dense_labels(lattice, jmax):
 def to_dense(R: OperatorMatrix) -> np.ndarray:
     """Full matrix over (l, j != 0); includes i (omega.l) on the diagonal if set."""
     enum = get_enumeration(R.lattice)
-    jmax = R.jmax
-    labels, jlist = dense_labels(R.lattice, jmax)
-    nj = len(jlist)
+    conv = enum.conv_table()
+    jslots = np.flatnonzero(np.arange(-R.jmax, R.jmax + 1))
+    nj = jslots.size
     n = enum.size * nj
-    jslots = np.array(jlist) + jmax
     M = np.zeros((n, n), dtype=complex)
-    for ld, b in R.blocks.items():
-        sub = b[np.ix_(jslots, jslots)]
-        for q, lp in enumerate(enum.indices):
-            lo = ld + lp
-            p = enum.index_of.get(lo)
-            if p is not None:
-                M[p * nj:(p + 1) * nj, q * nj:(q + 1) * nj] += sub
+    grid = M.reshape(enum.size, nj, enum.size, nj)     # [p, j, q, j'] view
+    for pd, b in R.data.items():
+        q = np.flatnonzero(conv[pd] >= 0)
+        grid[conv[pd, q], :, q, :] += b[np.ix_(jslots, jslots)]
     if R.omega is not None:
-        dots = enum.dots(R.omega)
-        diag = np.repeat(1j * dots, nj)
-        M[np.arange(n), np.arange(n)] += diag
+        M[np.arange(n), np.arange(n)] += np.repeat(1j * enum.dots(R.omega), nj)
     return M

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import AnalyticFunction, dx, dx_inv, om_dphi, pi0, pi0_perp
+from .analytic import AnalyticFunction, dx, dx_inv, mean_phi_x, om_dphi, pi0, pi0_perp
 from .errors import ReductionError, SmallDivisorError
 from .homological import DiagonalModel, solve_diagonal
-from .lattice import MultiIndex
+from .lattice import get_enumeration
 from .opalg import (
     DifferentialOperator,
     OperatorMatrix,
@@ -34,6 +34,7 @@ from .opalg import (
     phi_derivative,
     restrict,
     smoothing_generator_op,
+    split_by_norm,
     x_symbol_op,
 )
 from .smalldiv import first_melnikov, second_melnikov
@@ -127,7 +128,7 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
     lat, jmax = a1.lattice, a1.jmax
     om = np.asarray(omega, dtype=float)
     avg = pi0(a1)
-    const = complex(avg.get(MultiIndex.zero(), 0)).real
+    const = mean_phi_x(avg).real
     if lambda1 is None:
         lambda1 = const
     rep = {
@@ -139,9 +140,9 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
 
     zero = OperatorMatrix(lat, jmax)
     P_op = mult_op(a0)
-    if a1.coeffs:
+    if not a1.is_zero():
         P_op = compose(mult_op(a1), dx_op(lat, jmax)) + P_op
-    if not G.blocks:
+    if not G.data:
         piece1 = piece2 = zero
         piece3 = zero
     else:
@@ -178,21 +179,6 @@ def _diag_op(state: KamState) -> OperatorMatrix:
                        lambda j: 1j * vals[j + state.jmax])
 
 
-def _project_blocks(P: OperatorMatrix, N: float):
-    """Split P into the parts with |l|_eta <= N and > N."""
-    from .lattice import eta_norm
-
-    eta = P.lattice.eta
-    low, high = {}, {}
-    for l, b in P.blocks.items():
-        if not l or eta_norm(l, eta) <= N + 1e-12:
-            low[l] = b
-        else:
-            high[l] = b
-    return (OperatorMatrix(P.lattice, P.jmax, low, real=P.real),
-            OperatorMatrix(P.lattice, P.jmax, high, real=P.real))
-
-
 def kam_step(state: KamState, omega, schedule: KamSchedule,
               imag_tol: float = 1e-10) -> KamState:
     """One quadratic reduction step.
@@ -219,9 +205,9 @@ def kam_step(state: KamState, omega, schedule: KamSchedule,
             floor=None if w is None else w.floor,
         )
 
-    P_low, P_high = _project_blocks(state.P, state.N)
+    P_low, P_high = split_by_norm(state.P, state.N)
 
-    zero_block = state.P.blocks.get(MultiIndex.zero())
+    zero_block = state.P.data.get(0)
     zdiag = np.zeros(nj, dtype=complex) if zero_block is None else np.diag(zero_block).copy()
     re_defect = float(np.max(np.abs(zdiag.real))) if zdiag.size else 0.0
     if re_defect > imag_tol:
@@ -235,30 +221,30 @@ def kam_step(state: KamState, omega, schedule: KamSchedule,
 
     omv = state.omega_values()
     gap = omv[:, None] - omv[None, :]
+    dots = get_enumeration(lat).dots(om)
     psi_blocks = {}
-    for l, b in P_low.blocks.items():
-        wl = float(np.dot(l.dense(lat.M), om)) if l else 0.0
-        denom = 1j * (wl + gap)
+    for p, b in P_low.data.items():
+        denom = 1j * (dots[p] + gap)
         mask = np.abs(denom) > 0
-        if not l:
+        if not p:
             np.fill_diagonal(mask, False)
         psi = np.zeros_like(b)
         np.divide(-b, denom, out=psi, where=mask)
-        if not l:
+        if not p:
             np.fill_diagonal(psi, 0.0)
-        psi_blocks[l] = psi
-    Psi = OperatorMatrix(lat, jmax, psi_blocks, real=state.P.real)
+        psi_blocks[p] = psi
+    Psi = OperatorMatrix.from_indexed(lat, jmax, psi_blocks, real=state.P.real)
 
     # homological residual om.d_phi Psi + [D, Psi] + P_low - Z  (diagnostic)
-    Z_op = OperatorMatrix(lat, jmax, {MultiIndex.zero(): np.diag(1j * z)})
+    Z_op = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(1j * z)})
     D_op = _diag_op(state)
     hom = phi_derivative(Psi, om) + commutator(D_op, Psi) + P_low - Z_op
-    dust = OperatorMatrix(lat, jmax, {MultiIndex.zero(): np.diag(zdiag - 1j * z)})
+    dust = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(zdiag - 1j * z)})
     hom = hom - dust
     hom_resid = op_norm(hom, 0.0)
 
     X = Z_op + dust - P_low
-    if Psi.blocks:
+    if Psi.data:
         tail1, _ = lie_series(Psi, commutator(X, Psi), tol=schedule.series_tol,
                               start_factor=2)
         tail2 = exp_conjugate(Psi, state.P, tol=schedule.series_tol) - state.P
@@ -363,7 +349,7 @@ def reduce_operator(L: DifferentialOperator, omega, schedule: KamSchedule, *,
     oor = order_one_reduction(L.lambda3, L.B, L.C, om, lambda1=lam1, series_tol=stol)
     state = kam_state_init(L.lambda3, lam1, oor.R0, schedule.N0)
     kr = kam_iterate(state, om, schedule)
-    gens = ([oor.G] if oor.G.blocks else []) + kr.state.psis
+    gens = ([oor.G] if oor.G.data else []) + kr.state.psis
     diag = {
         "order_one": oor.report,
         "kam_stop": kr.stop_reason,
@@ -383,13 +369,13 @@ def reduce_operator(L: DifferentialOperator, omega, schedule: KamSchedule, *,
         vals = result.omega_values()
         D = x_symbol_op(L.lattice, L.jmax, lambda j: 1j * vals[j + L.jmax])
         delta = restrict(conj.convolution_part() - D, jwin, lwin)
-        offdiag = {l: b.copy() for l, b in delta.blocks.items()}
+        offdiag = {p: b.copy() for p, b in delta.data.items()}
         diag_mismatch = 0.0
-        if MultiIndex.zero() in offdiag:
-            b = offdiag[MultiIndex.zero()]
+        if 0 in offdiag:
+            b = offdiag[0]
             diag_mismatch = float(np.max(np.abs(np.diag(b))))
             np.fill_diagonal(b, 0.0)
-        off = OperatorMatrix(L.lattice, L.jmax, offdiag, real=False)
+        off = OperatorMatrix.from_indexed(L.lattice, L.jmax, offdiag, real=False)
         diag["offdiag_residual"] = op_norm(off, 0.0)
         diag["diag_mismatch"] = diag_mismatch
     return result

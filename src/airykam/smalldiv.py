@@ -200,7 +200,7 @@ def second_melnikov(omega, table: dict, gamma: float, lattice: LatticeParams, *,
     enum = get_enumeration(lattice)
     om = _omega_array(omega, lattice.M)
     dots = enum.dots(om)
-    sel = np.ones(enum.size, dtype=bool) if N is None else enum.eta_norms <= N + 1e-12
+    sel = np.ones(enum.size, dtype=bool) if N is None else enum.within(N)
     fac = 2.0 * gamma if two_gamma else gamma
 
     best = CheckResult(True, np.inf, None)

@@ -321,3 +321,27 @@ def test_serialization_roundtrip(rand_fct):
     assert v.lattice == u.lattice and v.jmax == u.jmax and v.real == u.real
     doc = json.loads(text)
     assert doc["zero_x_average"] == u.zero_x_average
+
+
+# dumps of this function, captured before the coefficients moved from a dict
+# keyed by MultiIndex to the lattice-index array: it pins the format and the
+# canonical coefficient order (eta-norm, entries, j) at a non-integer eta
+PINNED_DUMPS = (
+    '{"entries":[[[],-3,0.0,-0.75],[[],3,0.0,0.75],[[[1,-1]],-1,0.25,0.5],'
+    '[[[1,1]],1,0.25,-0.5],[[[1,-2]],0,0.5,0.0],[[[1,2]],0,0.5,0.0],'
+    '[[[1,-1],[2,1]],2,0.125,0.0],[[[1,1],[2,-1]],-2,0.125,0.0]],'
+    '"jmax":3,"lattice":{"K":3.0,"M":2,"eta":0.7},"real":true,"zero_x_average":false}'
+)
+
+
+def test_dumps_pinned_format_and_order():
+    lat = LatticeParams(0.7, 2, 3.0)
+    u = AnalyticFunction.from_modes(lat, 3, [
+        (MultiIndex((1, 0)), 1, 0.25 - 0.5j),
+        (MultiIndex((-1, 1)), 2, 0.125),
+        (MultiIndex((0, -2)), -1, 1e-3 + 2e-3j),     # |l|_eta = 2^1.7 > K: dropped
+        (MultiIndex(()), 3, 0.75j),
+        (MultiIndex((2, 0)), 0, 0.5),
+    ])
+    assert dumps(u) == PINNED_DUMPS
+    assert dumps(loads(PINNED_DUMPS)) == PINNED_DUMPS

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from airykam.cli import _write_json, main
-from airykam.config import ConfigError, load_config, parse_config_text, problem_spec_from
+from airykam.config import (
+    ConfigError,
+    function_from_entries,
+    jmax_from,
+    load_config,
+    parse_config_text,
+    problem_spec_from,
+)
+from airykam.lattice import Enumeration, LatticeParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,6 +84,56 @@ def test_cli_bad_lattice_is_config_error(tmp_path, capsys, old, new):
     assert code == 1
     assert "config error" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+SMALL_FORCING = "forcing.entries = [[[[1, 1]], 1, 5e-07, 0.0]]"
+
+
+@pytest.mark.parametrize("entry", [
+    "[[[1, 1.5]], 1, 5e-07, 0.0]",
+    "[[[1.5, 1]], 1, 5e-07, 0.0]",
+    "[[[1, 1]], 1.7, 5e-07, 0.0]",
+], ids=["lattice-mode", "site", "x-mode"])
+def test_cli_rejects_fractional_entry_numbers(tmp_path, capsys, entry):
+    code, out = _solve_small_with(tmp_path, SMALL_FORCING, f"forcing.entries = [{entry}]")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "must be an integer" in err and entry in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["16.5", "-1"])
+def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
+    code, out = _solve_small_with(tmp_path, "truncation.jmax = 16",
+                                  f"truncation.jmax = {value}")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "truncation.jmax" in err
+    assert not (out / "report.json").exists()
+
+
+def test_integral_floats_are_accepted():
+    lat = LatticeParams(1.0, 2, 8.0)
+    as_ints = function_from_entries([[[[1, 1], [2, -1]], 1, 5e-7, 0.0]], lat, 16)
+    as_floats = function_from_entries([[[[1.0, 1.0], [2.0, -1.0]], 1.0, 5e-7, 0.0]], lat, 16)
+    assert as_floats.coeffs == as_ints.coeffs and len(as_ints.coeffs) == 2
+    assert jmax_from({"truncation.jmax": 16.0}) == 16
+    assert jmax_from({}, default=0) == 0
+
+
+def test_cli_convolution_limit_is_config_error(tmp_path, capsys, monkeypatch):
+    """solve and reduce refuse a lattice whose convolution table is over the
+    limit before any work; measure and check-omega need no table."""
+    monkeypatch.setattr(Enumeration, "_CONV_LIMIT", 50)   # the fixtures have 71-73 indices
+    for command, cfg in (("solve", "solve_small.cfg"), ("reduce", "reduce_eps.cfg")):
+        out = tmp_path / command
+        assert main([command, "--config", str(CONFIGS / cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "convolution-table limit of 50" in err
+        assert not out.exists()
+    for command, cfg in (("measure", "measure.cfg"), ("check-omega", "check_omega.cfg")):
+        out = tmp_path / command
+        assert main([command, "--config", str(CONFIGS / cfg), "--out", str(out)]) == 0
 
 
 def test_write_json_is_strict(tmp_path):

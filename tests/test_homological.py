@@ -116,3 +116,21 @@ def test_om_dphi_inv_floor_documents_gamma(lat2, jmax):
         om_dphi_inv(rhs, omega, 0.4)
     # gamma / ((1 + 1)(1 + 4))
     assert err.value.floor == pytest.approx(0.4 / 10.0)
+
+
+def test_breach_witness_is_first_in_canonical_order(lat2, jmax):
+    """With several resonant coefficients the witness is the first one in the
+    enumeration order (eta-norm, then entries)."""
+    f = AnalyticFunction(lat2, jmax, {(MultiIndex((2, -2)), 0): 1.0 + 0j,
+                                      (MultiIndex((1, -1)), 0): 1.0 + 0j}, real=False)
+    with pytest.raises(SmallDivisorError) as err:
+        om_dphi_inv(f, np.array([1.5, 1.5]), 0.4)
+    assert err.value.l == MultiIndex((1, -1))
+    # 5 * 1.6 - 2^3 = 0 and its mirror; (-5) sorts before 5 at equal norm
+    model = DiagonalModel({j: -float(j) ** 3 for j in range(-jmax, jmax + 1) if j},
+                          np.array([1.6, 1.37]))
+    f = AnalyticFunction(lat2, jmax, {(MultiIndex((5,)), 2): 1.0 + 0j,
+                                      (MultiIndex((-5,)), -2): 1.0 + 0j}, real=False)
+    with pytest.raises(SmallDivisorError) as err:
+        solve_diagonal(model, f, 0.05)
+    assert (err.value.l, err.value.j) == (MultiIndex((-5,)), -2)

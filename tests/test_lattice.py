@@ -151,10 +151,13 @@ def test_divisor_series_stabilizes_under_refinement():
 
 
 def test_convolution_table():
-    enum = get_enumeration(LatticeParams(1.0, 2, 3.0))
-    conv = enum.conv_table()
-    for p, lp in enumerate(enum.indices):
-        for q, lq in enumerate(enum.indices):
-            s = lp + lq
-            expect = enum.index_of.get(s, -1)
-            assert conv[p, q] == expect
+    for params in (LatticeParams(1.0, 2, 3.0), LatticeParams(1.0, 3, 3.0),
+                   LatticeParams(0.7, 3, 3.5)):
+        enum = get_enumeration(params)
+        conv = enum.conv_table()
+        for p, lp in enumerate(enum.indices):
+            assert enum.indices[enum.neg[p]] == -lp
+            for q, lq in enumerate(enum.indices):
+                s = lp + lq
+                expect = enum.index_of.get(s, -1)
+                assert conv[p, q] == expect

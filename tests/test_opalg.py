@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from airykam.analytic import AnalyticFunction, dx, dx_inv, pi0_perp
+from airykam.analytic import AnalyticFunction, dx, dx_inv, om_dphi, pi0_perp
 from airykam.errors import SeriesDivergenceError
-from airykam.lattice import LatticeParams, MultiIndex
+from airykam.lattice import LatticeParams, MultiIndex, get_enumeration
 from airykam.opalg import (
     DifferentialOperator,
     OperatorMatrix,
@@ -35,6 +35,56 @@ E2 = MultiIndex.unit(2)
 
 def cos_x(lat, jmax):
     return AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, 0.5)])
+
+
+def _compose_loops(A, B):
+    """Loop oracle for compose: the dict loop over MultiIndex block keys, in the
+    same (A-major, B-minor) accumulation order."""
+    enum = get_enumeration(A.lattice)
+    out = {}
+    for la, ba in A.blocks.items():
+        for lb, bb in B.blocks.items():
+            lo = la + lb
+            if lo in enum.index_of:
+                acc = out.get(lo)
+                prod = ba @ bb
+                out[lo] = prod if acc is None else acc + prod
+    return OperatorMatrix(A.lattice, A.jmax, out, real=A.real and B.real)
+
+
+def _apply_op_loops(R, u):
+    """Loop oracle for apply_op: block times coefficient vector, pair by pair."""
+    enum = get_enumeration(u.lattice)
+    jmax = u.jmax
+    nj = 2 * jmax + 1
+    groups = {}
+    for (l, j), c in u.coeffs.items():
+        if j != 0:
+            groups.setdefault(l, np.zeros(nj, dtype=complex))[j + jmax] = c
+    out = {}
+    for ld, b in R.blocks.items():
+        for lp, vec in groups.items():
+            lo = ld + lp
+            if lo in enum.index_of:
+                acc = out.setdefault(lo, np.zeros(nj, dtype=complex))
+                acc += b @ vec
+    coeffs = {(lo, int(k) - jmax): vec[k] for lo, vec in out.items() for k in np.flatnonzero(vec)}
+    result = AnalyticFunction(u.lattice, jmax, coeffs, real=R.real and u.real)
+    if R.omega is not None:
+        result = result + om_dphi(u, R.omega)
+    return result
+
+
+def random_blocks_op(lat, jmax, seed, real, sparse, omega=None):
+    """Operator with a random block on every lattice index (sparse: site 1 only)."""
+    rng = np.random.default_rng(seed)
+    nj = 2 * jmax + 1
+    blocks = {
+        l: rng.normal(size=(nj, nj)) + 1j * rng.normal(size=(nj, nj))
+        for l in get_enumeration(lat).indices
+        if not (sparse and l.max_site() > 1)
+    }
+    return OperatorMatrix(lat, jmax, blocks, omega=omega, real=real)
 
 
 def rand_op(lat, jmax, seed, amp=0.1, span=1, jband=2, order=0):
@@ -139,6 +189,31 @@ def test_compose_identity(lat2, jmax):
     I = identity_op(lat2, jmax)
     assert op_norm(compose(I, R) - R, 0.0) == 0.0
     assert op_norm(compose(R, I) - R, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["full", "site1"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_compose_matches_loop_oracle_bitwise(lat2, jmax, real, sparse):
+    A = random_blocks_op(lat2, jmax, 1, real, sparse)
+    B = random_blocks_op(lat2, jmax, 2, real, sparse)
+    got, want = compose(A, B), _compose_loops(A, B)
+    assert got.real == want.real
+    assert list(got.blocks) == list(want.blocks)
+    for l, b in want.blocks.items():
+        assert np.array_equal(got.blocks[l], b)
+
+
+@pytest.mark.parametrize("with_omega", [False, True], ids=["bounded", "omega"])
+@pytest.mark.parametrize("sparse", [False, True], ids=["full", "site1"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_apply_op_matches_loop_oracle(lat2, jmax, omega2, rand_fct, real, sparse, with_omega):
+    R = random_blocks_op(lat2, jmax, 3, real, sparse, omega=omega2 if with_omega else None)
+    u = rand_fct(4, n_modes=12, zero_x_avg=False)
+    if not real:
+        u = u * (0.3 + 0.7j)
+    got, want = apply_op(R, u), _apply_op_loops(R, u)
+    assert got.real == want.real
+    assert (got - want).norm(0.0) <= 1e-14 * want.norm(0.0)
 
 
 def test_ad_power_zero_is_identity(lat2, jmax):
