@@ -6,9 +6,18 @@ oversamples the retained modes (at least 2*(modes per axis)+1 points), apply
 the substitution pointwise, transform back with an FFT and re-truncate.  The
 mass found outside the doubled frequency band is reported as aliasing energy
 and raises AliasingError beyond tolerance.
+
+Each substitution has one grid kernel: ``_x_series`` evaluates an
+x-spectrum at x + a(phi, x), ``_phi_series`` shifts the phase of every
+lattice row by omega.l times a phi-grid amplitude.  An inverse is the fixed
+point of its forward kernel (alpha~ = -alpha(phi, y + alpha~) and
+beta~ = -beta(theta + omega beta~)), found by the one Picard loop
+``_fixed_point``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -21,35 +30,31 @@ _TWO_PI = 2.0 * np.pi
 
 def next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n."""
-    if n <= 1:
-        return 1
-    best = None
-    p2 = 1
-    while p2 < 16 * n:
-        p23 = p2
-        while p23 < 16 * n:
-            p235 = p23
-            while p235 < n:
-                p235 *= 5
-            if best is None or p235 < best:
-                best = p235
-            p23 *= 3
-        p2 *= 2
-    return best
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 def site_bounds(lattice) -> list:
     return [lattice.site_bound(s) for s in range(1, lattice.M + 1)]
 
 
+def _axis_size(factor, bound: int) -> int:
+    return next_fast_len(max(2, int(factor)) * (2 * bound + 1) + 1)
+
+
 def phi_sizes(lattice, factor: int = 2) -> tuple:
-    f = max(2, int(factor))
-    return tuple(next_fast_len(f * (2 * b + 1) + 1) for b in site_bounds(lattice))
+    return tuple(_axis_size(factor, b) for b in site_bounds(lattice))
 
 
 def grid_sizes(lattice, jmax: int, factor: int = 2) -> tuple:
-    f = max(2, int(factor))
-    return phi_sizes(lattice, factor) + (next_fast_len(f * (2 * jmax + 1) + 1),)
+    return phi_sizes(lattice, factor) + (_axis_size(factor, jmax),)
 
 
 def _grid_index(lattice, sizes, jmax=None):
@@ -103,18 +108,10 @@ def _extract(vals, lattice, jmax, *, real, alias_tol, context, report=None, with
     spec = np.fft.fftn(vals) / float(np.prod(sizes))
     absspec = np.abs(spec)
     total = float(absspec.sum())
-    bounds = site_bounds(lattice)
-
-    masks = []
-    for ax, n in enumerate(sizes):
-        cap = 2 * bounds[ax] if (ax < lattice.M) else 2 * jmax
-        f = np.abs(_signed_freqs(n))
-        shape = [1] * len(sizes)
-        shape[ax] = n
-        masks.append((f > cap).reshape(shape))
-    outer = masks[0]
-    for mk in masks[1:]:
-        outer = outer | mk
+    caps = [2 * b for b in site_bounds(lattice)] + [2 * jmax]
+    outer = functools.reduce(np.logical_or, np.meshgrid(
+        *[np.abs(_signed_freqs(n)) > cap for n, cap in zip(sizes, caps)],
+        indexing="ij", sparse=True))
     alias = float(absspec[np.broadcast_to(outer, sizes)].sum())
     alias_rel = alias / max(total, 1e-300)
 
@@ -139,21 +136,68 @@ def _extract(vals, lattice, jmax, *, real, alias_tol, context, report=None, with
     return _an.AnalyticFunction.from_array(lattice, jmax, data, real=real)
 
 
-def _phi_ifft(spec, mphi, sizes):
-    axes = tuple(range(mphi))
-    return np.fft.ifftn(spec, axes=axes) * float(np.prod(sizes[:mphi]))
+def _angles(sizes):
+    """2 pi k / n on each axis of a tensor grid, shaped to broadcast over it."""
+    return np.meshgrid(*[_TWO_PI * np.arange(n) / n for n in sizes], indexing="ij", sparse=True)
+
+
+def _x_spectrum(u, sizes):
+    """x-spectrum of u over the phi grid: its placed spectrum inverse-transformed in phi."""
+    m = u.lattice.M
+    spec = _place(u, sizes, with_x=True)
+    return np.fft.ifftn(spec, axes=tuple(range(m))) * float(np.prod(sizes[:m]))
 
 
 def _phi_angle(row, sizes_phi):
     """Grid of l . phi over the phi tensor grid, for l given as a dense row."""
     angle = np.zeros(sizes_phi)
-    for i, v in enumerate(row):
+    for v, ax in zip(row, _angles(sizes_phi)):
         if v:
-            ax = _TWO_PI * np.arange(sizes_phi[i]) / sizes_phi[i]
-            shape = [1] * len(sizes_phi)
-            shape[i] = sizes_phi[i]
-            angle = angle + v * ax.reshape(shape)
+            angle = angle + v * ax
     return angle
+
+
+def _x_series(G, W, jmax):
+    """Sum over |j| <= jmax of G_j W^j, for an x-spectrum G (FFT order) over the phi grid."""
+    nx = G.shape[-1]
+    val = np.broadcast_to(G[..., 0][..., None], W.shape).astype(complex)
+    Wp = np.ones_like(W)
+    Wm = np.ones_like(W)
+    for j in range(1, jmax + 1):
+        Wp = Wp * W
+        Wm = Wm * np.conj(W)
+        val += G[..., j % nx][..., None] * Wp
+        val += G[..., (-j) % nx][..., None] * Wm
+    return val
+
+
+def _phi_series(u, shift, omega, sizes):
+    """x-spectrum over the phi grid of u(phi + omega * shift(phi), .) on grid shape sizes."""
+    enum = get_enumeration(u.lattice)
+    dots = enum.dots(omega)
+    sphi, nx = sizes[:-1], sizes[-1]
+    T = np.zeros(sizes, dtype=complex)
+    for p in np.flatnonzero(u.data.any(axis=1)):
+        E = np.exp(1j * (_phi_angle(enum.dense[p], sphi) + dots[p] * shift))
+        cols = np.flatnonzero(u.data[p])
+        T[..., (cols - u.jmax) % nx] += E[..., None] * u.data[p, cols]
+    return T
+
+
+def _fixed_point(update, shape, tol, max_iter, what):
+    """Picard iteration t <- update(t) from t = 0; returns t and the last step."""
+    t = np.zeros(shape)
+    last = np.inf
+    for _ in range(max_iter):
+        new = update(t)
+        step = float(np.max(np.abs(new - t)))
+        t = new
+        if step <= tol:
+            return t, step
+        if step > 2.0 * last + tol:
+            raise NonContractionError(f"{what} inversion diverged")
+        last = step
+    raise NonContractionError(f"no contraction after {max_iter} iterations")
 
 
 def compose_x_diffeo(u, alpha, factor=2, alias_tol=1e-7, report=None):
@@ -162,21 +206,8 @@ def compose_x_diffeo(u, alpha, factor=2, alias_tol=1e-7, report=None):
         raise ValueError("incompatible lattices")
     jmax = max(u.jmax, alpha.jmax)
     sizes = grid_sizes(u.lattice, jmax, factor)
-    m = u.lattice.M
-    spec = _place(u, sizes, with_x=True)
-    G = _phi_ifft(spec, m, sizes)
     avals = _real_grid_values(alpha, sizes, True, "x-diffeomorphism amplitude")
-    nx = sizes[-1]
-    x = _TWO_PI * np.arange(nx) / nx
-    W = np.exp(1j * (x.reshape((1,) * m + (nx,)) + avals))
-    val = np.broadcast_to(G[..., 0][..., None], sizes).copy()
-    Wp = np.ones_like(W)
-    Wm = np.ones_like(W)
-    for j in range(1, jmax + 1):
-        Wp = Wp * W
-        Wm = Wm * np.conj(W)
-        val += G[..., j % nx][..., None] * Wp
-        val += G[..., (-j) % nx][..., None] * Wm
+    val = _x_series(_x_spectrum(u, sizes), np.exp(1j * (_angles(sizes)[-1] + avals)), jmax)
     return _extract(
         val, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
         context="compose_x_diffeo", report=report,
@@ -189,17 +220,10 @@ def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
         raise ValueError("incompatible lattices")
     if not beta.phi_only:
         raise ValueError("shift amplitude must depend on phi only")
-    enum = get_enumeration(u.lattice)
-    dots = enum.dots(omega)
-    sphi = phi_sizes(u.lattice, factor)
-    bvals = _real_grid_values(beta, sphi, False, "time-reparametrization amplitude")
-    nx = next_fast_len(max(2, int(factor)) * (2 * u.jmax + 1) + 1)
-    T = np.zeros(sphi + (nx,), dtype=complex)
-    for p in np.flatnonzero(u.data.any(axis=1)):
-        E = np.exp(1j * (_phi_angle(enum.dense[p], sphi) + dots[p] * bvals))
-        cols = np.flatnonzero(u.data[p])
-        T[..., (cols - u.jmax) % nx] += E[..., None] * u.data[p, cols]
-    val = np.fft.ifft(T, axis=-1) * nx
+    sizes = grid_sizes(u.lattice, u.jmax, factor)
+    bvals = _real_grid_values(beta, sizes[:-1], False, "time-reparametrization amplitude")
+    T = _phi_series(u, bvals, omega, sizes)
+    val = np.fft.ifft(T, axis=-1) * sizes[-1]
     return _extract(
         val, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
         context="compose_phi_shift", report=report,
@@ -207,18 +231,19 @@ def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
 
 
 def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
-    """u(phi, x + p(phi)) for a real function p of phi alone."""
+    """u(phi, x + p(phi)) for a real function p of phi alone.
+
+    The phases e^{i j p} multiply the x-spectrum on the phi grid, not on the
+    full grid as in ``_x_series``; one x-ifft follows.
+    """
     if u.lattice != p.lattice:
         raise ValueError("incompatible lattices")
     if not p.phi_only:
         raise ValueError("translation amplitude must depend on phi only")
-    m = u.lattice.M
     sizes = grid_sizes(u.lattice, u.jmax, factor)
-    sphi = sizes[:-1]
     nx = sizes[-1]
-    pvals = _real_grid_values(p, sphi, False, "translation amplitude")
-    spec = _place(u, sizes, with_x=True)
-    G = _phi_ifft(spec, m, sizes)
+    pvals = _real_grid_values(p, sizes[:-1], False, "translation amplitude")
+    G = _x_spectrum(u, sizes)
     P = np.exp(1j * pvals)
     T = np.zeros_like(G)
     T[..., 0] = G[..., 0]
@@ -239,41 +264,20 @@ def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
 def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, report=None):
     """alpha_tilde with x + alpha evaluated at y + alpha_tilde(phi, y) == y.
 
-    Pointwise Picard iteration on the grid; requires the contraction
-    |alpha_x|_0 < 1 and raises NonContractionError otherwise.
+    Fixed point alpha_tilde = -alpha(phi, y + alpha_tilde) of the forward
+    kernel, pointwise on the grid; requires the contraction |alpha_x|_0 < 1
+    and raises NonContractionError otherwise.
     """
     slope = _an.dx(alpha, 1).norm(0.0)
     if slope >= 0.9:
         raise NonContractionError(f"|alpha_x| ~ {slope:.3f} too large to invert")
-    m = alpha.lattice.M
     sizes = grid_sizes(alpha.lattice, alpha.jmax, factor)
-    nx = sizes[-1]
-    spec = _place(alpha, sizes, with_x=True)
-    A = _phi_ifft(spec, m, sizes)  # x-spectrum of alpha over the phi grid
-    y = _TWO_PI * np.arange(nx) / nx
-    ybr = y.reshape((1,) * m + (nx,))
-    t = np.zeros(sizes)
-    last = np.inf
-    for _ in range(max_iter):
-        W = np.exp(1j * (ybr + t))
-        Wp = np.ones_like(W)
-        Wm = np.ones_like(W)
-        new = np.broadcast_to(A[..., 0][..., None], sizes).astype(complex)
-        for j in range(1, alpha.jmax + 1):
-            Wp = Wp * W
-            Wm = Wm * np.conj(W)
-            new += A[..., j % nx][..., None] * Wp
-            new += A[..., (-j) % nx][..., None] * Wm
-        new = -new.real
-        step = float(np.max(np.abs(new - t)))
-        t = new
-        if step <= tol:
-            break
-        if step > 2.0 * last + tol:
-            raise NonContractionError("x-diffeomorphism inversion diverged")
-        last = step
-    else:
-        raise NonContractionError(f"no contraction after {max_iter} iterations")
+    A = _x_spectrum(alpha, sizes)
+    y = _angles(sizes)[-1]
+    t, step = _fixed_point(
+        lambda t: -_x_series(A, np.exp(1j * (y + t)), alpha.jmax).real,
+        sizes, tol, max_iter, "x-diffeomorphism",
+    )
     out = _extract(
         t.astype(complex), alpha.lattice, alpha.jmax, real=True,
         alias_tol=alias_tol, context="invert_x_diffeo", report=report,
@@ -284,34 +288,22 @@ def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, re
 
 
 def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, report=None):
-    """beta_tilde with phi + omega beta evaluated at theta + omega beta_tilde == theta."""
+    """beta_tilde with phi + omega beta evaluated at theta + omega beta_tilde == theta.
+
+    Fixed point beta_tilde = -beta(theta + omega beta_tilde) of the forward
+    kernel on the phi grid.
+    """
     if not beta.phi_only:
         raise ValueError("shift amplitude must depend on phi only")
-    enum = get_enumeration(beta.lattice)
-    rows = np.flatnonzero(beta.data[:, beta.jmax])
-    coef = beta.data[rows, beta.jmax]
-    dots = enum.dots(omega)[rows]
-    slope = float(np.sum(np.abs(dots) * np.abs(coef)))
+    coef = beta.data[:, beta.jmax]
+    slope = float(np.sum(np.abs(get_enumeration(beta.lattice).dots(omega)) * np.abs(coef)))
     if slope >= 0.9:
         raise NonContractionError(f"|omega.d_phi beta| ~ {slope:.3f} too large to invert")
-    sphi = phi_sizes(beta.lattice, factor)
-    phases = [c * np.exp(1j * _phi_angle(enum.dense[p], sphi)) for p, c in zip(rows, coef)]
-    s = np.zeros(sphi)
-    last = np.inf
-    for _ in range(max_iter):
-        acc = np.zeros(sphi, dtype=complex)
-        for phase, d in zip(phases, dots):
-            acc += phase * np.exp(1j * d * s)
-        new = -acc.real
-        step = float(np.max(np.abs(new - s)))
-        s = new
-        if step <= tol:
-            break
-        if step > 2.0 * last + tol:
-            raise NonContractionError("phi-shift inversion diverged")
-        last = step
-    else:
-        raise NonContractionError(f"no contraction after {max_iter} iterations")
+    sizes = phi_sizes(beta.lattice, factor) + (1,)
+    s, step = _fixed_point(
+        lambda s: -_phi_series(beta, s, omega, sizes)[..., 0].real,
+        sizes[:-1], tol, max_iter, "phi-shift",
+    )
     out = _extract(
         s.astype(complex), beta.lattice, beta.jmax, real=True,
         alias_tol=alias_tol, context="invert_phi_shift", report=report, with_x=False,
@@ -329,18 +321,14 @@ def moser_compose(series, u, factor=2, alias_tol=1e-7, report=None):
             f"|u|_0 = {r:.3e} is not inside the convergence radius {series.radius:.3e}"
             + (f" of {series.label}" if series.label else "")
         )
-    if u.phi_only:
-        sphi = phi_sizes(u.lattice, factor)
-        vals = _real_grid_values(u, sphi, False, "scalar-series argument") if u.real else grid_values(u, sphi, False)
-        out = np.asarray(series.fn(vals), dtype=complex)
-        return _extract(
-            out, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
-            context="moser_compose", report=report, with_x=False,
-        )
-    sizes = grid_sizes(u.lattice, u.jmax, factor)
-    vals = _real_grid_values(u, sizes, True, "scalar-series argument") if u.real else grid_values(u, sizes, True)
+    with_x = not u.phi_only
+    sizes = grid_sizes(u.lattice, u.jmax, factor) if with_x else phi_sizes(u.lattice, factor)
+    if u.real:
+        vals = _real_grid_values(u, sizes, with_x, "scalar-series argument")
+    else:
+        vals = grid_values(u, sizes, with_x)
     out = np.asarray(series.fn(vals), dtype=complex)
     return _extract(
         out, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
-        context="moser_compose", report=report,
+        context="moser_compose", report=report, with_x=with_x,
     )

@@ -403,43 +403,12 @@ class ScalarSeries:
     label: str = ""
 
 
-def compose_x_diffeo(u, alpha, **kw):
-    """u(phi, x + alpha(phi, x)) re-expanded on an oversampled grid."""
-    from . import _grid
-
-    return _grid.compose_x_diffeo(u, alpha, **kw)
-
-
-def compose_phi_shift(u, beta, omega, **kw):
-    """u(phi + omega beta(phi), x)."""
-    from . import _grid
-
-    return _grid.compose_phi_shift(u, beta, omega, **kw)
-
-
-def compose_x_translation(u, p, **kw):
-    """u(phi, x + p(phi))."""
-    from . import _grid
-
-    return _grid.compose_x_translation(u, p, **kw)
-
-
-def invert_x_diffeo(alpha, **kw):
-    """Fixed-point inverse of x -> x + alpha(phi, x)."""
-    from . import _grid
-
-    return _grid.invert_x_diffeo(alpha, **kw)
-
-
-def invert_phi_shift(beta, omega, **kw):
-    """Fixed-point inverse of phi -> phi + omega beta(phi)."""
-    from . import _grid
-
-    return _grid.invert_phi_shift(beta, omega, **kw)
-
-
-def moser_compose(series, u, **kw):
-    """Composition fn(u) via grid evaluation and re-expansion."""
-    from . import _grid
-
-    return _grid.moser_compose(series, u, **kw)
+# _grid needs this module only at call time, so the import can come last.
+from ._grid import (  # noqa: E402
+    compose_phi_shift,
+    compose_x_diffeo,
+    compose_x_translation,
+    invert_phi_shift,
+    invert_x_diffeo,
+    moser_compose,
+)

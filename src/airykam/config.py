@@ -4,7 +4,8 @@ Lines hold ``dotted.key = value`` with ``#`` comments; values are parsed as
 JSON where possible and kept as strings otherwise.  A value holding NaN or
 an infinity (``NaN``, ``Infinity``, an overflowing ``1e999``) is rejected.
 Forcing and coefficient functions are written as lists of entries
-``[[[site, l_site], ...], j, re, im]``.
+``[[[site, l_site], ...], j, re, im]``; an entry outside the truncation
+(site > M, |l|_eta > K or |j| > jmax) is rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .lattice import Enumeration, LatticeParams, MultiIndex, get_enumeration
+from .lattice import Enumeration, LatticeParams, MultiIndex, eta_norm, get_enumeration
 from .nashmoser import ProblemSpec
 from .smalldiv import is_airy_nonresonant, is_diophantine
 
@@ -113,7 +114,19 @@ def check_convolution_size(lattice: LatticeParams):
                           f"of {limit}; lower truncation.K or truncation.M")
 
 
+def _outside_truncation(l, j, lattice, jmax):
+    """Why the mode (l, j) lies outside the truncation, or None when it is inside."""
+    if l.max_site() > lattice.M:
+        return f"site {l.max_site()} > truncation.M = {lattice.M}"
+    if l not in get_enumeration(lattice).index_of:
+        return f"|l|_eta = {eta_norm(l, lattice.eta):g} > truncation.K = {lattice.K:g}"
+    if abs(j) > jmax:
+        return f"|j| = {abs(j)} > truncation.jmax = {jmax}"
+    return None
+
+
 def function_from_entries(entries, lattice, jmax, real=True) -> AnalyticFunction:
+    """Function from config entries; an entry outside the truncation is a ConfigError."""
     coeffs = {}
     for item in entries:
         try:
@@ -123,6 +136,9 @@ def function_from_entries(entries, lattice, jmax, real=True) -> AnalyticFunction
             j = _integer(j, "x-mode")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad function entry {item!r}: {exc}") from None
+        outside = _outside_truncation(l, j, lattice, jmax)
+        if outside:
+            raise ConfigError(f"function entry {item!r} lies outside the truncation: {outside}")
         coeffs[(l, j)] = coeffs.get((l, j), 0.0) + complex(float(re), float(im))
         if real:
             key = (-l, -j)

@@ -355,8 +355,8 @@ _NUMERIC_FAILURES = (
 def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
     """Run the outer iteration until the collocation residual clears the target.
 
-    Non-convergence (divisor breach, divergence, exhausted strips or steps)
-    is reported, not raised.
+    Non-convergence (divisor breach, divergence, a non-finite residual or
+    norm_f, exhausted strips or steps) is reported, not raised.
     """
     state = init_state(spec)
     residuals = []
@@ -389,11 +389,15 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
         rr = residual(spec, u)
         residuals.append(rr.as_dict())
         log.info("residual after step %d: %.3e", state.n - 1, rr.value)
+        norm_f = state.f.norm(0.0)
+        if not (math.isfinite(rr.value) and math.isfinite(norm_f)):
+            stop = "non-finite"  # every comparison below would be False
+            break
         if rr.value <= spec.residual_target:
             converged = True
             stop = "tolerance"
             break
-        if state.f.norm(0.0) > spec.divergence_factor * max(f_before, 1e-300):
+        if norm_f > spec.divergence_factor * max(f_before, 1e-300):
             stop = "diverging"
             break
     eps0 = eps_meas[0] * math.e if eps_meas else 0.0

@@ -200,7 +200,6 @@ def second_melnikov(omega, table: dict, gamma: float, lattice: LatticeParams, *,
     enum = get_enumeration(lattice)
     om = _omega_array(omega, lattice.M)
     dots = enum.dots(om)
-    sel = np.ones(enum.size, dtype=bool) if N is None else enum.within(N)
     fac = 2.0 * gamma if two_gamma else gamma
 
     best = CheckResult(True, np.inf, None)
@@ -211,23 +210,15 @@ def second_melnikov(omega, table: dict, gamma: float, lattice: LatticeParams, *,
         gap = vals[:, None] - vals[None, :]
         j3 = jlist.astype(float) ** 3
         wt = np.abs(j3[:, None] - j3[None, :])
-        div = np.abs(dots[sel][:, None, None] + gap[None, :, :])
-        floors = (fac / enum.dvals[sel])[:, None, None] * wt[None, :, :]
+        div = np.abs(dots[:, None, None] + gap[None, :, :])
+        floors = (fac / enum.dvals)[:, None, None] * wt[None, :, :]
         # j = h pairs carry weight 0 and are handled by the gbar branch below
-        same = jlist[:, None] == jlist[None, :]
-        excluded = np.broadcast_to(same[None, :, :], div.shape)
+        excluded = (jlist[:, None] == jlist[None, :])[None, :, :]
+        if N is not None:
+            excluded = excluded | ~enum.within(N)[:, None, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(excluded, np.inf, div / floors)
-        sub_enum_idx = np.nonzero(sel)[0]
-        k = int(np.argmin(ratios))
-        idx = np.unravel_index(k, ratios.shape)
-        margin = float(ratios[idx])
-        wit = None
-        if margin <= 1.0:
-            l = enum.indices[sub_enum_idx[idx[0]]]
-            wit = Witness(l, int(jlist[idx[1]]), int(jlist[idx[2]]),
-                          float(div[idx]), float(floors[idx]))
-        best = CheckResult(margin > 1.0, margin, wit)
+        best = _result(ratios, enum, jlist, jlist, div, floors)
 
     if gbar is not None:
         diag = is_diophantine(omega, gbar, lattice)

@@ -29,8 +29,8 @@ from airykam.analytic import (
     project_N,
     project_N_perp,
 )
-from airykam.errors import SmallDivisorError
-from airykam.lattice import LatticeParams, MultiIndex
+from airykam.errors import NonContractionError, SmallDivisorError
+from airykam.lattice import LatticeParams, MultiIndex, enumerate_indices
 
 from conftest import eval_pointwise
 
@@ -252,16 +252,33 @@ def test_invert_x_diffeo(lat2, omega2):
     assert invert_x_diffeo(AnalyticFunction.zeros(lat2, jmax)).norm(0.0) == 0.0
     const = AnalyticFunction.constant(lat2, jmax, 0.2)
     assert (invert_x_diffeo(const) + const).norm(0.0) < 1e-12
-    at = invert_x_diffeo(alpha)
+    report = {}
+    at = invert_x_diffeo(alpha, report=report)
     resid = compose_x_diffeo(alpha, at) + at
     assert resid.norm(0.0) < 1e-12
+    assert report["fixed_point_residual"] <= 1e-13
 
 
 def test_invert_phi_shift(lat2, jmax, omega2):
     beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.01), (E2, 0, 0.0002j)])
-    bt = invert_phi_shift(beta, omega2)
+    report = {}
+    bt = invert_phi_shift(beta, omega2, report=report)
     resid = compose_phi_shift(beta, bt, omega2) + bt
     assert resid.norm(0.0) < 1e-10
+    assert report["fixed_point_residual"] <= 1e-13
+
+
+def test_inversions_refuse_non_contractions(lat2, jmax, omega2):
+    sin_x = AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, -0.5j)])    # |alpha_x|_0 = 1
+    cos_phi = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.5)])      # slope omega_1
+    with pytest.raises(NonContractionError, match="too large to invert"):
+        invert_x_diffeo(sin_x)
+    with pytest.raises(NonContractionError, match="too large to invert"):
+        invert_phi_shift(cos_phi, omega2)
+    with pytest.raises(NonContractionError, match="no contraction after 1 iterations"):
+        invert_x_diffeo(0.1 * sin_x, max_iter=1)
+    with pytest.raises(NonContractionError, match="no contraction after 1 iterations"):
+        invert_phi_shift(0.1 * cos_phi, omega2, max_iter=1)
 
 
 # -- scalar series -----------------------------------------------------------------
@@ -283,6 +300,23 @@ def test_moser_compose(lat2, jmax):
         assert out.get(ZERO, j) == pytest.approx(coeff_truth[j % len(xs)], abs=1e-13)
     with pytest.raises(ValueError):
         moser_compose(ScalarSeries(lambda z: z, 0.1, "tight"), u)
+
+
+def test_moser_compose_phi_only(lat2, jmax):
+    """A non-constant function of phi alone goes through the phi grid."""
+    inv_cbrt = ScalarSeries(lambda z: (1.0 + z) ** (-1.0 / 3.0), 0.9, "inv-cbrt")
+    u = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.1), (E2, 0, 0.025j)])
+    out = moser_compose(inv_cbrt, u)
+    assert out.phi_only
+    # grid-pointwise oracle at the retained modes
+    n = 64
+    th = 2.0 * np.pi * np.arange(n) / n
+    phis = np.stack(np.meshgrid(th, th, indexing="ij"), axis=-1).reshape(-1, 2)
+    truth = (1.0 + eval_pointwise(u, phis, np.zeros(len(phis))).real) ** (-1.0 / 3.0)
+    coeff_truth = np.fft.fft2(truth.reshape(n, n)) / n**2
+    for l in enumerate_indices(lat2):
+        k1, k2 = l.dense(2)
+        assert out.get(l, 0) == pytest.approx(coeff_truth[k1 % n, k2 % n], abs=1e-13)
 
 
 # -- Lipschitz family ----------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from airykam import nashmoser
 from airykam.cli import _write_json, main
 from airykam.config import (
     ConfigError,
@@ -100,6 +101,19 @@ def test_cli_rejects_fractional_entry_numbers(tmp_path, capsys, entry):
     err = capsys.readouterr().err
     assert "config error" in err and "must be an integer" in err and entry in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("entry,why", [
+    ("[[[3, 1]], 1, 5e-07, 0.0]", "site 3 > truncation.M = 2"),
+    ("[[[1, 9]], 1, 5e-07, 0.0]", "|l|_eta = 9 > truncation.K = 8"),
+    ("[[[1, 1]], 17, 5e-07, 0.0]", "|j| = 17 > truncation.jmax = 16"),
+], ids=["site", "lattice-norm", "x-mode"])
+def test_cli_rejects_entry_outside_truncation(tmp_path, capsys, entry, why):
+    code, out = _solve_small_with(tmp_path, SMALL_FORCING, f"forcing.entries = [{entry}]")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and entry in err and why in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["16.5", "-1"])
@@ -219,6 +233,18 @@ def test_cmd_solve_zero_forcing(tmp_path):
     assert doc["converged"] is True and doc["iterations"] == 0
     sol = json.loads(read(out / "solution.json"))
     assert sol["entries"] == []
+
+
+def test_cmd_solve_stops_on_non_finite_residual(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(nashmoser, "residual",
+                        lambda spec, u, oversample=None: nashmoser.ResidualReport(np.nan, np.nan))
+    out = tmp_path / "s"
+    code = main(["solve", "--config", str(CONFIGS / "solve_small.cfg"), "--out", str(out)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().out
+    doc = json.loads(read(out / "report.json"))
+    assert doc["stop_reason"] == "non-finite" and doc["iterations"] == 1
+    assert doc["residuals"] == [{"max_grid": "nan", "l1_coeff": "nan"}]
 
 
 def test_cmd_solve_reference_fixture(tmp_path):

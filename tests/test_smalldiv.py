@@ -7,6 +7,7 @@ from airykam.lattice import (
     diophantine_weight,
     divisor_weight,
     enumerate_indices,
+    eta_norm,
 )
 from airykam.smalldiv import (
     DiophantineParams,
@@ -175,6 +176,25 @@ def test_second_melnikov(lat2, jmax):
                 )
     got = second_melnikov(omega, small, 0.05, lat2)
     assert got.margin == pytest.approx(worst)
+
+
+def test_second_melnikov_window(lat2, jmax):
+    """The breach at |l|_eta = 6 is reported without N and ignored at N = 5."""
+    res = np.array([1.7, 1.8])  # 2(w1 + w2) = 2^3 - 1^3
+    table = airy_table(jmax)
+    full = second_melnikov(res, table, 1e-3, lat2)
+    assert not full.ok and full.margin == 0.0
+    assert eta_norm(full.witness.l, lat2.eta) == 6.0
+    assert second_melnikov(res, table, 1e-3, lat2, N=6.0) == full
+    windowed = second_melnikov(res, table, 1e-3, lat2, N=5.0)
+    assert windowed.ok and windowed.witness is None
+    worst = min(
+        abs(float(np.dot(l.dense(2), res)) + table[j] - table[h])
+        / (2e-3 * abs(j**3 - h**3) / divisor_weight(l))
+        for l in enumerate_indices(lat2) if eta_norm(l, lat2.eta) <= 5.0
+        for j in table for h in table if j != h
+    )
+    assert windowed.margin == pytest.approx(worst)
 
 
 def test_nesting_and_monotonicity(lat2, jmax):
