@@ -157,6 +157,12 @@ def _phi_angle(row, sizes_phi):
     return angle
 
 
+@functools.lru_cache(maxsize=32)
+def _row_angles(lattice, sizes_phi):
+    """{lattice index: l . phi grid}, one per lattice and phi grid, filled as rows are used."""
+    return {}
+
+
 def _x_series(G, W, jmax):
     """Sum over |j| <= jmax of G_j W^j, for an x-spectrum G (FFT order) over the phi grid."""
     nx = G.shape[-1]
@@ -176,9 +182,12 @@ def _phi_series(u, shift, omega, sizes):
     enum = get_enumeration(u.lattice)
     dots = enum.dots(omega)
     sphi, nx = sizes[:-1], sizes[-1]
+    angles = _row_angles(u.lattice, sphi)
     T = np.zeros(sizes, dtype=complex)
-    for p in np.flatnonzero(u.data.any(axis=1)):
-        E = np.exp(1j * (_phi_angle(enum.dense[p], sphi) + dots[p] * shift))
+    for p in np.flatnonzero(u.data.any(axis=1)).tolist():
+        if p not in angles:
+            angles[p] = _phi_angle(enum.dense[p], sphi)
+        E = np.exp(1j * (angles[p] + dots[p] * shift))
         cols = np.flatnonzero(u.data[p])
         T[..., (cols - u.jmax) % nx] += E[..., None] * u.data[p, cols]
     return T

@@ -6,13 +6,28 @@ phi-frequencies.  The unbounded term omega.d_phi cannot be written in that
 form; operators that include it carry the frequency vector in ``omega`` and
 all algebra helpers treat that part structurally.
 
-Blocks are (2 jmax + 1) x (2 jmax + 1) complex arrays indexed by j + jmax;
-the j = 0 row and column are kept identically zero (operators act on
-zero-x-average functions).  ``OperatorMatrix.data`` holds the nonzero blocks
-keyed by lattice enumeration index, in ascending order; the target index of
-a product of blocks comes from the enumeration's convolution table.
-``MultiIndex`` keys appear only at the boundary: the dict constructor and
-the read-only ``blocks`` view.
+Blocks are (2 jmax + 1) x (2 jmax + 1) complex arrays indexed by j + jmax.
+``OperatorMatrix.data`` holds the nonzero blocks keyed by lattice
+enumeration index, in ascending order; the target index of a product of
+blocks comes from the enumeration's convolution table.  ``MultiIndex`` keys
+appear only at the boundary: the dict constructor and the read-only
+``blocks`` view.
+
+Every stored block holds three invariants:
+
+* its j = 0 row and column are identically zero (operators act on
+  zero-x-average functions);
+* it is nonzero and read-only, so operators may share block arrays;
+* for a real operator, R(-l) = conj(R(l)) reversed in j and j', exactly.
+
+The mirror pairs l, -l split the enumeration into a canonical half, the
+indices p with p <= neg[p], and its mirror image; only p = 0 is its own
+mirror.  ``compose`` of two real operators sums the canonical half and
+mirrors the rest.  The dict constructor and ``from_indexed`` take outside
+blocks and normalize them (copy, zero the j = 0 row and column, symmetrize
+when real); ``_like`` trusts its blocks, because the algebra's results
+(sums, scalar multiples, products, splits, restrictions, phi-derivatives)
+already hold the invariants, and only drops zero blocks.
 """
 
 from __future__ import annotations
@@ -77,12 +92,12 @@ class OperatorMatrix:
         out._set(lattice, jmax, blocks, omega, real)
         return out
 
-    def _set(self, lattice, jmax, blocks, omega, real):
+    def _set(self, lattice, jmax, blocks, omega, real, trusted=False):
         self.lattice = lattice
         self.jmax = int(jmax)
         self.omega = None if omega is None else np.asarray(omega, dtype=float)
         self.real = bool(real)
-        self.data = self._normalized(blocks)
+        self.data = _sealed(blocks if trusted else self._normalized(blocks))
 
     @property
     def nj(self) -> int:
@@ -96,7 +111,7 @@ class OperatorMatrix:
 
     def _normalized(self, raw):
         """Copies of the blocks with the j = 0 row and column zeroed, symmetrized
-        when real, zero blocks dropped, sorted by index."""
+        when real."""
         nj = self.nj
         kept = {}
         for p, b in raw.items():
@@ -105,15 +120,13 @@ class OperatorMatrix:
                 raise ValueError("block shape mismatch")
             b[self.jmax, :] = 0.0
             b[:, self.jmax] = 0.0
-            if np.any(b):
-                kept[int(p)] = b
+            kept[int(p)] = b
         if self.real:
             neg = get_enumeration(self.lattice).neg.tolist()
             zero = np.zeros((nj, nj), dtype=complex)
-            sym = {p: 0.5 * (kept.get(p, zero) + np.conj(kept.get(neg[p], zero)[::-1, ::-1]))
-                   for p in set(kept) | {neg[p] for p in kept}}
-            kept = {p: b for p, b in sym.items() if np.any(b)}
-        return {p: kept[p] for p in sorted(kept)}
+            kept = {p: 0.5 * (kept.get(p, zero) + _mirror(kept.get(neg[p], zero)))
+                    for p in set(kept) | {neg[p] for p in kept}}
+        return kept
 
     # -- linear structure ---------------------------------------------------
 
@@ -133,10 +146,12 @@ class OperatorMatrix:
         return self.omega if self.omega is not None else other.omega
 
     def _like(self, blocks, omega=None, real=None):
-        return OperatorMatrix.from_indexed(
-            self.lattice, self.jmax, blocks, omega=omega,
-            real=self.real if real is None else real,
-        )
+        """Trusted constructor for results of the algebra: the blocks already
+        hold the invariants, so only zero blocks are dropped."""
+        out = OperatorMatrix.__new__(OperatorMatrix)
+        out._set(self.lattice, self.jmax, blocks, omega,
+                 self.real if real is None else real, trusted=True)
+        return out
 
     def __add__(self, other):
         self._check_compat(other)
@@ -175,6 +190,22 @@ class OperatorMatrix:
     def __repr__(self):
         tag = ", +omega.d_phi" if self.omega is not None else ""
         return f"OperatorMatrix(jmax={self.jmax}, blocks={len(self.data)}{tag})"
+
+
+def _mirror(b):
+    """conj(b) reversed in j and j': the block of a real operator at -l."""
+    return np.conj(b[::-1, ::-1])
+
+
+def _sealed(blocks):
+    """The nonzero blocks, sorted by index and marked read-only."""
+    out = {}
+    for p in sorted(blocks):
+        b = blocks[p]
+        if b.any():
+            b.flags.writeable = False
+            out[p] = b
+    return out
 
 
 def identity_op(lattice, jmax) -> OperatorMatrix:
@@ -280,21 +311,39 @@ def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
 
 
 def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    """Block-convolution product A B (both must be pure convolution operators)."""
+    """Block-convolution product A B (both must be pure convolution operators).
+
+    Each target block is summed over the pairs that land on it, A-major and
+    B-minor.  A product of two real operators is real, so only its canonical
+    half (targets q <= neg[q]) is summed; the other blocks are mirrors, and
+    the self-mirrored q = 0 block is symmetrized.
+    """
     A._check_compat(B)
     if A.omega is not None or B.omega is not None:
         raise ValueError("compose requires bounded operators; handle omega.d_phi structurally")
-    conv = get_enumeration(A.lattice).conv_table()
+    enum = get_enumeration(A.lattice)
+    conv = enum.conv_table()
+    real = A.real and B.real
+    if real:
+        # a target outside the canonical half maps to -1, like one outside the lattice
+        half = np.append(np.arange(enum.size) <= enum.neg, False)
     b_index = list(B.data)
     b_blocks = list(B.data.values())
     out = {}
     for pa, ba in A.data.items():
-        for q, bb in zip(conv[pa, b_index].tolist(), b_blocks):
+        targets = conv[pa, b_index]
+        if real:
+            targets = np.where(half[targets], targets, -1)
+        for q, bb in zip(targets.tolist(), b_blocks):
             if q >= 0:
                 acc = out.get(q)
                 prod = ba @ bb
                 out[q] = prod if acc is None else acc + prod
-    return A._like(out, real=A.real and B.real)
+    if real:
+        neg = enum.neg.tolist()
+        for q, b in list(out.items()):
+            out[neg[q]] = 0.5 * (b + _mirror(b)) if neg[q] == q else _mirror(b)
+    return A._like(out, real=real)
 
 
 def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:

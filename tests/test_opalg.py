@@ -24,6 +24,7 @@ from airykam.opalg import (
     phi_derivative,
     restrict,
     smoothing_generator_op,
+    split_by_norm,
     to_dense,
     x_symbol_op,
 )
@@ -37,19 +38,30 @@ def cos_x(lat, jmax):
     return AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, 0.5)])
 
 
-def _compose_loops(A, B):
+def _compose_loops(A, B, half=True):
     """Loop oracle for compose: the dict loop over MultiIndex block keys, in the
-    same (A-major, B-minor) accumulation order."""
+    same (A-major, B-minor) accumulation order.
+
+    With ``half`` a real product sums only the targets l whose index is at most
+    that of -l and mirrors them, symmetrizing l = 0; without it every target
+    is summed and the constructor averages each with its mirror.
+    """
     enum = get_enumeration(A.lattice)
+    real = A.real and B.real
+    half = half and real
     out = {}
     for la, ba in A.blocks.items():
         for lb, bb in B.blocks.items():
             lo = la + lb
-            if lo in enum.index_of:
+            if lo in enum.index_of and not (half and enum.index_of[lo] > enum.index_of[-lo]):
                 acc = out.get(lo)
                 prod = ba @ bb
                 out[lo] = prod if acc is None else acc + prod
-    return OperatorMatrix(A.lattice, A.jmax, out, real=A.real and B.real)
+    if half:
+        for lo, b in list(out.items()):
+            mirror = np.conj(b[::-1, ::-1])
+            out[-lo] = 0.5 * (b + mirror) if lo == ZERO else mirror
+    return OperatorMatrix(A.lattice, A.jmax, out, real=real)
 
 
 def _apply_op_loops(R, u):
@@ -201,6 +213,55 @@ def test_compose_matches_loop_oracle_bitwise(lat2, jmax, real, sparse):
     assert list(got.blocks) == list(want.blocks)
     for l, b in want.blocks.items():
         assert np.array_equal(got.blocks[l], b)
+    # the full-target loop differs from the halved one only by rounding
+    full = _compose_loops(A, B, half=False)
+    assert list(full.blocks) == list(want.blocks)
+    scale = max(np.max(np.abs(b)) for b in full.blocks.values())
+    for l, b in full.blocks.items():
+        assert np.max(np.abs(got.blocks[l] - b)) <= 1e-14 * scale
+
+
+def _assert_invariants(R):
+    """Stored blocks hold the invariants, so normalizing them again changes nothing."""
+    jmax = R.jmax
+    neg = get_enumeration(R.lattice).neg
+    for p, b in R.data.items():
+        assert np.any(b) and not b.flags.writeable
+        assert not np.any(b[jmax, :]) and not np.any(b[:, jmax])
+        if R.real:
+            assert np.array_equal(R.data[int(neg[p])], np.conj(b[::-1, ::-1]))
+    again = OperatorMatrix.from_indexed(R.lattice, R.jmax, dict(R.data), omega=R.omega,
+                                        real=R.real)
+    assert list(again.data) == list(R.data)
+    for p, b in again.data.items():
+        assert np.array_equal(R.data[p], b)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["full", "site1"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_closed_results_hold_block_invariants(lat2, jmax, omega2, real, sparse):
+    A = random_blocks_op(lat2, jmax, 5, real, sparse)
+    B = random_blocks_op(lat2, jmax, 6, True, not sparse)
+    results = [A + B, A - B, 0.3 * A, compose(A, B), compose(B, A),
+               *split_by_norm(A, 1.5), restrict(A, jmax - 3, 2.0), phi_derivative(A, omega2)]
+    assert [R.real for R in results[:4]] == [real] * 4
+    for R in results:
+        _assert_invariants(R)
+
+
+def test_stored_blocks_are_read_only(lat2, jmax):
+    """Operators share block arrays (A + B reuses B's block where A has none),
+    so an in-place write must raise."""
+    nj = 2 * jmax + 1
+    blk = np.ones((nj, nj), dtype=complex)
+    A = OperatorMatrix(lat2, jmax, {E1: blk})
+    B = OperatorMatrix(lat2, jmax, {E2: blk})
+    total = A + B
+    assert total.blocks[E2] is B.blocks[E2]
+    assert blk.flags.writeable          # the caller's array was copied
+    for b in (A.blocks[E1], total.blocks[E2]):
+        with pytest.raises(ValueError):
+            b[1, 1] = 0.0
 
 
 @pytest.mark.parametrize("with_omega", [False, True], ids=["bounded", "omega"])
