@@ -112,6 +112,8 @@ class AnalyticFunction:
 
         With ``real=True`` the conjugate modes are filled in automatically,
         so ``[(l, j, a)]`` yields a e^{i(l.phi+jx)} + conj(a) e^{-i(l.phi+jx)}.
+        The self-conjugate mode (0, 0) is not doubled: it yields Re(a), so 1.2
+        gives the constant 1.2 (a config entry for that mode gives 2 Re(a)).
         """
         coeffs = {}
         for l, j, a in modes:

@@ -24,12 +24,14 @@ from .config import (
     check_convolution_size,
     function_from_entries,
     get,
+    integer,
     jmax_from,
     lattice_from,
     load_config,
+    number,
+    numbers,
     omega_from,
     problem_spec_from,
-    require,
 )
 from .errors import SmallDivisorError
 from .nashmoser import solve
@@ -83,7 +85,7 @@ def _write_csv(path: Path, columns, rows):
 
 def cmd_solve(cfg: dict, out: Path, seed_override=None) -> int:
     spec = problem_spec_from(cfg, seed_override=seed_override)
-    report = solve(spec, max_iters=int(get(cfg, "schedule.max_iters", 6)))
+    report = solve(spec, max_iters=integer(cfg, "schedule.max_iters", 6))
     doc = report.to_json_dict()
     doc["omega"] = spec.omega.tolist()
     _write_json(out / "report.json", doc)
@@ -120,17 +122,17 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
     omega = omega_from(cfg, lattice, jmax, seed_override=seed_override)
     B = function_from_entries(get(cfg, "reduce.B.entries", []), lattice, jmax)
     C = function_from_entries(get(cfg, "reduce.C.entries", []), lattice, jmax)
-    lam3 = float(get(cfg, "reduce.lambda3", 1.0))
+    lam3 = number(cfg, "reduce.lambda3", 1.0)
     L = DifferentialOperator(omega, lam3, B, C)
     sched = KamSchedule(
-        gamma=float(require(cfg, "reduce.gamma")),
-        gbar=float(require(cfg, "problem.gbar")),
-        N0=float(get(cfg, "schedule.N0", 8.0)),
-        stop_tol=float(get(cfg, "schedule.stop_tol", 1e-10)),
-        max_steps=int(get(cfg, "schedule.max_steps", 40)),
+        gamma=number(cfg, "reduce.gamma"),
+        gbar=number(cfg, "problem.gbar"),
+        N0=number(cfg, "schedule.N0", 8.0),
+        stop_tol=number(cfg, "schedule.stop_tol", 1e-10),
+        max_steps=integer(cfg, "schedule.max_steps", 40),
     )
-    jwin = int(get(cfg, "reduce.interior_j", max(1, jmax - 4)))
-    lwin = float(get(cfg, "reduce.interior_K", max(1.0, lattice.K - 2.0)))
+    jwin = integer(cfg, "reduce.interior_j", max(1, jmax - 4))
+    lwin = number(cfg, "reduce.interior_K", max(1.0, lattice.K - 2.0))
     try:
         red = reduce_operator(L, omega, sched, verify_window=(jwin, lwin))
     except SmallDivisorError as exc:
@@ -166,9 +168,9 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
 
 def cmd_measure(cfg: dict, out: Path, seed_override=None) -> int:
     lattice = lattice_from(cfg)
-    seed = int(get(cfg, "measure.seed", 0)) if seed_override is None else int(seed_override)
-    n_samples = int(get(cfg, "measure.samples", 1000))
-    grid = [float(g) for g in get(cfg, "measure.gamma_grid", [0.5, 0.25, 0.125])]
+    seed = integer(cfg, "measure.seed", 0) if seed_override is None else int(seed_override)
+    n_samples = integer(cfg, "measure.samples", 1000, minimum=100)
+    grid = numbers(cfg, "measure.gamma_grid", [0.5, 0.25, 0.125])
     which = get(cfg, "measure.predicate", "dgamma")
     jmax = jmax_from(cfg, default=0)
 
@@ -202,8 +204,8 @@ def cmd_check_omega(cfg: dict, out: Path, seed_override=None) -> int:
     lattice = lattice_from(cfg)
     jmax = jmax_from(cfg)
     omega = omega_from(cfg, lattice, jmax, seed_override=seed_override)
-    gbar = float(require(cfg, "problem.gbar"))
-    gamma0 = float(require(cfg, "problem.gamma0"))
+    gbar = number(cfg, "problem.gbar")
+    gamma0 = number(cfg, "problem.gamma0")
     d = is_diophantine(omega, gbar, lattice)
     a = is_airy_nonresonant(omega, gamma0, lattice, jmax)
     table = {int(j): -float(j) ** 3 for j in range(-jmax, jmax + 1) if j != 0}

@@ -3,6 +3,8 @@
 Lines hold ``dotted.key = value`` with ``#`` comments; values are parsed as
 JSON where possible and kept as strings otherwise.  A value holding NaN or
 an infinity (``NaN``, ``Infinity``, an overflowing ``1e999``) is rejected.
+Numbers are read through ``number`` and counts and seeds through ``integer``:
+a value of the wrong kind is a ConfigError naming the key.
 Forcing and coefficient functions are written as lists of entries
 ``[[[site, l_site], ...], j, re, im]``; an entry outside the truncation
 (site > M, |l|_eta > K or |j| > jmax) is rejected.
@@ -19,7 +21,7 @@ import numpy as np
 from .analytic import AnalyticFunction
 from .lattice import Enumeration, LatticeParams, MultiIndex, eta_norm, get_enumeration
 from .nashmoser import ProblemSpec
-from .smalldiv import is_airy_nonresonant, is_diophantine
+from .smalldiv import FrequencyVector, is_airy_nonresonant, is_diophantine
 
 
 class ConfigError(ValueError):
@@ -79,15 +81,12 @@ def get(cfg: dict, key: str, default):
     return cfg.get(key, default)
 
 
-def lattice_from(cfg: dict) -> LatticeParams:
-    eta = require(cfg, "problem.eta")
-    M = require(cfg, "truncation.M")
-    K = require(cfg, "truncation.K")
-    try:
-        # M unconverted: LatticeParams rejects a fractional M that int() would truncate
-        return LatticeParams(eta=float(eta), M=M, K=float(K))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lattice (problem.eta, truncation.M, truncation.K): {exc}") from None
+def _number(value, what: str) -> float:
+    """value as a float; strings (a number JSON cannot parse, such as 1., is one),
+    lists and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, what: str) -> int:
@@ -97,13 +96,41 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def number(cfg: dict, key: str, default=None) -> float:
+    """cfg[key] as a float, required unless a default is given."""
+    return _number(require(cfg, key) if default is None else get(cfg, key, default), key)
+
+
+def integer(cfg: dict, key: str, default=None, minimum=None) -> int:
+    """cfg[key] as an int (at least minimum when given), required unless a default is given."""
+    value = _integer(require(cfg, key) if default is None else get(cfg, key, default), key)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def numbers(cfg: dict, key: str, default=None) -> list:
+    """cfg[key] as a list of floats, required unless a default is given."""
+    raw = require(cfg, key) if default is None else get(cfg, key, default)
+    if not isinstance(raw, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {raw!r}")
+    return [_number(v, f"{key}[{i}]") for i, v in enumerate(raw)]
+
+
+def lattice_from(cfg: dict) -> LatticeParams:
+    eta = number(cfg, "problem.eta")
+    M = require(cfg, "truncation.M")
+    K = number(cfg, "truncation.K")
+    try:
+        # M unconverted: LatticeParams rejects a fractional M that int() would truncate
+        return LatticeParams(eta=eta, M=M, K=K)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad lattice (problem.eta, truncation.M, truncation.K): {exc}") from None
+
+
 def jmax_from(cfg: dict, default=None) -> int:
     """truncation.jmax as an integer >= 0, required unless a default is given."""
-    raw = require(cfg, "truncation.jmax") if default is None else get(cfg, "truncation.jmax", default)
-    jmax = _integer(raw, "truncation.jmax")
-    if jmax < 0:
-        raise ConfigError(f"truncation.jmax must be >= 0, got {jmax}")
-    return jmax
+    return integer(cfg, "truncation.jmax", default, minimum=0)
 
 
 def check_convolution_size(lattice: LatticeParams):
@@ -134,33 +161,38 @@ def function_from_entries(entries, lattice, jmax, real=True) -> AnalyticFunction
             l = MultiIndex.from_pairs([(_integer(s, "site"), _integer(v, "lattice mode"))
                                        for s, v in pairs])
             j = _integer(j, "x-mode")
+            c = complex(_number(re, "real part"), _number(im, "imaginary part"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad function entry {item!r}: {exc}") from None
         outside = _outside_truncation(l, j, lattice, jmax)
         if outside:
             raise ConfigError(f"function entry {item!r} lies outside the truncation: {outside}")
-        coeffs[(l, j)] = coeffs.get((l, j), 0.0) + complex(float(re), float(im))
+        coeffs[(l, j)] = coeffs.get((l, j), 0.0) + c
         if real:
             key = (-l, -j)
-            coeffs[key] = coeffs.get(key, 0.0) + complex(float(re), -float(im))
+            coeffs[key] = coeffs.get(key, 0.0) + c.conjugate()
     return AnalyticFunction(lattice, jmax, coeffs, real=real)
 
 
 def omega_from(cfg: dict, lattice, jmax, seed_override=None):
-    """Either explicit omega.values or seeded rejection sampling over the
-    admissible set (Diophantine at gbar, cubic non-resonance at gamma0)."""
+    """Either explicit omega.values (M components in [1, 2]) or seeded
+    rejection sampling over the admissible set (Diophantine at gbar, cubic
+    non-resonance at gamma0)."""
     if "omega.values" in cfg and not cfg.get("omega.sample", False):
-        vals = np.asarray(require(cfg, "omega.values"), dtype=float)
-        if vals.shape != (lattice.M,):
-            raise ConfigError(f"omega.values must have length M={lattice.M}")
-        return vals
+        vals = numbers(cfg, "omega.values")
+        if len(vals) != lattice.M:
+            raise ConfigError(f"omega.values must have length M={lattice.M}, got {len(vals)}")
+        try:
+            return FrequencyVector(vals).values
+        except ValueError as exc:
+            raise ConfigError(f"omega.values = {vals}: {exc}") from None
     if not cfg.get("omega.sample", False):
         raise ConfigError("provide omega.values or set omega.sample = true")
-    seed = int(get(cfg, "omega.seed", 0)) if seed_override is None else int(seed_override)
-    gbar = float(require(cfg, "problem.gbar"))
-    gamma0 = float(require(cfg, "problem.gamma0"))
+    seed = integer(cfg, "omega.seed", 0) if seed_override is None else int(seed_override)
+    gbar = number(cfg, "problem.gbar")
+    gamma0 = number(cfg, "problem.gamma0")
     rng = np.random.default_rng(seed)
-    for _ in range(int(get(cfg, "omega.max_tries", 1000))):
+    for _ in range(integer(cfg, "omega.max_tries", 1000)):
         cand = rng.uniform(1.0, 2.0, lattice.M)
         if is_diophantine(cand, gbar, lattice).ok and \
                 is_airy_nonresonant(cand, gamma0, lattice, jmax).ok:
@@ -169,27 +201,27 @@ def omega_from(cfg: dict, lattice, jmax, seed_override=None):
 
 
 def problem_spec_from(cfg: dict, seed_override=None) -> ProblemSpec:
+    """The problem data; values that ProblemSpec rejects are a ConfigError."""
     lattice = lattice_from(cfg)
     check_convolution_size(lattice)
     jmax = jmax_from(cfg)
     forcing = function_from_entries(require(cfg, "forcing.entries"), lattice, jmax)
     omega = omega_from(cfg, lattice, jmax, seed_override=seed_override)
-    return ProblemSpec(
-        c=(
-            float(get(cfg, "problem.c0", 0.0)),
-            float(get(cfg, "problem.c1", 0.0)),
-            float(get(cfg, "problem.c2", 0.0)),
-            float(get(cfg, "problem.c3", 0.0)),
-        ),
+    fields = dict(
+        c=tuple(number(cfg, f"problem.c{k}", 0.0) for k in range(4)),
         forcing=forcing,
-        S=float(require(cfg, "problem.S")),
-        s_bar=float(require(cfg, "problem.s_bar")),
-        gbar=float(require(cfg, "problem.gbar")),
-        gamma0=float(require(cfg, "problem.gamma0")),
+        S=number(cfg, "problem.S"),
+        s_bar=number(cfg, "problem.s_bar"),
+        gbar=number(cfg, "problem.gbar"),
+        gamma0=number(cfg, "problem.gamma0"),
         omega=omega,
-        oversample=int(get(cfg, "truncation.oversample", 4)),
-        N0=float(get(cfg, "schedule.N0", 8.0)),
-        kam_stop_tol=float(get(cfg, "schedule.kam_stop_tol", 1e-13)),
-        kam_max_steps=int(get(cfg, "schedule.kam_max_steps", 40)),
-        residual_target=float(get(cfg, "schedule.residual_target", 1e-10)),
+        oversample=integer(cfg, "truncation.oversample", 4),
+        N0=number(cfg, "schedule.N0", 8.0),
+        kam_stop_tol=number(cfg, "schedule.kam_stop_tol", 1e-13),
+        kam_max_steps=integer(cfg, "schedule.kam_max_steps", 40),
+        residual_target=number(cfg, "schedule.residual_target", 1e-10),
     )
+    try:
+        return ProblemSpec(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"bad problem data: {exc}") from None

@@ -329,8 +329,9 @@ def conjugate_step(L: DifferentialOperator, qp: QuadraticPerturbation, omega,
 
     Preconditions: the x-average of L.B is phi-independent and Q' is
     Hamiltonian (d2 = 2 dx d3 -- its defect is recorded).  Stage residuals
-    land in the report; use conjugation_dense_residual for the a-posteriori
-    materialized check.
+    land in the report, each grid inversion's aliasing and Picard residuals
+    under its own key (``invert_x_diffeo``, ``invert_phi_shift``); use
+    conjugation_dense_residual for the a-posteriori materialized check.
     """
     rep = {} if report is None else report
     om = np.asarray(omega, dtype=float)
@@ -338,13 +339,13 @@ def conjugate_step(L: DifferentialOperator, qp: QuadraticPerturbation, omega,
     rep["hamiltonian_defect"] = qp.hamiltonian_defect()
 
     alpha, m3 = build_x_diffeo(L.lambda3, qp.d3, report=rep)
-    alpha_tilde = invert_x_diffeo(alpha, report=rep)
+    alpha_tilde = invert_x_diffeo(alpha, report=rep.setdefault("invert_x_diffeo", {}))
     e3, e2, e1, e0 = _transported_coefficients(L, qp, alpha, alpha_tilde, report=rep)
     rep["b2_norm"] = e2.norm(0.0)
     rep["third_order_defect"] = (e3 - m3).norm(0.0)
 
     lam3p, beta = build_time_reparam(m3, om, gbar)
-    beta_tilde = invert_phi_shift(beta, om, report=rep)
+    beta_tilde = invert_phi_shift(beta, om, report=rep.setdefault("invert_phi_shift", {}))
     t2inv_m3 = compose_phi_shift(m3, beta_tilde, om)
     r = lam3p * moser_power(t2inv_m3, -1.0, "reciprocal")
     c1 = multiply(r, compose_phi_shift(e1, beta_tilde, om))

@@ -31,13 +31,6 @@ class DiagonalModel:
         if any(j == 0 for j in self.Omega):
             raise ValueError("Omega is defined for j != 0")
 
-    def reality_defect(self) -> float:
-        """Max |Omega(-j) + Omega(j)|; zero for the spectrum of a real operator."""
-        worst = 0.0
-        for j, v in self.Omega.items():
-            worst = max(worst, abs(v + self.Omega.get(-j, -v)))
-        return worst
-
 
 def _divide(f: AnalyticFunction, div, floor, what: str) -> AnalyticFunction:
     """h = -f / (i div) on the nonzero coefficients of f, whose divisors must

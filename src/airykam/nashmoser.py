@@ -44,7 +44,7 @@ from .errors import (
 )
 from .opalg import DifferentialOperator
 from .reducibility import KamSchedule, invert_via_diagonalization, reduce_operator
-from .smalldiv import DiophantineParams, is_airy_nonresonant, is_diophantine
+from .smalldiv import DiophantineParams, FrequencyVector, is_airy_nonresonant, is_diophantine
 
 __all__ = [
     "ProblemSpec",
@@ -90,9 +90,6 @@ class StripSchedule:
             out -= 6.0 * self.sigma(k)
         return out
 
-    def s_infinity(self) -> float:
-        return self.S - self.sigma_m1 - 6.0 * self.sigma_m1  # sum sigma_n = sigma_{-1}
-
 
 @dataclass
 class ProblemSpec:
@@ -113,14 +110,12 @@ class ProblemSpec:
     divergence_factor: float = 10.0
 
     def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
+        self.omega = FrequencyVector(self.omega).values
         if len(self.c) != 4:
             raise ValueError("need the four density coefficients (c0, c1, c2, c3)")
         self.c = tuple(float(v) for v in self.c)
         if self.omega.shape != (self.forcing.lattice.M,):
             raise ValueError("omega length must match the lattice site count")
-        if np.any(self.omega < 1.0) or np.any(self.omega > 2.0):
-            raise ValueError("omega components must lie in [1, 2]")
         if not self.forcing.real:
             raise ValueError("forcing must be real-on-real")
         if not self.forcing.zero_x_average:

@@ -425,15 +425,25 @@ def materialize(L: DifferentialOperator) -> OperatorMatrix:
 # -- exponential series -------------------------------------------------------
 
 
-def _series_guard(norms, k, tol, scale):
-    """Ratio-test stop/divergence decision for a term-norm history."""
-    if norms[-1] <= tol * max(1.0, scale):
-        return "done"
-    if k >= 6 and norms[-1] >= norms[-2] >= norms[-3]:
-        raise SeriesDivergenceError(
-            f"exponential series terms stopped decreasing at k={k} (norm {norms[-1]:.3e})"
-        )
-    return "continue"
+def _series(term, step, norm, tol, max_terms):
+    """sum_k term_k with term_k = step(term_{k-1}, k), stopped by the ratio test.
+
+    Stops after the first term with norm <= tol * max(1, norm(term_0)) and
+    raises SeriesDivergenceError when three successive term norms stop
+    decreasing from k = 6 on, or when max_terms pass.  Returns (sum, terms_used).
+    """
+    total = term
+    norms = [norm(term)]
+    for k in range(1, max_terms + 1):
+        term = step(term, k)
+        total = total + term
+        norms.append(norm(term))
+        if norms[-1] <= tol * max(1.0, norms[0]):
+            return total, k + 1
+        if k >= 6 and norms[-1] >= norms[-2] >= norms[-3]:
+            raise SeriesDivergenceError(
+                f"series terms stopped decreasing at k={k} (norm {norms[-1]:.3e})")
+    raise SeriesDivergenceError(f"series did not reach tol={tol} in {max_terms} terms")
 
 
 def lie_series(G: OperatorMatrix, X: OperatorMatrix, tol=1e-14, max_terms=MAX_SERIES_TERMS,
@@ -446,18 +456,10 @@ def lie_series(G: OperatorMatrix, X: OperatorMatrix, tol=1e-14, max_terms=MAX_SE
     Returns (sum, terms_used).
     """
     lead = 1.0 / math.factorial(start_factor)
-    term = X if lead == 1.0 else X * lead   # a unit factor needs no scaled copy of X
-    total = term
-    norms = [op_norm(term, 0.0)]
-    scale = norms[0]
-    for k in range(1, max_terms + 1):
-        term = commutator(term, G) * (1.0 / (k + start_factor))
-        total = total + term
-        norms.append(op_norm(term, 0.0))
-        state = _series_guard(norms, k, tol, scale)
-        if state == "done":
-            return total, k + 1
-    raise SeriesDivergenceError(f"series did not reach tol={tol} in {max_terms} terms")
+    # a unit factor needs no scaled copy of X
+    return _series(X if lead == 1.0 else X * lead,
+                   lambda term, k: commutator(term, G) * (1.0 / (k + start_factor)),
+                   lambda term: op_norm(term, 0.0), tol, max_terms)
 
 
 def exp_conjugate(G: OperatorMatrix, B: OperatorMatrix, tol=1e-14,
@@ -485,19 +487,10 @@ def exp_apply(G: OperatorMatrix, u: AnalyticFunction, tol=1e-14,
     """e^{G} u as a truncated series."""
     if G.omega is not None:
         raise ValueError("generator must be a bounded operator")
-    term = u
-    total = u
-    norms = [u.norm(0.0)]
-    scale = norms[0]
-    if scale == 0.0 or not G.data:
+    if not G.data or u.is_zero():
         return u
-    for k in range(1, max_terms + 1):
-        term = apply_op(G, term) * (1.0 / k)
-        total = total + term
-        norms.append(term.norm(0.0))
-        if _series_guard(norms, k, tol, scale) == "done":
-            return total
-    raise SeriesDivergenceError(f"flow series did not converge in {max_terms} terms")
+    return _series(u, lambda term, k: apply_op(G, term) * (1.0 / k),
+                   lambda term: term.norm(0.0), tol, max_terms)[0]
 
 
 def dx3_commutator(g: AnalyticFunction):

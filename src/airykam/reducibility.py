@@ -56,6 +56,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# largest real part a diagonal entry of a KAM remainder may carry
+IMAG_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class KamSchedule:
@@ -116,14 +119,17 @@ class OrderOneResult:
 
 
 def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFunction,
-                        omega, *, lambda1=None, series_tol=1e-15,
-                        verify_window=None) -> OrderOneResult:
+                        omega, *, lambda1=None, series_tol=1e-15) -> OrderOneResult:
     """Symplectic generator G and bounded remainder R0 with
     exp(-G) L exp(G) = omega.d_phi + lambda3 dx^3 + lambda1 dx + R0.
 
     g solves 3 lambda3 g_x + a1 = lambda1 with lambda1 the (phi-independent)
-    x-average of a1, and G = pi0_perp g dx^{-1}.  The remainder collects the
-    Lie tails of the three conjugations plus the zero-order coefficient.
+    x-average of a1, and G = pi0_perp g dx^{-1}.  With P = a1 dx + a0 the
+    conjugation adds one Lie series in the one commutator
+    [L, G] = Gdot + [lambda3 dx^3 + P, G], Gdot = pi0_perp (omega.d_phi g) dx^{-1}:
+    R0 = lie_series(G, [L, G]) - lambda3 (3 g_x) dx + a0, where the
+    subtracted first-order term is the part of the series that turns a1 dx
+    into lambda1 dx.
     """
     lat, jmax = a1.lattice, a1.jmax
     om = np.asarray(omega, dtype=float)
@@ -138,32 +144,15 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
     g = (1.0 / (3.0 * lambda3)) * dx_inv(pi0_perp(rhs))
     G = smoothing_generator_op(g)
 
-    zero = OperatorMatrix(lat, jmax)
-    P_op = mult_op(a0)
-    if not a1.is_zero():
-        P_op = compose(mult_op(a1), dx_op(lat, jmax)) + P_op
-    if not G.data:
-        piece1 = piece2 = zero
-        piece3 = zero
-    else:
-        gdot = smoothing_generator_op(om_dphi(g, om))
-        piece1, n1 = lie_series(G, gdot, tol=series_tol)
-        bc = commutator(dx_op(lat, jmax, 3), G)
-        s3, n2 = lie_series(G, bc, tol=series_tol)
-        piece2 = lambda3 * (s3 - compose(mult_op(3.0 * dx(g, 1)), dx_op(lat, jmax)))
-        piece3 = exp_conjugate(G, P_op, tol=series_tol) - P_op
-        rep["lie_terms"] = (n1, n2)
-    R0 = piece1 + piece2 + piece3 + mult_op(a0)
+    R0 = mult_op(a0)
+    if G.data:      # then a1 is not constant
+        P = compose(mult_op(a1), dx_op(lat, jmax)) + R0
+        LG = (smoothing_generator_op(om_dphi(g, om))
+              + commutator(lambda3 * dx_op(lat, jmax, 3) + P, G))
+        series, rep["lie_terms"] = lie_series(G, LG, tol=series_tol)
+        R0 = series - lambda3 * compose(mult_op(3.0 * dx(g, 1)), dx_op(lat, jmax)) + R0
     rep["g_norm"] = g.norm(0.0)
     rep["R0_norm"] = op_norm(R0, 0.0)
-
-    if verify_window is not None:
-        jwin, lwin = verify_window
-        L = DifferentialOperator(om, lambda3, a1, a0)
-        conj = exp_conjugate(G, materialize(L), tol=series_tol)
-        target = x_symbol_op(lat, jmax, lambda j: 1j * (-lambda3 * j**3 + lambda1 * j)) + R0
-        resid = op_norm(restrict(conj.convolution_part() - target, jwin, lwin), 0.0)
-        rep["conjugation_residual"] = resid
     return OrderOneResult(G, R0, g, rep)
 
 
@@ -173,20 +162,16 @@ def kam_state_init(lambda3: float, lambda1: float, P0: OperatorMatrix,
     return KamState(k=0, lambda3=lambda3, lambda1=lambda1, r=r, P=P0, N=N0)
 
 
-def _diag_op(state: KamState) -> OperatorMatrix:
-    vals = state.omega_values()
-    return x_symbol_op(state.P.lattice, state.jmax,
-                       lambda j: 1j * vals[j + state.jmax])
-
-
-def kam_step(state: KamState, omega, schedule: KamSchedule,
-              imag_tol: float = 1e-10) -> KamState:
+def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
     """One quadratic reduction step.
 
     Requires the second Melnikov conditions for Omega_k up to the cutoff N_k;
-    absorbs the diagonal of the remainder into the frequencies, solves the
-    homological equation for the generator, and rebuilds the remainder from
-    the projection tail plus the Lie-series terms.
+    absorbs the diagonal Z of the remainder P = P_low + P_high into the
+    frequencies and solves the homological equation for the generator Psi.
+    The dust is the rest of the diagonal (its real and j-even parts).  With
+    C = [P, Psi] and X = Z + dust - P_low, the homological equation's value
+    of [omega.d_phi + D, Psi], the new remainder is one Lie series:
+    P_high + dust + C + lie_series(Psi, [X + C, Psi], start_factor=2).
     """
     om = np.asarray(omega, dtype=float)
     t0 = time.perf_counter()
@@ -210,7 +195,7 @@ def kam_step(state: KamState, omega, schedule: KamSchedule,
     zero_block = state.P.data.get(0)
     zdiag = np.zeros(nj, dtype=complex) if zero_block is None else np.diag(zero_block).copy()
     re_defect = float(np.max(np.abs(zdiag.real))) if zdiag.size else 0.0
-    if re_defect > imag_tol:
+    if re_defect > IMAG_TOL:
         raise ReductionError(
             f"diagonal of the remainder is not purely imaginary ({re_defect:.3e})"
         )
@@ -235,22 +220,19 @@ def kam_step(state: KamState, omega, schedule: KamSchedule,
         psi_blocks[p] = psi
     Psi = OperatorMatrix.from_indexed(lat, jmax, psi_blocks, real=state.P.real)
 
-    # homological residual om.d_phi Psi + [D, Psi] + P_low - Z  (diagnostic)
     Z_op = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(1j * z)})
-    D_op = _diag_op(state)
-    hom = phi_derivative(Psi, om) + commutator(D_op, Psi) + P_low - Z_op
     dust = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(zdiag - 1j * z)})
-    hom = hom - dust
-    hom_resid = op_norm(hom, 0.0)
-
     X = Z_op + dust - P_low
+    # homological residual om.d_phi Psi + [D, Psi] - X  (diagnostic)
+    D_op = x_symbol_op(lat, jmax, lambda j: 1j * omv[j + jmax])
+    hom_resid = op_norm(phi_derivative(Psi, om) + commutator(D_op, Psi) - X, 0.0)
+
+    P_new = P_high + dust
     if Psi.data:
-        tail1, _ = lie_series(Psi, commutator(X, Psi), tol=schedule.series_tol,
-                              start_factor=2)
-        tail2 = exp_conjugate(Psi, state.P, tol=schedule.series_tol) - state.P
-    else:
-        tail1 = tail2 = OperatorMatrix(lat, jmax)
-    P_new = P_high + dust + tail1 + tail2
+        C = commutator(state.P, Psi)
+        tail, _ = lie_series(Psi, commutator(X + C, Psi), tol=schedule.series_tol,
+                             start_factor=2)
+        P_new = P_new + C + tail
 
     r_new = state.r + z
 
@@ -336,7 +318,7 @@ class ReductionResult(_Frequencies):
 
 
 def reduce_operator(L: DifferentialOperator, omega, schedule: KamSchedule, *,
-                    verify_window=None, series_tol=None) -> ReductionResult:
+                    verify_window=None) -> ReductionResult:
     """Full reduction of L to diagonal frequencies, with diagnostics.
 
     ``verify_window = (jwin, lwin)`` additionally conjugates the materialized
@@ -344,9 +326,9 @@ def reduce_operator(L: DifferentialOperator, omega, schedule: KamSchedule, *,
     residual and the worst diagonal mismatch.
     """
     om = np.asarray(omega, dtype=float)
-    stol = schedule.series_tol if series_tol is None else series_tol
     lam1 = L.lambda1()
-    oor = order_one_reduction(L.lambda3, L.B, L.C, om, lambda1=lam1, series_tol=stol)
+    oor = order_one_reduction(L.lambda3, L.B, L.C, om, lambda1=lam1,
+                              series_tol=schedule.series_tol)
     state = kam_state_init(L.lambda3, lam1, oor.R0, schedule.N0)
     kr = kam_iterate(state, om, schedule)
     gens = ([oor.G] if oor.G.data else []) + kr.state.psis
@@ -365,7 +347,7 @@ def reduce_operator(L: DifferentialOperator, omega, schedule: KamSchedule, *,
         jwin, lwin = verify_window
         conj = materialize(L)
         for gen in gens:
-            conj = exp_conjugate(gen, conj, tol=stol)
+            conj = exp_conjugate(gen, conj, tol=schedule.series_tol)
         vals = result.omega_values()
         D = x_symbol_op(L.lattice, L.jmax, lambda j: 1j * vals[j + L.jmax])
         delta = restrict(conj.convolution_part() - D, jwin, lwin)

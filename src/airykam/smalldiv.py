@@ -45,12 +45,6 @@ class FrequencyVector:
             raise ValueError("frequency components must lie in [1, 2]")
         self.values = v
 
-    def __array__(self, dtype=None, copy=None):
-        return self.values.astype(dtype) if dtype else self.values
-
-    def __len__(self):
-        return self.values.size
-
     def __repr__(self):
         return f"FrequencyVector({self.values.tolist()!r})"
 

@@ -54,14 +54,19 @@ def test_cli_missing_file_exit_code(tmp_path, capsys):
     assert code == 1
 
 
-def _solve_small_with(tmp_path, old, new):
-    """Run solve on solve_small.cfg with one line replaced."""
-    base = read(CONFIGS / "solve_small.cfg")
+def _run_edited(tmp_path, command, name, old, new):
+    """Run a command on configs/<name> with one line replaced."""
+    base = read(CONFIGS / name)
     assert old in base
     cfg = tmp_path / "edited.cfg"
     cfg.write_text(base.replace(old, new))
     out = tmp_path / "o"
-    return main(["solve", "--config", str(cfg), "--out", str(out)]), out
+    return main([command, "--config", str(cfg), "--out", str(out)]), out
+
+
+def _solve_small_with(tmp_path, old, new):
+    """Run solve on solve_small.cfg with one line replaced."""
+    return _run_edited(tmp_path, "solve", "solve_small.cfg", old, new)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
@@ -124,6 +129,32 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert "config error" in err and "truncation.jmax" in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,name,old,new,why", [
+    ("solve", "solve_small.cfg", "problem.gamma0 = 0.2", 'problem.gamma0 = "abc"',
+     "problem.gamma0 must be a number, got 'abc'"),
+    ("solve", "solve_small.cfg", "omega.sample = true", 'omega.values = [1.2357, "x"]',
+     "omega.values[1] must be a number, got 'x'"),
+    ("measure", "measure.cfg", "measure.samples = 1000", "measure.samples = 150.7",
+     "measure.samples must be an integer, got 150.7"),
+    ("measure", "measure.cfg", "measure.samples = 1000", "measure.samples = 50",
+     "measure.samples must be >= 100"),
+    ("reduce", "reduce_eps.cfg", "omega.values = [1.2357, 1.7113]",
+     "omega.values = [0.5, 1.7113]", "frequency components must lie in [1, 2]"),
+    ("solve", "solve_small.cfg", "omega.sample = true", "omega.values = [0.5, 1.7113]",
+     "frequency components must lie in [1, 2]"),
+    ("check-omega", "check_omega.cfg", "omega.values = [1.2357, 1.7113]",
+     "omega.values = [1.2357]", "omega.values must have length M=2, got 1"),
+    ("solve", "solve_small.cfg", "problem.S = 1.0", "problem.S = 0.4", "need S > s_bar > 0"),
+], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
+        "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data"])
+def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
+    code, out = _run_edited(tmp_path, command, name, old, new)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and why in err
+    assert not out.exists()
 
 
 def test_integral_floats_are_accepted():

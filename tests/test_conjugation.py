@@ -177,6 +177,19 @@ def test_conjugate_step_generic(lat2, jmax, omega2):
     assert r_half <= 0.7 * r_full
 
 
+def test_conjugate_step_reports_each_inversion(lat2, jmax, omega2):
+    """Both grid inversions keep their own residuals (default tolerances:
+    Picard step 1e-13, aliasing energy 1e-7)."""
+    rep = conjugate_step(generic_operator(lat2, jmax, omega2),
+                         generic_perturbation(lat2, jmax), omega2, 0.5).report
+    for key in ("invert_x_diffeo", "invert_phi_shift"):
+        entry = rep[key]
+        assert entry["fixed_point_residual"] <= 1e-13
+        assert entry["alias_rel"] <= 1e-7
+        assert 0.0 <= entry["discard_rel"] <= 1.0
+    assert rep["invert_x_diffeo"]["fixed_point_residual"] > 0.0
+
+
 def test_normalized_first_order_average(lat2, jmax, omega2):
     L = generic_operator(lat2, jmax, omega2)
     qp = generic_perturbation(lat2, jmax)

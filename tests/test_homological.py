@@ -51,7 +51,6 @@ def test_solve_airy_rejects_mean_and_breach(lat2, jmax, omega2):
 def test_solve_diagonal_reduces_to_airy(lat2, jmax, omega2, rand_fct):
     table = {j: -float(j) ** 3 for j in range(-jmax, jmax + 1) if j != 0}
     model = DiagonalModel(table, omega2)
-    assert model.reality_defect() == 0.0
     f = pi0_perp(rand_fct(31, amp=0.2))
     ha = solve_airy(f, omega2, 0.2)
     hd = solve_diagonal(model, f, 0.05)

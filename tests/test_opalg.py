@@ -18,6 +18,7 @@ from airykam.opalg import (
     exp_apply,
     exp_conjugate,
     identity_op,
+    lie_series,
     materialize,
     mult_op,
     op_norm,
@@ -428,11 +429,45 @@ def test_exp_conjugate_with_phi_direction(lat2, jmax, omega2):
     assert delta <= 1e-10 * max(1.0, rhs.norm(0.0))
 
 
+@pytest.mark.parametrize("amp,terms_expected", [(1e3, 14), (1e-3, 12)])
+def test_lie_series_stops_at_first_small_term(lat2, jmax, amp, terms_expected):
+    """An eigen-direction of Ad_G: [X, G] = c X, so term k has norm
+    |X| |c|^k / (k + 1)! and the sum is X sum_k c^k / (k + 1)!.  The series
+    stops at the first term below tol * max(1, |X|)."""
+    G = x_symbol_op(lat2, jmax, lambda j: 0.5j * j)
+    nj = 2 * jmax + 1
+    blk = np.zeros((nj, nj), dtype=complex)
+    blk[2 + jmax, 1 + jmax] = amp
+    X = OperatorMatrix(lat2, jmax, {E1: blk}, real=False)
+    c = 0.5j * 1 - 0.5j * 2
+    tol = 1e-14
+    k, coef, expect = 0, 1.0, 1.0          # coef = c^k / (k + 1)!
+    while amp * abs(coef) > tol * max(1.0, amp):
+        k += 1
+        coef *= c / (k + 1)
+        expect += coef
+    total, terms = lie_series(G, X, tol=tol)
+    assert terms == k + 1 == terms_expected
+    got = total.blocks[E1][2 + jmax, 1 + jmax]
+    assert abs(got - amp * expect) <= 1e-13 * amp
+    assert list(total.blocks) == [E1]
+
+
 def test_series_divergence_detection(lat2, jmax):
     big = mult_op(AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 40.0)]))
     B = dx_op(lat2, jmax, 1)
     with pytest.raises(SeriesDivergenceError):
         exp_conjugate(big, B, tol=1e-14, max_terms=25)
+
+
+def test_flow_series_divergence_detection(lat2, jmax):
+    big = mult_op(AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 40.0)]))
+    u = AnalyticFunction.from_modes(lat2, jmax, [(E1, 2, 1.0)])
+    with pytest.raises(SeriesDivergenceError, match="stopped decreasing"):
+        exp_apply(big, u, tol=1e-14, max_terms=25)
+    with pytest.raises(SeriesDivergenceError, match="did not reach"):
+        exp_apply(mult_op(AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 0.1)])), u,
+                  tol=1e-14, max_terms=3)
 
 
 def test_phi_derivative_entries(lat2, jmax, omega2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airykam.analytic import AnalyticFunction, dx, dx_inv, pi0_perp
+from airykam.analytic import AnalyticFunction, dx, dx_inv, om_dphi, pi0_perp
 from airykam.conjugation import symplectic_pairing
 from airykam.errors import SmallDivisorError
 from airykam.homological import solve_diagonal
@@ -9,11 +9,21 @@ from airykam.lattice import LatticeParams, MultiIndex
 from airykam.opalg import (
     DifferentialOperator,
     OperatorMatrix,
+    commutator,
+    compose,
     dense_labels,
+    dx_op,
     exp_apply,
+    exp_conjugate,
+    lie_series,
     materialize,
+    mult_op,
     op_norm,
+    restrict,
+    smoothing_generator_op,
+    split_by_norm,
     to_dense,
+    x_symbol_op,
 )
 from airykam.reducibility import (
     KamSchedule,
@@ -37,6 +47,15 @@ def fixture_operator(lat, jmax, omega, lam1=0.05, eps=1e-3):
         lat, jmax, [(E1, 1, eps / 4), (E1, -1, eps / 4)]
     ) + lam1
     C = AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, -0.5j * eps)])
+    return DifferentialOperator(omega, 1.0, B, C)
+
+
+def sparse_operator(lat, jmax, omega):
+    """Coefficients on site 1 alone: B = 0.05 plus two site-1 modes, C one site-1 mode."""
+    B = AnalyticFunction.from_modes(
+        lat, jmax, [(E1, 1, 5e-4), (MultiIndex((2, 0)), 2, 3e-4 + 1e-4j)]
+    ) + 0.05
+    C = AnalyticFunction.from_modes(lat, jmax, [(E1, 1, -5e-4j)])
     return DifferentialOperator(omega, 1.0, B, C)
 
 
@@ -70,10 +89,59 @@ def test_order_one_cosine_identity(lat2, jmax, omega2):
 
 def test_order_one_interior_residual(lat2, jmax, omega2):
     L = fixture_operator(lat2, jmax, omega2)
-    res = order_one_reduction(
-        1.0, L.B, L.C, omega2, verify_window=(jmax - 3, lat2.K - 1.0)
-    )
-    assert res.report["conjugation_residual"] < 1e-9
+    res = order_one_reduction(1.0, L.B, L.C, omega2)
+    conj = exp_conjugate(res.G, materialize(L), tol=1e-15)
+    lam1 = L.lambda1()
+    target = x_symbol_op(lat2, jmax, lambda j: 1j * (-j**3 + lam1 * j)) + res.R0
+    window = restrict(conj.convolution_part() - target, jmax - 3, lat2.K - 1.0)
+    assert op_norm(window, 0.0) < 1e-9
+
+
+def _three_series_R0(L, res, tol=1e-15):
+    """Reference R0: separate Lie series for the omega.d_phi, dx^3 and P conjugations."""
+    lat, jmax = L.lattice, L.jmax
+    g, G = res.g, res.G
+    P = compose(mult_op(L.B), dx_op(lat, jmax)) + mult_op(L.C)
+    piece1, _ = lie_series(G, smoothing_generator_op(om_dphi(g, L.omega)), tol=tol)
+    s3, _ = lie_series(G, commutator(dx_op(lat, jmax, 3), G), tol=tol)
+    piece2 = L.lambda3 * (s3 - compose(mult_op(3.0 * dx(g, 1)), dx_op(lat, jmax)))
+    piece3 = exp_conjugate(G, P, tol=tol) - P
+    return piece1 + piece2 + piece3 + mult_op(L.C)
+
+
+def _two_series_P(state, new, tol):
+    """Reference P_{k+1} = P_high + dust + tail1 + tail2 for the step state -> new."""
+    lat, jmax = state.P.lattice, state.jmax
+    P_low, P_high = split_by_norm(state.P, state.N)
+    Psi = new.psis[-1]
+    Z = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(1j * (new.r - state.r))})
+    zdiag = np.diag(state.P.data[0]) if 0 in state.P.data else np.zeros(2 * jmax + 1)
+    dust = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(zdiag)}) - Z
+    tail1, _ = lie_series(Psi, commutator(Z + dust - P_low, Psi), tol=tol, start_factor=2)
+    tail2 = exp_conjugate(Psi, state.P, tol=tol) - state.P
+    return P_high + dust + tail1 + tail2
+
+
+@pytest.mark.parametrize("make,jmax_case,K", [
+    (fixture_operator, 12, 6.0),
+    (sparse_operator, 16, 8.0),
+])
+def test_one_series_matches_separate_series(omega2, make, jmax_case, K):
+    """The single Lie series of each conjugation equals the sum of the old ones."""
+    lat = LatticeParams(1.0, 2, K)
+    L = make(lat, jmax_case, omega2)
+    res = order_one_reduction(1.0, L.B, L.C, omega2)
+    assert res.report["lie_terms"] > 1
+    ref = _three_series_R0(L, res)
+    assert op_norm(res.R0 - ref, 0.0) <= 1e-15 * max(1.0, op_norm(ref, 0.0))
+    sched = schedule()
+    state = kam_state_init(1.0, L.lambda1(), res.R0, sched.N0)
+    for _ in range(3):
+        new = kam_step(state, omega2, sched)
+        assert new.psis[-1].data
+        ref = _two_series_P(state, new, sched.series_tol)
+        assert op_norm(new.P - ref, 0.0) <= 1e-15 * max(1.0, op_norm(state.P, 0.0))
+        state = new
 
 
 def test_order_one_rejects_phi_dependent_average(lat2, jmax, omega2):
