@@ -13,6 +13,12 @@ lattice row by omega.l times a phi-grid amplitude.  An inverse is the fixed
 point of its forward kernel (alpha~ = -alpha(phi, y + alpha~) and
 beta~ = -beta(theta + omega beta~)), found by the one Picard loop
 ``_fixed_point``.
+
+Real-on-real fields carry half spectra.  For a real u and a real amplitude
+the terms of x-mode -j are the conjugates of those of mode j, so a kernel
+sums only the modes j >= 0 and a grid field is G_0 + 2 Re sum_{j>=1} G_j W^j,
+transformed with real FFTs (``irfft``/``rfftn``).  A non-real field keeps
+the full spectrum and complex FFTs.
 """
 
 from __future__ import annotations
@@ -57,29 +63,52 @@ def grid_sizes(lattice, jmax: int, factor: int = 2) -> tuple:
     return phi_sizes(lattice, factor) + (_axis_size(factor, jmax),)
 
 
-def _grid_index(lattice, sizes, jmax=None):
-    """Grid position of every (lattice index[, x-mode]) in FFT order.
+def _grid_index(lattice, sizes, cols=None):
+    """Grid position of every (lattice index[, x column]) in FFT order.
 
     Returns a tuple of index arrays that selects an (enum.size,) array of the
-    phi grid, or with ``jmax`` an (enum.size, 2*jmax+1) array of the full grid.
+    phi grid, or with ``cols`` (positions on the last axis) an
+    (enum.size, len(cols)) array of the full grid.
     """
     dense = get_enumeration(lattice).dense
     idx = tuple(dense[:, i] % sizes[i] for i in range(lattice.M))
-    if jmax is None:
+    if cols is None:
         return idx
-    jcol = np.arange(-jmax, jmax + 1) % sizes[-1]
-    return tuple(ix[:, None] for ix in idx) + (jcol[None, :],)
+    return tuple(ix[:, None] for ix in idx) + (np.asarray(cols)[None, :],)
 
 
-def _place(u, sizes, with_x: bool):
-    """Dense FFT-ordered spectrum of u on the given grid shape."""
-    spec = np.zeros(sizes, dtype=complex)
-    if with_x:
-        spec[_grid_index(u.lattice, sizes, u.jmax)] = u.data
-    elif not u.phi_only:
-        raise ValueError("phi-grid placement requires a function of phi only")
-    else:
+def _x_columns(u):
+    """(x-modes, coefficient columns) a grid kernel sums for u: the modes
+    j >= 0 of a real u (the others are their conjugates), every mode otherwise."""
+    if u.real:
+        return np.arange(u.jmax + 1), u.data[:, u.jmax:]
+    return np.arange(-u.jmax, u.jmax + 1), u.data
+
+
+def _rfft_weights(n: int):
+    """How often each rfft column of a length-n axis occurs in the full spectrum."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return w
+
+
+def _place(u, sizes, with_x: bool, half: bool = False):
+    """Dense FFT-ordered spectrum of u on the given grid shape.
+
+    With ``half`` (for a real u) only the rfft columns j >= 0 of the last axis.
+    """
+    if not with_x:
+        if not u.phi_only:
+            raise ValueError("phi-grid placement requires a function of phi only")
+        spec = np.zeros(sizes, dtype=complex)
         spec[_grid_index(u.lattice, sizes)] = u.data[:, u.jmax]
+        return spec
+    nx = sizes[-1]
+    modes, cols = _x_columns(u) if half else (np.arange(-u.jmax, u.jmax + 1), u.data)
+    spec = np.zeros(sizes[:-1] + (nx // 2 + 1 if half else nx,), dtype=complex)
+    spec[_grid_index(u.lattice, sizes, modes % nx)] = cols
     return spec
 
 
@@ -103,24 +132,35 @@ def _signed_freqs(n: int):
 
 
 def _extract(vals, lattice, jmax, *, real, alias_tol, context, report=None, with_x=True):
-    """Re-expand grid values into a truncated AnalyticFunction."""
+    """Re-expand grid values into a truncated AnalyticFunction.
+
+    Real values on the full grid are transformed with ``rfftn``: the masses
+    weight each half-spectrum column by its multiplicity, and the x-modes
+    j < 0 are the conjugates of the modes j >= 0 at the negated lattice index.
+    """
     sizes = vals.shape
-    spec = np.fft.fftn(vals) / float(np.prod(sizes))
+    half = with_x and np.isrealobj(vals)
+    spec = (np.fft.rfftn(vals) if half else np.fft.fftn(vals)) / float(np.prod(sizes))
     absspec = np.abs(spec)
+    floor = 8e-16 * float(absspec.max(initial=0.0))
+    if half:
+        absspec *= _rfft_weights(sizes[-1])
     total = float(absspec.sum())
     caps = [2 * b for b in site_bounds(lattice)] + [2 * jmax]
     outer = functools.reduce(np.logical_or, np.meshgrid(
-        *[np.abs(_signed_freqs(n)) > cap for n, cap in zip(sizes, caps)],
+        *[np.abs(_signed_freqs(n))[:k] > cap for n, k, cap in zip(sizes, spec.shape, caps)],
         indexing="ij", sparse=True))
-    alias = float(absspec[np.broadcast_to(outer, sizes)].sum())
+    alias = float(absspec[np.broadcast_to(outer, spec.shape)].sum())
     alias_rel = alias / max(total, 1e-300)
 
-    floor = 8e-16 * float(absspec.max(initial=0.0))
     data = np.zeros((get_enumeration(lattice).size, 2 * jmax + 1), dtype=complex)
-    if with_x:
-        data[:] = spec[_grid_index(lattice, sizes, jmax)]
-    else:
+    if not with_x:
         data[:, jmax] = spec[_grid_index(lattice, sizes)]
+    elif half:
+        data[:, jmax:] = spec[_grid_index(lattice, sizes, np.arange(jmax + 1))]
+        data[:, :jmax] = np.conj(data[get_enumeration(lattice).neg, :jmax:-1])
+    else:
+        data[:] = spec[_grid_index(lattice, sizes, np.arange(-jmax, jmax + 1) % sizes[-1])]
     kept = np.abs(data) > floor
     data[~kept] = 0.0
     retained = float(np.abs(data[kept]).sum())
@@ -141,11 +181,25 @@ def _angles(sizes):
     return np.meshgrid(*[_TWO_PI * np.arange(n) / n for n in sizes], indexing="ij", sparse=True)
 
 
-def _x_spectrum(u, sizes):
-    """x-spectrum of u over the phi grid: its placed spectrum inverse-transformed in phi."""
+def _x_spectrum(u, sphi):
+    """x-spectrum of u over the phi grid: the columns of ``_x_columns(u)``
+    placed on the phi grid and inverse-transformed in phi."""
     m = u.lattice.M
-    spec = _place(u, sizes, with_x=True)
-    return np.fft.ifftn(spec, axes=tuple(range(m))) * float(np.prod(sizes[:m]))
+    _modes, cols = _x_columns(u)
+    spec = np.zeros(sphi + (cols.shape[1],), dtype=complex)
+    spec[_grid_index(u.lattice, sphi)] = cols
+    return np.fft.ifftn(spec, axes=tuple(range(m))) * float(np.prod(sphi))
+
+
+def _to_x_grid(T, nx, real):
+    """Values on the x grid of an x-spectrum T over the phi grid (columns as
+    in ``_x_columns``): ``irfft`` for a real field, ``ifft`` otherwise."""
+    if real:
+        return np.fft.irfft(T, n=nx, axis=-1) * nx
+    jmax = T.shape[-1] // 2
+    full = np.zeros(T.shape[:-1] + (nx,), dtype=complex)
+    full[..., np.arange(-jmax, jmax + 1) % nx] = T
+    return np.fft.ifft(full, axis=-1) * nx
 
 
 def _phi_angle(row, sizes_phi):
@@ -163,33 +217,48 @@ def _row_angles(lattice, sizes_phi):
     return {}
 
 
-def _x_series(G, W, jmax):
-    """Sum over |j| <= jmax of G_j W^j, for an x-spectrum G (FFT order) over the phi grid."""
-    nx = G.shape[-1]
-    val = np.broadcast_to(G[..., 0][..., None], W.shape).astype(complex)
-    Wp = np.ones_like(W)
-    Wm = np.ones_like(W)
-    for j in range(1, jmax + 1):
-        Wp = Wp * W
-        Wm = Wm * np.conj(W)
-        val += G[..., j % nx][..., None] * Wp
-        val += G[..., (-j) % nx][..., None] * Wm
-    return val
+def _horner(H, V):
+    """sum_{k>=1} H_k V^k with H_k = H[..., k-1], by Horner's rule in V from the
+    highest nonzero H_k; 0 when H is zero."""
+    held = np.flatnonzero(np.any(H, axis=tuple(range(H.ndim - 1))))
+    if held.size == 0:
+        return 0.0
+    acc = H[..., held[-1], None] * V
+    for k in range(held[-1] - 1, -1, -1):
+        acc += H[..., k, None]
+        acc *= V
+    return acc
 
 
-def _phi_series(u, shift, omega, sizes):
-    """x-spectrum over the phi grid of u(phi + omega * shift(phi), .) on grid shape sizes."""
-    enum = get_enumeration(u.lattice)
+def _x_series(G, W, real):
+    """sum_j G_j W^j over the x-modes of an x-spectrum G (``_x_spectrum``) on the grid of W.
+
+    A real G gives the real G_0 + 2 Re sum_{j>=1} G_j W^j (|W| = 1 makes the
+    mode -j term the conjugate of the mode j term); otherwise the modes j < 0
+    are summed in conj(W).
+    """
+    if real:
+        val = G[..., 0, None].real + 2.0 * np.real(_horner(G[..., 1:], W))
+    else:
+        jmax = G.shape[-1] // 2
+        val = (G[..., jmax, None] + _horner(G[..., jmax + 1:], W)
+               + _horner(G[..., jmax - 1::-1], np.conj(W)))
+    return np.broadcast_to(val, W.shape)
+
+
+def _phi_series(lattice, cols, shift, omega, sphi):
+    """x-spectrum over the phi grid of u(phi + omega * shift(phi), .), for the
+    coefficient columns ``cols`` of u (one per lattice index)."""
+    enum = get_enumeration(lattice)
     dots = enum.dots(omega)
-    sphi, nx = sizes[:-1], sizes[-1]
-    angles = _row_angles(u.lattice, sphi)
-    T = np.zeros(sizes, dtype=complex)
-    for p in np.flatnonzero(u.data.any(axis=1)).tolist():
+    angles = _row_angles(lattice, sphi)
+    T = np.zeros(sphi + (cols.shape[1],), dtype=complex)
+    for p in np.flatnonzero(cols.any(axis=1)).tolist():
         if p not in angles:
             angles[p] = _phi_angle(enum.dense[p], sphi)
         E = np.exp(1j * (angles[p] + dots[p] * shift))
-        cols = np.flatnonzero(u.data[p])
-        T[..., (cols - u.jmax) % nx] += E[..., None] * u.data[p, cols]
+        held = np.flatnonzero(cols[p])
+        T[..., held] += E[..., None] * cols[p, held]
     return T
 
 
@@ -213,10 +282,10 @@ def compose_x_diffeo(u, alpha, factor=2, alias_tol=1e-7, report=None):
     """u(phi, x + alpha(phi, x)), exact for alpha = 0 on the retained modes."""
     if u.lattice != alpha.lattice:
         raise ValueError("incompatible lattices")
-    jmax = max(u.jmax, alpha.jmax)
-    sizes = grid_sizes(u.lattice, jmax, factor)
+    sizes = grid_sizes(u.lattice, max(u.jmax, alpha.jmax), factor)
     avals = _real_grid_values(alpha, sizes, True, "x-diffeomorphism amplitude")
-    val = _x_series(_x_spectrum(u, sizes), np.exp(1j * (_angles(sizes)[-1] + avals)), jmax)
+    W = np.exp(1j * (_angles(sizes)[-1] + avals))
+    val = _x_series(_x_spectrum(u, sizes[:-1]), W, u.real)
     return _extract(
         val, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
         context="compose_x_diffeo", report=report,
@@ -231,11 +300,10 @@ def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
         raise ValueError("shift amplitude must depend on phi only")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
     bvals = _real_grid_values(beta, sizes[:-1], False, "time-reparametrization amplitude")
-    T = _phi_series(u, bvals, omega, sizes)
-    val = np.fft.ifft(T, axis=-1) * sizes[-1]
+    T = _phi_series(u.lattice, _x_columns(u)[1], bvals, omega, sizes[:-1])
     return _extract(
-        val, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
-        context="compose_phi_shift", report=report,
+        _to_x_grid(T, sizes[-1], u.real), u.lattice, u.jmax, real=u.real,
+        alias_tol=alias_tol, context="compose_phi_shift", report=report,
     )
 
 
@@ -243,30 +311,19 @@ def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
     """u(phi, x + p(phi)) for a real function p of phi alone.
 
     The phases e^{i j p} multiply the x-spectrum on the phi grid, not on the
-    full grid as in ``_x_series``; one x-ifft follows.
+    full grid as in ``_x_series``; one x-transform follows.
     """
     if u.lattice != p.lattice:
         raise ValueError("incompatible lattices")
     if not p.phi_only:
         raise ValueError("translation amplitude must depend on phi only")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
-    nx = sizes[-1]
     pvals = _real_grid_values(p, sizes[:-1], False, "translation amplitude")
-    G = _x_spectrum(u, sizes)
-    P = np.exp(1j * pvals)
-    T = np.zeros_like(G)
-    T[..., 0] = G[..., 0]
-    Pp = np.ones_like(P)
-    Pm = np.ones_like(P)
-    for j in range(1, u.jmax + 1):
-        Pp = Pp * P
-        Pm = Pm * np.conj(P)
-        T[..., j % nx] = G[..., j % nx] * Pp
-        T[..., (-j) % nx] = G[..., (-j) % nx] * Pm
-    val = np.fft.ifft(T, axis=-1) * nx
+    modes, _cols = _x_columns(u)
+    T = _x_spectrum(u, sizes[:-1]) * np.exp(1j * pvals[..., None] * modes)
     return _extract(
-        val, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
-        context="compose_x_translation", report=report,
+        _to_x_grid(T, sizes[-1], u.real), u.lattice, u.jmax, real=u.real,
+        alias_tol=alias_tol, context="compose_x_translation", report=report,
     )
 
 
@@ -281,14 +338,14 @@ def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, re
     if slope >= 0.9:
         raise NonContractionError(f"|alpha_x| ~ {slope:.3f} too large to invert")
     sizes = grid_sizes(alpha.lattice, alpha.jmax, factor)
-    A = _x_spectrum(alpha, sizes)
+    A = _x_spectrum(alpha, sizes[:-1])
     y = _angles(sizes)[-1]
     t, step = _fixed_point(
-        lambda t: -_x_series(A, np.exp(1j * (y + t)), alpha.jmax).real,
+        lambda t: -np.real(_x_series(A, np.exp(1j * (y + t)), alpha.real)),
         sizes, tol, max_iter, "x-diffeomorphism",
     )
     out = _extract(
-        t.astype(complex), alpha.lattice, alpha.jmax, real=True,
+        t, alpha.lattice, alpha.jmax, real=True,
         alias_tol=alias_tol, context="invert_x_diffeo", report=report,
     )
     if report is not None:
@@ -308,13 +365,13 @@ def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1
     slope = float(np.sum(np.abs(get_enumeration(beta.lattice).dots(omega)) * np.abs(coef)))
     if slope >= 0.9:
         raise NonContractionError(f"|omega.d_phi beta| ~ {slope:.3f} too large to invert")
-    sizes = phi_sizes(beta.lattice, factor) + (1,)
+    sphi = phi_sizes(beta.lattice, factor)
     s, step = _fixed_point(
-        lambda s: -_phi_series(beta, s, omega, sizes)[..., 0].real,
-        sizes[:-1], tol, max_iter, "phi-shift",
+        lambda s: -_phi_series(beta.lattice, coef[:, None], s, omega, sphi)[..., 0].real,
+        sphi, tol, max_iter, "phi-shift",
     )
     out = _extract(
-        s.astype(complex), beta.lattice, beta.jmax, real=True,
+        s, beta.lattice, beta.jmax, real=True,
         alias_tol=alias_tol, context="invert_phi_shift", report=report, with_x=False,
     )
     if report is not None:

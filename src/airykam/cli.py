@@ -84,8 +84,9 @@ def _write_csv(path: Path, columns, rows):
 
 
 def cmd_solve(cfg: dict, out: Path, seed_override=None) -> int:
+    max_iters = integer(cfg, "schedule.max_iters", 6, minimum=1)
     spec = problem_spec_from(cfg, seed_override=seed_override)
-    report = solve(spec, max_iters=integer(cfg, "schedule.max_iters", 6))
+    report = solve(spec, max_iters=max_iters)
     doc = report.to_json_dict()
     doc["omega"] = spec.omega.tolist()
     _write_json(out / "report.json", doc)

@@ -120,6 +120,10 @@ class ProblemSpec:
             raise ValueError("forcing must be real-on-real")
         if not self.forcing.zero_x_average:
             raise ValueError("forcing must have zero x-average")
+        if self.oversample < 2:
+            raise ValueError(f"oversample must be >= 2, got {self.oversample}")
+        if not self.residual_target > 0:
+            raise ValueError(f"residual_target must be > 0, got {self.residual_target}")
         self.dioph = DiophantineParams(self.gamma0, self.gbar)
         self.strips = StripSchedule(self.S, self.s_bar)
 
@@ -261,6 +265,14 @@ def assemble_solution(state: IterationState) -> AnalyticFunction:
 
 @dataclass
 class ResidualReport:
+    """Norms of the collocation defect F: the max over the grid and the l1
+    norm of its coefficients.
+
+    ``value`` is ``l1_coeff``: every grid value is a sum of the coefficients,
+    so ``max_grid <= l1_coeff`` always holds (the max only absorbs FFT
+    rounding in that comparison).
+    """
+
     max_grid: float
     l1_coeff: float
 
@@ -277,7 +289,10 @@ def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] =
 
     Evaluates (om.d_phi + dx^3) u + Q(u) + f on an oversampled tensor grid
     by dense FFTs, independent of the sparse solver algebra, and reports the
-    max-grid and l1-coefficient norms of the defect.
+    max-grid and l1-coefficient norms of the defect.  A real u (every solve
+    iterate) carries only its x-modes j >= 0 through real FFTs, and l1 counts
+    each half-spectrum column as often as it occurs in the full spectrum; a
+    non-real u takes complex FFTs of the full spectrum.
     """
     factor = spec.oversample if oversample is None else int(oversample)
     lat, jmax = spec.lattice, spec.jmax
@@ -285,9 +300,18 @@ def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] =
     m = lat.M
     npts = float(np.prod(sizes))
     c0, c1, c2, c3 = spec.c
+    half = u.real
+    if half:
+        fwd, weight = np.fft.rfftn, _grid._rfft_weights(sizes[-1])
 
-    spec_u = _grid._place(u, sizes, with_x=True)
-    fx = _grid._signed_freqs(sizes[-1]).astype(float).reshape((1,) * m + (sizes[-1],))
+        def inv(a):
+            return np.fft.irfftn(a, s=sizes, axes=tuple(range(m + 1)))
+    else:
+        fwd, inv, weight = np.fft.fftn, np.fft.ifftn, 1.0
+
+    spec_u = _grid._place(u, sizes, with_x=True, half=half)
+    nfx = spec_u.shape[-1]
+    fx = _grid._signed_freqs(sizes[-1])[:nfx].astype(float).reshape((1,) * m + (nfx,))
     dot = np.zeros(sizes[:-1])
     for ax in range(m):
         f_ax = _grid._signed_freqs(sizes[ax]).astype(float)
@@ -297,17 +321,17 @@ def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] =
     dot = dot.reshape(sizes[:-1] + (1,))
 
     lin_spec = (1j * dot) * spec_u + (1j * fx) ** 3 * spec_u
-    U = np.fft.ifftn(spec_u) * npts
-    Ux = np.fft.ifftn(spec_u * (1j * fx)) * npts
+    U = inv(spec_u) * npts
+    Ux = inv(spec_u * (1j * fx)) * npts
     inner1 = 3.0 * c3 * Ux**2 + 2.0 * c2 * U * Ux + c1 * U**2
     inner2 = c2 * Ux**2 + 2.0 * c1 * U * Ux + 3.0 * c0 * U**2
-    q_spec = (np.fft.fftn(inner1) * (1j * fx) ** 2 - np.fft.fftn(inner2) * (1j * fx)) / npts
-    f_spec = _grid._place(spec.forcing, sizes, with_x=True)
+    q_spec = (fwd(inner1) * (1j * fx) ** 2 - fwd(inner2) * (1j * fx)) / npts
+    f_spec = _grid._place(spec.forcing, sizes, with_x=True, half=half)
 
     total_spec = lin_spec + q_spec + f_spec
-    F = np.fft.ifftn(total_spec) * npts
+    F = inv(total_spec) * npts
     max_grid = float(np.max(np.abs(F)))
-    l1 = float(np.sum(np.abs(total_spec)))
+    l1 = float(np.sum(np.abs(total_spec) * weight))
     return ResidualReport(max_grid, l1)
 
 

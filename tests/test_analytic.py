@@ -29,6 +29,7 @@ from airykam.analytic import (
     project_N,
     project_N_perp,
 )
+from airykam import _grid
 from airykam.errors import NonContractionError, SmallDivisorError
 from airykam.lattice import LatticeParams, MultiIndex, enumerate_indices
 
@@ -241,6 +242,76 @@ def test_compose_identities_for_zero_amplitude(lat2, jmax, omega2, rand_fct):
     z = AnalyticFunction.zeros(lat2, jmax)
     assert (compose_phi_shift(u, z, omega2) - u).norm(0.0) < 1e-13 * u.norm(0.0)
     assert (compose_x_translation(u, z) - u).norm(0.0) < 1e-13 * u.norm(0.0)
+
+
+# -- half spectra: a real field against its complex-flagged copy ------------------
+
+
+def complex_flagged(u):
+    """u as a non-real function: the grid kernels then sum its full spectrum."""
+    return AnalyticFunction.from_array(u.lattice, u.jmax, u.data.copy(), real=False)
+
+
+def with_jmax(u, jmax):
+    """u truncated (or zero-padded) to the x-modes |j| <= jmax."""
+    data = np.zeros((u.data.shape[0], 2 * jmax + 1), dtype=complex)
+    k = min(jmax, u.jmax)
+    data[:, jmax - k:jmax + k + 1] = u.data[:, u.jmax - k:u.jmax + k + 1]
+    return AnalyticFunction.from_array(u.lattice, jmax, data, real=u.real)
+
+
+def assert_matches_full_spectrum(got, oracle, scale):
+    assert got.real and not oracle.real
+    assert np.max(np.abs(got.data - oracle.data)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("u_jmax,alpha_jmax", [(10, 10), (6, 10), (10, 6)])
+def test_compose_x_diffeo_half_spectrum(lat2, jmax, rand_fct, u_jmax, alpha_jmax):
+    u = with_jmax(rand_fct(51, jspan=8), u_jmax)
+    alpha = with_jmax(0.01 * rand_fct(52, jspan=8), alpha_jmax)
+    got = compose_x_diffeo(u, alpha, alias_tol=1.0)
+    assert got.jmax == u_jmax
+    assert_matches_full_spectrum(
+        got, compose_x_diffeo(complex_flagged(u), alpha, alias_tol=1.0), u.norm(0.0))
+
+
+def test_phi_shift_and_translation_half_spectrum(lat2, jmax, omega2, rand_fct):
+    u = rand_fct(53, jspan=6)
+    beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.02), (E2, 0, 0.001j)])
+    p = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.3), (E2, 0, 0.1j), (ZERO, 0, 0.2)])
+    assert_matches_full_spectrum(
+        compose_phi_shift(u, beta, omega2, alias_tol=1.0),
+        compose_phi_shift(complex_flagged(u), beta, omega2, alias_tol=1.0), u.norm(0.0))
+    assert_matches_full_spectrum(
+        compose_x_translation(u, p, alias_tol=1.0),
+        compose_x_translation(complex_flagged(u), p, alias_tol=1.0), u.norm(0.0))
+
+
+def test_invert_x_diffeo_half_spectrum(lat2, rand_fct):
+    alpha = 0.005 * rand_fct(54, zero_x_avg=False)
+    got = invert_x_diffeo(alpha)
+    oracle = invert_x_diffeo(complex_flagged(alpha))
+    # the inverse is real either way; only the kernel summing alpha differs
+    assert np.max(np.abs(got.data - oracle.data)) <= 1e-14 * alpha.norm(0.0)
+
+
+@pytest.mark.parametrize("nx", [45, 48])
+@pytest.mark.parametrize("noise", [1.0, 1e-4])
+def test_extract_half_spectrum_matches_full(lat2, jmax, rand_fct, nx, noise):
+    """rfftn of real grid values: same coefficients, alias and discard shares as
+    fftn, for an odd x axis and an even one (whose Nyquist column counts once)."""
+    sizes = _grid.phi_sizes(lat2, 2) + (nx,)
+    rng = np.random.default_rng(55)
+    vals = _grid.grid_values(rand_fct(56, jspan=6), sizes).real + noise * rng.normal(size=sizes)
+    rep_half, rep_full = {}, {}
+    got = _grid._extract(vals, lat2, jmax, real=True, alias_tol=np.inf, context="t",
+                         report=rep_half)
+    oracle = _grid._extract(vals.astype(complex), lat2, jmax, real=True, alias_tol=np.inf,
+                            context="t", report=rep_full)
+    assert np.max(np.abs(got.data - oracle.data)) <= 1e-14 * np.max(np.abs(oracle.data))
+    for key in ("alias_rel", "discard_rel"):
+        assert rep_full[key] > 0.0
+        assert rep_half[key] == pytest.approx(rep_full[key], rel=1e-12)
 
 
 # -- inversion -------------------------------------------------------------------

@@ -147,8 +147,15 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
     ("check-omega", "check_omega.cfg", "omega.values = [1.2357, 1.7113]",
      "omega.values = [1.2357]", "omega.values must have length M=2, got 1"),
     ("solve", "solve_small.cfg", "problem.S = 1.0", "problem.S = 0.4", "need S > s_bar > 0"),
+    ("solve", "solve_small.cfg", "truncation.oversample = 4", "truncation.oversample = 1",
+     "oversample must be >= 2, got 1"),
+    ("solve", "solve_small.cfg", "schedule.max_iters = 4", "schedule.max_iters = -3",
+     "schedule.max_iters must be >= 1, got -3"),
+    ("solve", "solve_small.cfg", "schedule.residual_target = 1e-10",
+     "schedule.residual_target = -1", "residual_target must be > 0, got -1.0"),
 ], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
-        "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data"])
+        "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data",
+        "oversample", "max-iters", "residual-target"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
     code, out = _run_edited(tmp_path, command, name, old, new)
     assert code == 1

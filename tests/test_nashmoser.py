@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from airykam.analytic import AnalyticFunction, dx, multiply
+from airykam import _grid
+from airykam.analytic import AnalyticFunction, dx, from_payload, multiply
+from airykam.config import load_config, problem_spec_from
 from airykam.conjugation import evaluate_quadratic, linearize_quadratic
 from airykam.errors import SmallDivisorError
 from airykam.lattice import LatticeParams, MultiIndex
 from airykam.nashmoser import (
     ProblemSpec,
+    ResidualReport,
     StripSchedule,
     assemble_solution,
     init_state,
@@ -20,6 +25,7 @@ ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
 
 OMEGA = np.array([1.62509547, 1.8972138])  # admissible for the test lattice
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_spec(lat, jmax, eps=1e-6, c=(1.0, 0.5, 0.25, 1.0), **kw):
@@ -162,3 +168,56 @@ def test_quadratic_norms_stay_bounded(lat2, jmax):
     base = state.Q.total_norm(0.0)
     state = step(state, spec)
     assert state.Q.total_norm(0.0) <= 2.0 * base
+
+
+# -- the collocation residual against its full-spectrum form ------------------
+
+
+def residual_fftn(spec, u):
+    """The residual by complex FFTs of the full spectrum: the oracle of the
+    half-spectrum path that real iterates take."""
+    sizes = _grid.grid_sizes(spec.lattice, spec.jmax, spec.oversample)
+    m = spec.lattice.M
+    npts = float(np.prod(sizes))
+    c0, c1, c2, c3 = spec.c
+    spec_u = _grid._place(u, sizes, with_x=True)
+    fx = _grid._signed_freqs(sizes[-1]).astype(float).reshape((1,) * m + (sizes[-1],))
+    dot = np.zeros(sizes[:-1])
+    for ax in range(m):
+        shape = [1] * m
+        shape[ax] = sizes[ax]
+        dot = dot + spec.omega[ax] * _grid._signed_freqs(sizes[ax]).astype(float).reshape(shape)
+    dot = dot.reshape(sizes[:-1] + (1,))
+    lin_spec = (1j * dot) * spec_u + (1j * fx) ** 3 * spec_u
+    U = np.fft.ifftn(spec_u) * npts
+    Ux = np.fft.ifftn(spec_u * (1j * fx)) * npts
+    inner1 = 3.0 * c3 * Ux**2 + 2.0 * c2 * U * Ux + c1 * U**2
+    inner2 = c2 * Ux**2 + 2.0 * c1 * U * Ux + 3.0 * c0 * U**2
+    q_spec = (np.fft.fftn(inner1) * (1j * fx) ** 2 - np.fft.fftn(inner2) * (1j * fx)) / npts
+    total_spec = lin_spec + q_spec + _grid._place(spec.forcing, sizes, with_x=True)
+    F = np.fft.ifftn(total_spec) * npts
+    return ResidualReport(float(np.max(np.abs(F))), float(np.sum(np.abs(total_spec))))
+
+
+@pytest.fixture(scope="module")
+def solve_small_run():
+    spec = problem_spec_from(load_config(CONFIGS / "solve_small.cfg"))
+    return spec, solve(spec, max_iters=4)
+
+
+def test_residual_half_spectrum_matches_fftn(solve_small_run):
+    spec, rep = solve_small_run
+    u = from_payload(rep.solution)
+    assert u.real
+    oracle = residual_fftn(spec, u)
+    flagged = AnalyticFunction.from_array(u.lattice, u.jmax, u.data.copy(), real=False)
+    for got in (residual(spec, u), residual(spec, flagged)):
+        assert abs(got.l1_coeff - oracle.l1_coeff) <= 1e-17
+        assert abs(got.max_grid - oracle.max_grid) <= 1e-17
+
+
+def test_residual_value_is_l1_coeff(solve_small_run):
+    _spec, rep = solve_small_run
+    assert rep.converged and rep.residuals
+    for rr in rep.residuals:
+        assert rr["max_grid"] <= rr["l1_coeff"] * (1 + 1e-12)
