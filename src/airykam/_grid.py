@@ -242,7 +242,7 @@ def _x_series(G, W, real):
     else:
         jmax = G.shape[-1] // 2
         val = (G[..., jmax, None] + _horner(G[..., jmax + 1:], W)
-               + _horner(G[..., jmax - 1::-1], np.conj(W)))
+               + _horner(G[..., :jmax][..., ::-1], np.conj(W)))
     return np.broadcast_to(val, W.shape)
 
 
@@ -380,7 +380,10 @@ def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1
 
 
 def moser_compose(series, u, factor=2, alias_tol=1e-7, report=None):
-    """fn(u) by pointwise grid evaluation, for |u|_0 strictly inside the radius."""
+    """fn(u) by pointwise grid evaluation, for |u|_0 strictly inside the radius.
+
+    A real u gives real grid values, which ``_extract`` re-expands by ``rfftn``.
+    """
     r = u.norm(0.0)
     if r >= series.radius:
         raise SeriesRadiusError(
@@ -390,10 +393,9 @@ def moser_compose(series, u, factor=2, alias_tol=1e-7, report=None):
     with_x = not u.phi_only
     sizes = grid_sizes(u.lattice, u.jmax, factor) if with_x else phi_sizes(u.lattice, factor)
     if u.real:
-        vals = _real_grid_values(u, sizes, with_x, "scalar-series argument")
+        out = series.fn(_real_grid_values(u, sizes, with_x, "scalar-series argument"))
     else:
-        vals = grid_values(u, sizes, with_x)
-    out = np.asarray(series.fn(vals), dtype=complex)
+        out = np.asarray(series.fn(grid_values(u, sizes, with_x)), dtype=complex)
     return _extract(
         out, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
         context="moser_compose", report=report, with_x=with_x,

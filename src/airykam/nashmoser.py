@@ -289,27 +289,22 @@ def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] =
 
     Evaluates (om.d_phi + dx^3) u + Q(u) + f on an oversampled tensor grid
     by dense FFTs, independent of the sparse solver algebra, and reports the
-    max-grid and l1-coefficient norms of the defect.  A real u (every solve
-    iterate) carries only its x-modes j >= 0 through real FFTs, and l1 counts
-    each half-spectrum column as often as it occurs in the full spectrum; a
-    non-real u takes complex FFTs of the full spectrum.
+    max-grid and l1-coefficient norms of the defect.  u must be real (every
+    solve iterate is): it carries only its x-modes j >= 0 through real FFTs,
+    and l1 counts each half-spectrum column as often as it occurs in the full
+    spectrum.
     """
+    if not u.real:
+        raise ValueError("residual requires a real-on-real u")
     factor = spec.oversample if oversample is None else int(oversample)
     lat, jmax = spec.lattice, spec.jmax
     sizes = _grid.grid_sizes(lat, jmax, factor)
     m = lat.M
+    axes = tuple(range(m + 1))
     npts = float(np.prod(sizes))
     c0, c1, c2, c3 = spec.c
-    half = u.real
-    if half:
-        fwd, weight = np.fft.rfftn, _grid._rfft_weights(sizes[-1])
 
-        def inv(a):
-            return np.fft.irfftn(a, s=sizes, axes=tuple(range(m + 1)))
-    else:
-        fwd, inv, weight = np.fft.fftn, np.fft.ifftn, 1.0
-
-    spec_u = _grid._place(u, sizes, with_x=True, half=half)
+    spec_u = _grid._place(u, sizes, with_x=True, half=True)
     nfx = spec_u.shape[-1]
     fx = _grid._signed_freqs(sizes[-1])[:nfx].astype(float).reshape((1,) * m + (nfx,))
     dot = np.zeros(sizes[:-1])
@@ -321,17 +316,17 @@ def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] =
     dot = dot.reshape(sizes[:-1] + (1,))
 
     lin_spec = (1j * dot) * spec_u + (1j * fx) ** 3 * spec_u
-    U = inv(spec_u) * npts
-    Ux = inv(spec_u * (1j * fx)) * npts
+    U = np.fft.irfftn(spec_u, s=sizes, axes=axes) * npts
+    Ux = np.fft.irfftn(spec_u * (1j * fx), s=sizes, axes=axes) * npts
     inner1 = 3.0 * c3 * Ux**2 + 2.0 * c2 * U * Ux + c1 * U**2
     inner2 = c2 * Ux**2 + 2.0 * c1 * U * Ux + 3.0 * c0 * U**2
-    q_spec = (fwd(inner1) * (1j * fx) ** 2 - fwd(inner2) * (1j * fx)) / npts
-    f_spec = _grid._place(spec.forcing, sizes, with_x=True, half=half)
+    q_spec = (np.fft.rfftn(inner1) * (1j * fx) ** 2 - np.fft.rfftn(inner2) * (1j * fx)) / npts
+    f_spec = _grid._place(spec.forcing, sizes, with_x=True, half=True)
 
     total_spec = lin_spec + q_spec + f_spec
-    F = inv(total_spec) * npts
+    F = np.fft.irfftn(total_spec, s=sizes, axes=axes) * npts
     max_grid = float(np.max(np.abs(F)))
-    l1 = float(np.sum(np.abs(total_spec) * weight))
+    l1 = float(np.sum(np.abs(total_spec) * _grid._rfft_weights(sizes[-1])))
     return ResidualReport(max_grid, l1)
 
 

@@ -295,6 +295,28 @@ def test_invert_x_diffeo_half_spectrum(lat2, rand_fct):
     assert np.max(np.abs(got.data - oracle.data)) <= 1e-14 * alpha.norm(0.0)
 
 
+def test_x_kernels_of_a_non_real_phi_only_field(lat2, jmax, rand_fct):
+    """A non-real field with jmax = 0 has no x-modes j != 0 to sum."""
+    u = AnalyticFunction.from_modes(lat2, 0, [(ZERO, 0, 1.0), (E1, 0, 0.3j), (E2, 0, 0.2)],
+                                    real=False)
+    alpha = 0.01 * rand_fct(57, jspan=6)
+    assert alpha.jmax > 0
+    got = compose_x_diffeo(u, alpha, alias_tol=1.0)
+    assert np.max(np.abs(got.data - u.data)) <= 1e-14 * u.norm(0.0)
+    b = AnalyticFunction.from_modes(lat2, 0, [(ZERO, 0, 0.01), (E1, 0, 0.003j), (E2, 0, 0.002)])
+    assert b.real
+    got = invert_x_diffeo(complex_flagged(b))
+    assert np.max(np.abs((got + b).data)) <= 1e-14 * b.norm(0.0)
+
+
+def test_moser_compose_half_spectrum(lat2, rand_fct):
+    inv_cbrt = ScalarSeries(lambda z: (1.0 + z) ** (-1.0 / 3.0), 0.9, "inv-cbrt")
+    u = 0.05 * rand_fct(58, jspan=6)
+    assert_matches_full_spectrum(
+        moser_compose(inv_cbrt, u, alias_tol=1.0),
+        moser_compose(inv_cbrt, complex_flagged(u), alias_tol=1.0), 1.0)
+
+
 @pytest.mark.parametrize("nx", [45, 48])
 @pytest.mark.parametrize("noise", [1.0, 1e-4])
 def test_extract_half_spectrum_matches_full(lat2, jmax, rand_fct, nx, noise):

@@ -210,10 +210,12 @@ def test_residual_half_spectrum_matches_fftn(solve_small_run):
     u = from_payload(rep.solution)
     assert u.real
     oracle = residual_fftn(spec, u)
+    got = residual(spec, u)
+    assert abs(got.l1_coeff - oracle.l1_coeff) <= 1e-17
+    assert abs(got.max_grid - oracle.max_grid) <= 1e-17
     flagged = AnalyticFunction.from_array(u.lattice, u.jmax, u.data.copy(), real=False)
-    for got in (residual(spec, u), residual(spec, flagged)):
-        assert abs(got.l1_coeff - oracle.l1_coeff) <= 1e-17
-        assert abs(got.max_grid - oracle.max_grid) <= 1e-17
+    with pytest.raises(ValueError, match="real-on-real"):
+        residual(spec, flagged)
 
 
 def test_residual_value_is_l1_coeff(solve_small_run):
