@@ -14,11 +14,13 @@ point of its forward kernel (alpha~ = -alpha(phi, y + alpha~) and
 beta~ = -beta(theta + omega beta~)), found by the one Picard loop
 ``_fixed_point``.
 
-Real-on-real fields carry half spectra.  For a real u and a real amplitude
-the terms of x-mode -j are the conjugates of those of mode j, so a kernel
-sums only the modes j >= 0 and a grid field is G_0 + 2 Re sum_{j>=1} G_j W^j,
-transformed with real FFTs (``irfft``/``rfftn``).  A non-real field keeps
-the full spectrum and complex FFTs.
+Every x-dependent grid field is real and carries a half spectrum.  For a
+real u and a real amplitude the terms of x-mode -j are the conjugates of
+those of mode j, so a kernel sums only the modes j >= 0 and a grid field is
+G_0 + 2 Re sum_{j>=1} G_j W^j, transformed with real FFTs
+(``irfft``/``rfftn``).  Every substitution is linear over the reals, so a
+non-real field u = a + i b is mapped through its two real parts as
+T(a) + i T(b) (``_by_real_parts``).
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ def _grid_index(lattice, sizes, cols=None):
     return tuple(ix[:, None] for ix in idx) + (np.asarray(cols)[None, :],)
 
 
-def _x_columns(u):
-    """(x-modes, coefficient columns) a grid kernel sums for u: the modes
-    j >= 0 of a real u (the others are their conjugates), every mode otherwise."""
-    if u.real:
-        return np.arange(u.jmax + 1), u.data[:, u.jmax:]
-    return np.arange(-u.jmax, u.jmax + 1), u.data
-
-
 def _rfft_weights(n: int):
     """How often each rfft column of a length-n axis occurs in the full spectrum."""
     w = np.full(n // 2 + 1, 2.0)
@@ -106,9 +100,9 @@ def _place(u, sizes, with_x: bool, half: bool = False):
         spec[_grid_index(u.lattice, sizes)] = u.data[:, u.jmax]
         return spec
     nx = sizes[-1]
-    modes, cols = _x_columns(u) if half else (np.arange(-u.jmax, u.jmax + 1), u.data)
+    modes = np.arange(0 if half else -u.jmax, u.jmax + 1)
     spec = np.zeros(sizes[:-1] + (nx // 2 + 1 if half else nx,), dtype=complex)
-    spec[_grid_index(u.lattice, sizes, modes % nx)] = cols
+    spec[_grid_index(u.lattice, sizes, modes % nx)] = u.data[:, modes + u.jmax]
     return spec
 
 
@@ -131,36 +125,33 @@ def _signed_freqs(n: int):
     return (np.arange(n) + n // 2) % n - n // 2
 
 
-def _extract(vals, lattice, jmax, *, real, alias_tol, context, report=None, with_x=True):
-    """Re-expand grid values into a truncated AnalyticFunction.
+def _extract(vals, lattice, jmax, *, alias_tol, context, report=None, with_x=True):
+    """Re-expand real grid values into a truncated real AnalyticFunction.
 
-    Real values on the full grid are transformed with ``rfftn``: the masses
-    weight each half-spectrum column by its multiplicity, and the x-modes
-    j < 0 are the conjugates of the modes j >= 0 at the negated lattice index.
+    Values on the full grid are transformed with ``rfftn``: the masses weight
+    each half-spectrum column by its multiplicity, and the x-modes j < 0 are
+    the conjugates of the modes j >= 0 at the negated lattice index.  Values
+    on the phi grid alone (``with_x=False``) are transformed with ``fftn``.
     """
     sizes = vals.shape
-    half = with_x and np.isrealobj(vals)
-    spec = (np.fft.rfftn(vals) if half else np.fft.fftn(vals)) / float(np.prod(sizes))
+    spec = (np.fft.rfftn(vals) if with_x else np.fft.fftn(vals)) / float(np.prod(sizes))
     absspec = np.abs(spec)
     floor = 8e-16 * float(absspec.max(initial=0.0))
-    if half:
+    if with_x:
         absspec *= _rfft_weights(sizes[-1])
     total = float(absspec.sum())
     caps = [2 * b for b in site_bounds(lattice)] + [2 * jmax]
     outer = functools.reduce(np.logical_or, np.meshgrid(
         *[np.abs(_signed_freqs(n))[:k] > cap for n, k, cap in zip(sizes, spec.shape, caps)],
         indexing="ij", sparse=True))
-    alias = float(absspec[np.broadcast_to(outer, spec.shape)].sum())
-    alias_rel = alias / max(total, 1e-300)
+    alias_rel = float(absspec[np.broadcast_to(outer, spec.shape)].sum()) / max(total, 1e-300)
 
     data = np.zeros((get_enumeration(lattice).size, 2 * jmax + 1), dtype=complex)
-    if not with_x:
-        data[:, jmax] = spec[_grid_index(lattice, sizes)]
-    elif half:
+    if with_x:
         data[:, jmax:] = spec[_grid_index(lattice, sizes, np.arange(jmax + 1))]
         data[:, :jmax] = np.conj(data[get_enumeration(lattice).neg, :jmax:-1])
     else:
-        data[:] = spec[_grid_index(lattice, sizes, np.arange(-jmax, jmax + 1) % sizes[-1])]
+        data[:, jmax] = spec[_grid_index(lattice, sizes)]
     kept = np.abs(data) > floor
     data[~kept] = 0.0
     retained = float(np.abs(data[kept]).sum())
@@ -173,7 +164,24 @@ def _extract(vals, lattice, jmax, *, real, alias_tol, context, report=None, with
             alias_rel=alias_rel,
             context=context,
         )
-    return _an.AnalyticFunction.from_array(lattice, jmax, data, real=real)
+    return _an.AnalyticFunction.from_array(lattice, jmax, data)
+
+
+def _by_real_parts(u, substitute, report=None):
+    """substitute(u, report) for a real u.
+
+    A non-real u = a + i b, with a = (u + u*)/2 and b = (u - u*)/2i
+    real-on-real, maps to substitute(a) + i substitute(b); a report then holds
+    the larger ``alias_rel`` and ``discard_rel`` of the two parts.
+    """
+    if u.real:
+        return substitute(u, report)
+    reps = ({}, {})
+    a, b = (substitute(_an.AnalyticFunction.from_array(u.lattice, u.jmax, data), rep)
+            for data, rep in zip((u.data, -1j * u.data), reps))
+    if report is not None:
+        report.update({key: max(reps[0][key], reps[1][key]) for key in reps[0]})
+    return _an.AnalyticFunction.from_array(u.lattice, u.jmax, a.data + 1j * b.data, real=False)
 
 
 def _angles(sizes):
@@ -182,24 +190,17 @@ def _angles(sizes):
 
 
 def _x_spectrum(u, sphi):
-    """x-spectrum of u over the phi grid: the columns of ``_x_columns(u)``
-    placed on the phi grid and inverse-transformed in phi."""
-    m = u.lattice.M
-    _modes, cols = _x_columns(u)
+    """x-spectrum of a real u over the phi grid: its coefficient columns j >= 0
+    (the modes j < 0 are their conjugates) inverse-transformed in phi."""
+    cols = u.data[:, u.jmax:]
     spec = np.zeros(sphi + (cols.shape[1],), dtype=complex)
     spec[_grid_index(u.lattice, sphi)] = cols
-    return np.fft.ifftn(spec, axes=tuple(range(m))) * float(np.prod(sphi))
+    return np.fft.ifftn(spec, axes=tuple(range(u.lattice.M))) * float(np.prod(sphi))
 
 
-def _to_x_grid(T, nx, real):
-    """Values on the x grid of an x-spectrum T over the phi grid (columns as
-    in ``_x_columns``): ``irfft`` for a real field, ``ifft`` otherwise."""
-    if real:
-        return np.fft.irfft(T, n=nx, axis=-1) * nx
-    jmax = T.shape[-1] // 2
-    full = np.zeros(T.shape[:-1] + (nx,), dtype=complex)
-    full[..., np.arange(-jmax, jmax + 1) % nx] = T
-    return np.fft.ifft(full, axis=-1) * nx
+def _to_x_grid(T, nx):
+    """Real x-grid values of a real field's x-spectrum T (``_x_spectrum``)."""
+    return np.fft.irfft(T, n=nx, axis=-1) * nx
 
 
 def _phi_angle(row, sizes_phi):
@@ -230,19 +231,11 @@ def _horner(H, V):
     return acc
 
 
-def _x_series(G, W, real):
-    """sum_j G_j W^j over the x-modes of an x-spectrum G (``_x_spectrum``) on the grid of W.
-
-    A real G gives the real G_0 + 2 Re sum_{j>=1} G_j W^j (|W| = 1 makes the
-    mode -j term the conjugate of the mode j term); otherwise the modes j < 0
-    are summed in conj(W).
-    """
-    if real:
-        val = G[..., 0, None].real + 2.0 * np.real(_horner(G[..., 1:], W))
-    else:
-        jmax = G.shape[-1] // 2
-        val = (G[..., jmax, None] + _horner(G[..., jmax + 1:], W)
-               + _horner(G[..., :jmax][..., ::-1], np.conj(W)))
+def _x_series(G, W):
+    """sum_j G_j W^j over the x-modes of a real field's x-spectrum G
+    (``_x_spectrum``) on the grid of W: the real G_0 + 2 Re sum_{j>=1} G_j W^j
+    (|W| = 1 makes the mode -j term the conjugate of the mode j term)."""
+    val = G[..., 0, None].real + 2.0 * np.real(_horner(G[..., 1:], W))
     return np.broadcast_to(val, W.shape)
 
 
@@ -285,11 +278,10 @@ def compose_x_diffeo(u, alpha, factor=2, alias_tol=1e-7, report=None):
     sizes = grid_sizes(u.lattice, max(u.jmax, alpha.jmax), factor)
     avals = _real_grid_values(alpha, sizes, True, "x-diffeomorphism amplitude")
     W = np.exp(1j * (_angles(sizes)[-1] + avals))
-    val = _x_series(_x_spectrum(u, sizes[:-1]), W, u.real)
-    return _extract(
-        val, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
-        context="compose_x_diffeo", report=report,
-    )
+    return _by_real_parts(u, lambda v, rep: _extract(
+        _x_series(_x_spectrum(v, sizes[:-1]), W), v.lattice, v.jmax,
+        alias_tol=alias_tol, context="compose_x_diffeo", report=rep,
+    ), report)
 
 
 def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
@@ -300,11 +292,10 @@ def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
         raise ValueError("shift amplitude must depend on phi only")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
     bvals = _real_grid_values(beta, sizes[:-1], False, "time-reparametrization amplitude")
-    T = _phi_series(u.lattice, _x_columns(u)[1], bvals, omega, sizes[:-1])
-    return _extract(
-        _to_x_grid(T, sizes[-1], u.real), u.lattice, u.jmax, real=u.real,
-        alias_tol=alias_tol, context="compose_phi_shift", report=report,
-    )
+    return _by_real_parts(u, lambda v, rep: _extract(
+        _to_x_grid(_phi_series(v.lattice, v.data[:, v.jmax:], bvals, omega, sizes[:-1]), sizes[-1]),
+        v.lattice, v.jmax, alias_tol=alias_tol, context="compose_phi_shift", report=rep,
+    ), report)
 
 
 def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
@@ -319,21 +310,22 @@ def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
         raise ValueError("translation amplitude must depend on phi only")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
     pvals = _real_grid_values(p, sizes[:-1], False, "translation amplitude")
-    modes, _cols = _x_columns(u)
-    T = _x_spectrum(u, sizes[:-1]) * np.exp(1j * pvals[..., None] * modes)
-    return _extract(
-        _to_x_grid(T, sizes[-1], u.real), u.lattice, u.jmax, real=u.real,
-        alias_tol=alias_tol, context="compose_x_translation", report=report,
-    )
+    phase = np.exp(1j * pvals[..., None] * np.arange(u.jmax + 1))
+    return _by_real_parts(u, lambda v, rep: _extract(
+        _to_x_grid(_x_spectrum(v, sizes[:-1]) * phase, sizes[-1]), v.lattice, v.jmax,
+        alias_tol=alias_tol, context="compose_x_translation", report=rep,
+    ), report)
 
 
 def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, report=None):
     """alpha_tilde with x + alpha evaluated at y + alpha_tilde(phi, y) == y.
 
     Fixed point alpha_tilde = -alpha(phi, y + alpha_tilde) of the forward
-    kernel, pointwise on the grid; requires the contraction |alpha_x|_0 < 1
-    and raises NonContractionError otherwise.
+    kernel, pointwise on the grid, for a real alpha; requires the contraction
+    |alpha_x|_0 < 1 and raises NonContractionError otherwise.
     """
+    if not alpha.real:
+        raise ValueError("x-diffeomorphism amplitude must be real-on-real")
     slope = _an.dx(alpha, 1).norm(0.0)
     if slope >= 0.9:
         raise NonContractionError(f"|alpha_x| ~ {slope:.3f} too large to invert")
@@ -341,13 +333,11 @@ def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, re
     A = _x_spectrum(alpha, sizes[:-1])
     y = _angles(sizes)[-1]
     t, step = _fixed_point(
-        lambda t: -np.real(_x_series(A, np.exp(1j * (y + t)), alpha.real)),
+        lambda t: -_x_series(A, np.exp(1j * (y + t))),
         sizes, tol, max_iter, "x-diffeomorphism",
     )
-    out = _extract(
-        t, alpha.lattice, alpha.jmax, real=True,
-        alias_tol=alias_tol, context="invert_x_diffeo", report=report,
-    )
+    out = _extract(t, alpha.lattice, alpha.jmax, alias_tol=alias_tol,
+                   context="invert_x_diffeo", report=report)
     if report is not None:
         report["fixed_point_residual"] = step
     return out
@@ -370,20 +360,16 @@ def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1
         lambda s: -_phi_series(beta.lattice, coef[:, None], s, omega, sphi)[..., 0].real,
         sphi, tol, max_iter, "phi-shift",
     )
-    out = _extract(
-        s, beta.lattice, beta.jmax, real=True,
-        alias_tol=alias_tol, context="invert_phi_shift", report=report, with_x=False,
-    )
+    out = _extract(s, beta.lattice, beta.jmax, alias_tol=alias_tol,
+                   context="invert_phi_shift", report=report, with_x=False)
     if report is not None:
         report["fixed_point_residual"] = step
     return out
 
 
 def moser_compose(series, u, factor=2, alias_tol=1e-7, report=None):
-    """fn(u) by pointwise grid evaluation, for |u|_0 strictly inside the radius.
-
-    A real u gives real grid values, which ``_extract`` re-expands by ``rfftn``.
-    """
+    """fn(u) by pointwise grid evaluation, for a real u with |u|_0 strictly
+    inside the radius."""
     r = u.norm(0.0)
     if r >= series.radius:
         raise SeriesRadiusError(
@@ -392,11 +378,6 @@ def moser_compose(series, u, factor=2, alias_tol=1e-7, report=None):
         )
     with_x = not u.phi_only
     sizes = grid_sizes(u.lattice, u.jmax, factor) if with_x else phi_sizes(u.lattice, factor)
-    if u.real:
-        out = series.fn(_real_grid_values(u, sizes, with_x, "scalar-series argument"))
-    else:
-        out = np.asarray(series.fn(grid_values(u, sizes, with_x)), dtype=complex)
-    return _extract(
-        out, u.lattice, u.jmax, real=u.real, alias_tol=alias_tol,
-        context="moser_compose", report=report, with_x=with_x,
-    )
+    vals = series.fn(_real_grid_values(u, sizes, with_x, "scalar-series argument"))
+    return _extract(vals, u.lattice, u.jmax, alias_tol=alias_tol,
+                    context="moser_compose", report=report, with_x=with_x)

@@ -132,7 +132,11 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
         stop_tol=number(cfg, "schedule.stop_tol", 1e-10),
         max_steps=integer(cfg, "schedule.max_steps", 40),
     )
-    jwin = integer(cfg, "reduce.interior_j", max(1, jmax - 4))
+    if not sched.gamma > 0:
+        raise ConfigError(f"reduce.gamma must be > 0, got {sched.gamma}")
+    if not sched.stop_tol >= 0:
+        raise ConfigError(f"schedule.stop_tol must be >= 0, got {sched.stop_tol}")
+    jwin = integer(cfg, "reduce.interior_j", max(1, jmax - 4), minimum=1)
     lwin = number(cfg, "reduce.interior_K", max(1.0, lattice.K - 2.0))
     try:
         red = reduce_operator(L, omega, sched, verify_window=(jwin, lwin))

@@ -124,6 +124,8 @@ class ProblemSpec:
             raise ValueError(f"oversample must be >= 2, got {self.oversample}")
         if not self.residual_target > 0:
             raise ValueError(f"residual_target must be > 0, got {self.residual_target}")
+        if not self.kam_stop_tol >= 0:
+            raise ValueError(f"kam_stop_tol must be >= 0, got {self.kam_stop_tol}")
         self.dioph = DiophantineParams(self.gamma0, self.gbar)
         self.strips = StripSchedule(self.S, self.s_bar)
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .analytic import (
     AnalyticFunction,
+    compose_x_diffeo,
     dumps,
     dx,
     dx_inv,
@@ -79,6 +80,13 @@ def run_selftest(verbose: bool = False) -> bool:
     check("derivative and antiderivative invert", (dx(dx_inv(w)) - w).norm(0.0) < 1e-13)
 
     check("serialization round-trips losslessly", loads(dumps(u)).coeffs == u.coeffs)
+
+    const = AnalyticFunction.constant(lat, jmax, 0.3)
+    mode = AnalyticFunction.from_modes(lat, jmax, [(MultiIndex.unit(1), 2, 1.0 - 0.5j)], real=False)
+    phase = np.exp(0.3j * np.arange(-jmax, jmax + 1))
+    check("x-diffeomorphism by a constant c multiplies mode j by e^{ijc}",
+          all(np.max(np.abs(compose_x_diffeo(f, const).data - phase * f.data)) <= 1e-13
+              for f in (u, mode)))
 
     om = np.array([1.2357, 1.7113])
     f = pi0_perp(_random_fct(lat, jmax, rng, amp=0.1))

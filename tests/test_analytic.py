@@ -244,12 +244,15 @@ def test_compose_identities_for_zero_amplitude(lat2, jmax, omega2, rand_fct):
     assert (compose_x_translation(u, z) - u).norm(0.0) < 1e-13 * u.norm(0.0)
 
 
-# -- half spectra: a real field against its complex-flagged copy ------------------
+# -- half spectra and non-real fields against full-spectrum references -----------
 
 
-def complex_flagged(u):
-    """u as a non-real function: the grid kernels then sum its full spectrum."""
-    return AnalyticFunction.from_array(u.lattice, u.jmax, u.data.copy(), real=False)
+def random_non_real(lat, jmax, seed):
+    """A non-real function with random complex coefficients on every mode."""
+    rng = np.random.default_rng(seed)
+    shape = AnalyticFunction.zeros(lat, jmax).data.shape
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return AnalyticFunction.from_array(lat, jmax, data, real=False)
 
 
 def with_jmax(u, jmax):
@@ -260,9 +263,19 @@ def with_jmax(u, jmax):
     return AnalyticFunction.from_array(u.lattice, jmax, data, real=u.real)
 
 
-def assert_matches_full_spectrum(got, oracle, scale):
-    assert got.real and not oracle.real
-    assert np.max(np.abs(got.data - oracle.data)) <= 1e-14 * scale
+def compose_x_diffeo_fftn(u, alpha, factor=2):
+    """Full-spectrum reference for compose_x_diffeo: sum_j G_j W^j over every
+    x-mode |j| <= jmax with W = e^{i(x + alpha)}, then one complex fftn."""
+    lat, jmax = u.lattice, u.jmax
+    sizes = _grid.grid_sizes(lat, max(jmax, alpha.jmax), factor)
+    sphi, nx = sizes[:-1], sizes[-1]
+    W = np.exp(1j * (2.0 * np.pi * np.arange(nx) / nx + _grid.grid_values(alpha, sizes).real))
+    G = np.zeros(sphi + (2 * jmax + 1,), dtype=complex)
+    G[_grid._grid_index(lat, sphi)] = u.data
+    G = np.fft.ifftn(G, axes=tuple(range(lat.M))) * float(np.prod(sphi))
+    val = sum(G[..., j + jmax, None] * W ** j for j in range(-jmax, jmax + 1))
+    spec = np.fft.fftn(val) / float(np.prod(sizes))
+    return spec[_grid._grid_index(lat, sizes, np.arange(-jmax, jmax + 1) % nx)]
 
 
 @pytest.mark.parametrize("u_jmax,alpha_jmax", [(10, 10), (6, 10), (10, 6)])
@@ -270,33 +283,61 @@ def test_compose_x_diffeo_half_spectrum(lat2, jmax, rand_fct, u_jmax, alpha_jmax
     u = with_jmax(rand_fct(51, jspan=8), u_jmax)
     alpha = with_jmax(0.01 * rand_fct(52, jspan=8), alpha_jmax)
     got = compose_x_diffeo(u, alpha, alias_tol=1.0)
-    assert got.jmax == u_jmax
-    assert_matches_full_spectrum(
-        got, compose_x_diffeo(complex_flagged(u), alpha, alias_tol=1.0), u.norm(0.0))
+    assert got.real and got.jmax == u_jmax
+    oracle = compose_x_diffeo_fftn(u, alpha)
+    assert np.max(np.abs(got.data - oracle)) <= 1e-14 * u.norm(0.0)
 
 
-def test_phi_shift_and_translation_half_spectrum(lat2, jmax, omega2, rand_fct):
-    u = rand_fct(53, jspan=6)
-    beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.02), (E2, 0, 0.001j)])
-    p = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.3), (E2, 0, 0.1j), (ZERO, 0, 0.2)])
-    assert_matches_full_spectrum(
-        compose_phi_shift(u, beta, omega2, alias_tol=1.0),
-        compose_phi_shift(complex_flagged(u), beta, omega2, alias_tol=1.0), u.norm(0.0))
-    assert_matches_full_spectrum(
-        compose_x_translation(u, p, alias_tol=1.0),
-        compose_x_translation(complex_flagged(u), p, alias_tol=1.0), u.norm(0.0))
+def test_compose_x_diffeo_of_a_non_real_field(lat2, jmax, rand_fct):
+    """A non-real u, mapped through its two real parts, against the full sum."""
+    u = random_non_real(lat2, jmax, 59)
+    alpha = 0.01 * rand_fct(52, jspan=8)
+    got = compose_x_diffeo(u, alpha, alias_tol=1.0)
+    assert not got.real
+    oracle = compose_x_diffeo_fftn(u, alpha)
+    assert np.max(np.abs(got.data - oracle)) <= 1e-14 * u.norm(0.0)
 
 
-def test_invert_x_diffeo_half_spectrum(lat2, rand_fct):
-    alpha = 0.005 * rand_fct(54, zero_x_avg=False)
-    got = invert_x_diffeo(alpha)
-    oracle = invert_x_diffeo(complex_flagged(alpha))
-    # the inverse is real either way; only the kernel summing alpha differs
-    assert np.max(np.abs(got.data - oracle.data)) <= 1e-14 * alpha.norm(0.0)
+def test_phi_shift_and_translation_of_a_non_real_field(lat2, jmax, omega2, sample_points):
+    u = random_non_real(lat2, jmax, 53)
+    out = compose_x_translation(u, AnalyticFunction.constant(lat2, jmax, 0.7))
+    assert not out.real
+    phase = np.exp(0.7j * np.arange(-jmax, jmax + 1))
+    assert np.max(np.abs(out.data - phase * u.data)) <= 1e-14 * np.max(np.abs(u.data))
+
+    mode = AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 0.5), (E1, -1, 0.3j)], real=False)
+    beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.04)])
+    out = compose_phi_shift(mode, beta, omega2)
+    assert not out.real
+    phis, xs = sample_points
+    b_vals = eval_pointwise(beta, phis, xs).real
+    oracle = eval_pointwise(mode, phis + b_vals[:, None] * omega2[None, :], xs)
+    assert np.max(np.abs(eval_pointwise(out, phis, xs) - oracle)) < 1e-9
+
+
+def test_non_real_report_holds_the_larger_share(lat2, jmax, omega2, rand_fct):
+    """A non-real call reports the larger alias and discard share of its two parts."""
+    rough = rand_fct(63, jspan=10)
+    u = AnalyticFunction.from_array(lat2, jmax, rand_fct(62, jspan=2).data + 1j * rough.data,
+                                    real=False)
+    parts = [AnalyticFunction.from_array(lat2, jmax, d) for d in (u.data, -1j * u.data)]
+    alpha = 0.01 * rand_fct(64, jspan=6)
+    beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.04)])
+    p = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.3), (ZERO, 0, 0.2)])
+    for kernel in (lambda v, r: compose_x_diffeo(v, alpha, alias_tol=1.0, report=r),
+                   lambda v, r: compose_phi_shift(v, beta, omega2, alias_tol=1.0, report=r),
+                   lambda v, r: compose_x_translation(v, p, alias_tol=1.0, report=r)):
+        rep, rep_a, rep_b = {}, {}, {}
+        kernel(u, rep)
+        kernel(parts[0], rep_a)
+        kernel(parts[1], rep_b)
+        for key in ("alias_rel", "discard_rel"):
+            assert rep_a[key] != rep_b[key]
+            assert rep[key] == max(rep_a[key], rep_b[key])
 
 
 def test_x_kernels_of_a_non_real_phi_only_field(lat2, jmax, rand_fct):
-    """A non-real field with jmax = 0 has no x-modes j != 0 to sum."""
+    """A field with jmax = 0 has no x-modes j != 0 to sum."""
     u = AnalyticFunction.from_modes(lat2, 0, [(ZERO, 0, 1.0), (E1, 0, 0.3j), (E2, 0, 0.2)],
                                     real=False)
     alpha = 0.01 * rand_fct(57, jspan=6)
@@ -304,17 +345,32 @@ def test_x_kernels_of_a_non_real_phi_only_field(lat2, jmax, rand_fct):
     got = compose_x_diffeo(u, alpha, alias_tol=1.0)
     assert np.max(np.abs(got.data - u.data)) <= 1e-14 * u.norm(0.0)
     b = AnalyticFunction.from_modes(lat2, 0, [(ZERO, 0, 0.01), (E1, 0, 0.003j), (E2, 0, 0.002)])
-    assert b.real
-    got = invert_x_diffeo(complex_flagged(b))
+    got = invert_x_diffeo(b)
     assert np.max(np.abs((got + b).data)) <= 1e-14 * b.norm(0.0)
 
 
-def test_moser_compose_half_spectrum(lat2, rand_fct):
+def test_inverse_and_series_reject_a_non_real_argument(lat2, jmax):
+    u = AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 0.01)], real=False)
+    with pytest.raises(ValueError, match="real-on-real"):
+        invert_x_diffeo(u)
     inv_cbrt = ScalarSeries(lambda z: (1.0 + z) ** (-1.0 / 3.0), 0.9, "inv-cbrt")
-    u = 0.05 * rand_fct(58, jspan=6)
-    assert_matches_full_spectrum(
-        moser_compose(inv_cbrt, u, alias_tol=1.0),
-        moser_compose(inv_cbrt, complex_flagged(u), alias_tol=1.0), 1.0)
+    with pytest.raises(ValueError, match="real-on-real"):
+        moser_compose(inv_cbrt, u)
+
+
+def extract_fftn(vals, lattice, jmax):
+    """Full-spectrum reference for ``_extract`` of real grid values: the
+    coefficients, alias share and discard share from one complex fftn."""
+    sizes = vals.shape
+    spec = np.fft.fftn(vals) / float(np.prod(sizes))
+    mag = np.abs(spec)
+    caps = [2 * b for b in _grid.site_bounds(lattice)] + [2 * jmax]
+    freqs = np.meshgrid(*[np.abs(np.fft.fftfreq(n, 1.0 / n)) for n in sizes], indexing="ij")
+    outer = np.any([f > cap for f, cap in zip(freqs, caps)], axis=0)
+    data = spec[_grid._grid_index(lattice, sizes, np.arange(-jmax, jmax + 1) % sizes[-1])]
+    data[np.abs(data) <= 8e-16 * mag.max()] = 0.0
+    total = mag.sum()
+    return data, mag[outer].sum() / total, (total - np.abs(data).sum()) / total
 
 
 @pytest.mark.parametrize("nx", [45, 48])
@@ -325,15 +381,13 @@ def test_extract_half_spectrum_matches_full(lat2, jmax, rand_fct, nx, noise):
     sizes = _grid.phi_sizes(lat2, 2) + (nx,)
     rng = np.random.default_rng(55)
     vals = _grid.grid_values(rand_fct(56, jspan=6), sizes).real + noise * rng.normal(size=sizes)
-    rep_half, rep_full = {}, {}
-    got = _grid._extract(vals, lat2, jmax, real=True, alias_tol=np.inf, context="t",
-                         report=rep_half)
-    oracle = _grid._extract(vals.astype(complex), lat2, jmax, real=True, alias_tol=np.inf,
-                            context="t", report=rep_full)
-    assert np.max(np.abs(got.data - oracle.data)) <= 1e-14 * np.max(np.abs(oracle.data))
-    for key in ("alias_rel", "discard_rel"):
-        assert rep_full[key] > 0.0
-        assert rep_half[key] == pytest.approx(rep_full[key], rel=1e-12)
+    report = {}
+    got = _grid._extract(vals, lat2, jmax, alias_tol=np.inf, context="t", report=report)
+    data, alias_rel, discard_rel = extract_fftn(vals, lat2, jmax)
+    assert np.max(np.abs(got.data - data)) <= 1e-14 * np.max(np.abs(data))
+    assert alias_rel > 0.0 and discard_rel > 0.0
+    assert report["alias_rel"] == pytest.approx(alias_rel, rel=1e-12)
+    assert report["discard_rel"] == pytest.approx(discard_rel, rel=1e-12)
 
 
 # -- inversion -------------------------------------------------------------------

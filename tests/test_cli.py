@@ -153,9 +153,20 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
      "schedule.max_iters must be >= 1, got -3"),
     ("solve", "solve_small.cfg", "schedule.residual_target = 1e-10",
      "schedule.residual_target = -1", "residual_target must be > 0, got -1.0"),
+    ("solve", "solve_small.cfg", "schedule.kam_stop_tol = 1e-13",
+     "schedule.kam_stop_tol = -1", "kam_stop_tol must be >= 0, got -1.0"),
+    ("reduce", "reduce_eps.cfg", "schedule.stop_tol = 1e-10", "schedule.stop_tol = -1",
+     "schedule.stop_tol must be >= 0, got -1.0"),
+    ("reduce", "reduce_eps.cfg", "reduce.gamma = 0.001", "reduce.gamma = -1",
+     "reduce.gamma must be > 0, got -1.0"),
+    ("reduce", "reduce_eps.cfg", "reduce.gamma = 0.001", "reduce.gamma = 0",
+     "reduce.gamma must be > 0, got 0.0"),
+    ("reduce", "reduce_eps.cfg", "reduce.gamma = 0.001",
+     "reduce.gamma = 0.001\nreduce.interior_j = 0", "reduce.interior_j must be >= 1, got 0"),
 ], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
         "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data",
-        "oversample", "max-iters", "residual-target"])
+        "oversample", "max-iters", "residual-target", "kam-stop-tol", "stop-tol",
+        "reduce-gamma-negative", "reduce-gamma-zero", "interior-j"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
     code, out = _run_edited(tmp_path, command, name, old, new)
     assert code == 1
