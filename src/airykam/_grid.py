@@ -34,6 +34,7 @@ from .errors import AliasingError, NonContractionError, SeriesRadiusError
 from .lattice import get_enumeration
 
 _TWO_PI = 2.0 * np.pi
+_FLOOR = 8e-16  # coefficients at or below this share of the largest are rounding noise
 
 
 def next_fast_len(n: int) -> int:
@@ -136,7 +137,7 @@ def _extract(vals, lattice, jmax, *, alias_tol, context, report=None, with_x=Tru
     sizes = vals.shape
     spec = (np.fft.rfftn(vals) if with_x else np.fft.fftn(vals)) / float(np.prod(sizes))
     absspec = np.abs(spec)
-    floor = 8e-16 * float(absspec.max(initial=0.0))
+    floor = _FLOOR * float(absspec.max(initial=0.0))
     if with_x:
         absspec *= _rfft_weights(sizes[-1])
     total = float(absspec.sum())
@@ -172,7 +173,9 @@ def _by_real_parts(u, substitute, report=None):
 
     A non-real u = a + i b, with a = (u + u*)/2 and b = (u - u*)/2i
     real-on-real, maps to substitute(a) + i substitute(b); a report then holds
-    the larger ``alias_rel`` and ``discard_rel`` of the two parts.
+    the larger ``alias_rel`` and ``discard_rel`` of the two parts.  Where the
+    two parts cancel (u holds a mode but not its conjugate partner), their sum
+    is rounding noise, which the coefficient floor removes as ``_extract`` does.
     """
     if u.real:
         return substitute(u, report)
@@ -181,7 +184,9 @@ def _by_real_parts(u, substitute, report=None):
             for data, rep in zip((u.data, -1j * u.data), reps))
     if report is not None:
         report.update({key: max(reps[0][key], reps[1][key]) for key in reps[0]})
-    return _an.AnalyticFunction.from_array(u.lattice, u.jmax, a.data + 1j * b.data, real=False)
+    data = a.data + 1j * b.data
+    data[np.abs(data) <= _FLOOR * np.abs(data).max(initial=0.0)] = 0.0
+    return _an.AnalyticFunction.from_array(u.lattice, u.jmax, data, real=False)
 
 
 def _angles(sizes):

@@ -296,6 +296,14 @@ def test_compose_x_diffeo_of_a_non_real_field(lat2, jmax, rand_fct):
     assert not got.real
     oracle = compose_x_diffeo_fftn(u, alpha)
     assert np.max(np.abs(got.data - oracle)) <= 1e-14 * u.norm(0.0)
+    # a mode without its conjugate partner under a small alpha: the parts cancel
+    # on most modes, and there no rounding noise is kept
+    mode = AnalyticFunction.from_modes(lat2, jmax, [(E1, 3, 1.0)], real=False)
+    alpha = 1e-4 * rand_fct(52, jspan=8)
+    got = compose_x_diffeo(mode, alpha, alias_tol=1.0)
+    assert np.max(np.abs(got.data - compose_x_diffeo_fftn(mode, alpha))) <= 1e-14
+    mag = np.abs(got.data)
+    assert np.all((mag == 0.0) | (mag > 8e-16 * mag.max()))
 
 
 def test_phi_shift_and_translation_of_a_non_real_field(lat2, jmax, omega2, sample_points):
