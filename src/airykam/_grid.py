@@ -153,9 +153,8 @@ def _extract(vals, lattice, jmax, *, alias_tol, context, report=None, with_x=Tru
         data[:, :jmax] = np.conj(data[get_enumeration(lattice).neg, :jmax:-1])
     else:
         data[:, jmax] = spec[_grid_index(lattice, sizes)]
-    kept = np.abs(data) > floor
-    data[~kept] = 0.0
-    retained = float(np.abs(data[kept]).sum())
+    data[np.abs(data) <= floor] = 0.0
+    retained = float(np.abs(data).sum())
     if report is not None:
         report["alias_rel"] = alias_rel
         report["discard_rel"] = (total - retained) / max(total, 1e-300)
