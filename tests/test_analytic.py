@@ -263,19 +263,33 @@ def with_jmax(u, jmax):
     return AnalyticFunction.from_array(u.lattice, jmax, data, real=u.real)
 
 
+def x_columns_fftn(u, sphi):
+    """Every x-mode column G_j(phi) of u on the phi grid, |j| <= jmax."""
+    G = np.zeros(sphi + (2 * u.jmax + 1,), dtype=complex)
+    G[_grid._grid_index(u.lattice, sphi)] = u.data
+    return np.fft.ifftn(G, axes=tuple(range(u.lattice.M))) * float(np.prod(sphi))
+
+
+def x_series_fftn(G, W):
+    """sum_j G_j W^j over every x-mode |j| <= jmax, not only j >= 0."""
+    jmax = G.shape[-1] // 2
+    return sum(G[..., j + jmax, None] * W ** j for j in range(-jmax, jmax + 1))
+
+
+def retained_fftn(vals, lat, jmax):
+    """The modes |j| <= jmax of grid values, from one complex fftn."""
+    spec = np.fft.fftn(vals) / float(np.prod(vals.shape))
+    return spec[_grid._grid_index(lat, vals.shape, np.arange(-jmax, jmax + 1) % vals.shape[-1])]
+
+
 def compose_x_diffeo_fftn(u, alpha, factor=2):
     """Full-spectrum reference for compose_x_diffeo: sum_j G_j W^j over every
     x-mode |j| <= jmax with W = e^{i(x + alpha)}, then one complex fftn."""
-    lat, jmax = u.lattice, u.jmax
-    sizes = _grid.grid_sizes(lat, max(jmax, alpha.jmax), factor)
-    sphi, nx = sizes[:-1], sizes[-1]
+    sizes = _grid.grid_sizes(u.lattice, max(u.jmax, alpha.jmax), factor)
+    nx = sizes[-1]
     W = np.exp(1j * (2.0 * np.pi * np.arange(nx) / nx + _grid.grid_values(alpha, sizes).real))
-    G = np.zeros(sphi + (2 * jmax + 1,), dtype=complex)
-    G[_grid._grid_index(lat, sphi)] = u.data
-    G = np.fft.ifftn(G, axes=tuple(range(lat.M))) * float(np.prod(sphi))
-    val = sum(G[..., j + jmax, None] * W ** j for j in range(-jmax, jmax + 1))
-    spec = np.fft.fftn(val) / float(np.prod(sizes))
-    return spec[_grid._grid_index(lat, sizes, np.arange(-jmax, jmax + 1) % nx)]
+    val = x_series_fftn(x_columns_fftn(u, sizes[:-1]), W)
+    return retained_fftn(val, u.lattice, u.jmax)
 
 
 @pytest.mark.parametrize("u_jmax,alpha_jmax", [(10, 10), (6, 10), (10, 6)])
@@ -355,6 +369,37 @@ def test_x_kernels_of_a_non_real_phi_only_field(lat2, jmax, rand_fct):
     b = AnalyticFunction.from_modes(lat2, 0, [(ZERO, 0, 0.01), (E1, 0, 0.003j), (E2, 0, 0.002)])
     got = invert_x_diffeo(b)
     assert np.max(np.abs((got + b).data)) <= 1e-14 * b.norm(0.0)
+
+
+def test_invert_x_diffeo_half_spectrum(lat2, rand_fct):
+    """The fixed point against one iterated with the full x-series and fftn."""
+    alpha = 0.005 * rand_fct(54, zero_x_avg=False)
+    got = invert_x_diffeo(alpha)
+    assert got.real
+    sizes = _grid.grid_sizes(lat2, alpha.jmax)
+    nx = sizes[-1]
+    G = x_columns_fftn(alpha, sizes[:-1])
+    y = 2.0 * np.pi * np.arange(nx) / nx
+    t = np.zeros(sizes)
+    for _ in range(100):
+        t_next = -x_series_fftn(G, np.exp(1j * (y + t))).real
+        step = np.max(np.abs(t_next - t))
+        t = t_next
+        if step <= 1e-16:
+            break
+    oracle = retained_fftn(t, lat2, alpha.jmax)
+    assert np.max(np.abs(got.data - oracle)) <= 1e-14 * alpha.norm(0.0)
+
+
+def test_moser_compose_half_spectrum(lat2, rand_fct):
+    """fn(u) on real grid values against fn of the full complex grid values."""
+    inv_cbrt = ScalarSeries(lambda z: (1.0 + z) ** (-1.0 / 3.0), 0.9, "inv-cbrt")
+    u = 0.05 * rand_fct(58, jspan=6)
+    got = moser_compose(inv_cbrt, u, alias_tol=1.0)
+    assert got.real and not u.phi_only
+    vals = inv_cbrt.fn(_grid.grid_values(u, _grid.grid_sizes(lat2, u.jmax)))
+    oracle = retained_fftn(vals, lat2, u.jmax)
+    assert np.max(np.abs(got.data - oracle)) <= 1e-14
 
 
 def test_inverse_and_series_reject_a_non_real_argument(lat2, jmax):
