@@ -14,13 +14,17 @@ point of its forward kernel (alpha~ = -alpha(phi, y + alpha~) and
 beta~ = -beta(theta + omega beta~)), found by the one Picard loop
 ``_fixed_point``.
 
-Every x-dependent grid field is real and carries a half spectrum.  For a
-real u and a real amplitude the terms of x-mode -j are the conjugates of
-those of mode j, so a kernel sums only the modes j >= 0 and a grid field is
-G_0 + 2 Re sum_{j>=1} G_j W^j, transformed with real FFTs
-(``irfft``/``rfftn``).  Every substitution is linear over the reals, so a
-non-real field u = a + i b is mapped through its two real parts as
-T(a) + i T(b) (``_by_real_parts``).
+Every grid field has one layout.  A field is real, and on the grid
+sphi x nx it is carried by its x-modes j >= 0: the terms of mode -j are the
+conjugates of those of mode j, so a kernel sums only the modes j >= 0 and a
+grid field is G_0 + 2 Re sum_{j>=1} G_j W^j.  A function of phi alone is a
+field whose x axis has one point (nx = 1).  One placement (``_place``) puts
+the modes j >= 0 in FFT order over the phi grid, one evaluation
+(``_to_x_grid``, an ``irfft`` in x) gives every amplitude and series
+argument its grid values from its ``_x_spectrum``, and one extraction
+(``_extract``, an ``rfftn``) takes grid values back.  Every substitution is
+linear over the reals, so a non-real field u = a + i b is mapped through its
+two real parts as T(a) + i T(b) (``_by_real_parts``).
 """
 
 from __future__ import annotations
@@ -66,18 +70,12 @@ def grid_sizes(lattice, jmax: int, factor: int = 2) -> tuple:
     return phi_sizes(lattice, factor) + (_axis_size(factor, jmax),)
 
 
-def _grid_index(lattice, sizes, cols=None):
-    """Grid position of every (lattice index[, x column]) in FFT order.
-
-    Returns a tuple of index arrays that selects an (enum.size,) array of the
-    phi grid, or with ``cols`` (positions on the last axis) an
-    (enum.size, len(cols)) array of the full grid.
-    """
+def _grid_index(lattice, sizes):
+    """Grid position of every lattice index on the phi axes of a grid of shape
+    ``sizes``, in FFT order: a tuple of index arrays that selects the
+    (enum.size, ...) rows of the lattice."""
     dense = get_enumeration(lattice).dense
-    idx = tuple(dense[:, i] % sizes[i] for i in range(lattice.M))
-    if cols is None:
-        return idx
-    return tuple(ix[:, None] for ix in idx) + (np.asarray(cols)[None, :],)
+    return tuple(dense[:, i] % sizes[i] for i in range(lattice.M))
 
 
 def _rfft_weights(n: int):
@@ -89,57 +87,42 @@ def _rfft_weights(n: int):
     return w
 
 
-def _place(u, sizes, with_x: bool, half: bool = False):
-    """Dense FFT-ordered spectrum of u on the given grid shape.
-
-    With ``half`` (for a real u) only the rfft columns j >= 0 of the last axis.
-    """
-    if not with_x:
-        if not u.phi_only:
-            raise ValueError("phi-grid placement requires a function of phi only")
-        spec = np.zeros(sizes, dtype=complex)
-        spec[_grid_index(u.lattice, sizes)] = u.data[:, u.jmax]
-        return spec
-    nx = sizes[-1]
-    modes = np.arange(0 if half else -u.jmax, u.jmax + 1)
-    spec = np.zeros(sizes[:-1] + (nx // 2 + 1 if half else nx,), dtype=complex)
-    spec[_grid_index(u.lattice, sizes, modes % nx)] = u.data[:, modes + u.jmax]
+def _place(u, sphi, ncols):
+    """FFT-ordered spectrum over the phi grid ``sphi`` of a real u's x-modes
+    j = 0 .. ncols - 1 (zero beyond jmax); the modes j < 0 are their conjugates."""
+    k = min(u.jmax + 1, ncols)
+    spec = np.zeros(sphi + (ncols,), dtype=complex)
+    spec[_grid_index(u.lattice, sphi) + (slice(k),)] = u.data[:, u.jmax:u.jmax + k]
     return spec
 
 
-def grid_values(u, sizes, with_x: bool = True):
-    spec = _place(u, sizes, with_x)
-    return np.fft.ifftn(spec) * float(np.prod(sizes))
-
-
-def _real_grid_values(u, sizes, with_x, what):
+def _real_grid_values(u, sizes, what):
+    """Values of a real u on the grid ``sizes`` (x axis of one point for a
+    function of phi alone)."""
     if not u.real:
         raise ValueError(f"{what} must be real-on-real")
-    vals = grid_values(u, sizes, with_x)
-    scale = float(np.max(np.abs(vals.real))) + 1.0
-    if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
-        raise ValueError(f"{what} evaluates with non-negligible imaginary part")
-    return vals.real
+    nx = sizes[-1]
+    return _to_x_grid(_x_spectrum(u, sizes[:-1], min(u.jmax, nx // 2) + 1), nx)
 
 
 def _signed_freqs(n: int):
     return (np.arange(n) + n // 2) % n - n // 2
 
 
-def _extract(vals, lattice, jmax, *, alias_tol, context, report=None, with_x=True):
+def _extract(vals, lattice, jmax, *, alias_tol, context, report=None):
     """Re-expand real grid values into a truncated real AnalyticFunction.
 
-    Values on the full grid are transformed with ``rfftn``: the masses weight
-    each half-spectrum column by its multiplicity, and the x-modes j < 0 are
-    the conjugates of the modes j >= 0 at the negated lattice index.  Values
-    on the phi grid alone (``with_x=False``) are transformed with ``fftn``.
+    The values are transformed with ``rfftn``: the masses weight each
+    half-spectrum column by its multiplicity, and the x-modes j < 0 are the
+    conjugates of the modes j >= 0 at the negated lattice index.  Values of a
+    function of phi alone lie on an x axis of one point, whose one column is
+    the mode j = 0.
     """
     sizes = vals.shape
-    spec = (np.fft.rfftn(vals) if with_x else np.fft.fftn(vals)) / float(np.prod(sizes))
+    spec = np.fft.rfftn(vals) / float(np.prod(sizes))
     absspec = np.abs(spec)
     floor = _FLOOR * float(absspec.max(initial=0.0))
-    if with_x:
-        absspec *= _rfft_weights(sizes[-1])
+    absspec *= _rfft_weights(sizes[-1])
     total = float(absspec.sum())
     caps = [2 * b for b in site_bounds(lattice)] + [2 * jmax]
     outer = functools.reduce(np.logical_or, np.meshgrid(
@@ -147,12 +130,11 @@ def _extract(vals, lattice, jmax, *, alias_tol, context, report=None, with_x=Tru
         indexing="ij", sparse=True))
     alias_rel = float(absspec[np.broadcast_to(outer, spec.shape)].sum()) / max(total, 1e-300)
 
-    data = np.zeros((get_enumeration(lattice).size, 2 * jmax + 1), dtype=complex)
-    if with_x:
-        data[:, jmax:] = spec[_grid_index(lattice, sizes, np.arange(jmax + 1))]
-        data[:, :jmax] = np.conj(data[get_enumeration(lattice).neg, :jmax:-1])
-    else:
-        data[:, jmax] = spec[_grid_index(lattice, sizes)]
+    enum = get_enumeration(lattice)
+    k = min(jmax + 1, spec.shape[-1])
+    data = np.zeros((enum.size, 2 * jmax + 1), dtype=complex)
+    data[:, jmax:jmax + k] = spec[_grid_index(lattice, sizes) + (slice(k),)]
+    data[:, :jmax] = np.conj(data[enum.neg, :jmax:-1])
     data[np.abs(data) <= floor] = 0.0
     retained = float(np.abs(data).sum())
     if report is not None:
@@ -193,12 +175,10 @@ def _angles(sizes):
     return np.meshgrid(*[_TWO_PI * np.arange(n) / n for n in sizes], indexing="ij", sparse=True)
 
 
-def _x_spectrum(u, sphi):
-    """x-spectrum of a real u over the phi grid: its coefficient columns j >= 0
-    (the modes j < 0 are their conjugates) inverse-transformed in phi."""
-    cols = u.data[:, u.jmax:]
-    spec = np.zeros(sphi + (cols.shape[1],), dtype=complex)
-    spec[_grid_index(u.lattice, sphi)] = cols
+def _x_spectrum(u, sphi, ncols=None):
+    """x-spectrum of a real u over the phi grid: its x-modes j = 0 .. ncols - 1
+    (every j >= 0 by default; ``_place``) inverse-transformed in phi."""
+    spec = _place(u, sphi, u.jmax + 1 if ncols is None else ncols)
     return np.fft.ifftn(spec, axes=tuple(range(u.lattice.M))) * float(np.prod(sphi))
 
 
@@ -280,7 +260,7 @@ def compose_x_diffeo(u, alpha, factor=2, alias_tol=1e-7, report=None):
     if u.lattice != alpha.lattice:
         raise ValueError("incompatible lattices")
     sizes = grid_sizes(u.lattice, max(u.jmax, alpha.jmax), factor)
-    avals = _real_grid_values(alpha, sizes, True, "x-diffeomorphism amplitude")
+    avals = _real_grid_values(alpha, sizes, "x-diffeomorphism amplitude")
     W = np.exp(1j * (_angles(sizes)[-1] + avals))
     return _by_real_parts(u, lambda v, rep: _extract(
         _x_series(_x_spectrum(v, sizes[:-1]), W), v.lattice, v.jmax,
@@ -295,7 +275,7 @@ def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
     if not beta.phi_only:
         raise ValueError("shift amplitude must depend on phi only")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
-    bvals = _real_grid_values(beta, sizes[:-1], False, "time-reparametrization amplitude")
+    bvals = _real_grid_values(beta, sizes[:-1] + (1,), "time-reparametrization amplitude")[..., 0]
     return _by_real_parts(u, lambda v, rep: _extract(
         _to_x_grid(_phi_series(v.lattice, v.data[:, v.jmax:], bvals, omega, sizes[:-1]), sizes[-1]),
         v.lattice, v.jmax, alias_tol=alias_tol, context="compose_phi_shift", report=rep,
@@ -313,8 +293,8 @@ def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
     if not p.phi_only:
         raise ValueError("translation amplitude must depend on phi only")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
-    pvals = _real_grid_values(p, sizes[:-1], False, "translation amplitude")
-    phase = np.exp(1j * pvals[..., None] * np.arange(u.jmax + 1))
+    pvals = _real_grid_values(p, sizes[:-1] + (1,), "translation amplitude")
+    phase = np.exp(1j * pvals * np.arange(u.jmax + 1))
     return _by_real_parts(u, lambda v, rep: _extract(
         _to_x_grid(_x_spectrum(v, sizes[:-1]) * phase, sizes[-1]), v.lattice, v.jmax,
         alias_tol=alias_tol, context="compose_x_translation", report=rep,
@@ -361,11 +341,11 @@ def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1
         raise NonContractionError(f"|omega.d_phi beta| ~ {slope:.3f} too large to invert")
     sphi = phi_sizes(beta.lattice, factor)
     s, step = _fixed_point(
-        lambda s: -_phi_series(beta.lattice, coef[:, None], s, omega, sphi)[..., 0].real,
-        sphi, tol, max_iter, "phi-shift",
+        lambda s: -_to_x_grid(_phi_series(beta.lattice, coef[:, None], s[..., 0], omega, sphi), 1),
+        sphi + (1,), tol, max_iter, "phi-shift",
     )
     out = _extract(s, beta.lattice, beta.jmax, alias_tol=alias_tol,
-                   context="invert_phi_shift", report=report, with_x=False)
+                   context="invert_phi_shift", report=report)
     if report is not None:
         report["fixed_point_residual"] = step
     return out
@@ -380,8 +360,9 @@ def moser_compose(series, u, factor=2, alias_tol=1e-7, report=None):
             f"|u|_0 = {r:.3e} is not inside the convergence radius {series.radius:.3e}"
             + (f" of {series.label}" if series.label else "")
         )
-    with_x = not u.phi_only
-    sizes = grid_sizes(u.lattice, u.jmax, factor) if with_x else phi_sizes(u.lattice, factor)
-    vals = series.fn(_real_grid_values(u, sizes, with_x, "scalar-series argument"))
+    sizes = grid_sizes(u.lattice, u.jmax, factor)
+    if u.phi_only:
+        sizes = sizes[:-1] + (1,)
+    vals = series.fn(_real_grid_values(u, sizes, "scalar-series argument"))
     return _extract(vals, u.lattice, u.jmax, alias_tol=alias_tol,
-                    context="moser_compose", report=report, with_x=with_x)
+                    context="moser_compose", report=report)

@@ -23,6 +23,7 @@ from .config import (
     ConfigError,
     check_convolution_size,
     function_from_entries,
+    gbar_from,
     get,
     integer,
     jmax_from,
@@ -124,16 +125,16 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
     B = function_from_entries(get(cfg, "reduce.B.entries", []), lattice, jmax)
     C = function_from_entries(get(cfg, "reduce.C.entries", []), lattice, jmax)
     lam3 = number(cfg, "reduce.lambda3", 1.0)
+    if lam3 == 0:
+        raise ConfigError(f"reduce.lambda3 must be nonzero, got {lam3}")
     L = DifferentialOperator(omega, lam3, B, C)
     sched = KamSchedule(
-        gamma=number(cfg, "reduce.gamma"),
-        gbar=number(cfg, "problem.gbar"),
-        N0=number(cfg, "schedule.N0", 8.0),
+        gamma=number(cfg, "reduce.gamma", above=0.0),
+        gbar=gbar_from(cfg),
+        N0=number(cfg, "schedule.N0", 8.0, above=0.0),
         stop_tol=number(cfg, "schedule.stop_tol", 1e-10),
-        max_steps=integer(cfg, "schedule.max_steps", 40),
+        max_steps=integer(cfg, "schedule.max_steps", 40, minimum=1),
     )
-    if not sched.gamma > 0:
-        raise ConfigError(f"reduce.gamma must be > 0, got {sched.gamma}")
     if not sched.stop_tol >= 0:
         raise ConfigError(f"schedule.stop_tol must be >= 0, got {sched.stop_tol}")
     jwin = integer(cfg, "reduce.interior_j", max(1, jmax - 4), minimum=1)
@@ -175,7 +176,7 @@ def cmd_measure(cfg: dict, out: Path, seed_override=None) -> int:
     lattice = lattice_from(cfg)
     seed = integer(cfg, "measure.seed", 0) if seed_override is None else int(seed_override)
     n_samples = integer(cfg, "measure.samples", 1000, minimum=100)
-    grid = numbers(cfg, "measure.gamma_grid", [0.5, 0.25, 0.125])
+    grid = numbers(cfg, "measure.gamma_grid", [0.5, 0.25, 0.125], above=0.0, below=1.0)
     which = get(cfg, "measure.predicate", "dgamma")
     jmax = jmax_from(cfg, default=0)
 
@@ -209,8 +210,8 @@ def cmd_check_omega(cfg: dict, out: Path, seed_override=None) -> int:
     lattice = lattice_from(cfg)
     jmax = jmax_from(cfg)
     omega = omega_from(cfg, lattice, jmax, seed_override=seed_override)
-    gbar = number(cfg, "problem.gbar")
-    gamma0 = number(cfg, "problem.gamma0")
+    gbar = gbar_from(cfg)
+    gamma0 = number(cfg, "problem.gamma0", above=0.0)
     d = is_diophantine(omega, gbar, lattice)
     a = is_airy_nonresonant(omega, gamma0, lattice, jmax)
     table = {int(j): -float(j) ** 3 for j in range(-jmax, jmax + 1) if j != 0}

@@ -96,9 +96,20 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def number(cfg: dict, key: str, default=None) -> float:
-    """cfg[key] as a float, required unless a default is given."""
-    return _number(require(cfg, key) if default is None else get(cfg, key, default), key)
+def _between(value: float, what: str, above, below) -> float:
+    """value if it is greater than ``above`` and less than ``below`` (each where given)."""
+    if above is not None and not value > above:
+        raise ConfigError(f"{what} must be > {above:g}, got {value}")
+    if below is not None and not value < below:
+        raise ConfigError(f"{what} must be < {below:g}, got {value}")
+    return value
+
+
+def number(cfg: dict, key: str, default=None, above=None, below=None) -> float:
+    """cfg[key] as a float (strictly between above and below where given),
+    required unless a default is given."""
+    value = _number(require(cfg, key) if default is None else get(cfg, key, default), key)
+    return _between(value, key, above, below)
 
 
 def integer(cfg: dict, key: str, default=None, minimum=None) -> int:
@@ -109,12 +120,19 @@ def integer(cfg: dict, key: str, default=None, minimum=None) -> int:
     return value
 
 
-def numbers(cfg: dict, key: str, default=None) -> list:
-    """cfg[key] as a list of floats, required unless a default is given."""
+def numbers(cfg: dict, key: str, default=None, above=None, below=None) -> list:
+    """cfg[key] as a list of floats (each strictly between above and below where
+    given), required unless a default is given."""
     raw = require(cfg, key) if default is None else get(cfg, key, default)
     if not isinstance(raw, list):
         raise ConfigError(f"{key} must be a list of numbers, got {raw!r}")
-    return [_number(v, f"{key}[{i}]") for i, v in enumerate(raw)]
+    return [_between(_number(v, f"{key}[{i}]"), f"{key}[{i}]", above, below)
+            for i, v in enumerate(raw)]
+
+
+def gbar_from(cfg: dict) -> float:
+    """problem.gbar, the Diophantine constant, in (0, 1)."""
+    return number(cfg, "problem.gbar", above=0.0, below=1.0)
 
 
 def lattice_from(cfg: dict) -> LatticeParams:
@@ -189,7 +207,7 @@ def omega_from(cfg: dict, lattice, jmax, seed_override=None):
     if not cfg.get("omega.sample", False):
         raise ConfigError("provide omega.values or set omega.sample = true")
     seed = integer(cfg, "omega.seed", 0) if seed_override is None else int(seed_override)
-    gbar = number(cfg, "problem.gbar")
+    gbar = gbar_from(cfg)
     gamma0 = number(cfg, "problem.gamma0")
     rng = np.random.default_rng(seed)
     for _ in range(integer(cfg, "omega.max_tries", 1000)):
@@ -212,13 +230,13 @@ def problem_spec_from(cfg: dict, seed_override=None) -> ProblemSpec:
         forcing=forcing,
         S=number(cfg, "problem.S"),
         s_bar=number(cfg, "problem.s_bar"),
-        gbar=number(cfg, "problem.gbar"),
+        gbar=gbar_from(cfg),
         gamma0=number(cfg, "problem.gamma0"),
         omega=omega,
         oversample=integer(cfg, "truncation.oversample", 4),
-        N0=number(cfg, "schedule.N0", 8.0),
+        N0=number(cfg, "schedule.N0", 8.0, above=0.0),
         kam_stop_tol=number(cfg, "schedule.kam_stop_tol", 1e-13),
-        kam_max_steps=integer(cfg, "schedule.kam_max_steps", 40),
+        kam_max_steps=integer(cfg, "schedule.kam_max_steps", 40, minimum=1),
         residual_target=number(cfg, "schedule.residual_target", 1e-10),
     )
     try:

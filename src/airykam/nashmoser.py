@@ -306,8 +306,8 @@ def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] =
     npts = float(np.prod(sizes))
     c0, c1, c2, c3 = spec.c
 
-    spec_u = _grid._place(u, sizes, with_x=True, half=True)
-    nfx = spec_u.shape[-1]
+    nfx = sizes[-1] // 2 + 1
+    spec_u = _grid._place(u, sizes[:-1], nfx)
     fx = _grid._signed_freqs(sizes[-1])[:nfx].astype(float).reshape((1,) * m + (nfx,))
     dot = np.zeros(sizes[:-1])
     for ax in range(m):
@@ -323,7 +323,7 @@ def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] =
     inner1 = 3.0 * c3 * Ux**2 + 2.0 * c2 * U * Ux + c1 * U**2
     inner2 = c2 * Ux**2 + 2.0 * c1 * U * Ux + 3.0 * c0 * U**2
     q_spec = (np.fft.rfftn(inner1) * (1j * fx) ** 2 - np.fft.rfftn(inner2) * (1j * fx)) / npts
-    f_spec = _grid._place(spec.forcing, sizes, with_x=True, half=True)
+    f_spec = _grid._place(spec.forcing, sizes[:-1], nfx)
 
     total_spec = lin_spec + q_spec + f_spec
     F = np.fft.irfftn(total_spec, s=sizes, axes=axes) * npts

@@ -10,11 +10,13 @@ import numpy as np
 
 from .analytic import (
     AnalyticFunction,
+    ScalarSeries,
     compose_x_diffeo,
     dumps,
     dx,
     dx_inv,
     loads,
+    moser_compose,
     multiply,
     pi0,
     pi0_perp,
@@ -87,6 +89,15 @@ def run_selftest(verbose: bool = False) -> bool:
     check("x-diffeomorphism by a constant c multiplies mode j by e^{ijc}",
           all(np.max(np.abs(compose_x_diffeo(f, const).data - phase * f.data)) <= 1e-13
               for f in (u, mode)))
+
+    e1 = MultiIndex.unit(1)
+    cos_phi = AnalyticFunction.from_modes(lat, jmax, [(e1, 0, 0.05)])
+    square = moser_compose(ScalarSeries(lambda z: (1.0 + z) ** 2, 0.9), cos_phi)
+    expect = AnalyticFunction.from_modes(
+        lat, jmax, [(MultiIndex.zero(), 0, 1.005), (e1, 0, 0.1), (MultiIndex.unit(1, 2), 0, 0.0025)])
+    check("series of a function of phi on a one-point x axis: "
+          "(1 + 0.1 cos phi_1)^2 = 1.005 + 0.2 cos phi_1 + 0.005 cos 2 phi_1",
+          np.max(np.abs(square.data - expect.data)) <= 1e-13)
 
     om = np.array([1.2357, 1.7113])
     f = pi0_perp(_random_fct(lat, jmax, rng, amp=0.1))

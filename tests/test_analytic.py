@@ -279,7 +279,18 @@ def x_series_fftn(G, W):
 def retained_fftn(vals, lat, jmax):
     """The modes |j| <= jmax of grid values, from one complex fftn."""
     spec = np.fft.fftn(vals) / float(np.prod(vals.shape))
-    return spec[_grid._grid_index(lat, vals.shape, np.arange(-jmax, jmax + 1) % vals.shape[-1])]
+    return spec[_grid._grid_index(lat, vals.shape)][:, np.arange(-jmax, jmax + 1) % vals.shape[-1]]
+
+
+def grid_values_ifftn(u, sizes):
+    """Values of u on the grid ``sizes`` from a complex ifftn of its full
+    spectrum (every x-mode |j| <= jmax, folded onto the x axis)."""
+    nx = sizes[-1]
+    rows = np.zeros((u.data.shape[0], nx), dtype=complex)
+    np.add.at(rows, (slice(None), np.arange(-u.jmax, u.jmax + 1) % nx), u.data)
+    spec = np.zeros(sizes, dtype=complex)
+    spec[_grid._grid_index(u.lattice, sizes)] = rows
+    return np.fft.ifftn(spec) * float(np.prod(sizes))
 
 
 def compose_x_diffeo_fftn(u, alpha, factor=2):
@@ -287,7 +298,7 @@ def compose_x_diffeo_fftn(u, alpha, factor=2):
     x-mode |j| <= jmax with W = e^{i(x + alpha)}, then one complex fftn."""
     sizes = _grid.grid_sizes(u.lattice, max(u.jmax, alpha.jmax), factor)
     nx = sizes[-1]
-    W = np.exp(1j * (2.0 * np.pi * np.arange(nx) / nx + _grid.grid_values(alpha, sizes).real))
+    W = np.exp(1j * (2.0 * np.pi * np.arange(nx) / nx + grid_values_ifftn(alpha, sizes).real))
     val = x_series_fftn(x_columns_fftn(u, sizes[:-1]), W)
     return retained_fftn(val, u.lattice, u.jmax)
 
@@ -397,7 +408,7 @@ def test_moser_compose_half_spectrum(lat2, rand_fct):
     u = 0.05 * rand_fct(58, jspan=6)
     got = moser_compose(inv_cbrt, u, alias_tol=1.0)
     assert got.real and not u.phi_only
-    vals = inv_cbrt.fn(_grid.grid_values(u, _grid.grid_sizes(lat2, u.jmax)))
+    vals = inv_cbrt.fn(grid_values_ifftn(u, _grid.grid_sizes(lat2, u.jmax)))
     oracle = retained_fftn(vals, lat2, u.jmax)
     assert np.max(np.abs(got.data - oracle)) <= 1e-14
 
@@ -420,20 +431,25 @@ def extract_fftn(vals, lattice, jmax):
     caps = [2 * b for b in _grid.site_bounds(lattice)] + [2 * jmax]
     freqs = np.meshgrid(*[np.abs(np.fft.fftfreq(n, 1.0 / n)) for n in sizes], indexing="ij")
     outer = np.any([f > cap for f, cap in zip(freqs, caps)], axis=0)
-    data = spec[_grid._grid_index(lattice, sizes, np.arange(-jmax, jmax + 1) % sizes[-1])]
+    rows = spec[_grid._grid_index(lattice, sizes)]
+    modes = np.arange(-jmax, jmax + 1)
+    on_axis = np.abs(modes) <= sizes[-1] // 2   # a one-point x axis holds the mode 0 alone
+    data = np.zeros((rows.shape[0], 2 * jmax + 1), dtype=complex)
+    data[:, on_axis] = rows[:, modes[on_axis] % sizes[-1]]
     data[np.abs(data) <= 8e-16 * mag.max()] = 0.0
     total = mag.sum()
     return data, mag[outer].sum() / total, (total - np.abs(data).sum()) / total
 
 
-@pytest.mark.parametrize("nx", [45, 48])
+@pytest.mark.parametrize("nx", [1, 45, 48])
 @pytest.mark.parametrize("noise", [1.0, 1e-4])
 def test_extract_half_spectrum_matches_full(lat2, jmax, rand_fct, nx, noise):
     """rfftn of real grid values: same coefficients, alias and discard shares as
-    fftn, for an odd x axis and an even one (whose Nyquist column counts once)."""
+    fftn, for an odd x axis, an even one (whose Nyquist column counts once) and
+    the one-point axis of a function of phi."""
     sizes = _grid.phi_sizes(lat2, 2) + (nx,)
     rng = np.random.default_rng(55)
-    vals = _grid.grid_values(rand_fct(56, jspan=6), sizes).real + noise * rng.normal(size=sizes)
+    vals = grid_values_ifftn(rand_fct(56, jspan=6), sizes).real + noise * rng.normal(size=sizes)
     report = {}
     got = _grid._extract(vals, lat2, jmax, alias_tol=np.inf, context="t", report=report)
     data, alias_rel, discard_rel = extract_fftn(vals, lat2, jmax)

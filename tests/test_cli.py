@@ -163,10 +163,42 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
      "reduce.gamma must be > 0, got 0.0"),
     ("reduce", "reduce_eps.cfg", "reduce.gamma = 0.001",
      "reduce.gamma = 0.001\nreduce.interior_j = 0", "reduce.interior_j must be >= 1, got 0"),
+    ("solve", "solve_small.cfg", "problem.gbar = 0.5", "problem.gbar = 1.5",
+     "problem.gbar must be < 1, got 1.5"),
+    ("reduce", "reduce_eps.cfg", "problem.gbar = 0.5", "problem.gbar = 1.5",
+     "problem.gbar must be < 1, got 1.5"),
+    ("check-omega", "check_omega.cfg", "problem.gbar = 0.5", "problem.gbar = 1.5",
+     "problem.gbar must be < 1, got 1.5"),
+    ("check-omega", "check_omega.cfg", "problem.gamma0 = 0.2", "problem.gamma0 = -0.2",
+     "problem.gamma0 must be > 0, got -0.2"),
+    ("measure", "measure.cfg", "measure.gamma_grid = [0.5, 0.25, 0.125]",
+     "measure.gamma_grid = [1.5]", "measure.gamma_grid[0] must be < 1, got 1.5"),
+    ("measure", "measure.cfg", "measure.gamma_grid = [0.5, 0.25, 0.125]",
+     "measure.gamma_grid = [-0.5]", "measure.gamma_grid[0] must be > 0, got -0.5"),
+    ("reduce", "reduce_eps.cfg", "schedule.max_steps = 40", "schedule.max_steps = 0",
+     "schedule.max_steps must be >= 1, got 0"),
+    ("reduce", "reduce_eps.cfg", "schedule.max_steps = 40", "schedule.max_steps = -3",
+     "schedule.max_steps must be >= 1, got -3"),
+    ("solve", "solve_small.cfg", "schedule.kam_max_steps = 40", "schedule.kam_max_steps = 0",
+     "schedule.kam_max_steps must be >= 1, got 0"),
+    ("solve", "solve_small.cfg", "schedule.N0 = 8.0", "schedule.N0 = 0",
+     "schedule.N0 must be > 0, got 0.0"),
+    ("solve", "solve_small.cfg", "schedule.N0 = 8.0", "schedule.N0 = -1",
+     "schedule.N0 must be > 0, got -1.0"),
+    ("reduce", "reduce_eps.cfg", "schedule.N0 = 8.0", "schedule.N0 = 0",
+     "schedule.N0 must be > 0, got 0.0"),
+    ("reduce", "reduce_eps.cfg", "schedule.N0 = 8.0", "schedule.N0 = -1",
+     "schedule.N0 must be > 0, got -1.0"),
+    ("reduce", "reduce_eps.cfg", "reduce.lambda3 = 1.0", "reduce.lambda3 = 0",
+     "reduce.lambda3 must be nonzero, got 0.0"),
 ], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
         "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data",
         "oversample", "max-iters", "residual-target", "kam-stop-tol", "stop-tol",
-        "reduce-gamma-negative", "reduce-gamma-zero", "interior-j"])
+        "reduce-gamma-negative", "reduce-gamma-zero", "interior-j",
+        "solve-gbar", "reduce-gbar", "check-omega-gbar", "check-omega-gamma0",
+        "gamma-grid-above", "gamma-grid-below", "max-steps-zero", "max-steps-negative",
+        "kam-max-steps-zero", "solve-n0-zero", "solve-n0-negative", "reduce-n0-zero",
+        "reduce-n0-negative", "lambda3-zero"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
     code, out = _run_edited(tmp_path, command, name, old, new)
     assert code == 1

@@ -173,6 +173,15 @@ def test_quadratic_norms_stay_bounded(lat2, jmax):
 # -- the collocation residual against its full-spectrum form ------------------
 
 
+def place_fftn(u, sizes):
+    """u's full spectrum, every x-mode |j| <= jmax, in FFT order on the grid ``sizes``."""
+    rows = np.zeros((u.data.shape[0], sizes[-1]), dtype=complex)
+    rows[:, np.arange(-u.jmax, u.jmax + 1) % sizes[-1]] = u.data
+    spec = np.zeros(sizes, dtype=complex)
+    spec[_grid._grid_index(u.lattice, sizes)] = rows
+    return spec
+
+
 def residual_fftn(spec, u):
     """The residual by complex FFTs of the full spectrum: the oracle of the
     half-spectrum path that real iterates take."""
@@ -180,7 +189,7 @@ def residual_fftn(spec, u):
     m = spec.lattice.M
     npts = float(np.prod(sizes))
     c0, c1, c2, c3 = spec.c
-    spec_u = _grid._place(u, sizes, with_x=True)
+    spec_u = place_fftn(u, sizes)
     fx = _grid._signed_freqs(sizes[-1]).astype(float).reshape((1,) * m + (sizes[-1],))
     dot = np.zeros(sizes[:-1])
     for ax in range(m):
@@ -194,7 +203,7 @@ def residual_fftn(spec, u):
     inner1 = 3.0 * c3 * Ux**2 + 2.0 * c2 * U * Ux + c1 * U**2
     inner2 = c2 * Ux**2 + 2.0 * c1 * U * Ux + 3.0 * c0 * U**2
     q_spec = (np.fft.fftn(inner1) * (1j * fx) ** 2 - np.fft.fftn(inner2) * (1j * fx)) / npts
-    total_spec = lin_spec + q_spec + _grid._place(spec.forcing, sizes, with_x=True)
+    total_spec = lin_spec + q_spec + place_fftn(spec.forcing, sizes)
     F = np.fft.ifftn(total_spec) * npts
     return ResidualReport(float(np.max(np.abs(F))), float(np.sum(np.abs(total_spec))))
 
