@@ -22,9 +22,8 @@ field whose x axis has one point (nx = 1).  One placement (``_place``) puts
 the modes j >= 0 in FFT order over the phi grid, one evaluation
 (``_to_x_grid``, an ``irfft`` in x) gives every amplitude and series
 argument its grid values from its ``_x_spectrum``, and one extraction
-(``_extract``, an ``rfftn``) takes grid values back.  Every substitution is
-linear over the reals, so a non-real field u = a + i b is mapped through its
-two real parts as T(a) + i T(b) (``_by_real_parts``).
+(``_extract``, an ``rfftn``) takes grid values back.  A kernel refuses a
+non-real field with a ValueError (``_require_real``).
 """
 
 from __future__ import annotations
@@ -96,11 +95,16 @@ def _place(u, sphi, ncols):
     return spec
 
 
+def _require_real(u, what):
+    """Raise a ValueError naming ``what`` unless u is real."""
+    if not u.real:
+        raise ValueError(f"{what} must be real-on-real")
+
+
 def _real_grid_values(u, sizes, what):
     """Values of a real u on the grid ``sizes`` (x axis of one point for a
     function of phi alone)."""
-    if not u.real:
-        raise ValueError(f"{what} must be real-on-real")
+    _require_real(u, what)
     nx = sizes[-1]
     return _to_x_grid(_x_spectrum(u, sizes[:-1], min(u.jmax, nx // 2) + 1), nx)
 
@@ -147,27 +151,6 @@ def _extract(vals, lattice, jmax, *, alias_tol, context, report=None):
             context=context,
         )
     return _an.AnalyticFunction.from_array(lattice, jmax, data)
-
-
-def _by_real_parts(u, substitute, report=None):
-    """substitute(u, report) for a real u.
-
-    A non-real u = a + i b, with a = (u + u*)/2 and b = (u - u*)/2i
-    real-on-real, maps to substitute(a) + i substitute(b); a report then holds
-    the larger ``alias_rel`` and ``discard_rel`` of the two parts.  Where the
-    two parts cancel (u holds a mode but not its conjugate partner), their sum
-    is rounding noise, which the coefficient floor removes as ``_extract`` does.
-    """
-    if u.real:
-        return substitute(u, report)
-    reps = ({}, {})
-    a, b = (substitute(_an.AnalyticFunction.from_array(u.lattice, u.jmax, data), rep)
-            for data, rep in zip((u.data, -1j * u.data), reps))
-    if report is not None:
-        report.update({key: max(reps[0][key], reps[1][key]) for key in reps[0]})
-    data = a.data + 1j * b.data
-    data[np.abs(data) <= _FLOOR * np.abs(data).max(initial=0.0)] = 0.0
-    return _an.AnalyticFunction.from_array(u.lattice, u.jmax, data, real=False)
 
 
 def _angles(sizes):
@@ -259,13 +242,12 @@ def compose_x_diffeo(u, alpha, factor=2, alias_tol=1e-7, report=None):
     """u(phi, x + alpha(phi, x)), exact for alpha = 0 on the retained modes."""
     if u.lattice != alpha.lattice:
         raise ValueError("incompatible lattices")
+    _require_real(u, "composed field")
     sizes = grid_sizes(u.lattice, max(u.jmax, alpha.jmax), factor)
     avals = _real_grid_values(alpha, sizes, "x-diffeomorphism amplitude")
     W = np.exp(1j * (_angles(sizes)[-1] + avals))
-    return _by_real_parts(u, lambda v, rep: _extract(
-        _x_series(_x_spectrum(v, sizes[:-1]), W), v.lattice, v.jmax,
-        alias_tol=alias_tol, context="compose_x_diffeo", report=rep,
-    ), report)
+    return _extract(_x_series(_x_spectrum(u, sizes[:-1]), W), u.lattice, u.jmax,
+                    alias_tol=alias_tol, context="compose_x_diffeo", report=report)
 
 
 def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
@@ -274,12 +256,12 @@ def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
         raise ValueError("incompatible lattices")
     if not beta.phi_only:
         raise ValueError("shift amplitude must depend on phi only")
+    _require_real(u, "composed field")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
     bvals = _real_grid_values(beta, sizes[:-1] + (1,), "time-reparametrization amplitude")[..., 0]
-    return _by_real_parts(u, lambda v, rep: _extract(
-        _to_x_grid(_phi_series(v.lattice, v.data[:, v.jmax:], bvals, omega, sizes[:-1]), sizes[-1]),
-        v.lattice, v.jmax, alias_tol=alias_tol, context="compose_phi_shift", report=rep,
-    ), report)
+    T = _phi_series(u.lattice, u.data[:, u.jmax:], bvals, omega, sizes[:-1])
+    return _extract(_to_x_grid(T, sizes[-1]), u.lattice, u.jmax,
+                    alias_tol=alias_tol, context="compose_phi_shift", report=report)
 
 
 def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
@@ -292,13 +274,12 @@ def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
         raise ValueError("incompatible lattices")
     if not p.phi_only:
         raise ValueError("translation amplitude must depend on phi only")
+    _require_real(u, "composed field")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
     pvals = _real_grid_values(p, sizes[:-1] + (1,), "translation amplitude")
     phase = np.exp(1j * pvals * np.arange(u.jmax + 1))
-    return _by_real_parts(u, lambda v, rep: _extract(
-        _to_x_grid(_x_spectrum(v, sizes[:-1]) * phase, sizes[-1]), v.lattice, v.jmax,
-        alias_tol=alias_tol, context="compose_x_translation", report=rep,
-    ), report)
+    return _extract(_to_x_grid(_x_spectrum(u, sizes[:-1]) * phase, sizes[-1]), u.lattice, u.jmax,
+                    alias_tol=alias_tol, context="compose_x_translation", report=report)
 
 
 def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, report=None):
@@ -308,8 +289,7 @@ def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, re
     kernel, pointwise on the grid, for a real alpha; requires the contraction
     |alpha_x|_0 < 1 and raises NonContractionError otherwise.
     """
-    if not alpha.real:
-        raise ValueError("x-diffeomorphism amplitude must be real-on-real")
+    _require_real(alpha, "x-diffeomorphism amplitude")
     slope = _an.dx(alpha, 1).norm(0.0)
     if slope >= 0.9:
         raise NonContractionError(f"|alpha_x| ~ {slope:.3f} too large to invert")
@@ -333,6 +313,7 @@ def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1
     Fixed point beta_tilde = -beta(theta + omega beta_tilde) of the forward
     kernel on the phi grid.
     """
+    _require_real(beta, "shift amplitude")
     if not beta.phi_only:
         raise ValueError("shift amplitude must depend on phi only")
     coef = beta.data[:, beta.jmax]

@@ -33,7 +33,6 @@ __all__ = [
     "ScalarSeries",
     "norm",
     "multiply",
-    "linear_combination",
     "dx",
     "dx_inv",
     "om_dphi",
@@ -234,18 +233,6 @@ def multiply(u: AnalyticFunction, v: AnalyticFunction, prune_rel: float = 1e-18)
                   get_enumeration(u.lattice).conv_table(), u.jmax, out)
     out[np.abs(out) <= prune_rel * u.norm(0.0) * v.norm(0.0)] = 0.0
     return u._like(out, real)
-
-
-def linear_combination(funcs, weights, real=False) -> AnalyticFunction:
-    """sum_k weights[k] * funcs[k]; the result is flagged real only on request."""
-    funcs = list(funcs)
-    if not funcs:
-        raise ValueError("need at least one function")
-    out = np.zeros_like(funcs[0].data)
-    for f, w in zip(funcs, weights):
-        funcs[0]._check_compat(f)
-        out = out + complex(w) * f.data
-    return funcs[0]._like(out, real)
 
 
 def _j_axis(u: AnalyticFunction) -> np.ndarray:

@@ -208,9 +208,9 @@ def omega_from(cfg: dict, lattice, jmax, seed_override=None):
         raise ConfigError("provide omega.values or set omega.sample = true")
     seed = integer(cfg, "omega.seed", 0) if seed_override is None else int(seed_override)
     gbar = gbar_from(cfg)
-    gamma0 = number(cfg, "problem.gamma0")
+    gamma0 = number(cfg, "problem.gamma0", above=0.0)
     rng = np.random.default_rng(seed)
-    for _ in range(integer(cfg, "omega.max_tries", 1000)):
+    for _ in range(integer(cfg, "omega.max_tries", 1000, minimum=1)):
         cand = rng.uniform(1.0, 2.0, lattice.M)
         if is_diophantine(cand, gbar, lattice).ok and \
                 is_airy_nonresonant(cand, gamma0, lattice, jmax).ok:

@@ -14,17 +14,29 @@ stage-by-stage coefficient formulas exactly, and the combined map still has
 the normal form (1 + xi_x) v(phi + omega beta, x + xi + p~) with xi = alpha
 and p~ the transported translation.
 
-The first conjugation stage is evaluated by probing the transformed operator
-on the pure modes e^{i k y}, k = 1..4, and solving the resulting Vandermonde
-system for the coefficient functions; that picks up every chain-rule term
-without hand-derived formulas and is verified a posteriori by a materialized
-residual on an interior window.
+The first stage is transported in closed form by the chain rule.  Write
+J = 1 + alpha_x, C_psi f = f(phi, y + alpha~), jac_t = 1 + alpha~_y and
+g = C_psi(J) = 1 / jac_t, and let p3..p0 be the coefficients of L + Q'.  Then
+J^{-1} p_k dx^k J = J^{-1} sum_m C(k, m) p_k (dx^{k-m} J) dx^m,
+C_psi dx C_phi = g dy and
+C_psi J^{-1} om.d_phi J C_phi = om.d_phi + C_psi(om.d_phi alpha) dy + jac_t C_psi(om.d_phi J)
+give, with (g dy)^2 = g^2 dy^2 + g g' dy,
+(g dy)^3 = g^3 dy^3 + 3 g^2 g' dy^2 + (g g'^2 + g^2 g'') dy and the factor
+C_psi J^{-1} = jac_t C_psi cancelling one power of g,
+
+    R_m = C_psi(r_m),  r_m = sum_{k>=m} C(k, m) p_k dx^{k-m} J
+                           (+ om.d_phi alpha for m = 1, + om.d_phi J for m = 0),
+    e3 = R3 g^2,
+    e2 = g (R2 + 3 R3 g'),
+    e1 = R1 + R2 g' + R3 (g'^2 + g g''),
+    e0 = jac_t R0.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -38,7 +50,6 @@ from .analytic import (
     dx_inv,
     invert_phi_shift,
     invert_x_diffeo,
-    linear_combination,
     mean_phi_x,
     moser_compose,
     multiply,
@@ -48,7 +59,7 @@ from .analytic import (
     pi0_perp,
 )
 from .lattice import get_enumeration
-from .opalg import DifferentialOperator, materialize, to_dense
+from .opalg import DifferentialOperator
 
 __all__ = [
     "TransformationData",
@@ -69,7 +80,6 @@ __all__ = [
     "apply_substitution_inverse",
     "homological_identity_residuals",
     "symplectic_pairing",
-    "conjugation_dense_residual",
 ]
 
 log = logging.getLogger(__name__)
@@ -240,76 +250,25 @@ def build_translation(c1: AnalyticFunction, a1: AnalyticFunction, lambda1: float
     return p, lambda1 + mean
 
 
-# -- probe-based transport of the first stage ---------------------------------
-
-
-def _perturbed_operator(L: DifferentialOperator, qp: QuadraticPerturbation):
-    """u -> (L + Q') u with all four orders, unprojected.
-
-    That is om.d_phi u + (lambda3 + d3) u_xxx + d2 u_xx + (B + d1) u_x + (C + d0) u;
-    unlike DifferentialOperator.apply it keeps the x-average of the result.
-    """
-    p3 = qp.d3 + L.lambda3
-    lower = [(p, m) for p, m in ((qp.d2, 2), (L.B + qp.d1, 1), (L.C + qp.d0, 0))
-             if not p.is_zero()]
-
-    def apply(u):
-        out = om_dphi(u, L.omega) + multiply(p3, dx(u, 3))
-        for p, m in lower:
-            out = out + multiply(p, dx(u, m) if m else u)
-        return out
-
-    return apply
-
-
-def _unit(lattice, jmax, p: int, j: int) -> AnalyticFunction:
-    """The complex mode e^{i(l_p.phi + j x)}."""
-    data = AnalyticFunction.zeros(lattice, jmax, real=False).data
-    data[p, j + jmax] = 1.0
-    return AnalyticFunction.from_array(lattice, jmax, data, real=False)
-
-
-def _mode_shift(u: AnalyticFunction, s: int) -> AnalyticFunction:
-    """Multiply by e^{i s x}: (l, j) -> (l, j + s), dropping the fallen band."""
-    out = np.zeros_like(u.data)
-    if s >= 0:
-        out[:, s:] = u.data[:, :out.shape[1] - s]
-    else:
-        out[:, :s] = u.data[:, -s:]
-    return AnalyticFunction.from_array(u.lattice, u.jmax, out, real=False)
+# -- closed-form transport of the first stage ------------------------------------
 
 
 def _transported_coefficients(L: DifferentialOperator, qp: QuadraticPerturbation,
-                              alpha, alpha_tilde, report=None):
-    """Coefficients e3..e0 of T1^{-1} (L + Q') T1 = om.d_phi + sum e_m dx^m.
-
-    Probes the conjugated operator on e^{iky}, k = 1..4, and solves the
-    4x4 Vandermonde system in (ik)^m for the coefficient functions.
-    """
-    lat, jmax = L.lattice, L.jmax
-    jac = 1.0 + dx(alpha, 1)
-    jac_t = 1.0 + dx(alpha_tilde, 1)
-    l0q_apply = _perturbed_operator(L, qp)
-
-    probes = []
-    for k in range(1, 5):
-        e = _unit(lat, jmax, 0, k)
-        w = multiply(jac, compose_x_diffeo(e, alpha))
-        w = l0q_apply(w)
-        w = multiply(jac_t, compose_x_diffeo(w, alpha_tilde))
-        probes.append(_mode_shift(w, -k))
-
-    V = np.array([[(1j * k) ** m for m in range(4)] for k in range(1, 5)])
-    Vinv = np.linalg.inv(V)
-    coeffs = []
-    sym_defect = 0.0
-    for m in range(4):
-        em = linear_combination(probes, Vinv[m], real=False)
-        sym_defect = max(sym_defect, em.conjugate_symmetry_residual())
-        coeffs.append(AnalyticFunction.from_array(lat, jmax, em.data, real=True))
-    if report is not None:
-        report["probe_symmetry_defect"] = sym_defect
-    e0, e1, e2, e3 = coeffs
+                              alpha, alpha_tilde):
+    """Coefficients e3..e0 of T1^{-1} (L + Q') T1 = om.d_phi + sum e_m dx^m,
+    by the chain rule (module docstring): five compositions with alpha~."""
+    p = [L.C + qp.d0, L.B + qp.d1, qp.d2, qp.d3 + L.lambda3]
+    djac = [1.0 + dx(alpha, 1)] + [dx(alpha, k + 1) for k in range(1, 4)]   # dx^k J
+    r = [sum(comb(k, m) * multiply(p[k], djac[k - m]) for k in range(m, 4)) for m in range(4)]
+    r[1] = r[1] + om_dphi(alpha, L.omega)
+    r[0] = r[0] + om_dphi(djac[0], L.omega)
+    R = [compose_x_diffeo(f, alpha_tilde) for f in r]
+    g = compose_x_diffeo(djac[0], alpha_tilde)
+    g1, g2 = dx(g, 1), dx(g, 2)
+    e3 = multiply(R[3], multiply(g, g))
+    e2 = multiply(g, R[2] + 3.0 * multiply(R[3], g1))
+    e1 = R[1] + multiply(R[2], g1) + multiply(R[3], multiply(g1, g1) + multiply(g, g2))
+    e0 = multiply(1.0 + dx(alpha_tilde, 1), R[0])
     return e3, e2, e1, e0
 
 
@@ -330,8 +289,9 @@ def conjugate_step(L: DifferentialOperator, qp: QuadraticPerturbation, omega,
     Preconditions: the x-average of L.B is phi-independent and Q' is
     Hamiltonian (d2 = 2 dx d3 -- its defect is recorded).  Stage residuals
     land in the report, each grid inversion's aliasing and Picard residuals
-    under its own key (``invert_x_diffeo``, ``invert_phi_shift``); use
-    conjugation_dense_residual for the a-posteriori materialized check.
+    under its own key (``invert_x_diffeo``, ``invert_phi_shift``), and so does
+    the Hamiltonian defect |a0+ - dx a1+|_0 of L_plus
+    (``operator_hamiltonian_defect``).
     """
     rep = {} if report is None else report
     om = np.asarray(omega, dtype=float)
@@ -340,7 +300,7 @@ def conjugate_step(L: DifferentialOperator, qp: QuadraticPerturbation, omega,
 
     alpha, m3 = build_x_diffeo(L.lambda3, qp.d3, report=rep)
     alpha_tilde = invert_x_diffeo(alpha, report=rep.setdefault("invert_x_diffeo", {}))
-    e3, e2, e1, e0 = _transported_coefficients(L, qp, alpha, alpha_tilde, report=rep)
+    e3, e2, e1, e0 = _transported_coefficients(L, qp, alpha, alpha_tilde)
     rep["b2_norm"] = e2.norm(0.0)
     rep["third_order_defect"] = (e3 - m3).norm(0.0)
 
@@ -357,6 +317,7 @@ def conjugate_step(L: DifferentialOperator, qp: QuadraticPerturbation, omega,
 
     T = TransformationData(om, alpha, alpha_tilde, beta, beta_tilde, p, r, m3, lam3p, lam1p)
     L_plus = DifferentialOperator(om, lam3p, a1p, a0p)
+    rep["operator_hamiltonian_defect"] = (a0p - dx(a1p, 1)).norm(0.0)
     rep.update(homological_identity_residuals(T, L.lambda3, qp.d3))
     log.debug("conjugate_step report: %s", rep)
     return ConjugationResult(T, L_plus, rep)
@@ -466,33 +427,3 @@ def symplectic_pairing(u: AnalyticFunction, v: AnalyticFunction) -> complex:
     ui = dx_inv(pi0_perp(u))
     mirror = v.data[get_enumeration(v.lattice).neg, ::-1]     # v(-l, -j)
     return complex(np.sum(ui.data * mirror))
-
-
-def conjugation_dense_residual(L: DifferentialOperator, qp: QuadraticPerturbation,
-                               result: ConjugationResult, jwin: int, lwin: float) -> float:
-    """Interior-window norm of r T^{-1}(L + Q')T - L_plus.
-
-    The left side is assembled column by column by applying the transformed
-    operator to basis modes inside the window; the difference is measured as
-    the largest window-restricted column l1-norm.  Columns are ordered as in
-    to_dense: lattice index major, then j != 0.
-    """
-    lat, jmax = L.lattice, L.jmax
-    T = result.transform
-    dense_plus = to_dense(materialize(result.L_plus))
-    jlist = [j for j in range(-jmax, jmax + 1) if j != 0]
-    jslots = np.array(jlist) + jmax
-    inside = np.outer(get_enumeration(lat).within(lwin),
-                      np.abs(np.array(jlist)) <= jwin).ravel()
-
-    l0q_apply = _perturbed_operator(L, qp)
-    worst = 0.0
-    for col in np.flatnonzero(inside):
-        p, k = divmod(int(col), len(jlist))
-        w = apply_transform(T, _unit(lat, jmax, p, jlist[k]))
-        w = l0q_apply(w)
-        w = multiply(T.r, apply_transform_inverse(T, w))
-        lhs = w.data[:, jslots].ravel()
-        diff = np.abs(lhs - dense_plus[:, col]) * inside
-        worst = max(worst, float(diff.sum()))
-    return worst

@@ -237,6 +237,7 @@ def step(state: IterationState, spec: ProblemSpec) -> IterationState:
         "invert_residual_rel": inv_rep.get("residual_rel", 0.0),
         "kam_steps": red.diagnostics.get("steps", 0),
         "b2_norm": conj_rep.get("b2_norm", 0.0),
+        "operator_hamiltonian_defect": conj_rep.get("operator_hamiltonian_defect", 0.0),
         "hamiltonian_defect": conj_rep.get("hamiltonian_defect", 0.0),
         "x_mean_defect": mean_defect,
         "q_total_norm": Q_next.total_norm(0.0),
@@ -296,8 +297,7 @@ def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] =
     and l1 counts each half-spectrum column as often as it occurs in the full
     spectrum.
     """
-    if not u.real:
-        raise ValueError("residual requires a real-on-real u")
+    _grid._require_real(u, "residual argument")
     factor = spec.oversample if oversample is None else int(oversample)
     lat, jmax = spec.lattice, spec.jmax
     sizes = _grid.grid_sizes(lat, jmax, factor)

@@ -84,7 +84,7 @@ def run_selftest(verbose: bool = False) -> bool:
     check("serialization round-trips losslessly", loads(dumps(u)).coeffs == u.coeffs)
 
     const = AnalyticFunction.constant(lat, jmax, 0.3)
-    mode = AnalyticFunction.from_modes(lat, jmax, [(MultiIndex.unit(1), 2, 1.0 - 0.5j)], real=False)
+    mode = AnalyticFunction.from_modes(lat, jmax, [(MultiIndex.unit(1), 2, 1.0 - 0.5j)])
     phase = np.exp(0.3j * np.arange(-jmax, jmax + 1))
     check("x-diffeomorphism by a constant c multiplies mode j by e^{ijc}",
           all(np.max(np.abs(compose_x_diffeo(f, const).data - phase * f.data)) <= 1e-13

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airykam.analytic import AnalyticFunction
+from airykam.analytic import AnalyticFunction, dx, multiply, om_dphi
 from airykam.lattice import LatticeParams, MultiIndex
 
 
@@ -57,3 +57,34 @@ def sample_points():
     phis = rng.uniform(0.0, 2.0 * np.pi, size=(40, 2))
     xs = rng.uniform(0.0, 2.0 * np.pi, size=40)
     return phis, xs
+
+
+def real_parts(u):
+    """The real fields a = (u + u*)/2 and b = (u - u*)/2i with u = a + i b."""
+    return tuple(AnalyticFunction.from_array(u.lattice, u.jmax, d) for d in (u.data, -1j * u.data))
+
+
+def by_real_parts(substitute, u):
+    """substitute(u) for a non-real u = a + i b, as substitute(a) + i substitute(b);
+    the grid kernels take real fields only."""
+    a, b = (substitute(part) for part in real_parts(u))
+    return AnalyticFunction.from_array(u.lattice, u.jmax, a.data + 1j * b.data, real=False)
+
+
+def perturbed_operator(L, qp):
+    """u -> (L + Q') u with all four orders, unprojected.
+
+    That is om.d_phi u + (lambda3 + d3) u_xxx + d2 u_xx + (B + d1) u_x + (C + d0) u;
+    unlike DifferentialOperator.apply it keeps the x-average of the result.
+    """
+    p3 = qp.d3 + L.lambda3
+    lower = [(p, m) for p, m in ((qp.d2, 2), (L.B + qp.d1, 1), (L.C + qp.d0, 0))
+             if not p.is_zero()]
+
+    def apply(u):
+        out = om_dphi(u, L.omega) + multiply(p3, dx(u, 3))
+        for p, m in lower:
+            out = out + multiply(p, dx(u, m) if m else u)
+        return out
+
+    return apply

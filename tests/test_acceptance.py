@@ -25,12 +25,12 @@ from airykam.cli import main
 from airykam.conjugation import (
     QuadraticPerturbation,
     apply_transform,
+    apply_transform_inverse,
     conjugate_step,
-    conjugation_dense_residual,
     symplectic_pairing,
 )
 from airykam.homological import solve_airy
-from airykam.lattice import LatticeParams, MultiIndex
+from airykam.lattice import LatticeParams, MultiIndex, get_enumeration
 from airykam.nashmoser import ProblemSpec, solve
 from airykam.opalg import (
     DifferentialOperator,
@@ -53,6 +53,7 @@ from airykam.reducibility import (
     reduce_operator,
 )
 from airykam.smalldiv import is_diophantine, measure_estimate
+from conftest import by_real_parts, perturbed_operator
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
@@ -134,6 +135,38 @@ def _conjugation_case(K, jmax):
     B = AnalyticFunction.from_modes(lat, jmax, [(E1, 1, 0.5 * scale)]) + 0.03
     C = AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, -0.2 * scale)])
     return DifferentialOperator(om, 1.0, B, C), qp, om
+
+
+def conjugation_dense_residual(L, qp, result, jwin, lwin):
+    """Interior-window norm of r T^{-1}(L + Q')T - L_plus.
+
+    The left side is assembled column by column by applying the transformed
+    operator to the basis modes e = e^{i(l.phi + jx)} inside the window,
+    through their real parts: W(e) = W(cos) + i W(sin).  The difference is
+    measured as the largest window-restricted column l1-norm.  Columns are
+    ordered as in to_dense: lattice index major, then j != 0.
+    """
+    lat, jmax = L.lattice, L.jmax
+    T = result.transform
+    dense_plus = to_dense(materialize(result.L_plus))
+    jlist = [j for j in range(-jmax, jmax + 1) if j != 0]
+    jslots = np.array(jlist) + jmax
+    inside = np.outer(get_enumeration(lat).within(lwin),
+                      np.abs(np.array(jlist)) <= jwin).ravel()
+    l0q_apply = perturbed_operator(L, qp)
+
+    def transformed(u):
+        return multiply(T.r, apply_transform_inverse(T, l0q_apply(apply_transform(T, u))))
+
+    worst = 0.0
+    for col in np.flatnonzero(inside):
+        p, k = divmod(int(col), len(jlist))
+        unit = AnalyticFunction.zeros(lat, jmax, real=False)
+        unit.data[p, jslots[k]] = 1.0
+        lhs = by_real_parts(transformed, unit).data[:, jslots].ravel()
+        diff = np.abs(lhs - dense_plus[:, col]) * inside
+        worst = max(worst, float(diff.sum()))
+    return worst
 
 
 def test_criterion_3_conjugation_refinement():

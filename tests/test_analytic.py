@@ -33,7 +33,7 @@ from airykam import _grid
 from airykam.errors import NonContractionError, SmallDivisorError
 from airykam.lattice import LatticeParams, MultiIndex, enumerate_indices
 
-from conftest import eval_pointwise
+from conftest import by_real_parts, eval_pointwise
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
@@ -194,9 +194,10 @@ def test_compose_x_diffeo_trivial_and_constant(lat2, jmax, rand_fct):
     out = compose_x_diffeo(u, AnalyticFunction.zeros(lat2, jmax))
     assert (out - u).norm(0.0) < 1e-13 * u.norm(0.0)
     c = AnalyticFunction.constant(lat2, jmax, 0.3)
-    mode = AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 1.0)], real=False)
+    mode = AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 1.0)])
     shifted = compose_x_diffeo(mode, c)
     assert shifted.get(ZERO, 1) == pytest.approx(np.exp(0.3j))
+    assert shifted.get(ZERO, -1) == pytest.approx(np.exp(-0.3j))
 
 
 def test_compose_x_diffeo_against_pointwise_oracle(lat2, jmax, sample_points):
@@ -253,6 +254,11 @@ def random_non_real(lat, jmax, seed):
     shape = AnalyticFunction.zeros(lat, jmax).data.shape
     data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return AnalyticFunction.from_array(lat, jmax, data, real=False)
+
+
+def random_real(lat, jmax, seed):
+    """The real part of ``random_non_real``: a real function on every mode."""
+    return AnalyticFunction.from_array(lat, jmax, random_non_real(lat, jmax, seed).data)
 
 
 def with_jmax(u, jmax):
@@ -314,16 +320,17 @@ def test_compose_x_diffeo_half_spectrum(lat2, jmax, rand_fct, u_jmax, alpha_jmax
 
 
 def test_compose_x_diffeo_of_a_non_real_field(lat2, jmax, rand_fct):
-    """A non-real u, mapped through its two real parts, against the full sum."""
+    """The kernel refuses a non-real u; its two real parts, each mapped by the
+    kernel, give the full sum of u."""
     u = random_non_real(lat2, jmax, 59)
     alpha = 0.01 * rand_fct(52, jspan=8)
-    got = compose_x_diffeo(u, alpha, alias_tol=1.0)
-    assert not got.real
+    with pytest.raises(ValueError, match="real-on-real"):
+        compose_x_diffeo(u, alpha, alias_tol=1.0)
+    got = by_real_parts(lambda v: compose_x_diffeo(v, alpha, alias_tol=1.0), u)
     oracle = compose_x_diffeo_fftn(u, alpha)
     assert np.max(np.abs(got.data - oracle)) <= 1e-14 * u.norm(0.0)
-    # a mode without its conjugate partner under a small alpha: the parts cancel
-    # on most modes, and there no rounding noise is kept
-    mode = AnalyticFunction.from_modes(lat2, jmax, [(E1, 3, 1.0)], real=False)
+    # a real mode under a small alpha: no rounding noise at or below the floor is kept
+    mode = AnalyticFunction.from_modes(lat2, jmax, [(E1, 3, 1.0)])
     alpha = 1e-4 * rand_fct(52, jspan=8)
     got = compose_x_diffeo(mode, alpha, alias_tol=1.0)
     assert np.max(np.abs(got.data - compose_x_diffeo_fftn(mode, alpha))) <= 1e-14
@@ -332,49 +339,39 @@ def test_compose_x_diffeo_of_a_non_real_field(lat2, jmax, rand_fct):
 
 
 def test_phi_shift_and_translation_of_a_non_real_field(lat2, jmax, omega2, sample_points):
-    u = random_non_real(lat2, jmax, 53)
-    out = compose_x_translation(u, AnalyticFunction.constant(lat2, jmax, 0.7))
-    assert not out.real
+    """Both kernels refuse a non-real field; on a real field on every mode the
+    translation keeps its phase law and the phi-shift its pointwise oracle."""
+    p = AnalyticFunction.constant(lat2, jmax, 0.7)
+    beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.04)])
+    with pytest.raises(ValueError, match="real-on-real"):
+        compose_x_translation(random_non_real(lat2, jmax, 53), p)
+    with pytest.raises(ValueError, match="real-on-real"):
+        compose_phi_shift(random_non_real(lat2, jmax, 53), beta, omega2)
+
+    u = random_real(lat2, jmax, 53)
+    out = compose_x_translation(u, p)
+    assert out.real
     phase = np.exp(0.7j * np.arange(-jmax, jmax + 1))
     assert np.max(np.abs(out.data - phase * u.data)) <= 1e-14 * np.max(np.abs(u.data))
 
-    mode = AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 0.5), (E1, -1, 0.3j)], real=False)
-    beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.04)])
+    mode = AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 0.5), (E1, -1, 0.3j)])
     out = compose_phi_shift(mode, beta, omega2)
-    assert not out.real
+    assert out.real
     phis, xs = sample_points
     b_vals = eval_pointwise(beta, phis, xs).real
     oracle = eval_pointwise(mode, phis + b_vals[:, None] * omega2[None, :], xs)
     assert np.max(np.abs(eval_pointwise(out, phis, xs) - oracle)) < 1e-9
 
 
-def test_non_real_report_holds_the_larger_share(lat2, jmax, omega2, rand_fct):
-    """A non-real call reports the larger alias and discard share of its two parts."""
-    rough = rand_fct(63, jspan=10)
-    u = AnalyticFunction.from_array(lat2, jmax, rand_fct(62, jspan=2).data + 1j * rough.data,
-                                    real=False)
-    parts = [AnalyticFunction.from_array(lat2, jmax, d) for d in (u.data, -1j * u.data)]
-    alpha = 0.01 * rand_fct(64, jspan=6)
-    beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.04)])
-    p = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.3), (ZERO, 0, 0.2)])
-    for kernel in (lambda v, r: compose_x_diffeo(v, alpha, alias_tol=1.0, report=r),
-                   lambda v, r: compose_phi_shift(v, beta, omega2, alias_tol=1.0, report=r),
-                   lambda v, r: compose_x_translation(v, p, alias_tol=1.0, report=r)):
-        rep, rep_a, rep_b = {}, {}, {}
-        kernel(u, rep)
-        kernel(parts[0], rep_a)
-        kernel(parts[1], rep_b)
-        for key in ("alias_rel", "discard_rel"):
-            assert rep_a[key] != rep_b[key]
-            assert rep[key] == max(rep_a[key], rep_b[key])
-
-
 def test_x_kernels_of_a_non_real_phi_only_field(lat2, jmax, rand_fct):
-    """A field with jmax = 0 has no x-modes j != 0 to sum."""
-    u = AnalyticFunction.from_modes(lat2, 0, [(ZERO, 0, 1.0), (E1, 0, 0.3j), (E2, 0, 0.2)],
-                                    real=False)
+    """A field with jmax = 0 has no x-modes j != 0 to sum: the kernel refuses it
+    when it is non-real and leaves it as it is when it is real."""
+    modes = [(ZERO, 0, 1.0), (E1, 0, 0.3j), (E2, 0, 0.2)]
     alpha = 0.01 * rand_fct(57, jspan=6)
     assert alpha.jmax > 0
+    with pytest.raises(ValueError, match="real-on-real"):
+        compose_x_diffeo(AnalyticFunction.from_modes(lat2, 0, modes, real=False), alpha)
+    u = AnalyticFunction.from_modes(lat2, 0, modes)
     got = compose_x_diffeo(u, alpha, alias_tol=1.0)
     assert np.max(np.abs(got.data - u.data)) <= 1e-14 * u.norm(0.0)
     b = AnalyticFunction.from_modes(lat2, 0, [(ZERO, 0, 0.01), (E1, 0, 0.003j), (E2, 0, 0.002)])
@@ -413,13 +410,29 @@ def test_moser_compose_half_spectrum(lat2, rand_fct):
     assert np.max(np.abs(got.data - oracle)) <= 1e-14
 
 
-def test_inverse_and_series_reject_a_non_real_argument(lat2, jmax):
+def test_inverse_and_series_reject_a_non_real_argument(lat2, jmax, omega2, rand_fct):
+    """Every grid kernel refuses a non-real field, and a refused call writes no report."""
     u = AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 0.01)], real=False)
     with pytest.raises(ValueError, match="real-on-real"):
         invert_x_diffeo(u)
     inv_cbrt = ScalarSeries(lambda z: (1.0 + z) ** (-1.0 / 3.0), 0.9, "inv-cbrt")
     with pytest.raises(ValueError, match="real-on-real"):
         moser_compose(inv_cbrt, u)
+    with pytest.raises(ValueError, match="real-on-real"):
+        invert_phi_shift(AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.01j)], real=False),
+                         omega2)
+    alpha = 0.01 * rand_fct(64, jspan=6)
+    beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.04)])
+    p = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.3), (ZERO, 0, 0.2)])
+    for kernel in (lambda v, r: compose_x_diffeo(v, alpha, alias_tol=1.0, report=r),
+                   lambda v, r: compose_phi_shift(v, beta, omega2, alias_tol=1.0, report=r),
+                   lambda v, r: compose_x_translation(v, p, alias_tol=1.0, report=r)):
+        rep = {}
+        with pytest.raises(ValueError, match="real-on-real"):
+            kernel(u, rep)
+        assert rep == {}
+        kernel(AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 0.01)]), rep)
+        assert set(rep) == {"alias_rel", "discard_rel"}
 
 
 def extract_fftn(vals, lattice, jmax):

@@ -191,6 +191,10 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
      "schedule.N0 must be > 0, got -1.0"),
     ("reduce", "reduce_eps.cfg", "reduce.lambda3 = 1.0", "reduce.lambda3 = 0",
      "reduce.lambda3 must be nonzero, got 0.0"),
+    ("solve", "solve_small.cfg", "problem.gamma0 = 0.2", "problem.gamma0 = -0.2",
+     "problem.gamma0 must be > 0, got -0.2"),
+    ("solve", "solve_small.cfg", "omega.seed = 7", "omega.seed = 7\nomega.max_tries = 0",
+     "omega.max_tries must be >= 1, got 0"),
 ], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
         "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data",
         "oversample", "max-iters", "residual-target", "kam-stop-tol", "stop-tol",
@@ -198,7 +202,7 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
         "solve-gbar", "reduce-gbar", "check-omega-gbar", "check-omega-gamma0",
         "gamma-grid-above", "gamma-grid-below", "max-steps-zero", "max-steps-negative",
         "kam-max-steps-zero", "solve-n0-zero", "solve-n0-negative", "reduce-n0-zero",
-        "reduce-n0-negative", "lambda3-zero"])
+        "reduce-n0-negative", "lambda3-zero", "sampled-gamma0", "sampled-max-tries"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
     code, out = _run_edited(tmp_path, command, name, old, new)
     assert code == 1

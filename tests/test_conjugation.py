@@ -3,7 +3,9 @@ import pytest
 
 from airykam.analytic import (
     AnalyticFunction,
+    compose_x_diffeo,
     dx,
+    invert_x_diffeo,
     multiply,
     om_dphi,
     pi0,
@@ -27,8 +29,10 @@ from airykam.conjugation import (
     push_quadratic,
     symplectic_pairing,
 )
+from airykam.conjugation import _transported_coefficients
 from airykam.lattice import MultiIndex
 from airykam.opalg import DifferentialOperator
+from conftest import by_real_parts, perturbed_operator
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
@@ -175,6 +179,73 @@ def test_conjugate_step_generic(lat2, jmax, omega2):
     r_full = (res.transform.r - 1.0).norm(0.0)
     r_half = (res_half.transform.r - 1.0).norm(0.0)
     assert r_half <= 0.7 * r_full
+
+
+# -- the transported coefficients against the probe reference ---------------------
+
+
+def unit(lattice, jmax, p, j):
+    """The complex mode e^{i(l_p.phi + j x)}."""
+    u = AnalyticFunction.zeros(lattice, jmax, real=False)
+    u.data[p, j + jmax] = 1.0
+    return u
+
+
+def mode_shift(u, s):
+    """Multiply by e^{i s x}: (l, j) -> (l, j + s), dropping the fallen band."""
+    out = np.zeros_like(u.data)
+    if s >= 0:
+        out[:, s:] = u.data[:, :out.shape[1] - s]
+    else:
+        out[:, :s] = u.data[:, -s:]
+    return AnalyticFunction.from_array(u.lattice, u.jmax, out, real=False)
+
+
+def probe_transport(L, qp, alpha, alpha_tilde):
+    """Reference for e3..e0: T1^{-1} (L + Q') T1 applied to e^{iky}, k = 1..4,
+    shifted back by e^{-iky}, and the 4x4 Vandermonde system in (ik)^m solved
+    for the coefficient functions.  The shift drops the top k x-modes of probe
+    k, so the top four x-modes of every e_m are only approximate."""
+    lat, jmax = L.lattice, L.jmax
+    jac = 1.0 + dx(alpha, 1)
+    jac_t = 1.0 + dx(alpha_tilde, 1)
+    l0q_apply = perturbed_operator(L, qp)
+    probes = []
+    for k in range(1, 5):
+        w = multiply(jac, by_real_parts(lambda v: compose_x_diffeo(v, alpha), unit(lat, jmax, 0, k)))
+        w = l0q_apply(w)
+        w = multiply(jac_t, by_real_parts(lambda v: compose_x_diffeo(v, alpha_tilde), w))
+        probes.append(mode_shift(w, -k).data)
+    V = np.array([[(1j * k) ** m for m in range(4)] for k in range(1, 5)])
+    coeffs = np.tensordot(np.linalg.inv(V), np.array(probes), axes=1)
+    return tuple(AnalyticFunction.from_array(lat, jmax, c) for c in coeffs[::-1])
+
+
+def test_transported_coefficients_match_the_probes(lat2, jmax, omega2):
+    """The closed-form e3..e0 against the probe reference, on the generic step's
+    inputs, to the probe's own error (1.8e-12 absolute, at x-modes |j| = 8)."""
+    L = generic_operator(lat2, jmax, omega2)
+    qp = generic_perturbation(lat2, jmax)
+    alpha, _m3 = build_x_diffeo(L.lambda3, qp.d3)
+    alpha_tilde = invert_x_diffeo(alpha)
+    got = _transported_coefficients(L, qp, alpha, alpha_tilde)
+    ref = probe_transport(L, qp, alpha, alpha_tilde)
+    for e, e_ref in zip(got, ref):
+        assert e.real
+        assert np.max(np.abs(e.data - e_ref.data)) <= 5e-12
+
+
+def test_transported_coefficients_of_a_constant_shift(lat2, jmax, omega2):
+    """alpha = c: J = 1 and psi(y) = y - c, so e_m = p_m(phi, y - c) and the
+    mode j of p_m turns by e^{-ijc}."""
+    L = generic_operator(lat2, jmax, omega2)
+    qp = generic_perturbation(lat2, jmax)
+    c = 0.3
+    alpha = AnalyticFunction.constant(lat2, jmax, c)
+    got = _transported_coefficients(L, qp, alpha, -alpha)
+    phase = np.exp(-1j * c * np.arange(-jmax, jmax + 1))
+    for e, p in zip(got, (qp.d3 + L.lambda3, qp.d2, L.B + qp.d1, L.C + qp.d0)):
+        assert np.max(np.abs(e.data - phase * p.data)) <= 1e-14
 
 
 def test_conjugate_step_reports_each_inversion(lat2, jmax, omega2):
