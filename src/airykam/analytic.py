@@ -221,16 +221,30 @@ def multiply(u: AnalyticFunction, v: AnalyticFunction, prune_rel: float = 1e-18)
     Direct sparse convolution over nonzero coefficient pairs; entries below
     ``prune_rel * |u|_0 |v|_0`` are dropped (that floor keeps supports sparse
     and perturbs the product by far less than any verification tolerance).
+
+    A product of two real functions is real, so only its canonical half is
+    summed, as in ``opalg.compose``: pairs whose target row p lies outside
+    the half (p > neg[p]) are dropped, and each such mirror row is filled as
+    the conjugate of row neg[p], reversed in j.  Row 0 is its own mirror and
+    is summed in full.
     """
     u._check_compat(v)
     real = u.real and v.real
     if u.is_zero() or v.is_zero():
         return AnalyticFunction.zeros(u.lattice, u.jmax, real=real)
+    enum = get_enumeration(u.lattice)
+    conv = enum.conv_table()
+    if real:
+        # a target outside the canonical half maps to -1, like one outside the lattice
+        conv = np.where(enum.half[conv], conv, -1)
     ia, ja = np.nonzero(u.data)
     ib, jb = np.nonzero(v.data)
-    out = np.zeros_like(u.data)
+    out = np.zeros(u.data.shape, dtype=complex)
     convolve_into(ia, ja - u.jmax, u.data[ia, ja], ib, jb - v.jmax, v.data[ib, jb],
-                  get_enumeration(u.lattice).conv_table(), u.jmax, out)
+                  conv, u.jmax, out)
+    if real:
+        mirror = ~enum.half[:-1]
+        out[mirror] = np.conj(out[enum.neg[mirror], ::-1])
     out[np.abs(out) <= prune_rel * u.norm(0.0) * v.norm(0.0)] = 0.0
     return u._like(out, real)
 

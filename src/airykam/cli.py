@@ -176,18 +176,20 @@ def cmd_measure(cfg: dict, out: Path, seed_override=None) -> int:
     lattice = lattice_from(cfg)
     seed = integer(cfg, "measure.seed", 0) if seed_override is None else int(seed_override)
     n_samples = integer(cfg, "measure.samples", 1000, minimum=100)
-    grid = numbers(cfg, "measure.gamma_grid", [0.5, 0.25, 0.125], above=0.0, below=1.0)
     which = get(cfg, "measure.predicate", "dgamma")
+    if which not in ("dgamma", "airy"):
+        raise ConfigError(f"unknown measure.predicate {which!r}; use \"dgamma\" or \"airy\"")
+    grid = numbers(cfg, "measure.gamma_grid", [0.5, 0.25, 0.125], above=0.0, below=1.0)
+    if not grid:
+        raise ConfigError("measure.gamma_grid must not be empty")
     jmax = jmax_from(cfg, default=0)
 
     rows = []
     for gamma in grid:
         if which == "dgamma":
             pred = lambda w, g=gamma: is_diophantine(w, g, lattice).ok
-        elif which == "airy":
-            pred = lambda w, g=gamma: is_airy_nonresonant(w, g, lattice, jmax).ok
         else:
-            raise ConfigError(f"unknown measure.predicate {which!r}")
+            pred = lambda w, g=gamma: is_airy_nonresonant(w, g, lattice, jmax).ok
         est = measure_estimate(pred, n_samples, seed, lattice.M)
         rows.append({
             "gamma": gamma,

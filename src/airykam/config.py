@@ -3,8 +3,9 @@
 Lines hold ``dotted.key = value`` with ``#`` comments; values are parsed as
 JSON where possible and kept as strings otherwise.  A value holding NaN or
 an infinity (``NaN``, ``Infinity``, an overflowing ``1e999``) is rejected.
-Numbers are read through ``number`` and counts and seeds through ``integer``:
-a value of the wrong kind is a ConfigError naming the key.
+Numbers are read through ``number``, counts and seeds through ``integer`` and
+switches through ``boolean``: a value of the wrong kind is a ConfigError
+naming the key.
 Forcing and coefficient functions are written as lists of entries
 ``[[[site, l_site], ...], j, re, im]``; an entry outside the truncation
 (site > M, |l|_eta > K or |j| > jmax) is rejected.
@@ -120,6 +121,14 @@ def integer(cfg: dict, key: str, default=None, minimum=None) -> int:
     return value
 
 
+def boolean(cfg: dict, key: str, default: bool) -> bool:
+    """cfg[key] as a bool: only the JSON literals true and false are accepted."""
+    value = get(cfg, key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def numbers(cfg: dict, key: str, default=None, above=None, below=None) -> list:
     """cfg[key] as a list of floats (each strictly between above and below where
     given), required unless a default is given."""
@@ -196,7 +205,8 @@ def omega_from(cfg: dict, lattice, jmax, seed_override=None):
     """Either explicit omega.values (M components in [1, 2]) or seeded
     rejection sampling over the admissible set (Diophantine at gbar, cubic
     non-resonance at gamma0)."""
-    if "omega.values" in cfg and not cfg.get("omega.sample", False):
+    sample = boolean(cfg, "omega.sample", False)
+    if "omega.values" in cfg and not sample:
         vals = numbers(cfg, "omega.values")
         if len(vals) != lattice.M:
             raise ConfigError(f"omega.values must have length M={lattice.M}, got {len(vals)}")
@@ -204,7 +214,7 @@ def omega_from(cfg: dict, lattice, jmax, seed_override=None):
             return FrequencyVector(vals).values
         except ValueError as exc:
             raise ConfigError(f"omega.values = {vals}: {exc}") from None
-    if not cfg.get("omega.sample", False):
+    if not sample:
         raise ConfigError("provide omega.values or set omega.sample = true")
     seed = integer(cfg, "omega.seed", 0) if seed_override is None else int(seed_override)
     gbar = gbar_from(cfg)

@@ -195,8 +195,9 @@ class Enumeration:
 
     Row p of ``dense`` is the p-th multi-index in canonical order (eta-norm,
     then entries); index 0 is the zero multi-index.  Functions and operators
-    store their coefficients by this index, so every table here (negation,
-    sums, norms, divisor weights) applies to them by plain array indexing.
+    store their coefficients by this index, so every table here (negation, the
+    canonical half, sums, norms, divisor weights) applies to them by plain
+    array indexing.
     """
 
     _CONV_LIMIT = 4096
@@ -220,6 +221,9 @@ class Enumeration:
             [diophantine_weight(l) if l else np.inf for l in self.indices]
         )
         self.neg = self.lookup(-self.dense)
+        # The canonical half: p <= neg[p], one index of each mirror pair l, -l.
+        # The trailing False sends the index -1 (outside the truncation) out of it.
+        self.half = np.append(np.arange(self.size) <= self.neg, False)
         self._conv = None
 
     def lookup(self, rows) -> np.ndarray:

@@ -324,16 +324,14 @@ def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     enum = get_enumeration(A.lattice)
     conv = enum.conv_table()
     real = A.real and B.real
-    if real:
-        # a target outside the canonical half maps to -1, like one outside the lattice
-        half = np.append(np.arange(enum.size) <= enum.neg, False)
     b_index = list(B.data)
     b_blocks = list(B.data.values())
     out = {}
     for pa, ba in A.data.items():
         targets = conv[pa, b_index]
         if real:
-            targets = np.where(half[targets], targets, -1)
+            # a target outside the canonical half maps to -1, like one outside the lattice
+            targets = np.where(enum.half[targets], targets, -1)
         for q, bb in zip(targets.tolist(), b_blocks):
             if q >= 0:
                 acc = out.get(q)

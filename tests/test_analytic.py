@@ -96,6 +96,28 @@ def test_multiply_norm_algebra_pre_truncation(seed):
     assert multiply(u, v, prune_rel=0.0).norm(s) <= u.norm(s) * v.norm(s) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_real_product_sums_the_canonical_half(seed):
+    """A real product sums only the canonical rows and mirrors the rest; it agrees with
+    the product summed over every target (the non-real path) and is exactly real."""
+    lat = LatticeParams(1.0, 2, 5.0)
+    jmax = 6
+    rng = np.random.default_rng(seed)
+    size = len(enumerate_indices(lat))
+
+    def dense_real():
+        data = rng.normal(size=(size, 2 * jmax + 1)) + 1j * rng.normal(size=(size, 2 * jmax + 1))
+        return AnalyticFunction.from_array(lat, jmax, data)
+
+    u, v = dense_real(), dense_real()
+    full = multiply(*(AnalyticFunction.from_array(lat, jmax, w.data, real=False) for w in (u, v)))
+    half = multiply(u, v)
+    assert half.real and not full.real
+    assert np.max(np.abs(half.data - full.data)) <= 1e-14 * np.max(np.abs(full.data))
+    assert half.conjugate_symmetry_residual() == 0.0
+    assert np.array_equal(half.data, multiply(u, v).data)
+
+
 def test_reality_closure_bit_exact(rand_fct):
     u, v = rand_fct(10), rand_fct(11)
     assert multiply(u, v).conjugate_symmetry_residual() == 0.0

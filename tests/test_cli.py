@@ -195,6 +195,26 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
      "problem.gamma0 must be > 0, got -0.2"),
     ("solve", "solve_small.cfg", "omega.seed = 7", "omega.seed = 7\nomega.max_tries = 0",
      "omega.max_tries must be >= 1, got 0"),
+    ("solve", "solve_small.cfg", "omega.sample = true",
+     "omega.sample = False\nomega.values = [1.1, 1.3]",
+     "omega.sample must be true or false, got 'False'"),
+    ("solve", "solve_small.cfg", "omega.sample = true", "omega.sample = no",
+     "omega.sample must be true or false, got 'no'"),
+    ("solve", "solve_small.cfg", "omega.sample = true", 'omega.sample = "false"',
+     "omega.sample must be true or false, got 'false'"),
+    ("solve", "solve_small.cfg", "omega.sample = true", "omega.sample = 2",
+     "omega.sample must be true or false, got 2"),
+    ("reduce", "reduce_eps.cfg", "omega.values = [1.2357, 1.7113]",
+     "omega.values = [1.2357, 1.7113]\nomega.sample = 0",
+     "omega.sample must be true or false, got 0"),
+    ("check-omega", "check_omega.cfg", "omega.values = [1.2357, 1.7113]",
+     "omega.values = [1.2357, 1.7113]\nomega.sample = yes",
+     "omega.sample must be true or false, got 'yes'"),
+    ("measure", "measure.cfg", 'measure.predicate = "dgamma"\nmeasure.gamma_grid = [0.5, 0.25, 0.125]',
+     'measure.predicate = "bogus"\nmeasure.gamma_grid = []',
+     "unknown measure.predicate 'bogus'"),
+    ("measure", "measure.cfg", "measure.gamma_grid = [0.5, 0.25, 0.125]",
+     "measure.gamma_grid = []", "measure.gamma_grid must not be empty"),
 ], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
         "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data",
         "oversample", "max-iters", "residual-target", "kam-stop-tol", "stop-tol",
@@ -202,7 +222,10 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
         "solve-gbar", "reduce-gbar", "check-omega-gbar", "check-omega-gamma0",
         "gamma-grid-above", "gamma-grid-below", "max-steps-zero", "max-steps-negative",
         "kam-max-steps-zero", "solve-n0-zero", "solve-n0-negative", "reduce-n0-zero",
-        "reduce-n0-negative", "lambda3-zero", "sampled-gamma0", "sampled-max-tries"])
+        "reduce-n0-negative", "lambda3-zero", "sampled-gamma0", "sampled-max-tries",
+        "sample-python-false", "sample-no", "sample-string-false", "sample-number",
+        "reduce-sample-zero", "check-omega-sample-yes", "measure-predicate-empty-grid",
+        "measure-empty-grid"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
     code, out = _run_edited(tmp_path, command, name, old, new)
     assert code == 1
