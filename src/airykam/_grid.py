@@ -53,16 +53,12 @@ def next_fast_len(n: int) -> int:
         m += 1
 
 
-def site_bounds(lattice) -> list:
-    return [lattice.site_bound(s) for s in range(1, lattice.M + 1)]
-
-
 def _axis_size(factor, bound: int) -> int:
     return next_fast_len(max(2, int(factor)) * (2 * bound + 1) + 1)
 
 
 def phi_sizes(lattice, factor: int = 2) -> tuple:
-    return tuple(_axis_size(factor, b) for b in site_bounds(lattice))
+    return tuple(_axis_size(factor, b) for b in get_enumeration(lattice).bounds)
 
 
 def grid_sizes(lattice, jmax: int, factor: int = 2) -> tuple:
@@ -128,7 +124,7 @@ def _extract(vals, lattice, jmax, *, alias_tol, context, report=None):
     floor = _FLOOR * float(absspec.max(initial=0.0))
     absspec *= _rfft_weights(sizes[-1])
     total = float(absspec.sum())
-    caps = [2 * b for b in site_bounds(lattice)] + [2 * jmax]
+    caps = [2 * b for b in get_enumeration(lattice).bounds] + [2 * jmax]
     outer = functools.reduce(np.logical_or, np.meshgrid(
         *[np.abs(_signed_freqs(n))[:k] > cap for n, k, cap in zip(sizes, spec.shape, caps)],
         indexing="ij", sparse=True))

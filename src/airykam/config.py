@@ -202,11 +202,13 @@ def function_from_entries(entries, lattice, jmax, real=True) -> AnalyticFunction
 
 
 def omega_from(cfg: dict, lattice, jmax, seed_override=None):
-    """Either explicit omega.values (M components in [1, 2]) or seeded
-    rejection sampling over the admissible set (Diophantine at gbar, cubic
-    non-resonance at gamma0)."""
+    """Either explicit omega.values (M components in [1, 2]) or, with
+    omega.sample = true, seeded rejection sampling over the admissible set
+    (Diophantine at gbar, cubic non-resonance at gamma0), never both."""
     sample = boolean(cfg, "omega.sample", False)
-    if "omega.values" in cfg and not sample:
+    if sample == ("omega.values" in cfg):
+        raise ConfigError("set exactly one of omega.values and omega.sample = true")
+    if not sample:
         vals = numbers(cfg, "omega.values")
         if len(vals) != lattice.M:
             raise ConfigError(f"omega.values must have length M={lattice.M}, got {len(vals)}")
@@ -214,8 +216,6 @@ def omega_from(cfg: dict, lattice, jmax, seed_override=None):
             return FrequencyVector(vals).values
         except ValueError as exc:
             raise ConfigError(f"omega.values = {vals}: {exc}") from None
-    if not sample:
-        raise ConfigError("provide omega.values or set omega.sample = true")
     seed = integer(cfg, "omega.seed", 0) if seed_override is None else int(seed_override)
     gbar = gbar_from(cfg)
     gamma0 = number(cfg, "problem.gamma0", above=0.0)
@@ -243,7 +243,6 @@ def problem_spec_from(cfg: dict, seed_override=None) -> ProblemSpec:
         gbar=gbar_from(cfg),
         gamma0=number(cfg, "problem.gamma0"),
         omega=omega,
-        oversample=integer(cfg, "truncation.oversample", 4),
         N0=number(cfg, "schedule.N0", 8.0, above=0.0),
         kam_stop_tol=number(cfg, "schedule.kam_stop_tol", 1e-13),
         kam_max_steps=integer(cfg, "schedule.kam_max_steps", 40, minimum=1),

@@ -162,10 +162,6 @@ class LatticeParams:
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "K", float(self.K))
 
-    def site_bound(self, site: int) -> int:
-        """Largest |l_site| compatible with the cutoff."""
-        return int(math.floor(self.K / site**self.eta + 1e-12))
-
 
 def _dense_tuples(params: LatticeParams):
     """All dense entry tuples with support in 1..M and eta-norm <= K."""
@@ -212,6 +208,14 @@ class Enumeration:
         order = sorted(range(len(dense)), key=lambda i: (norms[i], dense[i]))
         self.dense = arr[order]
         self.eta_norms = norms[order]
+        # The truncation lies in the box |l_s| <= b_s = bounds[s - 1]; each box row has
+        # one key in the mixed radix 2 b_s + 1 (Python ints where int64 would overflow).
+        self.bounds = tuple(int(b) for b in np.abs(self.dense).max(axis=0))
+        radix = [math.prod(2 * b + 1 for b in self.bounds[:s]) for s in range(params.M + 1)]
+        self._radix = np.array(radix[:-1], dtype=object if radix[-1] >= 2**63 else np.int64)
+        keys = (self.dense + self.bounds) @ self._radix
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
         self.indices = tuple(MultiIndex(dense[i]) for i in order)
         self.index_of = {l: i for i, l in enumerate(self.indices)}
         self.size = len(self.indices)
@@ -229,12 +233,11 @@ class Enumeration:
     def lookup(self, rows) -> np.ndarray:
         """Index of each dense row (length M), or -1 when it is outside the truncation."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.params.M)
-        _, group = np.unique(np.concatenate([self.dense, rows]), axis=0,
-                             return_inverse=True)
-        group = group.reshape(-1)
-        index = np.full(group.max() + 1, -1, dtype=np.int64)
-        index[group[:self.size]] = np.arange(self.size)
-        return index[group[self.size:]]
+        in_box = np.all(np.abs(rows) <= self.bounds, axis=1)
+        keys = (rows + self.bounds) @ self._radix  # a key of a row outside the box is unused
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
+        found = in_box & (self._sorted_keys[pos] == keys)
+        return np.where(found, self._key_order[pos], -1)
 
     def within(self, N: float) -> np.ndarray:
         """Mask of the indices with |l|_eta <= N; the zero index is always inside."""

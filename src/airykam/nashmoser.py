@@ -102,7 +102,6 @@ class ProblemSpec:
     gbar: float
     gamma0: float
     omega: np.ndarray
-    oversample: int = 4
     N0: float = 8.0
     kam_stop_tol: float = 1e-13
     kam_max_steps: int = 40
@@ -120,14 +119,16 @@ class ProblemSpec:
             raise ValueError("forcing must be real-on-real")
         if not self.forcing.zero_x_average:
             raise ValueError("forcing must have zero x-average")
-        if self.oversample < 2:
-            raise ValueError(f"oversample must be >= 2, got {self.oversample}")
         if not self.residual_target > 0:
             raise ValueError(f"residual_target must be > 0, got {self.residual_target}")
         if not self.kam_stop_tol >= 0:
             raise ValueError(f"kam_stop_tol must be >= 0, got {self.kam_stop_tol}")
         self.dioph = DiophantineParams(self.gamma0, self.gbar)
         self.strips = StripSchedule(self.S, self.s_bar)
+
+    @property
+    def oversample(self) -> int:
+        return 2  # Q is quadratic: the factor-2 grid holds all of F(u)'s band, alias-free
 
     @property
     def lattice(self):
@@ -290,12 +291,12 @@ class ResidualReport:
 def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] = None) -> ResidualReport:
     """Collocation residual of the original equation at the zero strip.
 
-    Evaluates (om.d_phi + dx^3) u + Q(u) + f on an oversampled tensor grid
-    by dense FFTs, independent of the sparse solver algebra, and reports the
-    max-grid and l1-coefficient norms of the defect.  u must be real (every
-    solve iterate is): it carries only its x-modes j >= 0 through real FFTs,
-    and l1 counts each half-spectrum column as often as it occurs in the full
-    spectrum.
+    Evaluates (om.d_phi + dx^3) u + Q(u) + f by dense FFTs on the factor-2
+    grid (a cross-check passes another ``oversample``), independent of the
+    sparse solver algebra, and reports the max-grid and l1-coefficient norms
+    of the defect.  u must be real (every solve iterate is): it carries only
+    its x-modes j >= 0 through real FFTs, and l1 counts each half-spectrum
+    column as often as it occurs in the full spectrum.
     """
     _grid._require_real(u, "residual argument")
     factor = spec.oversample if oversample is None else int(oversample)

@@ -31,7 +31,7 @@ from airykam.analytic import (
 )
 from airykam import _grid
 from airykam.errors import NonContractionError, SmallDivisorError
-from airykam.lattice import LatticeParams, MultiIndex, enumerate_indices
+from airykam.lattice import LatticeParams, MultiIndex, enumerate_indices, get_enumeration
 
 from conftest import by_real_parts, eval_pointwise
 
@@ -463,7 +463,7 @@ def extract_fftn(vals, lattice, jmax):
     sizes = vals.shape
     spec = np.fft.fftn(vals) / float(np.prod(sizes))
     mag = np.abs(spec)
-    caps = [2 * b for b in _grid.site_bounds(lattice)] + [2 * jmax]
+    caps = [2 * b for b in get_enumeration(lattice).bounds] + [2 * jmax]
     freqs = np.meshgrid(*[np.abs(np.fft.fftfreq(n, 1.0 / n)) for n in sizes], indexing="ij")
     outer = np.any([f > cap for f, cap in zip(freqs, caps)], axis=0)
     rows = spec[_grid._grid_index(lattice, sizes)]

@@ -147,8 +147,6 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
     ("check-omega", "check_omega.cfg", "omega.values = [1.2357, 1.7113]",
      "omega.values = [1.2357]", "omega.values must have length M=2, got 1"),
     ("solve", "solve_small.cfg", "problem.S = 1.0", "problem.S = 0.4", "need S > s_bar > 0"),
-    ("solve", "solve_small.cfg", "truncation.oversample = 4", "truncation.oversample = 1",
-     "oversample must be >= 2, got 1"),
     ("solve", "solve_small.cfg", "schedule.max_iters = 4", "schedule.max_iters = -3",
      "schedule.max_iters must be >= 1, got -3"),
     ("solve", "solve_small.cfg", "schedule.residual_target = 1e-10",
@@ -215,9 +213,18 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
      "unknown measure.predicate 'bogus'"),
     ("measure", "measure.cfg", "measure.gamma_grid = [0.5, 0.25, 0.125]",
      "measure.gamma_grid = []", "measure.gamma_grid must not be empty"),
+    ("solve", "solve_small.cfg", "omega.sample = true",
+     "omega.sample = true\nomega.values = [1.2357, 1.7113]",
+     "set exactly one of omega.values and omega.sample = true"),
+    ("reduce", "reduce_eps.cfg", "omega.values = [1.2357, 1.7113]",
+     "omega.values = [1.2357, 1.7113]\nomega.sample = true",
+     "set exactly one of omega.values and omega.sample = true"),
+    ("check-omega", "check_omega.cfg", "omega.values = [1.2357, 1.7113]",
+     "omega.values = [1.2357, 1.7113]\nomega.sample = true",
+     "set exactly one of omega.values and omega.sample = true"),
 ], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
         "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data",
-        "oversample", "max-iters", "residual-target", "kam-stop-tol", "stop-tol",
+        "max-iters", "residual-target", "kam-stop-tol", "stop-tol",
         "reduce-gamma-negative", "reduce-gamma-zero", "interior-j",
         "solve-gbar", "reduce-gbar", "check-omega-gbar", "check-omega-gamma0",
         "gamma-grid-above", "gamma-grid-below", "max-steps-zero", "max-steps-negative",
@@ -225,13 +232,22 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
         "reduce-n0-negative", "lambda3-zero", "sampled-gamma0", "sampled-max-tries",
         "sample-python-false", "sample-no", "sample-string-false", "sample-number",
         "reduce-sample-zero", "check-omega-sample-yes", "measure-predicate-empty-grid",
-        "measure-empty-grid"])
+        "measure-empty-grid", "solve-omega-both", "reduce-omega-both", "check-omega-both"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
     code, out = _run_edited(tmp_path, command, name, old, new)
     assert code == 1
     err = capsys.readouterr().err
     assert "config error" in err and why in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [1, 8])
+def test_oversample_key_is_not_read(value):
+    """The residual grid factor follows from the quadratic nonlinearity; a
+    leftover truncation.oversample line is an unread key like any other."""
+    cfg = parse_config_text(read(CONFIGS / "solve_small.cfg")
+                            + f"truncation.oversample = {value}\n")
+    assert problem_spec_from(cfg).oversample == 2
 
 
 def test_integral_floats_are_accepted():

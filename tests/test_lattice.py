@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +149,35 @@ def test_divisor_series_stabilizes_under_refinement():
     assert all(b >= a for a, b in zip(seq, seq[1:]))
     # documented threshold: beyond (M, K) = (4, 64) refinements move < 1%
     assert (seq[4] - seq[3]) / seq[4] < 0.01
+
+
+@pytest.mark.parametrize("params", [LatticeParams(1.0, 1, 5.0), LatticeParams(1.0, 2, 8.0),
+                                    LatticeParams(0.7, 3, 3.5)])
+def test_lookup_matches_dict(params):
+    """lookup against a dict of the enumerated rows, on sums, negations and
+    random rows in and beyond the box |l_s| <= bounds[s - 1]."""
+    enum = get_enumeration(params)
+    index = {tuple(row): p for p, row in enumerate(enum.dense.tolist())}
+    top = enum.bounds[0] + 2
+    rows = np.concatenate([
+        np.random.default_rng(0).integers(-top, top + 1, size=(2000, params.M)),
+        -enum.dense,
+        (enum.dense[:, None, :] + enum.dense[None, :20, :]).reshape(-1, params.M),
+    ])
+    got = enum.lookup(rows)
+    assert got.tolist() == [index.get(tuple(row), -1) for row in rows.tolist()]
+    assert 0 < np.count_nonzero(got >= 0) < len(rows)
+
+
+def test_lookup_beyond_int64_keys():
+    # 42 sites of bound 1: a box of 3^42 rows, more than int64 keys can number.
+    enum = get_enumeration(LatticeParams(0.1, 42, 1.5))
+    assert enum.bounds == (1,) * 42
+    key, row = 3**42 // 2 + 2**64, []  # the key of l = 0, plus 2^64
+    for _ in range(42):
+        key, digit = divmod(key, 3)
+        row.append(digit - 1)
+    assert enum.lookup([row, [0] * 42]).tolist() == [-1, 0]
 
 
 def test_convolution_table():

@@ -232,3 +232,28 @@ def test_residual_value_is_l1_coeff(solve_small_run):
     assert rep.converged and rep.residuals
     for rr in rep.residuals:
         assert rr["max_grid"] <= rr["l1_coeff"] * (1 + 1e-12)
+
+
+def test_residual_factor_two_matches_factor_four(solve_small_run):
+    """Q is quadratic, so the factor-2 grid of spec.oversample already holds
+    the whole band of F(u): a factor-4 grid gives the same l1 to rounding."""
+    spec_small, rep = solve_small_run
+    lat3, omega3 = LatticeParams(1.0, 3, 4.0), np.array([1.2357, 1.7113, 1.4142])
+    spec3 = make_spec(lat3, 8, omega=omega3)
+    rng = np.random.default_rng(5)
+    shape = AnalyticFunction.zeros(lat3, 8).data.shape
+    dense = AnalyticFunction.from_array(
+        lat3, 8, 1e-6 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    for spec, u in ((spec_small, from_payload(rep.solution)), (spec3, dense)):
+        assert spec.oversample == 2
+        exact, fine = residual(spec, u), residual(spec, u, oversample=4)
+        assert abs(exact.l1_coeff - fine.l1_coeff) <= 1e-15
+        assert exact.max_grid <= exact.l1_coeff and fine.max_grid <= fine.l1_coeff
+    # Q's share of the l1 is far above the bound, so an aliased Q would show.
+    linear = make_spec(lat3, 8, c=(0.0,) * 4, omega=omega3)
+    assert abs(residual(linear, dense).l1_coeff - residual(spec3, dense).l1_coeff) > 1e-6
+
+
+def test_problem_spec_takes_no_oversample(lat2, jmax):
+    with pytest.raises(TypeError):
+        make_spec(lat2, jmax, oversample=4)
