@@ -48,7 +48,7 @@ from .errors import (
     SeriesRadiusError,
     SmallDivisorError,
 )
-from .homological import DiagonalModel, solve_airy, solve_diagonal, solve_scalar_phi
+from .homological import solve_airy, solve_diagonal
 from .lattice import (
     LatticeParams,
     MultiIndex,
@@ -75,7 +75,6 @@ from .nashmoser import (
 from .opalg import (
     DifferentialOperator,
     OperatorMatrix,
-    ad_power,
     apply_op,
     commutator,
     compose,

@@ -140,7 +140,7 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
     jwin = integer(cfg, "reduce.interior_j", max(1, jmax - 4), minimum=1)
     lwin = number(cfg, "reduce.interior_K", max(1.0, lattice.K - 2.0))
     try:
-        red = reduce_operator(L, omega, sched, verify_window=(jwin, lwin))
+        red = reduce_operator(L, sched, verify_window=(jwin, lwin))
     except SmallDivisorError as exc:
         print(f"reduction aborted on a small divisor: {exc}")
         print(f"witness: {exc.witness()}")
@@ -158,9 +158,10 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
         "trace": [{k: v for k, v in row.items() if k != "seconds"} for row in red.trace],
     }
     _write_json(out / "report.json", doc)
-    table = red.omega_table()
+    vals = red.omega_values()
     _write_csv(out / "omega_table.csv", ["j", "omega_inf"],
-               [{"j": j, "omega_inf": table[j]} for j in sorted(table)])
+               [{"j": j, "omega_inf": float(vals[j + jmax])}
+                for j in range(-jmax, jmax + 1) if j != 0])
     _write_csv(out / "trace.csv", ["step", "p_norm", "min_margin", "seconds"],
                [{"step": row["step"], "p_norm": row["p_norm"],
                  "min_margin": row["margin"], "seconds": row["seconds"]}
@@ -216,8 +217,8 @@ def cmd_check_omega(cfg: dict, out: Path, seed_override=None) -> int:
     gamma0 = number(cfg, "problem.gamma0", above=0.0)
     d = is_diophantine(omega, gbar, lattice)
     a = is_airy_nonresonant(omega, gamma0, lattice, jmax)
-    table = {int(j): -float(j) ** 3 for j in range(-jmax, jmax + 1) if j != 0}
-    rep = smallest_divisor_report(omega, table, lattice)
+    airy = -np.arange(-jmax, jmax + 1, dtype=float) ** 3
+    rep = smallest_divisor_report(omega, airy, lattice)
     doc = {
         "omega": omega.tolist(),
         "diophantine": {"ok": d.ok, "margin": d.margin,

@@ -155,34 +155,27 @@ class QuadraticForm:
         return f"QuadraticForm({sorted(self.coeffs)})"
 
 
+def _x_derivatives(Q: QuadraticForm, u: AnalyticFunction) -> dict:
+    """{k: dx^k u} for every order k that a coefficient of Q uses (dx^0 u = u)."""
+    return {k: u if k == 0 else dx(u, k) for k in {k for key in Q.coeffs for k in key}}
+
+
 def evaluate_quadratic(Q: QuadraticForm, u: AnalyticFunction) -> AnalyticFunction:
     """Q(u) as a function."""
-    ders = {}
-
-    def der(k):
-        if k not in ders:
-            ders[k] = u if k == 0 else dx(u, k)
-        return ders[k]
-
+    der = _x_derivatives(Q, u)
     out = AnalyticFunction.zeros(Q.lattice, Q.jmax)
     for (i, j), q in Q.coeffs.items():
-        out = out + multiply(q, multiply(der(i), der(j)))
+        out = out + multiply(q, multiply(der[i], der[j]))
     return out
 
 
 def linearize_quadratic(Q: QuadraticForm, h: AnalyticFunction) -> QuadraticPerturbation:
     """Coefficients of v -> sum q_{i,j} [(dx^i h)(dx^j v) + (dx^i v)(dx^j h)]."""
-    ders = {}
-
-    def der(k):
-        if k not in ders:
-            ders[k] = h if k == 0 else dx(h, k)
-        return ders[k]
-
+    der = _x_derivatives(Q, h)
     d = {m: AnalyticFunction.zeros(Q.lattice, Q.jmax) for m in range(4)}
     for (i, j), q in Q.coeffs.items():
-        d[j] = d[j] + multiply(q, der(i))
-        d[i] = d[i] + multiply(q, der(j))
+        d[j] = d[j] + multiply(q, der[i])
+        d[i] = d[i] + multiply(q, der[j])
     return QuadraticPerturbation(d3=d[3], d2=d[2], d1=d[1], d0=d[0])
 
 
@@ -282,7 +275,7 @@ class ConjugationResult:
     report: dict = field(default_factory=dict)
 
 
-def conjugate_step(L: DifferentialOperator, qp: QuadraticPerturbation, omega,
+def conjugate_step(L: DifferentialOperator, qp: QuadraticPerturbation,
                    gbar: float, report=None) -> ConjugationResult:
     """Build T with r T^{-1} (L + Q') T = om.d_phi + lambda3+ dx^3 + a1+ dx + a0+.
 
@@ -294,7 +287,7 @@ def conjugate_step(L: DifferentialOperator, qp: QuadraticPerturbation, omega,
     (``operator_hamiltonian_defect``).
     """
     rep = {} if report is None else report
-    om = np.asarray(omega, dtype=float)
+    om = L.omega
     lam1 = L.lambda1()
     rep["hamiltonian_defect"] = qp.hamiltonian_defect()
 

@@ -7,29 +7,13 @@ frequencies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .analytic import AnalyticFunction, om_dphi_inv
+from .analytic import AnalyticFunction
 from .errors import SmallDivisorError
 from .lattice import get_enumeration
 
-__all__ = ["DiagonalModel", "solve_airy", "solve_diagonal", "solve_scalar_phi"]
-
-
-@dataclass
-class DiagonalModel:
-    """Diagonal frequencies Omega(j) over 1 <= |j| <= jmax plus the vector omega."""
-
-    Omega: dict
-    omega: np.ndarray
-
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
-        self.Omega = {int(j): float(v) for j, v in self.Omega.items()}
-        if any(j == 0 for j in self.Omega):
-            raise ValueError("Omega is defined for j != 0")
+__all__ = ["solve_airy", "solve_diagonal"]
 
 
 def _divide(f: AnalyticFunction, div, floor, what: str) -> AnalyticFunction:
@@ -66,31 +50,20 @@ def solve_airy(f: AnalyticFunction, omega, gamma0: float,
     return _divide(f, div, (gamma0 / enum.dvals)[:, None], "floor")
 
 
-def solve_diagonal(model: DiagonalModel, f: AnalyticFunction, gamma: float) -> AnalyticFunction:
+def solve_diagonal(f: AnalyticFunction, omega, Omega, gamma: float) -> AnalyticFunction:
     """h with (omega.d_phi + D) h = -f for D = diag i Omega(j).
 
-    Divisors omega.l + Omega(j) carry the first-order Melnikov floor
-    gamma |j|^3 / d(l).
+    ``Omega`` holds Omega(j) indexed j + jmax, for the jmax of f (the j = 0
+    slot is unused).  Divisors omega.l + Omega(j) carry the first-order
+    Melnikov floor gamma |j|^3 / d(l).
     """
     if not f.zero_x_average:
         raise ValueError("forcing must have zero x-average")
-    jj = np.arange(-f.jmax, f.jmax + 1)
-    missing = [j for j in jj[f.data.any(axis=0)].tolist() if j not in model.Omega]
-    if missing:
-        raise ValueError(f"mode j={missing[0]} outside the frequency table")
+    Omega = np.asarray(Omega, dtype=float)
+    if Omega.shape != (2 * f.jmax + 1,):
+        raise ValueError(f"Omega must hold the {2 * f.jmax + 1} modes |j| <= {f.jmax}")
     enum = get_enumeration(f.lattice)
-    Omega = np.array([model.Omega.get(j, 0.0) for j in jj.tolist()])
-    div = enum.dots(model.omega)[:, None] + Omega[None, :]
+    jj = np.arange(-f.jmax, f.jmax + 1)
+    div = enum.dots(omega)[:, None] + Omega[None, :]
     floor = (gamma * np.abs(jj) ** 3)[None, :] / enum.dvals[:, None]
     return _divide(f, div, floor, "Melnikov floor")
-
-
-def solve_scalar_phi(rhs: AnalyticFunction, omega, gamma: float) -> AnalyticFunction:
-    """Solve omega.d_phi b = rhs for zero-phi-average rhs of phi alone.
-
-    Delegates to om_dphi_inv with the Diophantine floor gamma * prod
-    1/(1 + l_i^2 i^2).
-    """
-    if not rhs.phi_only:
-        raise ValueError("right-hand side must depend on phi only")
-    return om_dphi_inv(rhs, omega, gamma)

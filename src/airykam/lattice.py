@@ -197,6 +197,7 @@ class Enumeration:
     """
 
     _CONV_LIMIT = 4096
+    _CONV_BLOCK = 1 << 14     # table entries looked up at once by conv_table
 
     def __init__(self, params: LatticeParams):
         self.params = params
@@ -253,13 +254,21 @@ class Enumeration:
         return self.dense @ om
 
     def conv_table(self) -> np.ndarray:
-        """conv[p, q] = index of l_p + l_q, or -1 when outside the truncation."""
+        """conv[p, q] = index of l_p + l_q, or -1 when outside the truncation.
+
+        Built a block of rows at a time, so the lookup's temporaries stay
+        small next to the n x n table.
+        """
         if self._conv is None:
             n = self.size
             if n > self._CONV_LIMIT:
                 raise ValueError(f"lattice too large for a convolution table ({n})")
-            sums = self.dense[:, None, :] + self.dense[None, :, :]
-            self._conv = self.lookup(sums).reshape(n, n)
+            conv = np.empty((n, n), dtype=np.int64)
+            step = max(1, self._CONV_BLOCK // n)
+            for lo in range(0, n, step):
+                rows = self.dense[lo:lo + step]
+                conv[lo:lo + step] = self.lookup(rows[:, None, :] + self.dense).reshape(-1, n)
+            self._conv = conv
         return self._conv
 
 

@@ -208,7 +208,7 @@ def step(state: IterationState, spec: ProblemSpec) -> IterationState:
         gamma=gamma_step, gbar=spec.gbar, N0=spec.N0,
         stop_tol=spec.kam_stop_tol, max_steps=spec.kam_max_steps,
     )
-    red = reduce_operator(state.L, spec.omega, sched)
+    red = reduce_operator(state.L, sched)
     if not red.converged:
         raise ReductionError(f"reducibility stalled at outer step {n}: {red.stop_reason}")
     inv_rep = {}
@@ -216,7 +216,7 @@ def step(state: IterationState, spec: ProblemSpec) -> IterationState:
 
     qp = linearize_quadratic(state.Q, h)
     conj_rep = {}
-    res = conjugate_step(state.L, qp, spec.omega, spec.gbar, report=conj_rep)
+    res = conjugate_step(state.L, qp, spec.gbar, report=conj_rep)
 
     Qh = evaluate_quadratic(state.Q, h)
     f_raw = multiply(res.transform.r, apply_transform_inverse(res.transform, Qh))

@@ -2,9 +2,10 @@
 
 An operator is stored as block coefficients R(l)[j, j'] acting by
 (Ru)_j(l) = sum R(l - l')[j, j'] u_{j'}(l'), i.e. it is a convolution in the
-phi-frequencies.  The unbounded term omega.d_phi cannot be written in that
-form; operators that include it carry the frequency vector in ``omega`` and
-all algebra helpers treat that part structurally.
+phi-frequencies, so every OperatorMatrix is bounded.  The unbounded term
+omega.d_phi cannot be written in that form: it lives only in
+``DifferentialOperator``, and a conjugation adds its contribution as the Lie
+series of the generator's phi-derivative (see ``lie_series``).
 
 Blocks are (2 jmax + 1) x (2 jmax + 1) complex arrays indexed by j + jmax.
 ``OperatorMatrix.data`` holds the nonzero blocks keyed by lattice
@@ -32,7 +33,6 @@ already hold the invariants, and only drops zero blocks.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -58,7 +58,6 @@ __all__ = [
     "apply_op",
     "compose",
     "commutator",
-    "ad_power",
     "phi_derivative",
     "materialize",
     "exp_apply",
@@ -69,33 +68,30 @@ __all__ = [
     "dense_labels",
 ]
 
-log = logging.getLogger(__name__)
-
 MAX_SERIES_TERMS = 60
 
 
 class OperatorMatrix:
-    """Block-convolution operator, optionally including omega.d_phi."""
+    """Bounded block-convolution operator."""
 
-    __slots__ = ("lattice", "jmax", "data", "omega", "real")
+    __slots__ = ("lattice", "jmax", "data", "real")
 
-    def __init__(self, lattice, jmax, blocks=None, omega=None, real=True):
+    def __init__(self, lattice, jmax, blocks=None, real=True):
         """Build from a dict {MultiIndex: block}; indices outside the truncation are dropped."""
         index_of = get_enumeration(lattice).index_of
         by_index = {index_of[l]: b for l, b in (blocks or {}).items() if l in index_of}
-        self._set(lattice, jmax, by_index, omega, real)
+        self._set(lattice, jmax, by_index, real)
 
     @classmethod
-    def from_indexed(cls, lattice, jmax, blocks, omega=None, real=True):
+    def from_indexed(cls, lattice, jmax, blocks, real=True):
         """Build from a dict {enumeration index: block}."""
         out = cls.__new__(cls)
-        out._set(lattice, jmax, blocks, omega, real)
+        out._set(lattice, jmax, blocks, real)
         return out
 
-    def _set(self, lattice, jmax, blocks, omega, real, trusted=False):
+    def _set(self, lattice, jmax, blocks, real, trusted=False):
         self.lattice = lattice
         self.jmax = int(jmax)
-        self.omega = None if omega is None else np.asarray(omega, dtype=float)
         self.real = bool(real)
         self.data = _sealed(blocks if trusted else self._normalized(blocks))
 
@@ -134,22 +130,11 @@ class OperatorMatrix:
         if self.lattice != other.lattice or self.jmax != other.jmax:
             raise ValueError("incompatible operator truncations")
 
-    def _merge_omega(self, other, subtract=False):
-        if self.omega is None and other.omega is None:
-            return None
-        if self.omega is not None and other.omega is not None:
-            if subtract and np.array_equal(self.omega, other.omega):
-                return None
-            raise ValueError("cannot combine two omega.d_phi parts")
-        if subtract and other.omega is not None:
-            raise ValueError("cannot negate an omega.d_phi part by subtraction")
-        return self.omega if self.omega is not None else other.omega
-
-    def _like(self, blocks, omega=None, real=None):
+    def _like(self, blocks, real=None):
         """Trusted constructor for results of the algebra: the blocks already
         hold the invariants, so only zero blocks are dropped."""
         out = OperatorMatrix.__new__(OperatorMatrix)
-        out._set(self.lattice, self.jmax, blocks, omega,
+        out._set(self.lattice, self.jmax, blocks,
                  self.real if real is None else real, trusted=True)
         return out
 
@@ -158,21 +143,18 @@ class OperatorMatrix:
         out = dict(self.data)
         for p, b in other.data.items():
             out[p] = out[p] + b if p in out else b
-        return self._like(out, self._merge_omega(other), self.real and other.real)
+        return self._like(out, self.real and other.real)
 
     def __sub__(self, other):
         self._check_compat(other)
         out = dict(self.data)
         for p, b in other.data.items():
             out[p] = out[p] - b if p in out else -b
-        return self._like(out, self._merge_omega(other, subtract=True),
-                          self.real and other.real)
+        return self._like(out, self.real and other.real)
 
     def __mul__(self, scalar):
         s = complex(scalar)
-        if self.omega is not None and s != 1.0:
-            raise ValueError("cannot scale an operator containing omega.d_phi")
-        return self._like({p: s * b for p, b in self.data.items()}, self.omega,
+        return self._like({p: s * b for p, b in self.data.items()},
                           self.real and s.imag == 0.0)
 
     __rmul__ = __mul__
@@ -183,13 +165,8 @@ class OperatorMatrix:
     def __matmul__(self, other):
         return compose(self, other)
 
-    def convolution_part(self) -> "OperatorMatrix":
-        """The same operator with the omega.d_phi term stripped."""
-        return self._like(self.data)
-
     def __repr__(self):
-        tag = ", +omega.d_phi" if self.omega is not None else ""
-        return f"OperatorMatrix(jmax={self.jmax}, blocks={len(self.data)}{tag})"
+        return f"OperatorMatrix(jmax={self.jmax}, blocks={len(self.data)})"
 
 
 def _mirror(b):
@@ -257,8 +234,6 @@ def smoothing_generator_op(g: AnalyticFunction) -> OperatorMatrix:
 
 def op_norm(R: OperatorMatrix, sigma: float, m: float = 0.0) -> float:
     """Decay norm sum_l e^{sigma |l|_eta} sup_{j'} sum_j e^{sigma |j-j'|} |R(l)[j,j']| |j'|^{-m}."""
-    if R.omega is not None:
-        raise ValueError("op_norm is defined for the bounded (convolution) part only")
     jmax = R.jmax
     jj = np.arange(-jmax, jmax + 1)
     W = np.exp(sigma * np.abs(jj[:, None] - jj[None, :]))
@@ -275,11 +250,11 @@ def op_norm(R: OperatorMatrix, sigma: float, m: float = 0.0) -> float:
 
 
 def split_by_norm(R: OperatorMatrix, N: float):
-    """The parts of R with blocks |l|_eta <= N and > N (omega.d_phi stays in the first)."""
+    """The parts of R with blocks |l|_eta <= N and > N."""
     inside = get_enumeration(R.lattice).within(N)
     low = {p: b for p, b in R.data.items() if inside[p]}
     high = {p: b for p, b in R.data.items() if not inside[p]}
-    return R._like(low, R.omega), R._like(high)
+    return R._like(low), R._like(high)
 
 
 def restrict(R: OperatorMatrix, jwin: int, lwin: float) -> OperatorMatrix:
@@ -287,7 +262,7 @@ def restrict(R: OperatorMatrix, jwin: int, lwin: float) -> OperatorMatrix:
     keep = np.abs(np.arange(-R.jmax, R.jmax + 1)) <= jwin
     mask = np.outer(keep, keep)
     inside = get_enumeration(R.lattice).within(lwin)
-    return R._like({p: b * mask for p, b in R.data.items() if inside[p]}, R.omega)
+    return R._like({p: b * mask for p, b in R.data.items() if inside[p]})
 
 
 def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
@@ -304,14 +279,11 @@ def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
         hit = target >= 0
         # l_d + l_p is injective in p, so the targets of one block are distinct
         out[target[hit]] += vecs[rows[hit]] @ b.T
-    result = u._like(out, R.real and u.real)
-    if R.omega is not None:
-        result = result + om_dphi(u, R.omega)
-    return result
+    return u._like(out, R.real and u.real)
 
 
 def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    """Block-convolution product A B (both must be pure convolution operators).
+    """Block-convolution product A B.
 
     Each target block is summed over the pairs that land on it, A-major and
     B-minor.  A product of two real operators is real, so only its canonical
@@ -319,8 +291,6 @@ def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     the self-mirrored q = 0 block is symmetrized.
     """
     A._check_compat(B)
-    if A.omega is not None or B.omega is not None:
-        raise ValueError("compose requires bounded operators; handle omega.d_phi structurally")
     enum = get_enumeration(A.lattice)
     conv = enum.conv_table()
     real = A.real and B.real
@@ -349,14 +319,6 @@ def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     return compose(A, B) - compose(B, A)
 
 
-def ad_power(A: OperatorMatrix, B: OperatorMatrix, k: int) -> OperatorMatrix:
-    """Iterated adjoint Ad_A^k(B) with Ad_A(B) = [B, A]; k = 0 returns B."""
-    X = B
-    for _ in range(int(k)):
-        X = commutator(X, A)
-    return X
-
-
 def phi_derivative(R: OperatorMatrix, omega) -> OperatorMatrix:
     """Derivative of the coefficients along omega: blocks scaled by i (omega.l)."""
     dots = get_enumeration(R.lattice).dots(omega)
@@ -368,7 +330,10 @@ def phi_derivative(R: OperatorMatrix, omega) -> OperatorMatrix:
 
 @dataclass
 class DifferentialOperator:
-    """omega.d_phi + lambda3 dx^3 + B dx + C, kept structured until materialized."""
+    """omega.d_phi + lambda3 dx^3 + B dx + C, the one home of omega.d_phi.
+
+    ``materialize`` gives the bounded part lambda3 dx^3 + B dx + C as blocks.
+    """
 
     omega: np.ndarray
     lambda3: float
@@ -409,15 +374,15 @@ class DifferentialOperator:
 
 
 def materialize(L: DifferentialOperator) -> OperatorMatrix:
-    """Basis representation of L; carries the omega.d_phi part structurally."""
+    """Block representation of lambda3 dx^3 + B dx + C: L without omega.d_phi,
+    which has no block form."""
     lat, jmax = L.lattice, L.jmax
-    airy = x_symbol_op(lat, jmax, lambda j: -1j * L.lambda3 * j**3)
-    out = airy
+    out = x_symbol_op(lat, jmax, lambda j: -1j * L.lambda3 * j**3)
     if not L.B.is_zero():
         out = out + compose(mult_op(L.B), dx_op(lat, jmax))
     if not L.C.is_zero():
         out = out + mult_op(L.C)
-    return out._like(out.data, L.omega)
+    return out
 
 
 # -- exponential series -------------------------------------------------------
@@ -464,17 +429,9 @@ def exp_conjugate(G: OperatorMatrix, B: OperatorMatrix, tol=1e-14,
                   max_terms=MAX_SERIES_TERMS) -> OperatorMatrix:
     """e^{-G} B e^{G} with the tail bounded below tol by the ratio test.
 
-    B may include omega.d_phi; G must be a bounded generator.
+    Conjugating omega.d_phi + B adds lie_series(G, phi_derivative(G, omega))
+    to this.
     """
-    if G.omega is not None:
-        raise ValueError("generator must be a bounded operator")
-    if B.omega is not None:
-        conv = exp_conjugate(G, B.convolution_part(), tol=tol, max_terms=max_terms)
-        gdot = phi_derivative(G, B.omega)
-        extra, terms = lie_series(G, gdot, tol=tol, max_terms=max_terms)
-        log.debug("exp_conjugate omega-part used %d terms", terms)
-        out = conv + extra
-        return out._like(out.data, B.omega)
     if not G.data:
         return B
     return lie_series(G, B, tol=tol, max_terms=max_terms, start_factor=0)[0]
@@ -483,8 +440,6 @@ def exp_conjugate(G: OperatorMatrix, B: OperatorMatrix, tol=1e-14,
 def exp_apply(G: OperatorMatrix, u: AnalyticFunction, tol=1e-14,
               max_terms=MAX_SERIES_TERMS) -> AnalyticFunction:
     """e^{G} u as a truncated series."""
-    if G.omega is not None:
-        raise ValueError("generator must be a bounded operator")
     if not G.data or u.is_zero():
         return u
     return _series(u, lambda term, k: apply_op(G, term) * (1.0 / k),
@@ -515,7 +470,7 @@ def dense_labels(lattice, jmax):
 
 
 def to_dense(R: OperatorMatrix) -> np.ndarray:
-    """Full matrix over (l, j != 0); includes i (omega.l) on the diagonal if set."""
+    """Full matrix over (l, j != 0)."""
     enum = get_enumeration(R.lattice)
     conv = enum.conv_table()
     jslots = np.flatnonzero(np.arange(-R.jmax, R.jmax + 1))
@@ -526,6 +481,4 @@ def to_dense(R: OperatorMatrix) -> np.ndarray:
     for pd, b in R.data.items():
         q = np.flatnonzero(conv[pd] >= 0)
         grid[conv[pd, q], :, q, :] += b[np.ix_(jslots, jslots)]
-    if R.omega is not None:
-        M[np.arange(n), np.arange(n)] += np.repeat(1j * enum.dots(R.omega), nj)
     return M

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import AnalyticFunction, dx, dx_inv, mean_phi_x, om_dphi, pi0, pi0_perp
 from .errors import ReductionError, SmallDivisorError
-from .homological import DiagonalModel, solve_diagonal
+from .homological import solve_diagonal
 from .lattice import get_enumeration
 from .opalg import (
     DifferentialOperator,
@@ -86,12 +86,6 @@ class _Frequencies:
         out = -self.lambda3 * j**3 + self.lambda1 * j + self.r
         out[self.jmax] = 0.0
         return out
-
-    def omega_table(self) -> dict:
-        """{j: Omega(j)} for 0 < |j| <= jmax."""
-        vals = self.omega_values()
-        return {j: float(vals[j + self.jmax])
-                for j in range(-self.jmax, self.jmax + 1) if j != 0}
 
 
 @dataclass
@@ -177,8 +171,9 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
     t0 = time.perf_counter()
     lat, jmax = state.P.lattice, state.jmax
     nj = 2 * jmax + 1
+    omv = state.omega_values()
 
-    chk = second_melnikov(om, state.omega_table(), schedule.gamma, lat,
+    chk = second_melnikov(om, omv, schedule.gamma, lat,
                           gbar=schedule.gbar, N=state.N, two_gamma=False)
     if not chk.ok:
         w = chk.witness
@@ -204,7 +199,6 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
     odd_defect = float(np.max(np.abs(z + z[::-1])))
     z = 0.5 * (z - z[::-1])
 
-    omv = state.omega_values()
     gap = omv[:, None] - omv[None, :]
     dots = get_enumeration(lat).dots(om)
     psi_blocks = {}
@@ -317,15 +311,17 @@ class ReductionResult(_Frequencies):
         return u
 
 
-def reduce_operator(L: DifferentialOperator, omega, schedule: KamSchedule, *,
+def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
                     verify_window=None) -> ReductionResult:
     """Full reduction of L to diagonal frequencies, with diagnostics.
 
-    ``verify_window = (jwin, lwin)`` additionally conjugates the materialized
-    operator through all generators and records the interior off-diagonal
-    residual and the worst diagonal mismatch.
+    ``verify_window = (jwin, lwin)`` additionally conjugates L through all
+    generators and records the interior off-diagonal residual and the worst
+    diagonal mismatch.  Each generator conjugates the bounded part
+    materialize(L) and adds the Lie series of its phi-derivative, the
+    conjugate of omega.d_phi less omega.d_phi itself.
     """
-    om = np.asarray(omega, dtype=float)
+    om = L.omega
     lam1 = L.lambda1()
     oor = order_one_reduction(L.lambda3, L.B, L.C, om, lambda1=lam1,
                               series_tol=schedule.series_tol)
@@ -347,10 +343,11 @@ def reduce_operator(L: DifferentialOperator, omega, schedule: KamSchedule, *,
         jwin, lwin = verify_window
         conj = materialize(L)
         for gen in gens:
-            conj = exp_conjugate(gen, conj, tol=schedule.series_tol)
+            conj = (exp_conjugate(gen, conj, tol=schedule.series_tol)
+                    + lie_series(gen, phi_derivative(gen, om), tol=schedule.series_tol)[0])
         vals = result.omega_values()
         D = x_symbol_op(L.lattice, L.jmax, lambda j: 1j * vals[j + L.jmax])
-        delta = restrict(conj.convolution_part() - D, jwin, lwin)
+        delta = restrict(conj - D, jwin, lwin)
         offdiag = {p: b.copy() for p, b in delta.data.items()}
         diag_mismatch = 0.0
         if 0 in offdiag:
@@ -372,7 +369,8 @@ def invert_via_diagonalization(red: ReductionResult, f: AnalyticFunction,
     The structured residual |L h + f| / |f| is recorded when a report dict is
     passed.
     """
-    chk = first_melnikov(red.L.omega, red.omega_table(), gamma, red.lattice)
+    omv = red.omega_values()
+    chk = first_melnikov(red.L.omega, omv, gamma, red.lattice)
     if not chk.ok:
         w = chk.witness
         raise SmallDivisorError(
@@ -382,8 +380,7 @@ def invert_via_diagonalization(red: ReductionResult, f: AnalyticFunction,
             floor=None if w is None else w.floor,
         )
     g = red.apply_M_inverse(f)
-    model = DiagonalModel(red.omega_table(), red.L.omega)
-    h_tilde = solve_diagonal(model, g, gamma)
+    h_tilde = solve_diagonal(g, red.L.omega, omv, gamma)
     h = red.apply_M(h_tilde)
     if report is not None:
         resid = (red.L.apply(h) + pi0_perp(f)).norm(0.0)

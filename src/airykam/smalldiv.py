@@ -4,6 +4,9 @@ estimation over the frequency box [1, 2]^M.
 Every predicate returns a CheckResult carrying the worst margin
 min |divisor| / floor over the scanned truncated index set (pass means
 margin > 1) and, on failure, the witness that attains it.
+
+Frequencies Omega(j) of a diagonal operator come as one array indexed
+j + jmax over |j| <= jmax; the j = 0 slot is unused.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "MeasureEstimate",
     "smallest_divisor_report",
     "DivisorReport",
-    "table_to_array",
 ]
 
 
@@ -104,15 +106,14 @@ def _omega_array(omega, m):
     return v
 
 
-def table_to_array(table: dict, jmax: int) -> np.ndarray:
-    """Frequency table {j: Omega(j)} as an array indexed by j + jmax."""
-    out = np.zeros(2 * jmax + 1)
-    for j, v in table.items():
-        j = int(j)
-        if j == 0 or abs(j) > jmax:
-            raise ValueError(f"table key {j} outside 1..{jmax} in modulus")
-        out[j + jmax] = float(v)
-    return out
+def _modes(Omega):
+    """The modes j != 0 of a frequency array indexed j + jmax, and Omega(j) on them."""
+    vals = np.asarray(Omega, dtype=float)
+    if vals.ndim != 1 or vals.size % 2 != 1:
+        raise ValueError("Omega must be a 1-d array of odd length, indexed j + jmax")
+    jmax = vals.size // 2
+    jj = np.arange(-jmax, jmax + 1)
+    return jj[jj != 0], vals[jj != 0]
 
 
 def _result(ratios, enum, jlist, hlist, divisors, floors):
@@ -162,17 +163,14 @@ def is_airy_nonresonant(omega, gamma0: float, lattice: LatticeParams, jmax: int)
     return _result(ratios, enum, jlist, None, div, floors)
 
 
-def first_melnikov(omega, table: dict, gamma: float, lattice: LatticeParams) -> CheckResult:
+def first_melnikov(omega, Omega, gamma: float, lattice: LatticeParams) -> CheckResult:
     """|omega.l + Omega(j)| >= gamma |j|^3 / d(l) over the truncated set."""
-    jmax = max(abs(int(j)) for j in table) if table else 0
-    if jmax == 0:
+    jlist, vals = _modes(Omega)
+    if not jlist.size:
         return CheckResult(True, np.inf, None)
-    om_t = table_to_array(table, jmax)
     enum = get_enumeration(lattice)
     om = _omega_array(omega, lattice.M)
     dots = enum.dots(om)
-    jlist = np.array([j for j in range(-jmax, jmax + 1) if j != 0])
-    vals = om_t[jlist + jmax]
     div = np.abs(dots[:, None] + vals[None, :])
     floors = (gamma / enum.dvals)[:, None] * (np.abs(jlist.astype(float)) ** 3)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,7 +178,7 @@ def first_melnikov(omega, table: dict, gamma: float, lattice: LatticeParams) -> 
     return _result(ratios, enum, jlist, None, div, floors)
 
 
-def second_melnikov(omega, table: dict, gamma: float, lattice: LatticeParams, *,
+def second_melnikov(omega, Omega, gamma: float, lattice: LatticeParams, *,
                     gbar: Optional[float] = None, N: Optional[float] = None,
                     two_gamma: bool = True) -> CheckResult:
     """|omega.l + Omega(j) - Omega(h)| >= c gamma |j^3 - h^3| / d(l), (l,j,h) != (0,j,j).
@@ -190,17 +188,14 @@ def second_melnikov(omega, table: dict, gamma: float, lattice: LatticeParams, *,
     the ambient Diophantine floor when ``gbar`` is given, else skipped.
     ``N`` restricts the scan to |l|_eta <= N.
     """
-    jmax = max(abs(int(j)) for j in table) if table else 0
+    jlist, vals = _modes(Omega)
     enum = get_enumeration(lattice)
     om = _omega_array(omega, lattice.M)
     dots = enum.dots(om)
     fac = 2.0 * gamma if two_gamma else gamma
 
     best = CheckResult(True, np.inf, None)
-    if jmax > 0:
-        om_t = table_to_array(table, jmax)
-        jlist = np.array([j for j in range(-jmax, jmax + 1) if j != 0])
-        vals = om_t[jlist + jmax]
+    if jlist.size:
         gap = vals[:, None] - vals[None, :]
         j3 = jlist.astype(float) ** 3
         wt = np.abs(j3[:, None] - j3[None, :])
@@ -275,12 +270,13 @@ class DivisorReport:
         }
 
 
-def smallest_divisor_report(omega, table: Optional[dict], lattice: LatticeParams) -> DivisorReport:
+def smallest_divisor_report(omega, Omega, lattice: LatticeParams) -> DivisorReport:
     """Minimum of |omega.l + Omega(j) - Omega(h)| d(l) / max(1, |j^3 - h^3|).
 
     Scanned classes: pure frequency combinations (l != 0, j = h), first-order
-    divisors (h absent), and second-order divisors (j != h).  With an empty
-    table only the pure class exists.  Used to choose gamma schedules.
+    divisors (h absent), and second-order divisors (j != h).  With jmax = 0
+    (Omega of length 1) only the pure class exists.  Used to choose gamma
+    schedules.
     """
     enum = get_enumeration(lattice)
     om = _omega_array(omega, lattice.M)
@@ -300,11 +296,8 @@ def smallest_divisor_report(omega, table: Optional[dict], lattice: LatticeParams
             best_wit = Witness(enum.indices[lidx], None, None,
                                float(np.abs(dots[nz])[k]), 0.0)
 
-    jmax = max((abs(int(j)) for j in (table or {})), default=0)
-    if jmax > 0:
-        om_t = table_to_array(table, jmax)
-        jlist = np.array([j for j in range(-jmax, jmax + 1) if j != 0])
-        vals_t = om_t[jlist + jmax]
+    jlist, vals_t = _modes(Omega)
+    if jlist.size:
         j3 = jlist.astype(float) ** 3
 
         first = np.abs(dots[:, None] + vals_t[None, :]) * enum.dvals[:, None]

@@ -40,11 +40,9 @@ from airykam.opalg import (
     dx3_commutator,
     dx_op,
     exp_conjugate,
-    materialize,
     mult_op,
     op_norm,
     smoothing_generator_op,
-    to_dense,
 )
 from airykam.reducibility import (
     KamSchedule,
@@ -53,7 +51,7 @@ from airykam.reducibility import (
     reduce_operator,
 )
 from airykam.smalldiv import is_diophantine, measure_estimate
-from conftest import by_real_parts, perturbed_operator
+from oracles import by_real_parts, dense_operator, perturbed_operator
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
@@ -134,7 +132,7 @@ def _conjugation_case(K, jmax):
     qp = QuadraticPerturbation(d3, 2.0 * dx(d3, 1), d1, d0)
     B = AnalyticFunction.from_modes(lat, jmax, [(E1, 1, 0.5 * scale)]) + 0.03
     C = AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, -0.2 * scale)])
-    return DifferentialOperator(om, 1.0, B, C), qp, om
+    return DifferentialOperator(om, 1.0, B, C), qp
 
 
 def conjugation_dense_residual(L, qp, result, jwin, lwin):
@@ -144,11 +142,11 @@ def conjugation_dense_residual(L, qp, result, jwin, lwin):
     operator to the basis modes e = e^{i(l.phi + jx)} inside the window,
     through their real parts: W(e) = W(cos) + i W(sin).  The difference is
     measured as the largest window-restricted column l1-norm.  Columns are
-    ordered as in to_dense: lattice index major, then j != 0.
+    ordered as in dense_operator: lattice index major, then j != 0.
     """
     lat, jmax = L.lattice, L.jmax
     T = result.transform
-    dense_plus = to_dense(materialize(result.L_plus))
+    dense_plus = dense_operator(result.L_plus)
     jlist = [j for j in range(-jmax, jmax + 1) if j != 0]
     jslots = np.array(jlist) + jmax
     inside = np.outer(get_enumeration(lat).within(lwin),
@@ -174,8 +172,8 @@ def test_criterion_3_conjugation_refinement():
     the three transform identities hold to 1e-10."""
     residuals = {}
     for K, jmax in ((3.0, 8), (6.0, 16)):
-        L, qp, om = _conjugation_case(K, jmax)
-        res = conjugate_step(L, qp, om, 0.5)
+        L, qp = _conjugation_case(K, jmax)
+        res = conjugate_step(L, qp, 0.5)
         for key in ("identity_x_diffeo", "identity_time_reparam",
                     "identity_multiplier"):
             assert res.report[key] <= 1e-10
@@ -195,7 +193,7 @@ def test_criterion_4_symplecticity():
     d3 = AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, 5e-4)])
     d1 = AnalyticFunction.from_modes(lat, jmax, [(E1, 0, 5e-4)])
     qp = QuadraticPerturbation(d3, 2.0 * dx(d3, 1), d1, zero)
-    T = conjugate_step(L, qp, OMEGA2, 0.5).transform
+    T = conjugate_step(L, qp, 0.5).transform
     assert T.alpha.norm(0.0) > 0.0 and T.p.norm(0.0) > 0.0
     shared = [(ZERO, 1), (E1, 2), (MultiIndex((1, -1)), 3), (MultiIndex((0, 1)), -2)]
     rng = np.random.default_rng(77)
@@ -226,7 +224,7 @@ def test_criterion_5_reducibility():
     L = DifferentialOperator(OMEGA2, 1.0, B, C)
     sched = KamSchedule(gamma=1e-3, gbar=0.5, N0=8.0, stop_tol=1e-10, max_steps=30)
     t0 = time.monotonic()
-    red = reduce_operator(L, OMEGA2, sched, verify_window=(jmax - 3, lat.K - 1.0))
+    red = reduce_operator(L, sched, verify_window=(jmax - 3, lat.K - 1.0))
     elapsed = time.monotonic() - t0
     assert red.converged
     norms = [row["p_norm"] for row in red.trace]
@@ -255,10 +253,10 @@ def test_criterion_6_oracle_equivalence():
     C = AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, -0.5j * eps)])
     L = DifferentialOperator(OMEGA2, 1.0, B, C)
     sched = KamSchedule(gamma=1e-3, gbar=0.5, N0=8.0, stop_tol=1e-12, max_steps=30)
-    red = reduce_operator(L, OMEGA2, sched)
+    red = reduce_operator(L, sched)
     labels, _ = dense_labels(lat, jmax)
     col = {lab: i for i, lab in enumerate(labels)}
-    dense = to_dense(materialize(L))
+    dense = dense_operator(L)
     lu = scipy.linalg.lu_factor(dense)
     rng = np.random.default_rng(12)
     worst = 0.0
@@ -368,12 +366,12 @@ def test_criterion_9_frequency_stability():
     ) + 0.05
     C = AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, -0.5j * eps)])
     sched = KamSchedule(gamma=1e-3, gbar=0.5, N0=8.0, stop_tol=1e-13, max_steps=30)
-    base = reduce_operator(DifferentialOperator(OMEGA2, 1.0, B, C), OMEGA2, sched)
+    base = reduce_operator(DifferentialOperator(OMEGA2, 1.0, B, C), sched)
     consts = {}
     for delta in (1e-5, 5e-6, 1e-6):
         bump = AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, delta / 2)])
         pert = reduce_operator(
-            DifferentialOperator(OMEGA2, 1.0, B + bump, C), OMEGA2, sched
+            DifferentialOperator(OMEGA2, 1.0, B + bump, C), sched
         )
         dev = compare_reductions(base, pert)
         consts[delta] = dev["omega_inf_sup"] / delta

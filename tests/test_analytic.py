@@ -33,7 +33,7 @@ from airykam import _grid
 from airykam.errors import NonContractionError, SmallDivisorError
 from airykam.lattice import LatticeParams, MultiIndex, enumerate_indices, get_enumeration
 
-from conftest import by_real_parts, eval_pointwise
+from oracles import by_real_parts, eval_pointwise
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)

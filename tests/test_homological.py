@@ -3,7 +3,7 @@ import pytest
 
 from airykam.analytic import AnalyticFunction, dx, om_dphi, om_dphi_inv, pi0_perp
 from airykam.errors import SmallDivisorError
-from airykam.homological import DiagonalModel, solve_airy, solve_diagonal, solve_scalar_phi
+from airykam.homological import solve_airy, solve_diagonal
 from airykam.lattice import MultiIndex
 
 ZERO = MultiIndex.zero()
@@ -48,36 +48,43 @@ def test_solve_airy_rejects_mean_and_breach(lat2, jmax, omega2):
     assert err.value.j == 2
 
 
+def airy_frequencies(jmax, lam1=0.0):
+    """Omega(j) = -j^3 + lam1 j, indexed j + jmax."""
+    j = np.arange(-jmax, jmax + 1, dtype=float)
+    return -j**3 + lam1 * j
+
+
 def test_solve_diagonal_reduces_to_airy(lat2, jmax, omega2, rand_fct):
-    table = {j: -float(j) ** 3 for j in range(-jmax, jmax + 1) if j != 0}
-    model = DiagonalModel(table, omega2)
+    Omega = airy_frequencies(jmax)
     f = pi0_perp(rand_fct(31, amp=0.2))
     ha = solve_airy(f, omega2, 0.2)
-    hd = solve_diagonal(model, f, 0.05)
+    hd = solve_diagonal(f, omega2, Omega, 0.05)
     assert (ha - hd).norm(0.0) < 1e-14 * ha.norm(0.0)
+    # the frequencies must cover every mode |j| <= jmax of f
+    with pytest.raises(ValueError):
+        solve_diagonal(f, omega2, Omega[1:-1], 0.05)
 
 
 def test_solve_diagonal_explicit_quotient(lat2, jmax, omega2):
-    table = {j: -float(j) ** 3 + 0.03 * j for j in range(-jmax, jmax + 1) if j != 0}
-    model = DiagonalModel(table, omega2)
+    Omega = airy_frequencies(jmax, lam1=0.03)
     f = AnalyticFunction(lat2, jmax, {(E1, 2): 0.7 + 0j}, real=False)
-    h = solve_diagonal(model, f, 0.01)
-    div = 1j * (omega2[0] + table[2])
+    h = solve_diagonal(f, omega2, Omega, 0.01)
+    div = 1j * (omega2[0] + Omega[2 + jmax])
     assert h.get(E1, 2) == pytest.approx(0.7 / -div)
     # self-verifying residual: (om.d_phi + D) h = -f
     resid = om_dphi(h, omega2)
     out = dict(resid.coeffs)
     for (l, j), c in h.coeffs.items():
-        out[(l, j)] = out.get((l, j), 0.0) + 1j * table[j] * c
+        out[(l, j)] = out.get((l, j), 0.0) + 1j * Omega[j + jmax] * c
     total = AnalyticFunction(lat2, jmax, out, real=False) + f
     assert total.norm(0.0) < 1e-13
 
 
-def test_solve_scalar_phi(lat2, jmax, omega2):
+def test_om_dphi_inv_phi_only(lat2, jmax, omega2):
     z = AnalyticFunction.zeros(lat2, jmax)
-    assert solve_scalar_phi(z, omega2, 0.4).norm(0.0) == 0.0
+    assert om_dphi_inv(z, omega2, 0.4).norm(0.0) == 0.0
     cphi = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.5)])
-    b = solve_scalar_phi(cphi, omega2, 0.4)
+    b = om_dphi_inv(cphi, omega2, 0.4)
     # cos phi_1 integrates to sin phi_1 / omega_1
     assert b.get(E1, 0) == pytest.approx(0.5 / (1j * omega2[0]))
     rng = np.random.default_rng(4)
@@ -85,11 +92,8 @@ def test_solve_scalar_phi(lat2, jmax, omega2):
               complex(rng.normal(), rng.normal())) for _ in range(5)]
     rhs = AnalyticFunction.from_modes(lat2, jmax, modes)
     rhs = rhs - AnalyticFunction.constant(lat2, jmax, rhs.get(ZERO, 0))
-    out = solve_scalar_phi(rhs, omega2, 0.4)
+    out = om_dphi_inv(rhs, omega2, 0.4)
     assert (om_dphi(out, omega2) - rhs).norm(0.0) < 1e-13 * max(1.0, rhs.norm(0.0))
-    with pytest.raises(ValueError):
-        solve_scalar_phi(AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 1.0)]),
-                         omega2, 0.4)
 
 
 def test_amplification_bounded_by_witness_data(lat2, jmax, omega2, rand_fct):
@@ -107,7 +111,7 @@ def test_amplification_bounded_by_witness_data(lat2, jmax, omega2, rand_fct):
 
 
 def test_om_dphi_inv_floor_documents_gamma(lat2, jmax):
-    """solve_scalar_phi passes the configured gamma down to the divisor floor."""
+    """om_dphi_inv carries the configured gamma into the divisor floor."""
     omega = np.array([1.5, 1.5])
     res = MultiIndex((1, -1))
     rhs = AnalyticFunction.from_modes(lat2, jmax, [(res, 0, 1.0)])
@@ -126,10 +130,8 @@ def test_breach_witness_is_first_in_canonical_order(lat2, jmax):
         om_dphi_inv(f, np.array([1.5, 1.5]), 0.4)
     assert err.value.l == MultiIndex((1, -1))
     # 5 * 1.6 - 2^3 = 0 and its mirror; (-5) sorts before 5 at equal norm
-    model = DiagonalModel({j: -float(j) ** 3 for j in range(-jmax, jmax + 1) if j},
-                          np.array([1.6, 1.37]))
     f = AnalyticFunction(lat2, jmax, {(MultiIndex((5,)), 2): 1.0 + 0j,
                                       (MultiIndex((-5,)), -2): 1.0 + 0j}, real=False)
     with pytest.raises(SmallDivisorError) as err:
-        solve_diagonal(model, f, 0.05)
+        solve_diagonal(f, np.array([1.6, 1.37]), airy_frequencies(jmax), 0.05)
     assert (err.value.l, err.value.j) == (MultiIndex((-5,)), -2)

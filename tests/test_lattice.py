@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airykam.lattice import (
+    Enumeration,
     LatticeParams,
     MultiIndex,
     diophantine_weight,
@@ -191,3 +193,21 @@ def test_convolution_table():
                 s = lp + lq
                 expect = enum.index_of.get(s, -1)
                 assert conv[p, q] == expect
+
+
+def test_convolution_table_builds_in_bounded_memory():
+    """The n = 931 table of M = 2, K = 30 is built a block of rows at a time:
+    the traced peak stays below twice the table, and the table equals the
+    one-shot lookup of all n^2 sums."""
+    enum = Enumeration(LatticeParams(1.0, 2, 30.0))
+    tracemalloc.start()
+    try:
+        conv = enum.conv_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = enum.size
+    assert n == 931
+    assert peak < 2 * conv.nbytes
+    whole = enum.lookup(enum.dense[:, None, :] + enum.dense[None, :, :]).reshape(n, n)
+    assert conv.dtype == whole.dtype and np.array_equal(conv, whole)

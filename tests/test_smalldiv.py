@@ -24,7 +24,15 @@ E1 = MultiIndex.unit(1)
 
 
 def airy_table(jmax, lam3=1.0, lam1=0.0):
-    return {j: -lam3 * j**3 + lam1 * j for j in range(-jmax, jmax + 1) if j != 0}
+    """Omega(j) = -lam3 j^3 + lam1 j, indexed j + jmax."""
+    j = np.arange(-jmax, jmax + 1, dtype=float)
+    return -lam3 * j**3 + lam1 * j
+
+
+def modes(table):
+    """(j, Omega(j)) for j != 0 of a frequency array indexed j + jmax."""
+    jmax = len(table) // 2
+    return [(j, table[j + jmax]) for j in range(-jmax, jmax + 1) if j != 0]
 
 
 def test_frequency_vector_validation():
@@ -120,11 +128,13 @@ def test_first_melnikov(lat2, jmax):
     chk = first_melnikov(omega, table, 0.5, lat2)
     assert isinstance(chk.ok, bool)
     # engineered near-resonance: perturb Omega(2) to land on -omega.e1
-    bad = dict(table)
-    bad[2] = -omega[0]
+    bad = table.copy()
+    bad[2 + jmax] = -omega[0]
     chk2 = first_melnikov(omega, bad, 0.5, lat2)
     assert not chk2.ok
     assert chk2.witness.j == 2 and chk2.witness.l == E1
+    with pytest.raises(ValueError):
+        first_melnikov(omega, table[1:], 0.5, lat2)
 
     # scan oracle
     rng = np.random.default_rng(5)
@@ -132,7 +142,7 @@ def test_first_melnikov(lat2, jmax):
     worst = np.inf
     for l in enumerate_indices(lat2):
         dot = float(np.dot(np.array(l.dense(2), float), omega))
-        for j, om_j in table.items():
+        for j, om_j in modes(table):
             worst = min(
                 worst,
                 abs(dot + om_j) / (0.3 * abs(j) ** 3 / divisor_weight(l)),
@@ -162,12 +172,12 @@ def test_second_melnikov(lat2, jmax):
     # scan oracle over triples with the cubic weight
     rng = np.random.default_rng(11)
     omega = rng.uniform(1.0, 2.0, 2)
-    small = {j: -float(j) ** 3 for j in (-2, -1, 1, 2)}
+    small = airy_table(2)
     worst = np.inf
     for l in enumerate_indices(lat2):
         dot = float(np.dot(np.array(l.dense(2), float), omega))
-        for j, oj in small.items():
-            for h, oh in small.items():
+        for j, oj in modes(small):
+            for h, oh in modes(small):
                 if j == h:
                     continue
                 worst = min(
@@ -189,10 +199,10 @@ def test_second_melnikov_window(lat2, jmax):
     windowed = second_melnikov(res, table, 1e-3, lat2, N=5.0)
     assert windowed.ok and windowed.witness is None
     worst = min(
-        abs(float(np.dot(l.dense(2), res)) + table[j] - table[h])
+        abs(float(np.dot(l.dense(2), res)) + oj - oh)
         / (2e-3 * abs(j**3 - h**3) / divisor_weight(l))
         for l in enumerate_indices(lat2) if eta_norm(l, lat2.eta) <= 5.0
-        for j in table for h in table if j != h
+        for j, oj in modes(table) for h, oh in modes(table) if j != h
     )
     assert windowed.margin == pytest.approx(worst)
 
@@ -235,13 +245,13 @@ def test_measure_deficit_scaling(lat2):
 
 def test_smallest_divisor_report(lat2, jmax):
     omega = np.array([1.37, 1.71])
-    # empty table on a lattice with only l = 0: nothing to scan
+    # no modes (jmax = 0) on a lattice with only l = 0: nothing to scan
     tiny = LatticeParams(1.0, 1, 0.5)
-    rep0 = smallest_divisor_report(np.array([1.37]), None, tiny)
+    rep0 = smallest_divisor_report(np.array([1.37]), airy_table(0), tiny)
     assert rep0.note == "no nontrivial triples"
     # hand evaluation: only l = +-e1 nontrivial, no spatial modes
     single = LatticeParams(1.0, 1, 1.0)
-    rep1 = smallest_divisor_report(np.array([1.37]), None, single)
+    rep1 = smallest_divisor_report(np.array([1.37]), airy_table(0), single)
     assert rep1.value == pytest.approx(2.0 * 1.37)
     assert rep1.witness.j is None
     # diagonal-style scan with the cubic table reproduces the worst
