@@ -2,7 +2,8 @@
 
 Lines hold ``dotted.key = value`` with ``#`` comments; values are parsed as
 JSON where possible and kept as strings otherwise.  A value holding NaN or
-an infinity (``NaN``, ``Infinity``, an overflowing ``1e999``) is rejected.
+an infinity (``NaN``, ``Infinity``, an overflowing ``1e999``, also a
+lowercase ``nan`` or ``inf`` that JSON cannot parse) is rejected.
 Numbers are read through ``number``, counts and seeds through ``integer`` and
 switches through ``boolean``: a value of the wrong kind is a ConfigError
 naming the key.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -52,17 +54,24 @@ def parse_config_text(text: str) -> dict:
 
 
 def _all_finite(value) -> bool:
-    """False if value holds NaN or an infinity, also one spelled as a string."""
+    """False if value holds NaN or an infinity, also one spelled as a string.
+
+    A string is checked word by word: it may be a list that JSON could not
+    parse because it holds a lowercase ``nan`` or ``inf``."""
     if isinstance(value, list):
         return all(_all_finite(v) for v in value)
     if isinstance(value, dict):
         return all(_all_finite(v) for v in value.values())
     if isinstance(value, str):
-        try:
-            value = float(value)
-        except ValueError:
-            return True
+        return all(_finite_word(w) for w in re.split(r"[\s,\[\]{}:]+", value))
     return not isinstance(value, float) or math.isfinite(value)
+
+
+def _finite_word(word: str) -> bool:
+    try:
+        return math.isfinite(float(word))
+    except ValueError:
+        return True
 
 
 def load_config(path) -> dict:

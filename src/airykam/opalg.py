@@ -24,11 +24,21 @@ Every stored block holds three invariants:
 The mirror pairs l, -l split the enumeration into a canonical half, the
 indices p with p <= neg[p], and its mirror image; only p = 0 is its own
 mirror.  ``compose`` of two real operators sums the canonical half and
-mirrors the rest.  The dict constructor and ``from_indexed`` take outside
-blocks and normalize them (copy, zero the j = 0 row and column, symmetrize
-when real); ``_like`` trusts its blocks, because the algebra's results
-(sums, scalar multiples, products, splits, restrictions, phi-derivatives)
-already hold the invariants, and only drops zero blocks.
+mirrors the rest.
+
+``compose`` sums its target blocks on one of two paths.  The GEMM path
+multiplies each target-valid block pair (P of them) as dense matrices, P nj^3
+multiply-adds.  The join path (``_accel.join_into``) pairs each nonzero
+A_a[i, k] with the nonzeros B_b[k, j] of row k, J products in all; it pays
+where blocks hold a few nonzero diagonals, as those of multiplications by
+functions with few x-modes do.  A call counts J from its operands and joins
+when J * JOIN_COST < P nj^3.
+
+The dict constructor and ``from_indexed`` take outside blocks and normalize
+them (copy, zero the j = 0 row and column, symmetrize when real); ``_like``
+trusts its blocks, because the algebra's results (sums, scalar multiples,
+products, splits, restrictions, phi-derivatives) already hold the
+invariants, and only drops zero blocks.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from ._accel import join_into
 from .analytic import AnalyticFunction, dx, mean_phi_x, multiply, om_dphi, pi0, pi0_perp
 from .errors import SeriesDivergenceError
 from .lattice import get_enumeration
@@ -69,6 +80,15 @@ __all__ = [
 ]
 
 MAX_SERIES_TERMS = 60
+
+# The cost of one product of compose's join path, in GEMM multiply-adds.
+# Measured on random real operators whose blocks all hold d nonzero diagonals,
+# one BLAS thread: a join product cost 140-280 multiply-adds for d = 2-12 on
+# the full M=2, K=8, jmax=16 lattice and 170-390 for d = 2-32 with K=12,
+# jmax=32 on site 1 alone; at d = 1 the fixed cost of a call raises it to 440
+# and 700.  400 sends d = 1 on both truncations and d = 2 on the second to the
+# join, the faster path for each, and every denser case to the GEMM loop.
+JOIN_COST = 400
 
 
 class OperatorMatrix:
@@ -285,33 +305,77 @@ def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
 def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     """Block-convolution product A B.
 
-    Each target block is summed over the pairs that land on it, A-major and
-    B-minor.  A product of two real operators is real, so only its canonical
-    half (targets q <= neg[q]) is summed; the other blocks are mirrors, and
-    the self-mirrored q = 0 block is symmetrized.
+    A product of two real operators is real, so only its canonical half
+    (targets q <= neg[q]) is summed; the other blocks are mirrors, and the
+    self-mirrored q = 0 block is symmetrized.  Each call takes one of two
+    paths, chosen from nonzero counts of its operands:
+
+    * the GEMM path multiplies every target-valid block pair as dense
+      matrices and sums each target block over its pairs, A-major and
+      B-minor;
+    * the join path (``_accel.join_into``) pairs each nonzero entry
+      A_a[i, k] with the nonzeros B_b[k, j] of row k and sums the products.
+
+    With P target-valid block pairs and J products in the join, the join
+    runs when J * JOIN_COST < P * nj^3.  Blocks of multiplications by
+    functions with few x-modes are Toeplitz with few nonzero diagonals, so
+    there J is a small fraction of the GEMM's P * nj^3 multiply-adds.
     """
     A._check_compat(B)
     enum = get_enumeration(A.lattice)
-    conv = enum.conv_table()
     real = A.real and B.real
-    b_index = list(B.data)
-    b_blocks = list(B.data.values())
-    out = {}
-    for pa, ba in A.data.items():
-        targets = conv[pa, b_index]
-        if real:
-            # a target outside the canonical half maps to -1, like one outside the lattice
-            targets = np.where(enum.half[targets], targets, -1)
-        for q, bb in zip(targets.tolist(), b_blocks):
-            if q >= 0:
-                acc = out.get(q)
-                prod = ba @ bb
-                out[q] = prod if acc is None else acc + prod
+    if not A.data or not B.data:
+        return A._like({}, real=real)
+    a_blocks, b_blocks = list(A.data.values()), list(B.data.values())
+    targets = enum.conv_table()[np.ix_(list(A.data), list(B.data))]
+    if real:
+        # a target outside the canonical half maps to -1, like one outside the lattice
+        targets = np.where(enum.half[targets], targets, -1)
+    valid = targets >= 0
+    # products of the join: nonzeros of column k of A_a times those of row k of B_b
+    a_cols = np.array([np.count_nonzero(b, axis=0) for b in a_blocks], dtype=float)
+    b_rows = np.array([np.count_nonzero(b, axis=1) for b in b_blocks], dtype=float)
+    joined = (a_cols @ b_rows.T)[valid].sum()
+    if joined * JOIN_COST < np.count_nonzero(valid) * A.nj ** 3:
+        out = _join(targets, a_blocks, b_blocks)
+    else:
+        out = {}
+        for ba, row in zip(a_blocks, targets.tolist()):
+            for q, bb in zip(row, b_blocks):
+                if q >= 0:
+                    acc = out.get(q)
+                    prod = ba @ bb
+                    out[q] = prod if acc is None else acc + prod
     if real:
         neg = enum.neg.tolist()
         for q, b in list(out.items()):
             out[neg[q]] = 0.5 * (b + _mirror(b)) if neg[q] == q else _mirror(b)
     return A._like(out, real=real)
+
+
+def _join(targets, a_blocks, b_blocks):
+    """{target: block} of the block products, summed entry by entry over the
+    nonzeros of the blocks."""
+    valid = targets >= 0
+    hit = np.zeros(targets.max() + 1, dtype=bool)
+    hit[targets[valid]] = True
+    kept = np.flatnonzero(hit)
+    # out[slot] is the block of target kept[slot]
+    slot = np.full(targets.shape, -1)
+    slot[valid] = (np.cumsum(hit) - 1)[targets[valid]]
+    nj = a_blocks[0].shape[0]
+    out = np.zeros((kept.size, nj, nj), dtype=complex)
+    join_into(*_entries(a_blocks), *_entries(b_blocks), slot, out)
+    return dict(zip(kept.tolist(), out))
+
+
+def _entries(blocks):
+    """(block, row, column, value) of the nonzero entries, block by block in C order."""
+    nj = blocks[0].shape[0]
+    flat = [np.flatnonzero(b != 0) for b in blocks]
+    pos = np.concatenate(flat)
+    return (np.repeat(np.arange(len(blocks)), [f.size for f in flat]), pos // nj, pos % nj,
+            np.concatenate([b.ravel()[f] for b, f in zip(blocks, flat)]))
 
 
 def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:

@@ -128,3 +128,45 @@ def test_rejects_a_non_contiguous_out():
     out = np.zeros((enum.size, 10), dtype=complex)[:, ::2]
     with pytest.raises(ValueError, match="C-contiguous"):
         _accel.convolve_into(*a, *a, enum.conv_table(), 2, out)
+
+
+def _join_loops(ia, ra, ka, va, ib, kb, cb, vb, slot, out):
+    """Loop oracle for _accel.join_into: left entries in order, then right entries in order."""
+    for s in range(ia.size):
+        for t in range(ib.size):
+            if ka[s] == kb[t] and slot[ia[s], ib[t]] >= 0:
+                out[slot[ia[s], ib[t]], ra[s], cb[t]] += va[s] * vb[t]
+
+
+def _join_arrays(seed, blocks, n, size):
+    rng = np.random.default_rng(seed)
+    idx = [rng.integers(0, m, size) for m in (blocks, n, n)]
+    return (*idx, rng.normal(size=size) + 1j * rng.normal(size=size))
+
+
+def _join(a, b, slot, n):
+    out = np.zeros((3, n, n), complex)
+    _accel.join_into(*a, *b, slot, out)
+    return out
+
+
+@pytest.mark.parametrize("chunk_pairs", [40, 1], ids=["small", "one-entry"])
+def test_join_agrees_with_the_loop_oracle_in_any_chunking(monkeypatch, chunk_pairs):
+    """Products are added one by one in (left, right) order, so the chunking
+    leaves the result bitwise unchanged; a slot of -1 drops its block pairs."""
+    n = 7
+    a, b = _join_arrays(1, 4, n, 150), _join_arrays(2, 5, n, 120)
+    slot = np.random.default_rng(3).integers(-1, 3, (4, 5))
+    whole = _join(a, b, slot, n)
+    ref = np.zeros_like(whole)
+    _join_loops(*a, *b, slot, ref)
+    _assert_close(whole, ref)
+    monkeypatch.setattr(_accel, "CHUNK_PAIRS", chunk_pairs)
+    assert np.array_equal(_join(a, b, slot, n), whole)
+
+
+def test_join_rejects_a_non_contiguous_out():
+    a = _join_arrays(4, 2, 3, 5)
+    out = np.zeros((2, 3, 6), dtype=complex)[:, :, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _accel.join_into(*a, *a, np.zeros((2, 2), np.int64), out)

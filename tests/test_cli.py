@@ -222,6 +222,12 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
     ("check-omega", "check_omega.cfg", "omega.values = [1.2357, 1.7113]",
      "omega.values = [1.2357, 1.7113]\nomega.sample = true",
      "set exactly one of omega.values and omega.sample = true"),
+    ("solve", "solve_small.cfg", "forcing.entries = [[[[1, 1]], 1, 5e-07, 0.0]]",
+     "forcing.entries = [[[[1, 1]], 1, nan, 0.0]]", "forcing.entries holds a non-finite number"),
+    ("reduce", "reduce_eps.cfg", "reduce.C.entries = [[[], 1, 0.0, -0.0005]]",
+     "reduce.C.entries = [[[], 1, 0.0, -inf]]", "reduce.C.entries holds a non-finite number"),
+    ("reduce", "reduce_eps.cfg", "omega.values = [1.2357, 1.7113]",
+     "omega.values = [1.2357, nan]", "omega.values holds a non-finite number"),
 ], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
         "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data",
         "max-iters", "residual-target", "kam-stop-tol", "stop-tol",
@@ -232,7 +238,8 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
         "reduce-n0-negative", "lambda3-zero", "sampled-gamma0", "sampled-max-tries",
         "sample-python-false", "sample-no", "sample-string-false", "sample-number",
         "reduce-sample-zero", "check-omega-sample-yes", "measure-predicate-empty-grid",
-        "measure-empty-grid", "solve-omega-both", "reduce-omega-both", "check-omega-both"])
+        "measure-empty-grid", "solve-omega-both", "reduce-omega-both", "check-omega-both",
+        "forcing-lowercase-nan", "reduce-c-lowercase-inf", "omega-lowercase-nan"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
     code, out = _run_edited(tmp_path, command, name, old, new)
     assert code == 1

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from airykam import opalg
 from airykam.analytic import AnalyticFunction, dx, dx_inv, om_dphi, pi0_perp
 from airykam.errors import SeriesDivergenceError
 from airykam.lattice import LatticeParams, MultiIndex, get_enumeration
@@ -94,6 +97,47 @@ def random_blocks_op(lat, jmax, seed, real, sparse):
         if not (sparse and l.max_site() > 1)
     }
     return OperatorMatrix(lat, jmax, blocks, real=real)
+
+
+def diagonal_op(lat, jmax, seed, real, sparse, max_diagonals=3):
+    """Operator whose blocks each hold 1 to max_diagonals random nonzero diagonals
+    (sparse: site 1 only), like a multiplication by a function with few x-modes.
+
+    A real operator gets its blocks at -l as mirrors of those at l, so they keep
+    their diagonals; its l = 0 block is a mirror-symmetric main diagonal."""
+    rng = np.random.default_rng(seed)
+    enum = get_enumeration(lat)
+    nj = 2 * jmax + 1
+    blocks = {}
+    for p, l in enumerate(enum.indices):
+        neg = int(enum.neg[p])
+        if (sparse and l.max_site() > 1) or (real and p > neg):
+            continue
+        if real and p == neg:
+            offsets = [0]
+        else:
+            offsets = rng.choice(np.arange(-jmax, jmax + 1), rng.integers(1, max_diagonals + 1),
+                                 replace=False)
+        b = sum(np.diag(rng.normal(size=nj - abs(o)) + 1j * rng.normal(size=nj - abs(o)), o)
+                for o in offsets)
+        blocks[p] = b
+        if real:
+            blocks[neg] = np.conj(b[::-1, ::-1])
+    return OperatorMatrix.from_indexed(lat, jmax, blocks, real=real)
+
+
+@pytest.fixture
+def join_calls(monkeypatch):
+    """Counts the calls of compose's join kernel."""
+    calls = []
+    kernel = opalg.join_into
+
+    def counted(*args):
+        calls.append(args)
+        kernel(*args)
+
+    monkeypatch.setattr(opalg, "join_into", counted)
+    return calls
 
 
 def rand_op(lat, jmax, seed, amp=0.1, span=1, jband=2, order=0):
@@ -217,6 +261,72 @@ def test_compose_matches_loop_oracle_bitwise(lat2, jmax, real, sparse):
     scale = max(np.max(np.abs(b)) for b in full.blocks.values())
     for l, b in full.blocks.items():
         assert np.max(np.abs(got.blocks[l] - b)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["full", "site1"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_join_path_matches_loop_oracle(lat2, jmax, real, sparse, monkeypatch, join_calls):
+    """Blocks with 1-3 nonzero diagonals, every product forced through the join."""
+    monkeypatch.setattr(opalg, "JOIN_COST", 0.0)
+    for seed in range(3):
+        A = diagonal_op(lat2, jmax, 2 * seed, real, sparse)
+        B = diagonal_op(lat2, jmax, 2 * seed + 1, real, sparse)
+        got, want = compose(A, B), _compose_loops(A, B)
+        assert got.real == want.real
+        assert list(got.blocks) == list(want.blocks)
+        scale = max(np.max(np.abs(b)) for b in want.blocks.values())
+        for l, b in want.blocks.items():
+            assert np.max(np.abs(got.blocks[l] - b)) <= 1e-15 * scale
+        _assert_invariants(got)
+    assert len(join_calls) == 3
+
+
+SPARSE_LAT = LatticeParams(1.0, 2, 12.0)     # the reduce_sparse truncation, with jmax = 32
+
+
+def test_compose_path_follows_the_nonzeros(join_calls):
+    """A pair of single-diagonal operators takes the join, a pair of dense ones the GEMM loop."""
+    single = [diagonal_op(SPARSE_LAT, 32, seed, True, True, max_diagonals=1) for seed in (1, 2)]
+    compose(*single)
+    assert len(join_calls) == 1
+    dense = [random_blocks_op(SPARSE_LAT, 32, seed, True, True) for seed in (1, 2)]
+    compose(*dense)
+    assert len(join_calls) == 1
+
+
+@pytest.mark.parametrize("join_cost", [opalg.JOIN_COST, 0.0], ids=["rule", "free-join"])
+def test_compose_with_every_target_outside_returns_no_blocks(lat2, jmax, monkeypatch,
+                                                              join_calls, join_cost):
+    """With no target-valid block pair (P = 0) not even a free join runs."""
+    monkeypatch.setattr(opalg, "JOIN_COST", join_cost)
+    nj = 2 * jmax + 1
+    far = MultiIndex.unit(1, int(lat2.K))           # |l|_eta = K: 2 l leaves the lattice
+    A = OperatorMatrix(lat2, jmax, {far: np.eye(nj, dtype=complex)}, real=False)
+    assert not compose(A, A).data
+    assert not join_calls
+
+
+def test_join_temporaries_are_bounded(monkeypatch):
+    """Operators with 1-3 diagonals in each block of the full M=2, K=12, jmax=32
+    lattice: 3.5M pairs, about 54 chunks, which at some 50 bytes a pair would
+    take 175 MB at once.  The kernel's temporaries stay below 6 MB."""
+    A, B = (diagonal_op(SPARSE_LAT, 32, seed, True, False) for seed in (3, 4))
+    peaks = []
+    kernel = opalg.join_into
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kernel(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(opalg, "join_into", traced)
+    tracemalloc.start()
+    try:
+        compose(A, B)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 6e6
 
 
 def _assert_invariants(R):
