@@ -163,6 +163,28 @@ class AnalyticFunction:
             size = size * np.exp(sigma * (norms[:, None] + absj[None, :]))
         return float(size.sum())
 
+    def restrict(self, jmax: int) -> "AnalyticFunction":
+        """The x-modes |j| <= jmax of u, for jmax <= u.jmax: a column slice."""
+        jmax = int(jmax)
+        if not 0 <= jmax <= self.jmax:
+            raise ValueError(f"cannot restrict jmax {self.jmax} to {jmax}")
+        if jmax == self.jmax:
+            return self
+        lo = self.jmax - jmax
+        return AnalyticFunction.from_array(self.lattice, jmax,
+                                           self.data[:, lo:lo + 2 * jmax + 1].copy(), self.real)
+
+    def embed(self, jmax: int) -> "AnalyticFunction":
+        """u on the wider x-truncation jmax >= u.jmax: zero-padded columns."""
+        jmax = int(jmax)
+        if jmax < self.jmax:
+            raise ValueError(f"cannot embed jmax {self.jmax} in {jmax}")
+        if jmax == self.jmax:
+            return self
+        data = _zero_data(self.lattice, jmax)
+        data[:, jmax - self.jmax:jmax + self.jmax + 1] = self.data
+        return AnalyticFunction.from_array(self.lattice, jmax, data, self.real)
+
     def conjugate_symmetry_residual(self) -> float:
         """Max |c(l,j) - conj(c(-l,-j))|; zero for enforced real functions."""
         mirror = self.data[get_enumeration(self.lattice).neg, ::-1]

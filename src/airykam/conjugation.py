@@ -151,6 +151,11 @@ class QuadraticForm:
     def total_norm(self, sigma: float) -> float:
         return sum(f.norm(sigma) for f in self.coeffs.values())
 
+    def restrict(self, jmax: int) -> "QuadraticForm":
+        """Q with every coefficient restricted to the x-modes |j| <= jmax."""
+        return QuadraticForm(self.lattice, jmax,
+                             {key: f.restrict(jmax) for key, f in self.coeffs.items()})
+
     def __repr__(self):
         return f"QuadraticForm({sorted(self.coeffs)})"
 

@@ -92,9 +92,14 @@ JOIN_COST = 400
 
 
 class OperatorMatrix:
-    """Bounded block-convolution operator."""
+    """Bounded block-convolution operator.
 
-    __slots__ = ("lattice", "jmax", "data", "real")
+    The nonzero counts and entry lists that ``compose`` reads are computed
+    once, on first use, and kept in slots: the blocks are read-only, and Lie
+    series pass the same operators to ``compose`` again and again.
+    """
+
+    __slots__ = ("lattice", "jmax", "data", "real", "_counts", "_entry_lists")
 
     def __init__(self, lattice, jmax, blocks=None, real=True):
         """Build from a dict {MultiIndex: block}; indices outside the truncation are dropped."""
@@ -114,10 +119,34 @@ class OperatorMatrix:
         self.jmax = int(jmax)
         self.real = bool(real)
         self.data = _sealed(blocks if trusted else self._normalized(blocks))
+        self._counts = None
+        self._entry_lists = None
 
     @property
     def nj(self) -> int:
         return 2 * self.jmax + 1
+
+    def nonzero_counts(self):
+        """(column counts, row counts) of each block's nonzeros, as float
+        arrays of shape (blocks, nj) in block order."""
+        if self._counts is None:
+            blocks = self.data.values()
+            self._counts = (np.array([np.count_nonzero(b, axis=0) for b in blocks], dtype=float),
+                            np.array([np.count_nonzero(b, axis=1) for b in blocks], dtype=float))
+        return self._counts
+
+    def nonzero_entries(self):
+        """(block, row, column, value) arrays of the nonzero entries, block by
+        block in C order."""
+        if self._entry_lists is None:
+            blocks = list(self.data.values())
+            nj = self.nj
+            flat = [np.flatnonzero(b != 0) for b in blocks]
+            pos = np.concatenate(flat)
+            self._entry_lists = (
+                np.repeat(np.arange(len(blocks)), [f.size for f in flat]), pos // nj, pos % nj,
+                np.concatenate([b.ravel()[f] for b, f in zip(blocks, flat)]))
+        return self._entry_lists
 
     @property
     def blocks(self):
@@ -333,11 +362,9 @@ def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
         targets = np.where(enum.half[targets], targets, -1)
     valid = targets >= 0
     # products of the join: nonzeros of column k of A_a times those of row k of B_b
-    a_cols = np.array([np.count_nonzero(b, axis=0) for b in a_blocks], dtype=float)
-    b_rows = np.array([np.count_nonzero(b, axis=1) for b in b_blocks], dtype=float)
-    joined = (a_cols @ b_rows.T)[valid].sum()
+    joined = (A.nonzero_counts()[0] @ B.nonzero_counts()[1].T)[valid].sum()
     if joined * JOIN_COST < np.count_nonzero(valid) * A.nj ** 3:
-        out = _join(targets, a_blocks, b_blocks)
+        out = _join(targets, A, B)
     else:
         out = {}
         for ba, row in zip(a_blocks, targets.tolist()):
@@ -353,7 +380,7 @@ def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     return A._like(out, real=real)
 
 
-def _join(targets, a_blocks, b_blocks):
+def _join(targets, A, B):
     """{target: block} of the block products, summed entry by entry over the
     nonzeros of the blocks."""
     valid = targets >= 0
@@ -363,19 +390,9 @@ def _join(targets, a_blocks, b_blocks):
     # out[slot] is the block of target kept[slot]
     slot = np.full(targets.shape, -1)
     slot[valid] = (np.cumsum(hit) - 1)[targets[valid]]
-    nj = a_blocks[0].shape[0]
-    out = np.zeros((kept.size, nj, nj), dtype=complex)
-    join_into(*_entries(a_blocks), *_entries(b_blocks), slot, out)
+    out = np.zeros((kept.size, A.nj, A.nj), dtype=complex)
+    join_into(*A.nonzero_entries(), *B.nonzero_entries(), slot, out)
     return dict(zip(kept.tolist(), out))
-
-
-def _entries(blocks):
-    """(block, row, column, value) of the nonzero entries, block by block in C order."""
-    nj = blocks[0].shape[0]
-    flat = [np.flatnonzero(b != 0) for b in blocks]
-    pos = np.concatenate(flat)
-    return (np.repeat(np.arange(len(blocks)), [f.size for f in flat]), pos // nj, pos % nj,
-            np.concatenate([b.ravel()[f] for b, f in zip(blocks, flat)]))
 
 
 def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
@@ -416,6 +433,11 @@ class DifferentialOperator:
     @property
     def jmax(self):
         return self.B.jmax
+
+    def restrict(self, jmax: int) -> "DifferentialOperator":
+        """L with B and C restricted to the x-modes |j| <= jmax."""
+        return DifferentialOperator(self.omega, self.lambda3,
+                                    self.B.restrict(jmax), self.C.restrict(jmax))
 
     def lambda1(self, tol=1e-8):
         """x-average of B, which must be phi-independent up to tol."""

@@ -125,6 +125,30 @@ def test_reality_closure_bit_exact(rand_fct):
     assert dx(u, 2).conjugate_symmetry_residual() == 0.0
 
 
+def test_restrict_of_embed_is_bitwise_identity(lat2, jmax, rand_fct):
+    u = rand_fct(12, jspan=jmax)
+    wide = u.embed(jmax + 5)
+    assert wide.jmax == jmax + 5 and wide.real
+    assert wide.conjugate_symmetry_residual() == 0.0
+    assert not wide.data[:, :5].any() and not wide.data[:, -5:].any()
+    back = wide.restrict(jmax)
+    assert back.real and np.array_equal(back.data, u.data)
+    assert u.embed(jmax) is u and u.restrict(jmax) is u
+
+
+def test_restrict_drops_only_the_outer_x_modes(lat2, jmax, rand_fct):
+    u = rand_fct(13, jspan=jmax)
+    k = jmax // 2
+    cut = u.restrict(k)
+    assert cut.jmax == k and cut.real
+    assert cut.conjugate_symmetry_residual() == 0.0
+    assert cut.coeffs == {key: c for key, c in u.coeffs.items() if abs(key[1]) <= k}
+    with pytest.raises(ValueError):
+        u.restrict(jmax + 1)
+    with pytest.raises(ValueError):
+        u.embed(jmax - 1)
+
+
 # -- calculus ----------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airykam import _grid
+from airykam import _grid, nashmoser
 from airykam.analytic import AnalyticFunction, dx, from_payload, multiply
 from airykam.config import load_config, problem_spec_from
 from airykam.conjugation import evaluate_quadratic, linearize_quadratic
@@ -19,6 +19,7 @@ from airykam.nashmoser import (
     residual,
     solve,
     step,
+    working_jmax,
 )
 
 ZERO = MultiIndex.zero()
@@ -158,7 +159,8 @@ def test_normalization_after_step(lat2, jmax):
     state = step(init_state(spec), spec)
     avg = pi0(state.L.B)
     const = complex(avg.get(ZERO, 0))
-    drift = (avg - AnalyticFunction.constant(lat2, jmax, const)).norm(0.0)
+    # the state lives at the step's working x-truncation, avg.jmax <= jmax
+    drift = (avg - AnalyticFunction.constant(lat2, avg.jmax, const)).norm(0.0)
     assert drift < 1e-12
 
 
@@ -168,6 +170,70 @@ def test_quadratic_norms_stay_bounded(lat2, jmax):
     base = state.Q.total_norm(0.0)
     state = step(state, spec)
     assert state.Q.total_norm(0.0) <= 2.0 * base
+
+
+# -- the working x-truncation ---------------------------------------------------
+
+
+def test_working_jmax_keeps_the_spectrum_and_a_guard_mode(lat2, jmax, monkeypatch):
+    wide = AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 1.0), (E1, 3, 1e-12)])
+    # 1e-20 of the norm at |j| = 5: below DROP_REL, so it is dropped and reported
+    faint = AnalyticFunction.from_modes(lat2, jmax, [(E1, 2, 1.0), (E1, 5, 1e-20)])
+    zero = AnalyticFunction.zeros(lat2, jmax)
+    jw, dropped = working_jmax([wide, faint, zero], jmax)
+    assert jw == 4
+    assert dropped == pytest.approx(1e-20, rel=1e-12)
+    assert working_jmax([zero], jmax) == (1, 0.0)
+    full = AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 1.0), (E1, jmax, 1e-12)])
+    assert working_jmax([wide, full], jmax) == (jmax, 0.0)
+    monkeypatch.setattr(nashmoser, "DROP_REL", 0.0)
+    assert working_jmax([wide, faint, zero], jmax) == (jmax, 0.0)
+
+
+def test_state_restricts_to_the_working_truncation(lat2, jmax):
+    spec = make_spec(lat2, jmax, eps=1e-6)
+    state = step(init_state(spec), spec)
+    jw = 6     # h_0 holds |j| <= 5 to DROP_REL
+    assert state.records[0]["jmax_work"] == jmax
+    assert state.f.jmax == state.L.jmax == state.Q.jmax == jw
+    assert all(q.jmax == jw for q in state.Q.coeffs.values())
+    assert state.h_list[0].jmax == state.transforms[0].alpha.jmax == jmax
+
+
+def test_shrunk_solve_matches_the_full_truncation(monkeypatch):
+    cfg = load_config(CONFIGS / "solve_small.cfg")
+    cfg["schedule.residual_target"] = 1e-12      # a second step, at the working truncation
+    spec = problem_spec_from(cfg)
+    shrunk = solve(spec, max_iters=3)
+    monkeypatch.setattr(nashmoser, "DROP_REL", 0.0)
+    full = solve(spec, max_iters=3)
+    assert [r["jmax_work"] for r in full.records] == [16, 16]
+    assert [r["jmax_work"] for r in shrunk.records] == [16, 6]
+    assert shrunk.converged and full.converged
+    assert abs(shrunk.residuals[-1]["l1_coeff"] - full.residuals[-1]["l1_coeff"]) <= 1e-15
+    assert shrunk.solution["jmax"] == full.solution["jmax"] == 16
+
+
+def test_forcing_at_jmax_never_shrinks(lat2, jmax):
+    forcing = AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 5e-7), (E1, jmax, 1e-9)])
+    spec = make_spec(lat2, jmax, forcing=forcing, residual_target=1e-30)
+    state = init_state(spec)
+    for _ in range(2):
+        state = step(state, spec)
+        assert state.f.jmax == jmax
+    assert [r["jmax_work"] for r in state.records] == [jmax, jmax]
+    assert [r["dropped_rel"] for r in state.records] == [0.0, 0.0]
+
+
+def test_jmax_work_never_grows(lat2, jmax):
+    spec = make_spec(lat2, jmax, eps=1e-6, residual_target=1e-30)
+    rep = solve(spec, max_iters=3)
+    work = [r["jmax_work"] for r in rep.records]
+    assert len(work) == 3 and work[0] == jmax and work[-1] < jmax
+    assert all(b <= a for a, b in zip(work, work[1:]))
+    assert all(0.0 <= r["dropped_rel"] < nashmoser.DROP_REL for r in rep.records)
+    # u lives at the config's truncation, whatever the steps ran at
+    assert rep.solution["jmax"] == jmax
 
 
 # -- the collocation residual against its full-spectrum form ------------------

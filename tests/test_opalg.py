@@ -294,6 +294,24 @@ def test_compose_path_follows_the_nonzeros(join_calls):
     assert len(join_calls) == 1
 
 
+@pytest.mark.parametrize("make, joins", [(diagonal_op, 1), (random_blocks_op, 0)],
+                         ids=["join", "gemm"])
+def test_cached_operand_matches_a_fresh_copy(make, joins, join_calls):
+    """compose keeps each operand's nonzero counts (and, on the join, its entry
+    lists); a second product of the same operands takes the same path and gives
+    bitwise the same blocks as a product of fresh copies, which compute them anew."""
+    A, B = (make(SPARSE_LAT, 32, seed, True, True) for seed in (3, 4))
+    first = compose(A, B)
+    assert len(join_calls) == joins
+    assert A._counts is not None and (A._entry_lists is not None) == bool(joins)
+    cached = compose(A, B)
+    fresh = compose(A._like(dict(A.data)), B._like(dict(B.data)))
+    assert len(join_calls) == 3 * joins
+    for got in (cached, fresh):
+        assert list(got.data) == list(first.data)
+        assert all(np.array_equal(got.data[p], b) for p, b in first.data.items())
+
+
 @pytest.mark.parametrize("join_cost", [opalg.JOIN_COST, 0.0], ids=["rule", "free-join"])
 def test_compose_with_every_target_outside_returns_no_blocks(lat2, jmax, monkeypatch,
                                                               join_calls, join_cost):
