@@ -78,7 +78,6 @@ from .opalg import (
     apply_op,
     commutator,
     compose,
-    dx3_commutator,
     exp_apply,
     exp_conjugate,
     materialize,

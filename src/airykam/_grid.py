@@ -7,12 +7,21 @@ the substitution pointwise, transform back with an FFT and re-truncate.  The
 mass found outside the doubled frequency band is reported as aliasing energy
 and raises AliasingError beyond tolerance.
 
-Each substitution has one grid kernel: ``_x_series`` evaluates an
-x-spectrum at x + a(phi, x), ``_phi_series`` shifts the phase of every
-lattice row by omega.l times a phi-grid amplitude.  An inverse is the fixed
-point of its forward kernel (alpha~ = -alpha(phi, y + alpha~) and
+A change of variables is one grid pass over a stack of real fields.
+``substitute`` evaluates each field at (Phi, x + alpha + p(Phi)) and
+``substitute_inverse`` at (Phi, y + alpha~(Phi, y)) with y = x - p(phi),
+where Phi = phi + omega beta(phi).  A call builds the amplitudes' grid values
+and W = e^{iX} once for the whole stack.  Each field then costs one
+``_phi_series`` (its x-spectrum at Phi, from the phase factors e^{i l.Phi}
+of the lattice rows), one Horner sum in W (``_x_series``; a phase and an
+x-transform when X - x depends on phi alone) and one ``_extract``.  The
+single-field kernels ``compose_x_diffeo``, ``compose_phi_shift`` and
+``compose_x_translation`` no longer run in a solve: they stay as the
+independent implementation whose chain, truncated after each kernel, is the
+tests' oracle, and as the names the perfbench tracer wraps.  An inverse is
+the fixed point of its forward map (alpha~ = -alpha(phi, y + alpha~) and
 beta~ = -beta(theta + omega beta~)), found by the one Picard loop
-``_fixed_point``.
+``_fixed_point``; ``moser_compose`` evaluates a scalar series pointwise.
 
 Every grid field has one layout.  A field is real, and on the grid
 sphi x nx it is carried by its x-modes j >= 0: the terms of mode -j are the
@@ -38,6 +47,7 @@ from .lattice import get_enumeration
 
 _TWO_PI = 2.0 * np.pi
 _FLOOR = 8e-16  # coefficients at or below this share of the largest are rounding noise
+ALIAS_TOL = 1e-7  # aliasing share of a grid pass beyond which it raises AliasingError
 
 
 def next_fast_len(n: int) -> int:
@@ -166,21 +176,6 @@ def _to_x_grid(T, nx):
     return np.fft.irfft(T, n=nx, axis=-1) * nx
 
 
-def _phi_angle(row, sizes_phi):
-    """Grid of l . phi over the phi tensor grid, for l given as a dense row."""
-    angle = np.zeros(sizes_phi)
-    for v, ax in zip(row, _angles(sizes_phi)):
-        if v:
-            angle = angle + v * ax
-    return angle
-
-
-@functools.lru_cache(maxsize=32)
-def _row_angles(lattice, sizes_phi):
-    """{lattice index: l . phi grid}, one per lattice and phi grid, filled as rows are used."""
-    return {}
-
-
 def _horner(H, V):
     """sum_{k>=1} H_k V^k with H_k = H[..., k-1], by Horner's rule in V from the
     highest nonzero H_k; 0 when H is zero."""
@@ -202,20 +197,54 @@ def _x_series(G, W):
     return np.broadcast_to(val, W.shape)
 
 
+# Phase factors e^{i l.Phi} that _phi_series builds at once: rows of them up to
+# this many entries (1 MB complex; one row when a row is longer).  On step 0's
+# push_quadratic pass of solve_m3 at omega seed 7 (4860 phi points, 11 fields;
+# in-process, one BLAS thread, median of 6 calls), 2^12 (one row a chunk),
+# 2^14, 2^16 and 2^18 took 0.90, 0.54, 0.47 and 0.47 s, with traced peaks
+# 19.1 MB up to 2^16 and 20.9 MB at 2^18.
+PHASE_POINTS = 2 ** 16
+
+
+def _cis(angle):
+    """e^{i angle} for a real array, from its cosine and sine."""
+    out = np.empty(np.shape(angle), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _phi_series(lattice, cols, shift, omega, sphi):
-    """x-spectrum over the phi grid of u(phi + omega * shift(phi), .), for the
-    coefficient columns ``cols`` of u (one per lattice index)."""
+    """x-spectrum over the phi grid of u(phi + omega * shift(phi), .) for a u
+    given by its coefficient columns (one row per lattice index).
+
+    With Phi_s = phi_s + omega_s shift on each axis s, the spectrum is
+    sum_l e^{i l.Phi} u_l, a product of the (rows x points) phase factors
+    and the columns.  A factor is a product over the axes of powers of
+    e^{i Phi_s} (the negative powers their conjugates), built a chunk of rows
+    at a time.
+    """
     enum = get_enumeration(lattice)
-    dots = enum.dots(omega)
-    angles = _row_angles(lattice, sphi)
-    T = np.zeros(sphi + (cols.shape[1],), dtype=complex)
-    for p in np.flatnonzero(cols.any(axis=1)).tolist():
-        if p not in angles:
-            angles[p] = _phi_angle(enum.dense[p], sphi)
-        E = np.exp(1j * (angles[p] + dots[p] * shift))
-        held = np.flatnonzero(cols[p])
-        T[..., held] += E[..., None] * cols[p, held]
-    return T
+    flat_shift = np.reshape(shift, -1)
+    powers = []
+    for ax, b, om in zip(_angles(sphi), enum.bounds, omega):
+        Z = _cis(np.broadcast_to(ax, sphi).reshape(-1) + om * flat_shift)
+        P = np.empty((2 * b + 1, Z.size), dtype=complex)
+        P[b] = 1.0
+        for k in range(1, b + 1):
+            P[b + k] = P[b + k - 1] * Z
+        P[:b] = np.conj(P[:b:-1])
+        powers.append(P)
+    slots = enum.dense + np.asarray(enum.bounds)
+    step = max(1, PHASE_POINTS // flat_shift.size)
+    T = np.zeros((flat_shift.size, cols.shape[1]), dtype=complex)
+    for lo in range(0, enum.size, step):
+        rows = slice(lo, lo + step)
+        E = powers[0][slots[rows, 0]]
+        for P, col in zip(powers[1:], slots[rows, 1:].T):
+            E *= P[col]
+        T += E.T @ cols[rows]
+    return T.reshape(sphi + (cols.shape[1],))
 
 
 def _fixed_point(update, shape, tol, max_iter, what):
@@ -234,7 +263,7 @@ def _fixed_point(update, shape, tol, max_iter, what):
     raise NonContractionError(f"no contraction after {max_iter} iterations")
 
 
-def compose_x_diffeo(u, alpha, factor=2, alias_tol=1e-7, report=None):
+def compose_x_diffeo(u, alpha, factor=2, alias_tol=ALIAS_TOL, report=None):
     """u(phi, x + alpha(phi, x)), exact for alpha = 0 on the retained modes."""
     if u.lattice != alpha.lattice:
         raise ValueError("incompatible lattices")
@@ -246,7 +275,7 @@ def compose_x_diffeo(u, alpha, factor=2, alias_tol=1e-7, report=None):
                     alias_tol=alias_tol, context="compose_x_diffeo", report=report)
 
 
-def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
+def compose_phi_shift(u, beta, omega, factor=2, alias_tol=ALIAS_TOL, report=None):
     """u(phi + omega beta(phi), x) for a real function beta of phi alone."""
     if u.lattice != beta.lattice:
         raise ValueError("incompatible lattices")
@@ -260,7 +289,7 @@ def compose_phi_shift(u, beta, omega, factor=2, alias_tol=1e-7, report=None):
                     alias_tol=alias_tol, context="compose_phi_shift", report=report)
 
 
-def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
+def compose_x_translation(u, p, factor=2, alias_tol=ALIAS_TOL, report=None):
     """u(phi, x + p(phi)) for a real function p of phi alone.
 
     The phases e^{i j p} multiply the x-spectrum on the phi grid, not on the
@@ -278,7 +307,133 @@ def compose_x_translation(u, p, factor=2, alias_tol=1e-7, report=None):
                     alias_tol=alias_tol, context="compose_x_translation", report=report)
 
 
-def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, report=None):
+def _held(a):
+    return a is not None and not a.is_zero()
+
+
+def _stack_grid(fields, alpha, beta, p, factor):
+    """Grid of a stacked substitution, after refusing what it cannot
+    substitute; None when nothing moves (no field, or no amplitude held)."""
+    for u in fields:
+        _require_real(u, "substituted field")
+    lattices = {u.lattice for u in fields}
+    for a, what in ((alpha, "x-diffeomorphism amplitude"),
+                    (beta, "time-reparametrization amplitude"), (p, "translation amplitude")):
+        if a is not None:
+            _require_real(a, what)
+            if a is not alpha and not a.phi_only:
+                raise ValueError(f"{what} must depend on phi only")
+            lattices.add(a.lattice)
+    if len(lattices) > 1:
+        raise ValueError("incompatible lattices")
+    if not fields or not (_held(alpha) or _held(beta) or _held(p)):
+        return None
+    jmax = max([u.jmax for u in fields] + ([alpha.jmax] if _held(alpha) else []))
+    return grid_sizes(fields[0].lattice, jmax, factor)
+
+
+def _spectrum(u, sphi, shift, omega):
+    """x-spectrum over the phi grid of a real field at phi + omega shift(phi),
+    or at phi for no shift."""
+    if shift is None:
+        return _x_spectrum(u, sphi)
+    return _phi_series(u.lattice, u.data[:, u.jmax:], shift, omega, sphi)
+
+
+def _phi_values(f, sphi, shift=None, omega=None):
+    """Values of a real function f of phi alone at phi + omega shift(phi) (at
+    phi for no shift) on the phi grid."""
+    if shift is None:
+        T = _x_spectrum(f, sphi, 1)
+    else:
+        T = _phi_series(f.lattice, f.data[:, f.jmax:f.jmax + 1], shift, omega, sphi)
+    return _to_x_grid(T, 1)[..., 0]
+
+
+def _grid_values(T, W, c, nx):
+    """Real grid values at (phi, X) of a field with x-spectrum T over the phi
+    grid: a Horner sum in W = e^{iX} or, without W, the phase e^{i j c(phi)}
+    of X = x + c (no phase for c None) and one x-transform."""
+    if W is not None:
+        return _x_series(T, W)
+    if c is not None:
+        T = T * np.exp(1j * c[..., None] * np.arange(T.shape[-1]))
+    return _to_x_grid(T, nx)
+
+
+def _exp_ix(a, c, sizes):
+    """W = e^{iX} on the grid for X = x + c(phi) + a(phi, x); overwrites a."""
+    a += _angles(sizes)[-1]
+    if c is not None:
+        a += c[..., None]
+    return _cis(a)
+
+
+def _substitute(fields, sizes, omega, shift, c, W, context, report):
+    """Every field u at (phi + omega shift(phi), X), truncated back to u's
+    modes, with X given by W or c as in ``_grid_values``."""
+    out = []
+    for u in fields:
+        vals = _grid_values(_spectrum(u, sizes[:-1], shift, omega), W, c, sizes[-1])
+        rep = {}
+        out.append(_extract(vals, u.lattice, u.jmax, alias_tol=ALIAS_TOL,
+                            context=context, report=rep))
+        if report is not None:
+            for key in ("alias_rel", "discard_rel"):
+                report["max_" + key] = max(report.get("max_" + key, 0.0), rep[key])
+    return out
+
+
+def substitute(fields, alpha, beta, p, omega, factor=2, report=None):
+    """Each real u of ``fields`` at (Phi, x + alpha(phi, x) + p(Phi)) with
+    Phi = phi + omega beta(phi): the substitution of the forward change of
+    variables ``conjugation.apply_transform``.
+
+    beta and p are functions of phi alone.  An amplitude that is None or zero
+    drops out, and with all three absent the fields come back unchanged.
+    ``report`` receives the largest ``alias_rel`` and ``discard_rel`` of the
+    pass as ``max_alias_rel`` and ``max_discard_rel``.
+    """
+    fields = list(fields)
+    sizes = _stack_grid(fields, alpha, beta, p, factor)
+    if sizes is None:
+        return fields
+    sphi = sizes[:-1]
+    shift = _phi_values(beta, sphi) if _held(beta) else None
+    c = _phi_values(p, sphi, shift, omega) if _held(p) else None
+    W = None
+    if _held(alpha):
+        W = _exp_ix(_real_grid_values(alpha, sizes, "x-diffeomorphism amplitude"), c, sizes)
+        c = None
+    return _substitute(fields, sizes, omega, shift, c, W, "substitute", report)
+
+
+def substitute_inverse(fields, alpha_tilde, beta_tilde, p, omega, factor=2, report=None):
+    """Each real u of ``fields`` at (Phi, y + alpha~(Phi, y)) with
+    Phi = phi + omega beta~(phi) and y = x - p(phi): the substitution of the
+    inverse change of variables ``conjugation.apply_transform_inverse``.
+
+    The three substitutions x -> x + alpha~, phi -> phi + omega beta~ and
+    x -> x - p, applied one after the other, compose to this one map, which
+    is evaluated in one grid pass and truncated once.  Amplitudes and
+    ``report`` are as in ``substitute``.
+    """
+    fields = list(fields)
+    sizes = _stack_grid(fields, alpha_tilde, beta_tilde, p, factor)
+    if sizes is None:
+        return fields
+    sphi = sizes[:-1]
+    shift = _phi_values(beta_tilde, sphi) if _held(beta_tilde) else None
+    c = -_phi_values(p, sphi) if _held(p) else None
+    W = None
+    if _held(alpha_tilde):
+        a = _grid_values(_spectrum(alpha_tilde, sphi, shift, omega), None, c, sizes[-1])
+        W = _exp_ix(a, c, sizes)            # y + alpha~(Phi, y) = x + c + a
+        c = a = None
+    return _substitute(fields, sizes, omega, shift, c, W, "substitute_inverse", report)
+
+
+def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=ALIAS_TOL, report=None):
     """alpha_tilde with x + alpha evaluated at y + alpha_tilde(phi, y) == y.
 
     Fixed point alpha_tilde = -alpha(phi, y + alpha_tilde) of the forward
@@ -303,7 +458,8 @@ def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, re
     return out
 
 
-def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1e-7, report=None):
+def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=ALIAS_TOL,
+                     report=None):
     """beta_tilde with phi + omega beta evaluated at theta + omega beta_tilde == theta.
 
     Fixed point beta_tilde = -beta(theta + omega beta_tilde) of the forward
@@ -318,7 +474,7 @@ def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1
         raise NonContractionError(f"|omega.d_phi beta| ~ {slope:.3f} too large to invert")
     sphi = phi_sizes(beta.lattice, factor)
     s, step = _fixed_point(
-        lambda s: -_to_x_grid(_phi_series(beta.lattice, coef[:, None], s[..., 0], omega, sphi), 1),
+        lambda s: -_phi_values(beta, sphi, s[..., 0], omega)[..., None],
         sphi + (1,), tol, max_iter, "phi-shift",
     )
     out = _extract(s, beta.lattice, beta.jmax, alias_tol=alias_tol,
@@ -328,7 +484,7 @@ def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=1
     return out
 
 
-def moser_compose(series, u, factor=2, alias_tol=1e-7, report=None):
+def moser_compose(series, u, factor=2, alias_tol=ALIAS_TOL, report=None):
     """fn(u) by pointwise grid evaluation, for a real u with |u|_0 strictly
     inside the radius."""
     r = u.norm(0.0)

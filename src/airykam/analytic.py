@@ -50,6 +50,8 @@ __all__ = [
     "invert_x_diffeo",
     "invert_phi_shift",
     "moser_compose",
+    "substitute",
+    "substitute_inverse",
     "to_payload",
     "from_payload",
 ]
@@ -436,4 +438,6 @@ from ._grid import (  # noqa: E402
     invert_phi_shift,
     invert_x_diffeo,
     moser_compose,
+    substitute,
+    substitute_inverse,
 )

@@ -265,10 +265,10 @@ def step(state: IterationState, spec: ProblemSpec) -> IterationState:
     res = conjugate_step(state.L, qp, spec.gbar, report=conj_rep)
 
     Qh = evaluate_quadratic(state.Q, h)
-    f_raw = multiply(res.transform.r, apply_transform_inverse(res.transform, Qh))
+    f_raw = multiply(res.transform.r, apply_transform_inverse(res.transform, Qh, report=conj_rep))
     mean_defect = pi0(f_raw).norm(0.0)
     f_next = pi0_perp(f_raw)
-    Q_next = push_quadratic(state.Q, res.transform)
+    Q_next = push_quadratic(state.Q, res.transform, report=conj_rep)
     L_next = res.L_plus
     jmax_next, dropped = working_jmax(
         [f_next, L_next.B, L_next.C, *Q_next.coeffs.values()], f_next.jmax)
@@ -293,6 +293,8 @@ def step(state: IterationState, spec: ProblemSpec) -> IterationState:
         "q_total_norm": Q_next.total_norm(0.0),
         "jmax_work": state.f.jmax,
         "dropped_rel": dropped,
+        "max_alias_rel": conj_rep.get("max_alias_rel", 0.0),
+        "max_discard_rel": conj_rep.get("max_discard_rel", 0.0),
         "seconds": time.perf_counter() - t0,
     }
     log.info("outer step %d: |f|=%.3e |h|=%.3e margin=%.2e",

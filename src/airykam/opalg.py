@@ -61,7 +61,6 @@ __all__ = [
     "mult_op",
     "x_symbol_op",
     "dx_op",
-    "dx_inv_op",
     "smoothing_generator_op",
     "op_norm",
     "restrict",
@@ -74,7 +73,6 @@ __all__ = [
     "exp_apply",
     "exp_conjugate",
     "lie_series",
-    "dx3_commutator",
     "to_dense",
     "dense_labels",
 ]
@@ -251,10 +249,6 @@ def x_symbol_op(lattice, jmax, symbol) -> OperatorMatrix:
 
 def dx_op(lattice, jmax, order=1) -> OperatorMatrix:
     return x_symbol_op(lattice, jmax, lambda j: (1j * j) ** order)
-
-
-def dx_inv_op(lattice, jmax) -> OperatorMatrix:
-    return x_symbol_op(lattice, jmax, lambda j: 1.0 / (1j * j))
 
 
 def _toeplitz_blocks(a: AnalyticFunction, column_divisor):
@@ -530,19 +524,6 @@ def exp_apply(G: OperatorMatrix, u: AnalyticFunction, tol=1e-14,
         return u
     return _series(u, lambda term, k: apply_op(G, term) * (1.0 / k),
                    lambda term: term.norm(0.0), tol, max_terms)[0]
-
-
-def dx3_commutator(g: AnalyticFunction):
-    """Closed form of [dx^3, pi0_perp g dx^{-1}] = mult(3 g_x) dx + remainder.
-
-    Returns (3 g_x, remainder) with remainder = pi0_perp(3 g_xx + g_xxx dx^{-1});
-    on the zero-average basis the pi0(g_x dx) piece has no matrix entries.
-    """
-    if not g.zero_x_average:
-        raise ValueError("generator amplitude must have zero x-average")
-    leading = 3.0 * dx(g, 1)
-    rem = mult_op(3.0 * dx(g, 2)) + compose(mult_op(dx(g, 3)), dx_inv_op(g.lattice, g.jmax))
-    return leading, rem
 
 
 # -- dense helpers (small truncations, oracles, direct solves) ----------------

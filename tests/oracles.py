@@ -6,9 +6,17 @@ test directory uses.
 
 import numpy as np
 
-from airykam.analytic import AnalyticFunction, dx, multiply, om_dphi
+from airykam.analytic import (
+    AnalyticFunction,
+    compose_phi_shift,
+    compose_x_diffeo,
+    compose_x_translation,
+    dx,
+    multiply,
+    om_dphi,
+)
 from airykam.lattice import get_enumeration
-from airykam.opalg import materialize, to_dense
+from airykam.opalg import compose, materialize, mult_op, to_dense, x_symbol_op
 
 
 def eval_pointwise(f, phis, xs):
@@ -60,3 +68,53 @@ def dense_operator(L):
     n = len(M)
     M[np.arange(n), np.arange(n)] += np.repeat(1j * dots, 2 * L.jmax)
     return M
+
+
+def dx_inv_op(lattice, jmax):
+    """dx^{-1} on the zero-average functions, as an operator matrix."""
+    return x_symbol_op(lattice, jmax, lambda j: 1.0 / (1j * j))
+
+
+def dx3_commutator(g):
+    """Closed form of [dx^3, pi0_perp g dx^{-1}] = mult(3 g_x) dx + remainder.
+
+    Returns (3 g_x, remainder) with remainder = pi0_perp(3 g_xx + g_xxx dx^{-1});
+    on the zero-average basis the pi0(g_x dx) piece has no matrix entries.
+    """
+    if not g.zero_x_average:
+        raise ValueError("generator amplitude must have zero x-average")
+    leading = 3.0 * dx(g, 1)
+    rem = mult_op(3.0 * dx(g, 2)) + compose(mult_op(dx(g, 3)), dx_inv_op(g.lattice, g.jmax))
+    return leading, rem
+
+
+def inverse_chain(u, alpha_tilde, beta_tilde, p, omega, jacobian=False):
+    """T^{-1} u by the three single-field kernels, one after the other:
+    u(phi, x + alpha~), times 1 + alpha~_x with ``jacobian``, then the phase
+    shift by beta~ and the translation by -p.  Zero amplitudes are skipped."""
+    w = u
+    if not alpha_tilde.is_zero():
+        w = compose_x_diffeo(w, alpha_tilde)
+        if jacobian:
+            w = multiply(1.0 + dx(alpha_tilde, 1), w)
+    if not beta_tilde.is_zero():
+        w = compose_phi_shift(w, beta_tilde, omega)
+    if not p.is_zero():
+        w = compose_x_translation(w, -p)
+    return w
+
+
+def forward_chain(u, alpha, beta, p, omega, jacobian=False):
+    """T u by the three single-field kernels: the translation by p, the phase
+    shift by beta, then u(phi, x + alpha), times 1 + alpha_x with
+    ``jacobian``.  Zero amplitudes are skipped."""
+    w = u
+    if not p.is_zero():
+        w = compose_x_translation(w, p)
+    if not beta.is_zero():
+        w = compose_phi_shift(w, beta, omega)
+    if not alpha.is_zero():
+        w = compose_x_diffeo(w, alpha)
+        if jacobian:
+            w = multiply(1.0 + dx(alpha, 1), w)
+    return w

@@ -37,7 +37,6 @@ from airykam.opalg import (
     commutator,
     compose,
     dense_labels,
-    dx3_commutator,
     dx_op,
     exp_conjugate,
     mult_op,
@@ -51,7 +50,7 @@ from airykam.reducibility import (
     reduce_operator,
 )
 from airykam.smalldiv import is_diophantine, measure_estimate
-from oracles import by_real_parts, dense_operator, perturbed_operator
+from oracles import by_real_parts, dense_operator, dx3_commutator, perturbed_operator
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)

@@ -1,9 +1,10 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from airykam import _grid, nashmoser
+from airykam import _grid, cli, nashmoser
 from airykam.analytic import AnalyticFunction, dx, from_payload, multiply
 from airykam.config import load_config, problem_spec_from
 from airykam.conjugation import evaluate_quadratic, linearize_quadratic
@@ -237,6 +238,41 @@ def test_jmax_work_never_grows(lat2, jmax):
 
 
 # -- the collocation residual against its full-spectrum form ------------------
+
+
+def test_records_hold_the_largest_shares_of_the_steps_substitution_passes(lat2, jmax,
+                                                                         monkeypatch):
+    seen = []
+    extract = _grid._extract
+
+    def spy(vals, lattice, jmax, *, alias_tol, context, report=None):
+        out = extract(vals, lattice, jmax, alias_tol=alias_tol, context=context, report=report)
+        if context.startswith("substitute"):
+            seen.append((report["alias_rel"], report["discard_rel"]))
+        return out
+
+    monkeypatch.setattr(_grid, "_extract", spy)
+    spec = make_spec(lat2, jmax, eps=1e-5)
+    state = step(init_state(spec), spec)
+    rec = state.records[0]
+    assert len(seen) >= 11            # push_quadratic alone moves 11 coefficients
+    assert rec["max_alias_rel"] == max(a for a, _ in seen) > 0.0
+    assert rec["max_discard_rel"] == max(d for _, d in seen) > 0.0
+
+
+def test_report_with_grid_limits_is_byte_identical_across_reruns(tmp_path):
+    reports = []
+    for k in (1, 2):
+        out = tmp_path / f"run{k}"
+        assert cli.main(["solve", "--config", str(CONFIGS / "solve_small.cfg"),
+                         "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    records = json.loads(reports[0])["records"]
+    assert records
+    for rec in records:
+        assert 0.0 < rec["max_alias_rel"] <= _grid.ALIAS_TOL
+        assert 0.0 < rec["max_discard_rel"] < 1.0
 
 
 def place_fftn(u, sizes):

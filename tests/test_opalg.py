@@ -15,7 +15,6 @@ from airykam.opalg import (
     commutator,
     compose,
     dense_labels,
-    dx3_commutator,
     dx_op,
     exp_apply,
     exp_conjugate,
@@ -31,6 +30,8 @@ from airykam.opalg import (
     to_dense,
     x_symbol_op,
 )
+
+from oracles import dx3_commutator
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
