@@ -31,7 +31,6 @@ from .lattice import LatticeParams, MultiIndex, get_enumeration
 __all__ = [
     "AnalyticFunction",
     "ScalarSeries",
-    "norm",
     "multiply",
     "dx",
     "dx_inv",
@@ -41,17 +40,7 @@ __all__ = [
     "pi0_perp",
     "project_N",
     "project_N_perp",
-    "phi_average",
     "mean_phi_x",
-    "lipschitz_norm",
-    "compose_x_diffeo",
-    "compose_phi_shift",
-    "compose_x_translation",
-    "invert_x_diffeo",
-    "invert_phi_shift",
-    "moser_compose",
-    "substitute",
-    "substitute_inverse",
     "to_payload",
     "from_payload",
 ]
@@ -235,10 +224,6 @@ class AnalyticFunction:
         )
 
 
-def norm(u: AnalyticFunction, sigma: float) -> float:
-    return u.norm(sigma)
-
-
 def multiply(u: AnalyticFunction, v: AnalyticFunction, prune_rel: float = 1e-18) -> AnalyticFunction:
     """Spectral product, truncated back to the common lattice and jmax.
 
@@ -351,36 +336,9 @@ def project_N_perp(u: AnalyticFunction, N: float) -> AnalyticFunction:
     return _masked(u, rows=~get_enumeration(u.lattice).within(N))
 
 
-def phi_average(u: AnalyticFunction) -> AnalyticFunction:
-    """phi-average: keep only the l = 0 row (equals the coeff(0, .) column)."""
-    return _masked(u, rows=np.arange(len(u.data)) == 0)
-
-
 def mean_phi_x(u: AnalyticFunction) -> complex:
     """Joint average over phi and x, i.e. the (0, 0) coefficient."""
     return complex(u.data[0, u.jmax])
-
-
-def lipschitz_norm(samples, gamma: float, sigma: float) -> float:
-    """Finite-sample Lipschitz norm sup + gamma * max pairwise quotient.
-
-    ``samples`` is a list of (omega, AnalyticFunction) at distinct frequency
-    vectors; the quotient uses the sup-distance between the omegas.
-    """
-    samples = list(samples)
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    sup = max(f.norm(sigma) for _, f in samples)
-    lip = 0.0
-    for a in range(len(samples)):
-        for b in range(a + 1, len(samples)):
-            om_a, f_a = samples[a]
-            om_b, f_b = samples[b]
-            h = float(np.max(np.abs(np.asarray(om_a, float) - np.asarray(om_b, float))))
-            if h == 0.0:
-                raise ValueError("duplicate omega in Lipschitz samples")
-            lip = max(lip, (f_a - f_b).norm(sigma) / h)
-    return sup + gamma * lip
 
 
 # -- serialization ----------------------------------------------------------
@@ -418,9 +376,6 @@ def loads(text: str) -> AnalyticFunction:
     return from_payload(json.loads(text))
 
 
-# -- grid-based operations (implemented in _grid) ----------------------------
-
-
 @dataclass(frozen=True)
 class ScalarSeries:
     """Descriptor of an analytic scalar map z -> fn(z) valid for |z| < radius."""
@@ -429,15 +384,3 @@ class ScalarSeries:
     radius: float
     label: str = ""
 
-
-# _grid needs this module only at call time, so the import can come last.
-from ._grid import (  # noqa: E402
-    compose_phi_shift,
-    compose_x_diffeo,
-    compose_x_translation,
-    invert_phi_shift,
-    invert_x_diffeo,
-    moser_compose,
-    substitute,
-    substitute_inverse,
-)

@@ -33,6 +33,7 @@ from .config import (
     numbers,
     omega_from,
     problem_spec_from,
+    seed_from,
 )
 from .errors import SmallDivisorError
 from .nashmoser import solve
@@ -138,7 +139,7 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
     if not sched.stop_tol >= 0:
         raise ConfigError(f"schedule.stop_tol must be >= 0, got {sched.stop_tol}")
     jwin = integer(cfg, "reduce.interior_j", max(1, jmax - 4), minimum=1)
-    lwin = number(cfg, "reduce.interior_K", max(1.0, lattice.K - 2.0))
+    lwin = number(cfg, "reduce.interior_K", max(1.0, lattice.K - 2.0), above=0.0)
     try:
         red = reduce_operator(L, sched, verify_window=(jwin, lwin))
     except SmallDivisorError as exc:
@@ -175,7 +176,7 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
 
 def cmd_measure(cfg: dict, out: Path, seed_override=None) -> int:
     lattice = lattice_from(cfg)
-    seed = integer(cfg, "measure.seed", 0) if seed_override is None else int(seed_override)
+    seed = seed_from(cfg, "measure.seed", seed_override)
     n_samples = integer(cfg, "measure.samples", 1000, minimum=100)
     which = get(cfg, "measure.predicate", "dgamma")
     if which not in ("dgamma", "airy"):

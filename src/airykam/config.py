@@ -4,9 +4,9 @@ Lines hold ``dotted.key = value`` with ``#`` comments; values are parsed as
 JSON where possible and kept as strings otherwise.  A value holding NaN or
 an infinity (``NaN``, ``Infinity``, an overflowing ``1e999``, also a
 lowercase ``nan`` or ``inf`` that JSON cannot parse) is rejected.
-Numbers are read through ``number``, counts and seeds through ``integer`` and
-switches through ``boolean``: a value of the wrong kind is a ConfigError
-naming the key.
+Numbers are read through ``number``, counts through ``integer``, seeds
+through ``seed_from`` and switches through ``boolean``: a value of the wrong
+kind is a ConfigError naming the key.
 Forcing and coefficient functions are written as lists of entries
 ``[[[site, l_site], ...], j, re, im]``; an entry outside the truncation
 (site > M, |l|_eta > K or |j| > jmax) is rejected.
@@ -130,6 +130,16 @@ def integer(cfg: dict, key: str, default=None, minimum=None) -> int:
     return value
 
 
+def seed_from(cfg: dict, key: str, override=None) -> int:
+    """The random seed: ``override`` (the CLI's --seed) when given, else cfg[key]
+    (default 0); either must be an integer >= 0, and an error names its source."""
+    if override is None:
+        return integer(cfg, key, 0, minimum=0)
+    if override < 0:
+        raise ConfigError(f"--seed must be >= 0, got {override}")
+    return int(override)
+
+
 def boolean(cfg: dict, key: str, default: bool) -> bool:
     """cfg[key] as a bool: only the JSON literals true and false are accepted."""
     value = get(cfg, key, default)
@@ -225,7 +235,7 @@ def omega_from(cfg: dict, lattice, jmax, seed_override=None):
             return FrequencyVector(vals).values
         except ValueError as exc:
             raise ConfigError(f"omega.values = {vals}: {exc}") from None
-    seed = integer(cfg, "omega.seed", 0) if seed_override is None else int(seed_override)
+    seed = seed_from(cfg, "omega.seed", seed_override)
     gbar = gbar_from(cfg)
     gamma0 = number(cfg, "problem.gamma0", above=0.0)
     rng = np.random.default_rng(seed)

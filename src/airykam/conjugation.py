@@ -40,22 +40,24 @@ from math import comb
 
 import numpy as np
 
+from ._grid import (
+    invert_phi_shift,
+    invert_x_diffeo,
+    moser_compose,
+    substitute,
+    substitute_inverse,
+)
 from .analytic import (
     AnalyticFunction,
     ScalarSeries,
     dx,
     dx_inv,
-    invert_phi_shift,
-    invert_x_diffeo,
     mean_phi_x,
-    moser_compose,
     multiply,
     om_dphi,
     om_dphi_inv,
     pi0,
     pi0_perp,
-    substitute,
-    substitute_inverse,
 )
 from .lattice import get_enumeration
 from .opalg import DifferentialOperator
@@ -102,14 +104,6 @@ class TransformationData:
     lambda3_plus: float
     lambda1_plus: float
 
-    @classmethod
-    def identity(cls, lattice, jmax, omega, lambda3=1.0, lambda1=0.0):
-        zero = AnalyticFunction.zeros(lattice, jmax)
-        one = AnalyticFunction.constant(lattice, jmax, 1.0)
-        m3 = AnalyticFunction.constant(lattice, jmax, lambda3)
-        return cls(np.asarray(omega, float), zero, zero, zero, zero, zero,
-                   one, m3, lambda3, lambda1)
-
 
 @dataclass
 class QuadraticPerturbation:
@@ -119,9 +113,6 @@ class QuadraticPerturbation:
     d2: AnalyticFunction
     d1: AnalyticFunction
     d0: AnalyticFunction
-
-    def norm(self, sigma: float) -> float:
-        return sum(getattr(self, k).norm(sigma) for k in ("d3", "d2", "d1", "d0"))
 
     def hamiltonian_defect(self) -> float:
         """Norm of d2 - 2 dx(d3); zero for a Hamiltonian linearization."""
@@ -141,10 +132,6 @@ class QuadraticForm:
                 raise ValueError(f"index {key} outside the quadratic table")
             if not fct.is_zero():
                 self.coeffs[key] = fct
-
-    def get(self, i, j):
-        f = self.coeffs.get((i, j))
-        return f if f is not None else AnalyticFunction.zeros(self.lattice, self.jmax)
 
     def total_norm(self, sigma: float) -> float:
         return sum(f.norm(sigma) for f in self.coeffs.values())

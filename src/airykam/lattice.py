@@ -18,13 +18,10 @@ __all__ = [
     "MultiIndex",
     "LatticeParams",
     "eta_norm",
-    "l1_norm",
     "divisor_weight",
     "diophantine_weight",
     "enumerate_indices",
     "get_enumeration",
-    "weight_bound_report",
-    "divisor_series_partial_sum",
 ]
 
 
@@ -111,10 +108,6 @@ def eta_norm(l: MultiIndex, eta: float) -> float:
     if eta <= 0:
         raise ValueError("eta must be positive")
     return float(sum((i + 1) ** eta * abs(v) for i, v in enumerate(l.entries) if v))
-
-
-def l1_norm(l: MultiIndex) -> int:
-    return sum(abs(v) for v in l.entries)
 
 
 def divisor_weight(l: MultiIndex) -> float:
@@ -276,56 +269,3 @@ class Enumeration:
 def get_enumeration(params: LatticeParams) -> Enumeration:
     return Enumeration(params)
 
-
-def weight_bound_report(rho: float, eta: float, params: LatticeParams) -> float:
-    """Max over the truncated lattice of divisor_weight(l) * exp(-rho * |l|_eta).
-
-    Diagnostic for calibrating loss-of-analyticity steps: the value bounds the
-    amplification a divisor floor gamma/d(l) can inject at strip loss rho.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    enum = get_enumeration(params)
-    if eta == params.eta:
-        norms = enum.eta_norms
-    else:
-        sites = np.arange(1, params.M + 1, dtype=float)
-        norms = np.abs(enum.dense).astype(float) @ sites**eta
-    return float(np.max(enum.dvals * np.exp(-rho * norms)))
-
-
-def divisor_series_partial_sum(params: LatticeParams) -> float:
-    """Partial sum of l1_norm(l)^3 / divisor_weight(l) over the truncation.
-
-    The full series converges; the partial sums increase in (M, K) and, for
-    eta = 1, refinements beyond (M, K) = (4, 64) move the value by under 1%
-    (the tail is dominated by single-site contributions ~ 2/K).
-
-    Sites 2..M are traversed recursively and site 1 is summed vectorized, so
-    large truncations do not materialize any multi-index objects.
-    """
-    M, K, eta = params.M, params.K, params.eta
-    total = 0.0
-
-    def rec(site, budget, l1_rest, d_rest):
-        nonlocal total
-        if site == 1:
-            r = int(math.floor(budget + 1e-12))
-            t = np.arange(-r, r + 1, dtype=float)
-            abst = np.abs(t)
-            total += float(
-                np.sum((abst + l1_rest) ** 3 / (d_rest * (1.0 + abst**5)))
-            )
-            return
-        w = site**eta
-        rmax = int(math.floor(budget / w + 1e-12))
-        for v in range(-rmax, rmax + 1):
-            rec(
-                site - 1,
-                budget - abs(v) * w,
-                l1_rest + abs(v),
-                d_rest * (1 + abs(v) ** 5 * site**5),
-            )
-
-    rec(M, K, 0.0, 1.0)
-    return total

@@ -57,7 +57,6 @@ from .lattice import get_enumeration
 __all__ = [
     "OperatorMatrix",
     "DifferentialOperator",
-    "identity_op",
     "mult_op",
     "x_symbol_op",
     "dx_op",
@@ -209,9 +208,6 @@ class OperatorMatrix:
     def __neg__(self):
         return self * (-1.0)
 
-    def __matmul__(self, other):
-        return compose(self, other)
-
     def __repr__(self):
         return f"OperatorMatrix(jmax={self.jmax}, blocks={len(self.data)})"
 
@@ -230,11 +226,6 @@ def _sealed(blocks):
             b.flags.writeable = False
             out[p] = b
     return out
-
-
-def identity_op(lattice, jmax) -> OperatorMatrix:
-    nj = 2 * jmax + 1
-    return OperatorMatrix.from_indexed(lattice, jmax, {0: np.eye(nj, dtype=complex)})
 
 
 def x_symbol_op(lattice, jmax, symbol) -> OperatorMatrix:

@@ -51,7 +51,6 @@ __all__ = [
     "ReductionResult",
     "reduce_operator",
     "invert_via_diagonalization",
-    "compare_reductions",
 ]
 
 log = logging.getLogger(__name__)
@@ -389,26 +388,3 @@ def invert_via_diagonalization(red: ReductionResult, f: AnalyticFunction,
         report["melnikov_margin"] = chk.margin
     return h
 
-
-def compare_reductions(redA: ReductionResult, redB: ReductionResult) -> dict:
-    """Per-step and final deviations between two reductions on one truncation."""
-    if redA.lattice != redB.lattice or redA.jmax != redB.jmax:
-        raise ValueError("matching truncations required")
-    out = {}
-    vals = np.abs(redA.omega_values() - redB.omega_values())
-    out["omega_inf_sup"] = float(np.max(vals))
-    out["r_sup"] = float(np.max(np.abs(redA.r - redB.r)))
-    steps = min(len(redA.trace), len(redB.trace))
-    out["p_norm_diffs"] = [
-        abs(redA.trace[k]["p_norm"] - redB.trace[k]["p_norm"]) for k in range(steps)
-    ]
-    gshared = min(len(redA.gens), len(redB.gens))
-    out["gen_diffs"] = [
-        op_norm(redA.gens[k] - redB.gens[k], 0.0) for k in range(gshared)
-    ]
-    # frequency deviation profile in j, for slope fits against j^3
-    out["omega_diff_by_j"] = {
-        int(j): float(vals[j + redA.jmax])
-        for j in range(-redA.jmax, redA.jmax + 1) if j != 0
-    }
-    return out

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._grid import compose_x_diffeo, moser_compose
 from .analytic import (
     AnalyticFunction,
     ScalarSeries,
-    compose_x_diffeo,
     dumps,
     dx,
     dx_inv,
     loads,
-    moser_compose,
     multiply,
     pi0,
     pi0_perp,

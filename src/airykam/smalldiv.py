@@ -226,14 +226,6 @@ class MeasureEstimate:
     ci_high: float
     n_samples: int
 
-    def as_dict(self):
-        return {
-            "fraction": self.fraction,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_samples": self.n_samples,
-        }
-
 
 def measure_estimate(predicate, n_samples: int, seed: int, M: int) -> MeasureEstimate:
     """Acceptance fraction of a predicate over uniform omega in [1, 2]^M.

@@ -6,17 +6,24 @@ test directory uses.
 
 import numpy as np
 
-from airykam.analytic import (
-    AnalyticFunction,
-    compose_phi_shift,
-    compose_x_diffeo,
-    compose_x_translation,
-    dx,
-    multiply,
-    om_dphi,
-)
+from airykam._grid import compose_phi_shift, compose_x_diffeo, compose_x_translation
+from airykam.analytic import AnalyticFunction, dx, multiply, om_dphi
 from airykam.lattice import get_enumeration
 from airykam.opalg import compose, materialize, mult_op, to_dense, x_symbol_op
+
+
+def compare_reductions(red_a, red_b):
+    """Deviations between two reductions on one truncation: ``omega_inf_sup``,
+    the largest difference of the final frequencies Omega_inf(j) over j, and
+    ``p_norm_diffs``, the differences of the remainder norm |P| step by step."""
+    if red_a.lattice != red_b.lattice or red_a.jmax != red_b.jmax:
+        raise ValueError("matching truncations required")
+    steps = min(len(red_a.trace), len(red_b.trace))
+    return {
+        "omega_inf_sup": float(np.max(np.abs(red_a.omega_values() - red_b.omega_values()))),
+        "p_norm_diffs": [abs(red_a.trace[k]["p_norm"] - red_b.trace[k]["p_norm"])
+                         for k in range(steps)],
+    }
 
 
 def eval_pointwise(f, phis, xs):

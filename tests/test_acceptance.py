@@ -45,12 +45,17 @@ from airykam.opalg import (
 )
 from airykam.reducibility import (
     KamSchedule,
-    compare_reductions,
     invert_via_diagonalization,
     reduce_operator,
 )
 from airykam.smalldiv import is_diophantine, measure_estimate
-from oracles import by_real_parts, dense_operator, dx3_commutator, perturbed_operator
+from oracles import (
+    by_real_parts,
+    compare_reductions,
+    dense_operator,
+    dx3_commutator,
+    perturbed_operator,
+)
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)

@@ -6,24 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airykam.analytic import (
-    AnalyticFunction,
-    ScalarSeries,
+from airykam._grid import (
     compose_phi_shift,
     compose_x_diffeo,
     compose_x_translation,
+    invert_phi_shift,
+    invert_x_diffeo,
+    moser_compose,
+)
+from airykam.analytic import (
+    AnalyticFunction,
+    ScalarSeries,
     dumps,
     dx,
     dx_inv,
-    invert_phi_shift,
-    invert_x_diffeo,
-    lipschitz_norm,
     loads,
-    moser_compose,
     multiply,
     om_dphi,
     om_dphi_inv,
-    phi_average,
     pi0,
     pi0_perp,
     project_N,
@@ -223,13 +223,6 @@ def test_projection_smoothing_bound(rand_fct):
     u = rand_fct(8)
     N, rho, sigma = 2.0, 0.4, 0.1
     assert project_N_perp(u, N).norm(sigma) <= math.exp(-rho * N) * u.norm(sigma + rho) + 1e-14
-
-
-def test_phi_average_is_zero_row(lat2, jmax, rand_fct):
-    u = rand_fct(9, zero_x_avg=False)
-    avg = phi_average(u)
-    assert all(not l for (l, _j) in avg.coeffs)
-    assert avg.get(ZERO, 2) == u.get(ZERO, 2)
 
 
 # -- compositions ---------------------------------------------------------------
@@ -592,31 +585,6 @@ def test_moser_compose_phi_only(lat2, jmax):
     for l in enumerate_indices(lat2):
         k1, k2 = l.dense(2)
         assert out.get(l, 0) == pytest.approx(coeff_truth[k1 % n, k2 % n], abs=1e-13)
-
-
-# -- Lipschitz family ----------------------------------------------------------------
-
-
-def test_lipschitz_norm(lat2, jmax):
-    u = cos_x(lat2, jmax)
-    om = [np.array([1.1, 1.5]), np.array([1.3, 1.5]), np.array([1.2, 1.9])]
-    fams = [u, 2.0 * u, 1.5 * u]
-    sigma, gamma = 0.2, 0.5
-    # constant family: sup part only
-    assert lipschitz_norm([(om[0], u), (om[1], u)], gamma, sigma) == pytest.approx(u.norm(sigma))
-    # two-point quotient
-    got = lipschitz_norm([(om[0], u), (om[1], 2.0 * u)], gamma, sigma)
-    assert got == pytest.approx(2.0 * u.norm(sigma) + gamma * u.norm(sigma) / 0.2)
-    # all-pairs oracle on three samples
-    sup = max(f.norm(sigma) for f in fams)
-    lip = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            h = np.max(np.abs(om[a] - om[b]))
-            lip = max(lip, (fams[a] - fams[b]).norm(sigma) / h)
-    assert lipschitz_norm(list(zip(om, fams)), gamma, sigma) == pytest.approx(sup + gamma * lip)
-    with pytest.raises(ValueError):
-        lipschitz_norm([(om[0], u), (om[0], u)], gamma, sigma)
 
 
 # -- serialization ------------------------------------------------------------------

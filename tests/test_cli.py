@@ -161,6 +161,8 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
      "reduce.gamma must be > 0, got 0.0"),
     ("reduce", "reduce_eps.cfg", "reduce.gamma = 0.001",
      "reduce.gamma = 0.001\nreduce.interior_j = 0", "reduce.interior_j must be >= 1, got 0"),
+    ("reduce", "reduce_eps.cfg", "reduce.gamma = 0.001",
+     "reduce.gamma = 0.001\nreduce.interior_K = -1", "reduce.interior_K must be > 0, got -1.0"),
     ("solve", "solve_small.cfg", "problem.gbar = 0.5", "problem.gbar = 1.5",
      "problem.gbar must be < 1, got 1.5"),
     ("reduce", "reduce_eps.cfg", "problem.gbar = 0.5", "problem.gbar = 1.5",
@@ -228,10 +230,14 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
      "reduce.C.entries = [[[], 1, 0.0, -inf]]", "reduce.C.entries holds a non-finite number"),
     ("reduce", "reduce_eps.cfg", "omega.values = [1.2357, 1.7113]",
      "omega.values = [1.2357, nan]", "omega.values holds a non-finite number"),
+    ("solve", "solve_small.cfg", "omega.seed = 7", "omega.seed = -1",
+     "omega.seed must be >= 0, got -1"),
+    ("measure", "measure.cfg", "measure.seed = 42", "measure.seed = -1",
+     "measure.seed must be >= 0, got -1"),
 ], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
         "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data",
         "max-iters", "residual-target", "kam-stop-tol", "stop-tol",
-        "reduce-gamma-negative", "reduce-gamma-zero", "interior-j",
+        "reduce-gamma-negative", "reduce-gamma-zero", "interior-j", "interior-k",
         "solve-gbar", "reduce-gbar", "check-omega-gbar", "check-omega-gamma0",
         "gamma-grid-above", "gamma-grid-below", "max-steps-zero", "max-steps-negative",
         "kam-max-steps-zero", "solve-n0-zero", "solve-n0-negative", "reduce-n0-zero",
@@ -239,12 +245,23 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
         "sample-python-false", "sample-no", "sample-string-false", "sample-number",
         "reduce-sample-zero", "check-omega-sample-yes", "measure-predicate-empty-grid",
         "measure-empty-grid", "solve-omega-both", "reduce-omega-both", "check-omega-both",
-        "forcing-lowercase-nan", "reduce-c-lowercase-inf", "omega-lowercase-nan"])
+        "forcing-lowercase-nan", "reduce-c-lowercase-inf", "omega-lowercase-nan",
+        "omega-seed-negative", "measure-seed-negative"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
     code, out = _run_edited(tmp_path, command, name, old, new)
     assert code == 1
     err = capsys.readouterr().err
     assert "config error" in err and why in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,name", [("measure", "measure.cfg"),
+                                          ("solve", "solve_small.cfg")])
+def test_cli_rejects_negative_seed_option(tmp_path, capsys, command, name):
+    out = tmp_path / "o"
+    code = main([command, "--config", str(CONFIGS / name), "--out", str(out), "--seed", "-1"])
+    assert code == 1
+    assert "config error: --seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

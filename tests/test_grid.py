@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from airykam import _grid
-from airykam.analytic import AnalyticFunction, invert_phi_shift, invert_x_diffeo
+from airykam._grid import invert_phi_shift, invert_x_diffeo
+from airykam.analytic import AnalyticFunction
 from airykam.conjugation import (
     TransformationData,
     apply_transform,

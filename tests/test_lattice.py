@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -11,13 +10,10 @@ from airykam.lattice import (
     LatticeParams,
     MultiIndex,
     diophantine_weight,
-    divisor_series_partial_sum,
     divisor_weight,
     enumerate_indices,
     eta_norm,
     get_enumeration,
-    l1_norm,
-    weight_bound_report,
 )
 
 entries_st = st.lists(st.integers(-4, 4), min_size=0, max_size=4)
@@ -117,40 +113,6 @@ def test_enumeration_monotone_in_M_and_K():
     base = len(enumerate_indices(LatticeParams(1.0, 2, 4.0)))
     assert len(enumerate_indices(LatticeParams(1.0, 3, 4.0))) >= base
     assert len(enumerate_indices(LatticeParams(1.0, 2, 6.0))) >= base
-
-
-def test_weight_bound_report():
-    params = LatticeParams(1.0, 1, 3.0)
-    # scan oracle over l = 0, +-1, +-2, +-3
-    oracle = max(
-        divisor_weight(MultiIndex((k,))) * math.exp(-1.0 * abs(k)) for k in range(-3, 4)
-    )
-    got = weight_bound_report(1.0, 1.0, params)
-    assert got == pytest.approx(oracle)
-    assert got == pytest.approx(244.0 * math.exp(-3.0))
-    # the exponential kills everything but l = 0 for large rho
-    assert weight_bound_report(50.0, 1.0, params) == pytest.approx(1.0)
-
-
-def test_divisor_series_against_enumeration_oracle():
-    for params in (LatticeParams(1.0, 1, 1.0), LatticeParams(1.0, 2, 4.0),
-                   LatticeParams(0.7, 2, 3.0)):
-        oracle = sum(
-            l1_norm(l) ** 3 / divisor_weight(l) for l in enumerate_indices(params)
-        )
-        assert divisor_series_partial_sum(params) == pytest.approx(oracle, rel=1e-13)
-    assert divisor_series_partial_sum(LatticeParams(1.0, 1, 0.5)) == 0.0
-    assert divisor_series_partial_sum(LatticeParams(1.0, 1, 1.0)) == pytest.approx(1.0)
-
-
-def test_divisor_series_stabilizes_under_refinement():
-    seq = [
-        divisor_series_partial_sum(LatticeParams(1.0, m, k))
-        for m, k in ((1, 16.0), (2, 32.0), (3, 64.0), (4, 64.0), (4, 128.0))
-    ]
-    assert all(b >= a for a, b in zip(seq, seq[1:]))
-    # documented threshold: beyond (M, K) = (4, 64) refinements move < 1%
-    assert (seq[4] - seq[3]) / seq[4] < 0.01
 
 
 @pytest.mark.parametrize("params", [LatticeParams(1.0, 1, 5.0), LatticeParams(1.0, 2, 8.0),

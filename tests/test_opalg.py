@@ -18,7 +18,6 @@ from airykam.opalg import (
     dx_op,
     exp_apply,
     exp_conjugate,
-    identity_op,
     lie_series,
     materialize,
     mult_op,
@@ -160,7 +159,8 @@ def rand_op(lat, jmax, seed, amp=0.1, span=1, jband=2, order=0):
 
 
 def test_op_norm_examples(lat2, jmax):
-    assert op_norm(identity_op(lat2, jmax), 0.8) == pytest.approx(1.0)
+    eye = OperatorMatrix.from_indexed(lat2, jmax, {0: np.eye(2 * jmax + 1, dtype=complex)})
+    assert op_norm(eye, 0.8) == pytest.approx(1.0)
     assert op_norm(OperatorMatrix(lat2, jmax), 0.3) == 0.0
     # multiplication by cos x: two side diagonals of one half
     assert op_norm(mult_op(cos_x(lat2, jmax)), 0.0) == pytest.approx(1.0)
@@ -241,7 +241,7 @@ def test_materialize_convolution_blocks(lat2, jmax, omega2):
 
 def test_compose_identity(lat2, jmax):
     R = rand_op(lat2, jmax, 3)
-    I = identity_op(lat2, jmax)
+    I = OperatorMatrix.from_indexed(lat2, jmax, {0: np.eye(2 * jmax + 1, dtype=complex)})
     assert op_norm(compose(I, R) - R, 0.0) == 0.0
     assert op_norm(compose(R, I) - R, 0.0) == 0.0
 

@@ -27,7 +27,6 @@ from airykam.opalg import (
 )
 from airykam.reducibility import (
     KamSchedule,
-    compare_reductions,
     invert_via_diagonalization,
     kam_iterate,
     kam_state_init,
@@ -35,7 +34,7 @@ from airykam.reducibility import (
     order_one_reduction,
     reduce_operator,
 )
-from oracles import dense_operator
+from oracles import compare_reductions, dense_operator
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
