@@ -42,25 +42,12 @@ import functools
 import numpy as np
 
 from . import analytic as _an
+from ._accel import NOISE_FLOOR, next_fast_len
 from .errors import AliasingError, NonContractionError, SeriesRadiusError
 from .lattice import get_enumeration
 
 _TWO_PI = 2.0 * np.pi
-_FLOOR = 8e-16  # coefficients at or below this share of the largest are rounding noise
 ALIAS_TOL = 1e-7  # aliasing share of a grid pass beyond which it raises AliasingError
-
-
-def next_fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n."""
-    m = max(n, 1)
-    while True:
-        k = m
-        for p in (2, 3, 5):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 1
 
 
 def _axis_size(factor, bound: int) -> int:
@@ -131,7 +118,7 @@ def _extract(vals, lattice, jmax, *, alias_tol, context, report=None):
     sizes = vals.shape
     spec = np.fft.rfftn(vals) / float(np.prod(sizes))
     absspec = np.abs(spec)
-    floor = _FLOOR * float(absspec.max(initial=0.0))
+    floor = NOISE_FLOOR * float(absspec.max(initial=0.0))
     absspec *= _rfft_weights(sizes[-1])
     total = float(absspec.sum())
     caps = [2 * b for b in get_enumeration(lattice).bounds] + [2 * jmax]

@@ -14,17 +14,26 @@ serialization.
 
 Real-on-real functions satisfy c(l, j) = conj(c(-l, -j)); the flag is
 enforced by exact symmetrization so the residual of that identity is zero.
+
+``multiply`` takes one of two paths, each truncating the product to the
+common lattice and jmax.  The direct path sums the nonzero coefficient pairs
+(``_accel.convolve_into``).  A product of two real functions whose pairs
+outnumber ``GRID_COST`` times the points of its alias-free grid is formed on
+that grid by the convolution theorem (``_accel.grid_product``), and its
+coefficients at or below ``NOISE_FLOOR`` times the largest, rounding noise,
+are dropped.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from ._accel import convolve_into
+from ._accel import NOISE_FLOOR, convolve_into, grid_product, next_fast_len
 from .errors import SmallDivisorError
 from .lattice import LatticeParams, MultiIndex, get_enumeration
 
@@ -44,6 +53,18 @@ __all__ = [
     "to_payload",
     "from_payload",
 ]
+
+
+# The cost of one point of multiply's grid path, in coefficient pairs of its
+# direct path.  Replaying every multiply of solve_m2 (341 calls) and solve_m3
+# (673) at omega seed 7 (CPU time on a 2-core Xeon, one BLAS thread, best of
+# 7 interleaved), the products with 2-3 pairs a point took 0.026 s on either
+# path, and those with 3-4 pairs 0.029 s direct against 0.023 s on the grid
+# on solve_m2 and 0.080 against 0.089 s on solve_m3 (0.083 against 0.077 s
+# in another replay: a tie).  In all, 2, 3 and 4 gave 0.203, 0.204 and
+# 0.210 s on solve_m2 (direct only: 0.424 s) and 0.413, 0.413 and 0.404 s on
+# solve_m3 (0.404 s).
+GRID_COST = 3
 
 
 def _zero_data(lattice, jmax) -> np.ndarray:
@@ -224,37 +245,73 @@ class AnalyticFunction:
         )
 
 
+def _product_grid(u: AnalyticFunction, v: AnalyticFunction):
+    """The grid on which ``multiply`` forms u v, or None for the direct path.
+
+    A product of two real functions takes the grid when its nonzero
+    coefficient pairs outnumber ``GRID_COST`` times the grid's points.  The
+    grid is alias-free: next_fast_len(3 b + 1) points on a phi axis whose
+    lattice indices stay within |l_s| <= b, and next_fast_len(3 jmax + 1) on x.
+    """
+    if not (u.real and v.real):
+        return None
+    bounds = get_enumeration(u.lattice).bounds + (u.jmax,)
+    sizes = tuple(next_fast_len(3 * b + 1) for b in bounds)
+    pairs = np.count_nonzero(u.data) * np.count_nonzero(v.data)
+    return sizes if pairs > GRID_COST * math.prod(sizes) else None
+
+
 def multiply(u: AnalyticFunction, v: AnalyticFunction, prune_rel: float = 1e-18) -> AnalyticFunction:
     """Spectral product, truncated back to the common lattice and jmax.
 
-    Direct sparse convolution over nonzero coefficient pairs; entries below
-    ``prune_rel * |u|_0 |v|_0`` are dropped (that floor keeps supports sparse
-    and perturbs the product by far less than any verification tolerance).
+    A product of two real functions with more than ``GRID_COST`` nonzero
+    coefficient pairs a point of its grid (``_product_grid``) is formed on
+    that grid by ``_accel.grid_product``.  It gives the x-modes j >= 0 of
+    every lattice row; the modes j < 0, and the mode j = 0 of each row
+    outside the canonical half, are filled from their conjugate modes, and
+    the coefficients at or below ``NOISE_FLOOR`` times the largest are
+    dropped.
 
-    A product of two real functions is real, so only its canonical half is
-    summed, as in ``opalg.compose``: pairs whose target row p lies outside
-    the half (p > neg[p]) are dropped, and each such mirror row is filled as
-    the conjugate of row neg[p], reversed in j.  Row 0 is its own mirror and
-    is summed in full.
+    Every other product is the direct sparse convolution over the nonzero
+    coefficient pairs (``_accel.convolve_into``).  A real product sums only
+    its canonical half, as in ``opalg.compose``: pairs whose target row p
+    lies outside the half (p > neg[p]) are dropped, and each such mirror row
+    is filled as the conjugate of row neg[p], reversed in j.  Row 0 is its
+    own mirror and is summed in full.
+
+    On both paths, entries at or below ``prune_rel * |u|_0 |v|_0`` are
+    dropped (that floor keeps supports sparse and perturbs the product by
+    far less than any verification tolerance).
     """
     u._check_compat(v)
     real = u.real and v.real
     if u.is_zero() or v.is_zero():
         return AnalyticFunction.zeros(u.lattice, u.jmax, real=real)
     enum = get_enumeration(u.lattice)
-    conv = enum.conv_table()
-    if real:
-        # a target outside the canonical half maps to -1, like one outside the lattice
-        conv = np.where(enum.half[conv], conv, -1)
-    ia, ja = np.nonzero(u.data)
-    ib, jb = np.nonzero(v.data)
-    out = np.zeros(u.data.shape, dtype=complex)
-    convolve_into(ia, ja - u.jmax, u.data[ia, ja], ib, jb - v.jmax, v.data[ib, jb],
-                  conv, u.jmax, out)
-    if real:
-        mirror = ~enum.half[:-1]
-        out[mirror] = np.conj(out[enum.neg[mirror], ::-1])
-    out[np.abs(out) <= prune_rel * u.norm(0.0) * v.norm(0.0)] = 0.0
+    mirror = ~enum.half[:-1]
+    floor = prune_rel * u.norm(0.0) * v.norm(0.0)
+    sizes = _product_grid(u, v)
+    if sizes is not None:
+        jmax = u.jmax
+        cells = tuple(enum.dense[:, s] % n for s, n in enumerate(sizes[:-1]))
+        out = np.empty(u.data.shape, dtype=complex)
+        out[:, jmax:] = grid_product(u.data[:, jmax:], v.data[:, jmax:], cells, sizes)
+        out[mirror, jmax] = np.conj(out[enum.neg[mirror], jmax])
+        out[:, :jmax] = np.conj(out[enum.neg, :jmax:-1])
+        floor = max(floor, NOISE_FLOOR * float(np.abs(out).max()))
+    else:
+        conv = enum.conv_table()
+        if real:
+            # a target outside the canonical half maps to -1, like one outside the lattice
+            conv = np.where(enum.half[conv], conv, -1)
+        ia, ja = np.nonzero(u.data)
+        ib, jb = np.nonzero(v.data)
+        out = np.zeros(u.data.shape, dtype=complex)
+        convolve_into(ia, ja - u.jmax, u.data[ia, ja], ib, jb - v.jmax, v.data[ib, jb],
+                      conv, u.jmax, out)
+        if real:
+            out[mirror] = np.conj(out[enum.neg[mirror], ::-1])
+    out[np.abs(out) <= floor] = 0.0
     return u._like(out, real)
 
 

@@ -151,11 +151,19 @@ def _x_derivatives(Q: QuadraticForm, u: AnalyticFunction) -> dict:
 
 
 def evaluate_quadratic(Q: QuadraticForm, u: AnalyticFunction) -> AnalyticFunction:
-    """Q(u) as a function."""
+    """Q(u) as a function.
+
+    The product (dx^i u)(dx^j u) is formed once, in the order of the first of
+    the keys (i, j) and (j, i) that Q holds, and serves both.
+    """
     der = _x_derivatives(Q, u)
+    products = {}
     out = AnalyticFunction.zeros(Q.lattice, Q.jmax)
     for (i, j), q in Q.coeffs.items():
-        out = out + multiply(q, multiply(der[i], der[j]))
+        pair = (min(i, j), max(i, j))
+        if pair not in products:
+            products[pair] = multiply(der[i], der[j])
+        out = out + multiply(q, products[pair])
     return out
 
 

@@ -12,6 +12,7 @@ from ._grid import compose_x_diffeo, moser_compose
 from .analytic import (
     AnalyticFunction,
     ScalarSeries,
+    _product_grid,
     dumps,
     dx,
     dx_inv,
@@ -74,6 +75,15 @@ def run_selftest(verbose: bool = False) -> bool:
           multiply(ub, vb).norm(0.3) <= ub.norm(0.3) * vb.norm(0.3) * (1 + 1e-12))
     check("reality invariant is exact",
           multiply(u, v).conjugate_symmetry_residual() == 0.0)
+    shape = (len(idx), 2 * jmax + 1)
+    draw = np.random.default_rng(7).normal
+    dense = [AnalyticFunction.from_array(lat, jmax, draw(size=shape) + 1j * draw(size=shape))
+             for _ in range(2)]
+    on_grid = multiply(*dense)
+    direct = multiply(*(AnalyticFunction.from_array(lat, jmax, f.data, real=False) for f in dense))
+    check("dense real product on the grid matches convolve_into (1e-14 relative)",
+          _product_grid(*dense) is not None
+          and np.max(np.abs(on_grid.data - direct.data)) <= 1e-14 * np.max(np.abs(direct.data)))
     check("projector complements sum to the identity",
           (pi0(u) + pi0_perp(u) - u).norm(0.0) == 0.0
           and (project_N(u, 3.0) + project_N_perp(u, 3.0) - u).norm(0.0) == 0.0)

@@ -130,6 +130,37 @@ def test_rejects_a_non_contiguous_out():
         _accel.convolve_into(*a, *a, enum.conv_table(), 2, out)
 
 
+def test_next_fast_len_is_the_smallest_5_smooth_length():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(8) for b in range(5) for c in range(4))
+    for n in range(1, 190):
+        assert _accel.next_fast_len(n) == min(m for m in smooth if m >= n)
+
+
+@pytest.mark.parametrize("M,K,jmax", [(1, 8.0, 6), (2, 6.0, 8), (3, 3.0, 4), (2, 6.0, 0)],
+                         ids=["M1", "M2", "M3", "jmax0"])
+def test_grid_product_agrees_with_convolve_into(M, K, jmax):
+    """The modes j >= 0 of a product of two dense real coefficient arrays on the
+    3 b + 1 grid, against the direct sum over every coefficient pair."""
+    lat = LatticeParams(1.0, M, K)
+    enum = get_enumeration(lat)
+    rng = np.random.default_rng(M + jmax)
+    shape = (enum.size, 2 * jmax + 1)
+    real = []
+    for _ in range(2):
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        real.append(data + np.conj(data[enum.neg, ::-1]))
+    sizes = tuple(_accel.next_fast_len(3 * b + 1) for b in enum.bounds + (jmax,))
+    cells = tuple(enum.dense[:, s] % n for s, n in enumerate(sizes[:-1]))
+    grid = _accel.grid_product(real[0][:, jmax:], real[1][:, jmax:], cells, sizes)
+    assert np.array_equal(grid, _accel.grid_product(real[0][:, jmax:], real[1][:, jmax:],
+                                                    cells, sizes))
+    lists = [(ia, ja - jmax, d[ia, ja]) for d in real for ia, ja in [np.nonzero(d)]]
+    direct = np.zeros(shape, dtype=complex)
+    _accel.convolve_into(*lists[0], *lists[1], enum.conv_table(), jmax, direct)
+    scale = np.abs(real[0]).sum() * np.abs(real[1]).sum()
+    assert np.max(np.abs(grid - direct[:, jmax:])) <= 1e-14 * scale
+
+
 def _join_loops(ia, ra, ka, va, ib, kb, cb, vb, slot, out):
     """Loop oracle for _accel.join_into: left entries in order, then right entries in order."""
     for s in range(ia.size):

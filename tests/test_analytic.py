@@ -29,7 +29,8 @@ from airykam.analytic import (
     project_N,
     project_N_perp,
 )
-from airykam import _grid
+from airykam import _grid, analytic
+from airykam._accel import NOISE_FLOOR
 from airykam.errors import NonContractionError, SmallDivisorError
 from airykam.lattice import LatticeParams, MultiIndex, enumerate_indices, get_enumeration
 
@@ -97,9 +98,11 @@ def test_multiply_norm_algebra_pre_truncation(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_real_product_sums_the_canonical_half(seed):
-    """A real product sums only the canonical rows and mirrors the rest; it agrees with
-    the product summed over every target (the non-real path) and is exactly real."""
+def test_real_product_sums_the_canonical_half(monkeypatch, seed):
+    """On the direct path a real product sums only the canonical rows and mirrors the
+    rest; it agrees with the product summed over every target (the non-real path) and
+    is exactly real."""
+    monkeypatch.setattr(analytic, "GRID_COST", math.inf)
     lat = LatticeParams(1.0, 2, 5.0)
     jmax = 6
     rng = np.random.default_rng(seed)
@@ -123,6 +126,145 @@ def test_reality_closure_bit_exact(rand_fct):
     assert multiply(u, v).conjugate_symmetry_residual() == 0.0
     assert (u + v).conjugate_symmetry_residual() == 0.0
     assert dx(u, 2).conjugate_symmetry_residual() == 0.0
+
+
+# -- products on the grid --------------------------------------------------------
+
+
+def _dense_real(lat, jmax, seed, decay=0.3):
+    """A real function with every coefficient nonzero, of size about
+    e^{-decay (|l|_eta + |j|)}."""
+    enum = get_enumeration(lat)
+    rng = np.random.default_rng(seed)
+    shape = (enum.size, 2 * jmax + 1)
+    size = np.exp(-decay * (enum.eta_norms[:, None] + np.abs(np.arange(-jmax, jmax + 1))))
+    data = size * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return AnalyticFunction.from_array(lat, jmax, data)
+
+
+def _count_kernels(monkeypatch):
+    """Count the calls of multiply's two product kernels."""
+    calls = {"grid_product": 0, "convolve_into": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(analytic, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(analytic, name, counted)
+    return calls
+
+
+def _direct(monkeypatch, u, v):
+    """multiply(u, v) on the direct path."""
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "GRID_COST", math.inf)
+        return multiply(u, v)
+
+
+def _assert_agrees(grid, direct, u, v):
+    assert np.max(np.abs(grid.data - direct.data)) <= 1e-14 * u.norm(0.0) * v.norm(0.0)
+
+
+@pytest.mark.parametrize("M,K,jmax", [(1, 8.0, 6), (2, 6.0, 10), (3, 3.0, 5), (2, 6.0, 0)],
+                         ids=["M1", "M2", "M3", "jmax0"])
+def test_grid_product_agrees_with_the_direct_path(monkeypatch, M, K, jmax):
+    """Dense real factors take the grid, which agrees with the direct sum to rounding."""
+    lat = LatticeParams(1.0, M, K)
+    u, v = _dense_real(lat, jmax, 1), _dense_real(lat, jmax, 2)
+    calls = _count_kernels(monkeypatch)
+    grid = multiply(u, v)
+    assert calls == {"grid_product": 1, "convolve_into": 0}
+    direct = _direct(monkeypatch, u, v)
+    assert calls == {"grid_product": 1, "convolve_into": 1}
+    _assert_agrees(grid, direct, u, v)
+    assert grid.real and grid.conjugate_symmetry_residual() == 0.0
+
+
+@pytest.mark.parametrize("M,K", [(1, 8.0), (2, 6.0), (3, 3.0)], ids=["M1", "M2", "M3"])
+def test_grid_product_of_the_extreme_modes(monkeypatch, M, K):
+    """Unit coefficients on every lattice row at the edge of the box |l_s| <= b_s
+    and at |j| = jmax: their products reach 2 b_s and 2 jmax, which a grid of
+    2 b + 1 points folds back onto kept modes."""
+    lat = LatticeParams(1.0, M, K)
+    jmax = 7
+    enum = get_enumeration(lat)
+    edge = np.any(np.abs(enum.dense) == enum.bounds, axis=1)
+    data = np.zeros((enum.size, 2 * jmax + 1), dtype=complex)
+    data[np.ix_(edge, [0, jmax, 2 * jmax])] = 1.0
+    data[0, [0, 2 * jmax]] = 1.0
+    u = AnalyticFunction.from_array(lat, jmax, data)
+    monkeypatch.setattr(analytic, "GRID_COST", 0.0)
+    for v in (u, dx(u, 1)):
+        _assert_agrees(multiply(u, v), _direct(monkeypatch, u, v), u, v)
+
+
+def test_grid_product_drops_the_rounding_noise(monkeypatch, rand_fct):
+    """Sparse factors forced onto the grid keep exactly the direct product's
+    support; on dense factors whose coefficients span many decades no kept
+    coefficient lies at or below the floor."""
+    monkeypatch.setattr(analytic, "GRID_COST", 0.0)
+    u, v = rand_fct(20), rand_fct(21)
+    grid = multiply(u, v)
+    assert np.array_equal(grid.data != 0, _direct(monkeypatch, u, v).data != 0)
+    lat = LatticeParams(1.0, 2, 6.0)
+    u, v = _dense_real(lat, 10, 3, decay=4.0), _dense_real(lat, 10, 4, decay=4.0)
+    grid = multiply(u, v)
+    kept = np.abs(grid.data[grid.data != 0])
+    assert kept.size < grid.data.size
+    assert kept.min() > NOISE_FLOOR * kept.max()
+    _assert_agrees(grid, _direct(monkeypatch, u, v), u, v)
+
+
+def test_a_non_real_factor_takes_the_direct_path(monkeypatch):
+    lat = LatticeParams(1.0, 2, 6.0)
+    u, v = _dense_real(lat, 8, 5), _dense_real(lat, 8, 6)
+    assert analytic._product_grid(u, v) is not None
+    w = AnalyticFunction.from_array(lat, 8, v.data, real=False)
+    calls = _count_kernels(monkeypatch)
+    for product in (multiply(u, w), multiply(w, u)):
+        assert not product.real
+    assert calls == {"grid_product": 0, "convolve_into": 2}
+
+
+def _real_with_nonzeros(lat, jmax, n, seed):
+    """A real function with exactly n nonzero coefficients: n // 2 conjugate
+    pairs, and the mean when n is odd."""
+    enum = get_enumeration(lat)
+    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(np.ones((enum.size, 2 * jmax + 1)))
+    first = (rows < enum.neg[rows]) | ((rows == 0) & (cols > jmax))
+    rows, cols = rows[first][:n // 2], cols[first][:n // 2]
+    vals = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+    data = np.zeros((enum.size, 2 * jmax + 1), dtype=complex)
+    data[rows, cols] = vals
+    data[enum.neg[rows], 2 * jmax - cols] = np.conj(vals)
+    data[0, jmax] = n % 2
+    u = AnalyticFunction.from_array(lat, jmax, data)
+    assert np.count_nonzero(u.data) == n
+    return u
+
+
+def test_the_cost_rule_at_its_threshold(monkeypatch):
+    """M = 1, K = 6, jmax = 5: the grid has next_fast_len(19) x next_fast_len(16) =
+    20 x 16 points, so the rule takes it for more than 3 * 320 = 960 pairs."""
+    assert analytic.GRID_COST == 3
+    lat = LatticeParams(1.0, 1, 6.0)
+    calls = _count_kernels(monkeypatch)
+    over = [_real_with_nonzeros(lat, 5, 31, seed) for seed in (1, 2)]       # 961 pairs
+    assert analytic._product_grid(*over) == (20, 16)
+    multiply(*over)
+    assert calls == {"grid_product": 1, "convolve_into": 0}
+    at = [_real_with_nonzeros(lat, 5, n, seed) for n, seed in ((30, 3), (32, 4))]  # 960 pairs
+    assert analytic._product_grid(*at) is None
+    multiply(*at)
+    assert calls == {"grid_product": 1, "convolve_into": 1}
+
+
+def test_grid_product_is_deterministic_and_commutative():
+    lat = LatticeParams(1.0, 2, 6.0)
+    u, v = _dense_real(lat, 10, 7), _dense_real(lat, 10, 8)
+    uv = multiply(u, v)
+    assert np.array_equal(uv.data, multiply(u, v).data)
+    assert np.array_equal(uv.data, multiply(v, u).data)
 
 
 def test_restrict_of_embed_is_bitwise_identity(lat2, jmax, rand_fct):
