@@ -48,6 +48,10 @@ from .lattice import get_enumeration
 
 _TWO_PI = 2.0 * np.pi
 ALIAS_TOL = 1e-7  # aliasing share of a grid pass beyond which it raises AliasingError
+# An inversion's Picard loop stops at a step of at most FIXED_POINT_TOL on the
+# grid and raises NonContractionError after FIXED_POINT_MAX_ITER steps.
+FIXED_POINT_TOL = 1e-13
+FIXED_POINT_MAX_ITER = 100
 
 
 def _axis_size(factor, bound: int) -> int:
@@ -106,7 +110,7 @@ def _signed_freqs(n: int):
     return (np.arange(n) + n // 2) % n - n // 2
 
 
-def _extract(vals, lattice, jmax, *, alias_tol, context, report=None):
+def _extract(vals, lattice, jmax, *, context, report=None):
     """Re-expand real grid values into a truncated real AnalyticFunction.
 
     The values are transformed with ``rfftn``: the masses weight each
@@ -137,9 +141,9 @@ def _extract(vals, lattice, jmax, *, alias_tol, context, report=None):
     if report is not None:
         report["alias_rel"] = alias_rel
         report["discard_rel"] = (total - retained) / max(total, 1e-300)
-    if alias_rel > alias_tol:
+    if alias_rel > ALIAS_TOL:
         raise AliasingError(
-            f"aliasing energy {alias_rel:.3e} exceeds {alias_tol:.3e} in {context}",
+            f"aliasing energy {alias_rel:.3e} exceeds {ALIAS_TOL:.3e} in {context}",
             alias_rel=alias_rel,
             context=context,
         )
@@ -234,23 +238,23 @@ def _phi_series(lattice, cols, shift, omega, sphi):
     return T.reshape(sphi + (cols.shape[1],))
 
 
-def _fixed_point(update, shape, tol, max_iter, what):
+def _fixed_point(update, shape, what):
     """Picard iteration t <- update(t) from t = 0; returns t and the last step."""
     t = np.zeros(shape)
     last = np.inf
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         new = update(t)
         step = float(np.max(np.abs(new - t)))
         t = new
-        if step <= tol:
+        if step <= FIXED_POINT_TOL:
             return t, step
-        if step > 2.0 * last + tol:
+        if step > 2.0 * last + FIXED_POINT_TOL:
             raise NonContractionError(f"{what} inversion diverged")
         last = step
-    raise NonContractionError(f"no contraction after {max_iter} iterations")
+    raise NonContractionError(f"no contraction after {FIXED_POINT_MAX_ITER} iterations")
 
 
-def compose_x_diffeo(u, alpha, factor=2, alias_tol=ALIAS_TOL, report=None):
+def compose_x_diffeo(u, alpha, factor=2, report=None):
     """u(phi, x + alpha(phi, x)), exact for alpha = 0 on the retained modes."""
     if u.lattice != alpha.lattice:
         raise ValueError("incompatible lattices")
@@ -259,10 +263,10 @@ def compose_x_diffeo(u, alpha, factor=2, alias_tol=ALIAS_TOL, report=None):
     avals = _real_grid_values(alpha, sizes, "x-diffeomorphism amplitude")
     W = np.exp(1j * (_angles(sizes)[-1] + avals))
     return _extract(_x_series(_x_spectrum(u, sizes[:-1]), W), u.lattice, u.jmax,
-                    alias_tol=alias_tol, context="compose_x_diffeo", report=report)
+                    context="compose_x_diffeo", report=report)
 
 
-def compose_phi_shift(u, beta, omega, factor=2, alias_tol=ALIAS_TOL, report=None):
+def compose_phi_shift(u, beta, omega, factor=2, report=None):
     """u(phi + omega beta(phi), x) for a real function beta of phi alone."""
     if u.lattice != beta.lattice:
         raise ValueError("incompatible lattices")
@@ -273,10 +277,10 @@ def compose_phi_shift(u, beta, omega, factor=2, alias_tol=ALIAS_TOL, report=None
     bvals = _real_grid_values(beta, sizes[:-1] + (1,), "time-reparametrization amplitude")[..., 0]
     T = _phi_series(u.lattice, u.data[:, u.jmax:], bvals, omega, sizes[:-1])
     return _extract(_to_x_grid(T, sizes[-1]), u.lattice, u.jmax,
-                    alias_tol=alias_tol, context="compose_phi_shift", report=report)
+                    context="compose_phi_shift", report=report)
 
 
-def compose_x_translation(u, p, factor=2, alias_tol=ALIAS_TOL, report=None):
+def compose_x_translation(u, p, factor=2, report=None):
     """u(phi, x + p(phi)) for a real function p of phi alone.
 
     The phases e^{i j p} multiply the x-spectrum on the phi grid, not on the
@@ -291,7 +295,7 @@ def compose_x_translation(u, p, factor=2, alias_tol=ALIAS_TOL, report=None):
     pvals = _real_grid_values(p, sizes[:-1] + (1,), "translation amplitude")
     phase = np.exp(1j * pvals * np.arange(u.jmax + 1))
     return _extract(_to_x_grid(_x_spectrum(u, sizes[:-1]) * phase, sizes[-1]), u.lattice, u.jmax,
-                    alias_tol=alias_tol, context="compose_x_translation", report=report)
+                    context="compose_x_translation", report=report)
 
 
 def _held(a):
@@ -363,8 +367,7 @@ def _substitute(fields, sizes, omega, shift, c, W, context, report):
     for u in fields:
         vals = _grid_values(_spectrum(u, sizes[:-1], shift, omega), W, c, sizes[-1])
         rep = {}
-        out.append(_extract(vals, u.lattice, u.jmax, alias_tol=ALIAS_TOL,
-                            context=context, report=rep))
+        out.append(_extract(vals, u.lattice, u.jmax, context=context, report=rep))
         if report is not None:
             for key in ("alias_rel", "discard_rel"):
                 report["max_" + key] = max(report.get("max_" + key, 0.0), rep[key])
@@ -420,7 +423,7 @@ def substitute_inverse(fields, alpha_tilde, beta_tilde, p, omega, factor=2, repo
     return _substitute(fields, sizes, omega, shift, c, W, "substitute_inverse", report)
 
 
-def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=ALIAS_TOL, report=None):
+def invert_x_diffeo(alpha, factor=2, report=None):
     """alpha_tilde with x + alpha evaluated at y + alpha_tilde(phi, y) == y.
 
     Fixed point alpha_tilde = -alpha(phi, y + alpha_tilde) of the forward
@@ -436,17 +439,15 @@ def invert_x_diffeo(alpha, factor=2, tol=1e-13, max_iter=100, alias_tol=ALIAS_TO
     y = _angles(sizes)[-1]
     t, step = _fixed_point(
         lambda t: -_x_series(A, np.exp(1j * (y + t))),
-        sizes, tol, max_iter, "x-diffeomorphism",
+        sizes, "x-diffeomorphism",
     )
-    out = _extract(t, alpha.lattice, alpha.jmax, alias_tol=alias_tol,
-                   context="invert_x_diffeo", report=report)
+    out = _extract(t, alpha.lattice, alpha.jmax, context="invert_x_diffeo", report=report)
     if report is not None:
         report["fixed_point_residual"] = step
     return out
 
 
-def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=ALIAS_TOL,
-                     report=None):
+def invert_phi_shift(beta, omega, factor=2, report=None):
     """beta_tilde with phi + omega beta evaluated at theta + omega beta_tilde == theta.
 
     Fixed point beta_tilde = -beta(theta + omega beta_tilde) of the forward
@@ -462,16 +463,15 @@ def invert_phi_shift(beta, omega, factor=2, tol=1e-13, max_iter=100, alias_tol=A
     sphi = phi_sizes(beta.lattice, factor)
     s, step = _fixed_point(
         lambda s: -_phi_values(beta, sphi, s[..., 0], omega)[..., None],
-        sphi + (1,), tol, max_iter, "phi-shift",
+        sphi + (1,), "phi-shift",
     )
-    out = _extract(s, beta.lattice, beta.jmax, alias_tol=alias_tol,
-                   context="invert_phi_shift", report=report)
+    out = _extract(s, beta.lattice, beta.jmax, context="invert_phi_shift", report=report)
     if report is not None:
         report["fixed_point_residual"] = step
     return out
 
 
-def moser_compose(series, u, factor=2, alias_tol=ALIAS_TOL, report=None):
+def moser_compose(series, u, factor=2, report=None):
     """fn(u) by pointwise grid evaluation, for a real u with |u|_0 strictly
     inside the radius."""
     r = u.norm(0.0)
@@ -484,5 +484,4 @@ def moser_compose(series, u, factor=2, alias_tol=ALIAS_TOL, report=None):
     if u.phi_only:
         sizes = sizes[:-1] + (1,)
     vals = series.fn(_real_grid_values(u, sizes, "scalar-series argument"))
-    return _extract(vals, u.lattice, u.jmax, alias_tol=alias_tol,
-                    context="moser_compose", report=report)
+    return _extract(vals, u.lattice, u.jmax, context="moser_compose", report=report)

@@ -66,6 +66,10 @@ __all__ = [
 # solve_m3 (0.404 s).
 GRID_COST = 3
 
+# multiply drops the coefficients at or below PRUNE_REL |u|_0 |v|_0: that keeps
+# supports sparse and moves a product far less than any verification tolerance.
+PRUNE_REL = 1e-18
+
 
 def _zero_data(lattice, jmax) -> np.ndarray:
     return np.zeros((get_enumeration(lattice).size, 2 * int(jmax) + 1), dtype=complex)
@@ -111,11 +115,11 @@ class AnalyticFunction:
         return cls.from_array(lattice, jmax, _zero_data(lattice, jmax), real)
 
     @classmethod
-    def constant(cls, lattice, jmax, value, real=None):
-        real = (abs(complex(value).imag) == 0.0) if real is None else real
+    def constant(cls, lattice, jmax, value):
+        """The constant ``value``, real when its imaginary part is zero."""
         data = _zero_data(lattice, jmax)
         data[0, jmax] = value
-        return cls.from_array(lattice, jmax, data, real)
+        return cls.from_array(lattice, jmax, data, complex(value).imag == 0.0)
 
     @classmethod
     def from_modes(cls, lattice, jmax, modes, real=True):
@@ -261,7 +265,7 @@ def _product_grid(u: AnalyticFunction, v: AnalyticFunction):
     return sizes if pairs > GRID_COST * math.prod(sizes) else None
 
 
-def multiply(u: AnalyticFunction, v: AnalyticFunction, prune_rel: float = 1e-18) -> AnalyticFunction:
+def multiply(u: AnalyticFunction, v: AnalyticFunction) -> AnalyticFunction:
     """Spectral product, truncated back to the common lattice and jmax.
 
     A product of two real functions with more than ``GRID_COST`` nonzero
@@ -279,9 +283,8 @@ def multiply(u: AnalyticFunction, v: AnalyticFunction, prune_rel: float = 1e-18)
     is filled as the conjugate of row neg[p], reversed in j.  Row 0 is its
     own mirror and is summed in full.
 
-    On both paths, entries at or below ``prune_rel * |u|_0 |v|_0`` are
-    dropped (that floor keeps supports sparse and perturbs the product by
-    far less than any verification tolerance).
+    On both paths, entries at or below ``PRUNE_REL * |u|_0 |v|_0`` are
+    dropped.
     """
     u._check_compat(v)
     real = u.real and v.real
@@ -289,7 +292,7 @@ def multiply(u: AnalyticFunction, v: AnalyticFunction, prune_rel: float = 1e-18)
         return AnalyticFunction.zeros(u.lattice, u.jmax, real=real)
     enum = get_enumeration(u.lattice)
     mirror = ~enum.half[:-1]
-    floor = prune_rel * u.norm(0.0) * v.norm(0.0)
+    floor = PRUNE_REL * u.norm(0.0) * v.norm(0.0)
     sizes = _product_grid(u, v)
     if sizes is not None:
         jmax = u.jmax

@@ -198,8 +198,9 @@ def _outside_truncation(l, j, lattice, jmax):
     return None
 
 
-def function_from_entries(entries, lattice, jmax, real=True) -> AnalyticFunction:
-    """Function from config entries; an entry outside the truncation is a ConfigError."""
+def function_from_entries(entries, lattice, jmax) -> AnalyticFunction:
+    """Real function from config entries, each with its conjugate mode; an
+    entry outside the truncation is a ConfigError."""
     coeffs = {}
     for item in entries:
         try:
@@ -214,10 +215,9 @@ def function_from_entries(entries, lattice, jmax, real=True) -> AnalyticFunction
         if outside:
             raise ConfigError(f"function entry {item!r} lies outside the truncation: {outside}")
         coeffs[(l, j)] = coeffs.get((l, j), 0.0) + c
-        if real:
-            key = (-l, -j)
-            coeffs[key] = coeffs.get(key, 0.0) + c.conjugate()
-    return AnalyticFunction(lattice, jmax, coeffs, real=real)
+        key = (-l, -j)
+        coeffs[key] = coeffs.get(key, 0.0) + c.conjugate()
+    return AnalyticFunction(lattice, jmax, coeffs)
 
 
 def omega_from(cfg: dict, lattice, jmax, seed_override=None):

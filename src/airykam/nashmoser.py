@@ -86,6 +86,9 @@ CHI = 1.5
 # moved by 3.8e-21 on solve_m3.
 DROP_REL = 1e-3 * float(np.finfo(float).eps)
 
+# solve stops as diverging when a step multiplies |f|_0 by more than this
+DIVERGENCE_FACTOR = 10.0
+
 
 class StripSchedule:
     """Analyticity-strip bookkeeping s_n, sigma_n driven by (S, s_bar)."""
@@ -128,7 +131,6 @@ class ProblemSpec:
     kam_stop_tol: float = 1e-13
     kam_max_steps: int = 40
     residual_target: float = 1e-10
-    divergence_factor: float = 10.0
 
     def __post_init__(self):
         self.omega = FrequencyVector(self.omega).values
@@ -432,7 +434,7 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
     """Run the outer iteration until the collocation residual clears the target.
 
     Non-convergence (divisor breach, divergence, a non-finite residual or
-    norm_f, exhausted strips or steps) is reported, not raised.
+    norm_f, exhausted steps) is reported, not raised.
     """
     state = init_state(spec)
     residuals = []
@@ -448,9 +450,6 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
     failure = None
     u = None
     for _ in range(max_iters):
-        if spec.strips.s(state.n) - 2.0 * spec.strips.sigma(state.n) <= spec.s_bar:
-            stop = "strip-exhausted"
-            break
         f_before = state.f.norm(0.0)
         try:
             state = step(state, spec)
@@ -473,7 +472,7 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
             converged = True
             stop = "tolerance"
             break
-        if norm_f > spec.divergence_factor * max(f_before, 1e-300):
+        if norm_f > DIVERGENCE_FACTOR * max(f_before, 1e-300):
             stop = "diverging"
             break
     eps0 = eps_meas[0] * math.e if eps_meas else 0.0

@@ -76,7 +76,14 @@ __all__ = [
     "dense_labels",
 ]
 
+# A Lie or exponential series stops at its first term with norm at or below
+# SERIES_TOL max(1, |term_0|), and raises after MAX_SERIES_TERMS terms.
+SERIES_TOL = 1e-15
 MAX_SERIES_TERMS = 60
+
+# Largest variation in phi that the x-average of a first-order coefficient
+# may carry, relative to max(1, |average|).
+LAMBDA1_TOL = 1e-8
 
 # The cost of one product of compose's join path, in GEMM multiply-adds.
 # Measured on random real operators whose blocks all hold d nonzero diagonals,
@@ -266,19 +273,14 @@ def smoothing_generator_op(g: AnalyticFunction) -> OperatorMatrix:
     return _toeplitz_blocks(g, np.where(jj != 0, 1j * jj, 1.0))
 
 
-def op_norm(R: OperatorMatrix, sigma: float, m: float = 0.0) -> float:
-    """Decay norm sum_l e^{sigma |l|_eta} sup_{j'} sum_j e^{sigma |j-j'|} |R(l)[j,j']| |j'|^{-m}."""
-    jmax = R.jmax
-    jj = np.arange(-jmax, jmax + 1)
+def op_norm(R: OperatorMatrix, sigma: float) -> float:
+    """Decay norm sum_l e^{sigma |l|_eta} sup_{j'} sum_j e^{sigma |j-j'|} |R(l)[j,j']|."""
+    jj = np.arange(-R.jmax, R.jmax + 1)
     W = np.exp(sigma * np.abs(jj[:, None] - jj[None, :]))
-    absj = np.abs(jj).astype(float)
-    absj[jmax] = 1.0
-    colw = absj ** (-float(m)) if m else np.ones_like(absj)
-    colw[jmax] = 0.0
     norms = get_enumeration(R.lattice).eta_norms
     total = 0.0
     for p, b in R.data.items():
-        cols = (W * np.abs(b)).sum(axis=0) * colw
+        cols = (W * np.abs(b)).sum(axis=0)
         total += math.exp(sigma * norms[p]) * float(cols.max())
     return total
 
@@ -424,13 +426,13 @@ class DifferentialOperator:
         return DifferentialOperator(self.omega, self.lambda3,
                                     self.B.restrict(jmax), self.C.restrict(jmax))
 
-    def lambda1(self, tol=1e-8):
-        """x-average of B, which must be phi-independent up to tol."""
+    def lambda1(self):
+        """x-average of B, which must be phi-independent up to ``LAMBDA1_TOL``."""
         avg = pi0(self.B)
         const = mean_phi_x(avg)
         rest = (avg - AnalyticFunction.constant(self.B.lattice, self.B.jmax, const)).norm(0.0)
         scale = max(1.0, abs(const))
-        if rest > tol * scale:
+        if rest > LAMBDA1_TOL * scale:
             raise ValueError(f"x-average of B varies with phi (norm {rest:.3e})")
         return float(const.real)
 
@@ -459,29 +461,28 @@ def materialize(L: DifferentialOperator) -> OperatorMatrix:
 # -- exponential series -------------------------------------------------------
 
 
-def _series(term, step, norm, tol, max_terms):
+def _series(term, step, norm):
     """sum_k term_k with term_k = step(term_{k-1}, k), stopped by the ratio test.
 
-    Stops after the first term with norm <= tol * max(1, norm(term_0)) and
-    raises SeriesDivergenceError when three successive term norms stop
-    decreasing from k = 6 on, or when max_terms pass.  Returns (sum, terms_used).
+    Stops after the first term with norm <= SERIES_TOL * max(1, norm(term_0))
+    and raises SeriesDivergenceError when three successive term norms stop
+    decreasing from k = 6 on, or when MAX_SERIES_TERMS pass.  Returns (sum, terms_used).
     """
     total = term
     norms = [norm(term)]
-    for k in range(1, max_terms + 1):
+    for k in range(1, MAX_SERIES_TERMS + 1):
         term = step(term, k)
         total = total + term
         norms.append(norm(term))
-        if norms[-1] <= tol * max(1.0, norms[0]):
+        if norms[-1] <= SERIES_TOL * max(1.0, norms[0]):
             return total, k + 1
         if k >= 6 and norms[-1] >= norms[-2] >= norms[-3]:
             raise SeriesDivergenceError(
                 f"series terms stopped decreasing at k={k} (norm {norms[-1]:.3e})")
-    raise SeriesDivergenceError(f"series did not reach tol={tol} in {max_terms} terms")
+    raise SeriesDivergenceError(f"series did not reach tol={SERIES_TOL} in {MAX_SERIES_TERMS} terms")
 
 
-def lie_series(G: OperatorMatrix, X: OperatorMatrix, tol=1e-14, max_terms=MAX_SERIES_TERMS,
-               start_factor=1):
+def lie_series(G: OperatorMatrix, X: OperatorMatrix, start_factor=1):
     """sum_{k>=0} Ad_G^k(X) / (k + start_factor)!, with Ad_G(X) = [X, G].
 
     With start_factor=0 this is e^{-G} X e^{G} = X + [X,G] + [[X,G],G]/2! + ...;
@@ -493,28 +494,26 @@ def lie_series(G: OperatorMatrix, X: OperatorMatrix, tol=1e-14, max_terms=MAX_SE
     # a unit factor needs no scaled copy of X
     return _series(X if lead == 1.0 else X * lead,
                    lambda term, k: commutator(term, G) * (1.0 / (k + start_factor)),
-                   lambda term: op_norm(term, 0.0), tol, max_terms)
+                   lambda term: op_norm(term, 0.0))
 
 
-def exp_conjugate(G: OperatorMatrix, B: OperatorMatrix, tol=1e-14,
-                  max_terms=MAX_SERIES_TERMS) -> OperatorMatrix:
-    """e^{-G} B e^{G} with the tail bounded below tol by the ratio test.
+def exp_conjugate(G: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
+    """e^{-G} B e^{G} with the tail bounded below SERIES_TOL by the ratio test.
 
     Conjugating omega.d_phi + B adds lie_series(G, phi_derivative(G, omega))
     to this.
     """
     if not G.data:
         return B
-    return lie_series(G, B, tol=tol, max_terms=max_terms, start_factor=0)[0]
+    return lie_series(G, B, start_factor=0)[0]
 
 
-def exp_apply(G: OperatorMatrix, u: AnalyticFunction, tol=1e-14,
-              max_terms=MAX_SERIES_TERMS) -> AnalyticFunction:
+def exp_apply(G: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
     """e^{G} u as a truncated series."""
     if not G.data or u.is_zero():
         return u
     return _series(u, lambda term, k: apply_op(G, term) * (1.0 / k),
-                   lambda term: term.norm(0.0), tol, max_terms)[0]
+                   lambda term: term.norm(0.0))[0]
 
 
 # -- dense helpers (small truncations, oracles, direct solves) ----------------

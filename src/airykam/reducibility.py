@@ -58,6 +58,9 @@ log = logging.getLogger(__name__)
 # largest real part a diagonal entry of a KAM remainder may carry
 IMAG_TOL = 1e-10
 
+# N_{k+1} / N_k: the KAM cutoffs grow geometrically
+N_RATIO = 2.0
+
 
 @dataclass(frozen=True)
 class KamSchedule:
@@ -65,11 +68,9 @@ class KamSchedule:
 
     gamma: float
     gbar: float
-    N0: float = 4.0
-    N_ratio: float = 2.0
-    stop_tol: float = 1e-12
-    max_steps: int = 40
-    series_tol: float = 1e-15
+    N0: float
+    stop_tol: float
+    max_steps: int
 
 
 class _Frequencies:
@@ -112,7 +113,7 @@ class OrderOneResult:
 
 
 def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFunction,
-                        omega, *, lambda1=None, series_tol=1e-15) -> OrderOneResult:
+                        omega) -> OrderOneResult:
     """Symplectic generator G and bounded remainder R0 with
     exp(-G) L exp(G) = omega.d_phi + lambda3 dx^3 + lambda1 dx + R0.
 
@@ -127,13 +128,10 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
     lat, jmax = a1.lattice, a1.jmax
     om = np.asarray(omega, dtype=float)
     avg = pi0(a1)
-    const = mean_phi_x(avg).real
-    if lambda1 is None:
-        lambda1 = const
-    rep = {
-        "x_average_defect": (avg - AnalyticFunction.constant(lat, jmax, const)).norm(0.0),
-    }
-    rhs = AnalyticFunction.constant(lat, jmax, lambda1) - a1
+    lambda1 = mean_phi_x(avg).real
+    const = AnalyticFunction.constant(lat, jmax, lambda1)
+    rep = {"x_average_defect": (avg - const).norm(0.0)}
+    rhs = const - a1
     g = (1.0 / (3.0 * lambda3)) * dx_inv(pi0_perp(rhs))
     G = smoothing_generator_op(g)
 
@@ -142,7 +140,7 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
         P = compose(mult_op(a1), dx_op(lat, jmax)) + R0
         LG = (smoothing_generator_op(om_dphi(g, om))
               + commutator(lambda3 * dx_op(lat, jmax, 3) + P, G))
-        series, rep["lie_terms"] = lie_series(G, LG, tol=series_tol)
+        series, rep["lie_terms"] = lie_series(G, LG)
         R0 = series - lambda3 * compose(mult_op(3.0 * dx(g, 1)), dx_op(lat, jmax)) + R0
     rep["g_norm"] = g.norm(0.0)
     rep["R0_norm"] = op_norm(R0, 0.0)
@@ -223,8 +221,7 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
     P_new = P_high + dust
     if Psi.data:
         C = commutator(state.P, Psi)
-        tail, _ = lie_series(Psi, commutator(X + C, Psi), tol=schedule.series_tol,
-                             start_factor=2)
+        tail, _ = lie_series(Psi, commutator(X + C, Psi), start_factor=2)
         P_new = P_new + C + tail
 
     r_new = state.r + z
@@ -232,7 +229,7 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
     new = KamState(
         k=state.k + 1, lambda3=state.lambda3, lambda1=state.lambda1,
         r=r_new, P=P_new, psis=state.psis + [Psi],
-        N=state.N * schedule.N_ratio, trace=list(state.trace),
+        N=state.N * N_RATIO, trace=list(state.trace),
     )
     new.trace.append({
         "step": state.k,
@@ -299,14 +296,14 @@ class ReductionResult(_Frequencies):
     def jmax(self):
         return self.L.jmax
 
-    def apply_M(self, u: AnalyticFunction, tol=1e-15) -> AnalyticFunction:
+    def apply_M(self, u: AnalyticFunction) -> AnalyticFunction:
         for gen in reversed(self.gens):
-            u = exp_apply(gen, u, tol=tol)
+            u = exp_apply(gen, u)
         return u
 
-    def apply_M_inverse(self, u: AnalyticFunction, tol=1e-15) -> AnalyticFunction:
+    def apply_M_inverse(self, u: AnalyticFunction) -> AnalyticFunction:
         for gen in self.gens:
-            u = exp_apply(-gen, u, tol=tol)
+            u = exp_apply(-gen, u)
         return u
 
 
@@ -322,8 +319,7 @@ def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
     """
     om = L.omega
     lam1 = L.lambda1()
-    oor = order_one_reduction(L.lambda3, L.B, L.C, om, lambda1=lam1,
-                              series_tol=schedule.series_tol)
+    oor = order_one_reduction(L.lambda3, L.B, L.C, om)
     state = kam_state_init(L.lambda3, lam1, oor.R0, schedule.N0)
     kr = kam_iterate(state, om, schedule)
     gens = ([oor.G] if oor.G.data else []) + kr.state.psis
@@ -342,8 +338,7 @@ def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
         jwin, lwin = verify_window
         conj = materialize(L)
         for gen in gens:
-            conj = (exp_conjugate(gen, conj, tol=schedule.series_tol)
-                    + lie_series(gen, phi_derivative(gen, om), tol=schedule.series_tol)[0])
+            conj = exp_conjugate(gen, conj) + lie_series(gen, phi_derivative(gen, om))[0]
         vals = result.omega_values()
         D = x_symbol_op(L.lattice, L.jmax, lambda j: 1j * vals[j + L.jmax])
         delta = restrict(conj - D, jwin, lwin)

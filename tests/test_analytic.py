@@ -94,7 +94,9 @@ def test_multiply_norm_algebra_pre_truncation(seed):
         return AnalyticFunction.from_modes(lat, jmax, modes)
     u, v = mk(), mk()
     s = 0.4
-    assert multiply(u, v, prune_rel=0.0).norm(s) <= u.norm(s) * v.norm(s) * (1 + 1e-12)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analytic, "PRUNE_REL", 0.0)
+        assert multiply(u, v).norm(s) <= u.norm(s) * v.norm(s) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -491,29 +493,31 @@ def compose_x_diffeo_fftn(u, alpha, factor=2):
 
 
 @pytest.mark.parametrize("u_jmax,alpha_jmax", [(10, 10), (6, 10), (10, 6)])
-def test_compose_x_diffeo_half_spectrum(lat2, jmax, rand_fct, u_jmax, alpha_jmax):
+def test_compose_x_diffeo_half_spectrum(lat2, jmax, rand_fct, u_jmax, alpha_jmax, monkeypatch):
+    monkeypatch.setattr(_grid, "ALIAS_TOL", 1.0)
     u = with_jmax(rand_fct(51, jspan=8), u_jmax)
     alpha = with_jmax(0.01 * rand_fct(52, jspan=8), alpha_jmax)
-    got = compose_x_diffeo(u, alpha, alias_tol=1.0)
+    got = compose_x_diffeo(u, alpha)
     assert got.real and got.jmax == u_jmax
     oracle = compose_x_diffeo_fftn(u, alpha)
     assert np.max(np.abs(got.data - oracle)) <= 1e-14 * u.norm(0.0)
 
 
-def test_compose_x_diffeo_of_a_non_real_field(lat2, jmax, rand_fct):
+def test_compose_x_diffeo_of_a_non_real_field(lat2, jmax, rand_fct, monkeypatch):
     """The kernel refuses a non-real u; its two real parts, each mapped by the
     kernel, give the full sum of u."""
+    monkeypatch.setattr(_grid, "ALIAS_TOL", 1.0)
     u = random_non_real(lat2, jmax, 59)
     alpha = 0.01 * rand_fct(52, jspan=8)
     with pytest.raises(ValueError, match="real-on-real"):
-        compose_x_diffeo(u, alpha, alias_tol=1.0)
-    got = by_real_parts(lambda v: compose_x_diffeo(v, alpha, alias_tol=1.0), u)
+        compose_x_diffeo(u, alpha)
+    got = by_real_parts(lambda v: compose_x_diffeo(v, alpha), u)
     oracle = compose_x_diffeo_fftn(u, alpha)
     assert np.max(np.abs(got.data - oracle)) <= 1e-14 * u.norm(0.0)
     # a real mode under a small alpha: no rounding noise at or below the floor is kept
     mode = AnalyticFunction.from_modes(lat2, jmax, [(E1, 3, 1.0)])
     alpha = 1e-4 * rand_fct(52, jspan=8)
-    got = compose_x_diffeo(mode, alpha, alias_tol=1.0)
+    got = compose_x_diffeo(mode, alpha)
     assert np.max(np.abs(got.data - compose_x_diffeo_fftn(mode, alpha))) <= 1e-14
     mag = np.abs(got.data)
     assert np.all((mag == 0.0) | (mag > 8e-16 * mag.max()))
@@ -544,16 +548,17 @@ def test_phi_shift_and_translation_of_a_non_real_field(lat2, jmax, omega2, sampl
     assert np.max(np.abs(eval_pointwise(out, phis, xs) - oracle)) < 1e-9
 
 
-def test_x_kernels_of_a_non_real_phi_only_field(lat2, jmax, rand_fct):
+def test_x_kernels_of_a_non_real_phi_only_field(lat2, jmax, rand_fct, monkeypatch):
     """A field with jmax = 0 has no x-modes j != 0 to sum: the kernel refuses it
     when it is non-real and leaves it as it is when it is real."""
+    monkeypatch.setattr(_grid, "ALIAS_TOL", 1.0)
     modes = [(ZERO, 0, 1.0), (E1, 0, 0.3j), (E2, 0, 0.2)]
     alpha = 0.01 * rand_fct(57, jspan=6)
     assert alpha.jmax > 0
     with pytest.raises(ValueError, match="real-on-real"):
         compose_x_diffeo(AnalyticFunction.from_modes(lat2, 0, modes, real=False), alpha)
     u = AnalyticFunction.from_modes(lat2, 0, modes)
-    got = compose_x_diffeo(u, alpha, alias_tol=1.0)
+    got = compose_x_diffeo(u, alpha)
     assert np.max(np.abs(got.data - u.data)) <= 1e-14 * u.norm(0.0)
     b = AnalyticFunction.from_modes(lat2, 0, [(ZERO, 0, 0.01), (E1, 0, 0.003j), (E2, 0, 0.002)])
     got = invert_x_diffeo(b)
@@ -580,18 +585,20 @@ def test_invert_x_diffeo_half_spectrum(lat2, rand_fct):
     assert np.max(np.abs(got.data - oracle)) <= 1e-14 * alpha.norm(0.0)
 
 
-def test_moser_compose_half_spectrum(lat2, rand_fct):
+def test_moser_compose_half_spectrum(lat2, rand_fct, monkeypatch):
     """fn(u) on real grid values against fn of the full complex grid values."""
+    monkeypatch.setattr(_grid, "ALIAS_TOL", 1.0)
     inv_cbrt = ScalarSeries(lambda z: (1.0 + z) ** (-1.0 / 3.0), 0.9, "inv-cbrt")
     u = 0.05 * rand_fct(58, jspan=6)
-    got = moser_compose(inv_cbrt, u, alias_tol=1.0)
+    got = moser_compose(inv_cbrt, u)
     assert got.real and not u.phi_only
     vals = inv_cbrt.fn(grid_values_ifftn(u, _grid.grid_sizes(lat2, u.jmax)))
     oracle = retained_fftn(vals, lat2, u.jmax)
     assert np.max(np.abs(got.data - oracle)) <= 1e-14
 
 
-def test_inverse_and_series_reject_a_non_real_argument(lat2, jmax, omega2, rand_fct):
+def test_inverse_and_series_reject_a_non_real_argument(lat2, jmax, omega2, rand_fct,
+                                                       monkeypatch):
     """Every grid kernel refuses a non-real field, and a refused call writes no report."""
     u = AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 0.01)], real=False)
     with pytest.raises(ValueError, match="real-on-real"):
@@ -605,9 +612,10 @@ def test_inverse_and_series_reject_a_non_real_argument(lat2, jmax, omega2, rand_
     alpha = 0.01 * rand_fct(64, jspan=6)
     beta = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.04)])
     p = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.3), (ZERO, 0, 0.2)])
-    for kernel in (lambda v, r: compose_x_diffeo(v, alpha, alias_tol=1.0, report=r),
-                   lambda v, r: compose_phi_shift(v, beta, omega2, alias_tol=1.0, report=r),
-                   lambda v, r: compose_x_translation(v, p, alias_tol=1.0, report=r)):
+    monkeypatch.setattr(_grid, "ALIAS_TOL", 1.0)
+    for kernel in (lambda v, r: compose_x_diffeo(v, alpha, report=r),
+                   lambda v, r: compose_phi_shift(v, beta, omega2, report=r),
+                   lambda v, r: compose_x_translation(v, p, report=r)):
         rep = {}
         with pytest.raises(ValueError, match="real-on-real"):
             kernel(u, rep)
@@ -637,7 +645,7 @@ def extract_fftn(vals, lattice, jmax):
 
 @pytest.mark.parametrize("nx", [1, 45, 48])
 @pytest.mark.parametrize("noise", [1.0, 1e-4])
-def test_extract_half_spectrum_matches_full(lat2, jmax, rand_fct, nx, noise):
+def test_extract_half_spectrum_matches_full(lat2, jmax, rand_fct, nx, noise, monkeypatch):
     """rfftn of real grid values: same coefficients, alias and discard shares as
     fftn, for an odd x axis, an even one (whose Nyquist column counts once) and
     the one-point axis of a function of phi."""
@@ -645,7 +653,8 @@ def test_extract_half_spectrum_matches_full(lat2, jmax, rand_fct, nx, noise):
     rng = np.random.default_rng(55)
     vals = grid_values_ifftn(rand_fct(56, jspan=6), sizes).real + noise * rng.normal(size=sizes)
     report = {}
-    got = _grid._extract(vals, lat2, jmax, alias_tol=np.inf, context="t", report=report)
+    monkeypatch.setattr(_grid, "ALIAS_TOL", np.inf)
+    got = _grid._extract(vals, lat2, jmax, context="t", report=report)
     data, alias_rel, discard_rel = extract_fftn(vals, lat2, jmax)
     assert np.max(np.abs(got.data - data)) <= 1e-14 * np.max(np.abs(data))
     assert alias_rel > 0.0 and discard_rel > 0.0
@@ -678,17 +687,18 @@ def test_invert_phi_shift(lat2, jmax, omega2):
     assert report["fixed_point_residual"] <= 1e-13
 
 
-def test_inversions_refuse_non_contractions(lat2, jmax, omega2):
+def test_inversions_refuse_non_contractions(lat2, jmax, omega2, monkeypatch):
     sin_x = AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, -0.5j)])    # |alpha_x|_0 = 1
     cos_phi = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.5)])      # slope omega_1
     with pytest.raises(NonContractionError, match="too large to invert"):
         invert_x_diffeo(sin_x)
     with pytest.raises(NonContractionError, match="too large to invert"):
         invert_phi_shift(cos_phi, omega2)
+    monkeypatch.setattr(_grid, "FIXED_POINT_MAX_ITER", 1)
     with pytest.raises(NonContractionError, match="no contraction after 1 iterations"):
-        invert_x_diffeo(0.1 * sin_x, max_iter=1)
+        invert_x_diffeo(0.1 * sin_x)
     with pytest.raises(NonContractionError, match="no contraction after 1 iterations"):
-        invert_phi_shift(0.1 * cos_phi, omega2, max_iter=1)
+        invert_phi_shift(0.1 * cos_phi, omega2)
 
 
 # -- scalar series -----------------------------------------------------------------

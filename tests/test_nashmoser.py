@@ -49,6 +49,12 @@ def test_strip_schedule_bookkeeping():
     # s_bar + sum sigma_n stays below every strip actually used
     s_inf = st.s(0) - sum(6.0 * st.sigma(n) for n in range(2000))
     assert s_inf > st.s_bar
+    # s_n - 2 sigma_n >= s_{n+1} > S - 7 sigma_{-1} >= s_bar + min(S - s_bar, 1) / 8:
+    # every outer step keeps a strip above s_bar, with S - s_bar <= 1 and > 1
+    for S, s_bar in ((0.5 + 1e-7, 0.5), (1.0, 0.5), (1.5, 0.5), (10.0, 0.5)):
+        st = StripSchedule(S, s_bar)
+        floor = min(S - s_bar, 1.0) / 8.0
+        assert all(st.s(n) - 2.0 * st.sigma(n) - s_bar > floor for n in range(400))
 
 
 def test_initial_quadratic_table(lat2, jmax):
@@ -150,7 +156,21 @@ def test_solve_large_forcing_reports_failure(lat2):
                      residual_target=1e-12)
     rep = solve(spec, max_iters=3)
     assert not rep.converged
-    assert rep.stop_reason != "tolerance"
+    # step 0's change of variables needs (1 + z)^{-1/3} at a z of norm 4.8, past its radius 0.9
+    assert rep.stop_reason == "numerical-failure:SeriesRadiusError"
+    assert rep.iterations == 0 and rep.residuals == []
+    assert "inv-cbrt" in rep.failure["message"]
+
+
+def test_solve_stops_when_the_forcing_grows(lat2, jmax, monkeypatch):
+    """With DIVERGENCE_FACTOR = 0 any nonzero f_1 counts as growth, and a
+    target no step meets leaves the divergence check as the only stop."""
+    monkeypatch.setattr(nashmoser, "DIVERGENCE_FACTOR", 0.0)
+    spec = make_spec(lat2, jmax, residual_target=1e-300)
+    rep = solve(spec, max_iters=3)
+    assert rep.stop_reason == "diverging"
+    assert not rep.converged
+    assert rep.iterations == 1 and len(rep.residuals) == 1
 
 
 def test_normalization_after_step(lat2, jmax):
@@ -245,8 +265,8 @@ def test_records_hold_the_largest_shares_of_the_steps_substitution_passes(lat2, 
     seen = []
     extract = _grid._extract
 
-    def spy(vals, lattice, jmax, *, alias_tol, context, report=None):
-        out = extract(vals, lattice, jmax, alias_tol=alias_tol, context=context, report=report)
+    def spy(vals, lattice, jmax, *, context, report=None):
+        out = extract(vals, lattice, jmax, context=context, report=report)
         if context.startswith("substitute"):
             seen.append((report["alias_rel"], report["discard_rel"]))
         return out

@@ -176,8 +176,9 @@ def test_op_norm_submultiplicative_m0(lat2, jmax):
 
 
 def test_op_norm_order_weight(lat2, jmax):
-    D = dx_op(lat2, jmax)
-    assert op_norm(D, 0.0, m=1.0) == pytest.approx(1.0)
+    """The norm of dx^k, a diagonal multiplier (i j)^k, is its largest entry jmax^k."""
+    for order in (1, 3):
+        assert op_norm(dx_op(lat2, jmax, order), 0.0) == pytest.approx(float(jmax) ** order)
 
 
 def test_projection_smoothing_for_operators(lat2, jmax):
@@ -444,11 +445,11 @@ def test_exp_conjugate_trivial_and_abelian(lat2, jmax):
     # Fourier multipliers in x (compressions of x-multiplications do not)
     a = AnalyticFunction.from_modes(lat2, jmax, [(E1, 0, 0.4)])
     b = AnalyticFunction.from_modes(lat2, jmax, [(E2, 0, 0.3), (ZERO, 0, 1.2)])
-    got = exp_conjugate(mult_op(a), mult_op(b), tol=1e-15)
+    got = exp_conjugate(mult_op(a), mult_op(b))
     assert op_norm(got - mult_op(b), 0.0) < 1e-13
     S1 = x_symbol_op(lat2, jmax, lambda j: 1.0 / (1.0 + j * j))
     S2 = x_symbol_op(lat2, jmax, lambda j: 1j * j)
-    assert op_norm(exp_conjugate(S1, S2, tol=1e-15) - S2, 0.0) < 1e-13
+    assert op_norm(exp_conjugate(S1, S2) - S2, 0.0) < 1e-13
 
 
 def test_exp_conjugate_matches_dense_oracle():
@@ -466,7 +467,7 @@ def test_exp_conjugate_matches_dense_oracle():
         return mult_op(AnalyticFunction.from_modes(lat, jmax, modes))
     G = mk(0.08)
     B = mk(1.0)
-    got = exp_conjugate(G, B, tol=1e-15).blocks[MultiIndex.zero()]
+    got = exp_conjugate(G, B).blocks[MultiIndex.zero()]
     Gd = G.blocks[MultiIndex.zero()]
     Bd = B.blocks[MultiIndex.zero()]
     assert Gd.shape == (39, 39)
@@ -488,7 +489,7 @@ def test_exp_conjugate_matches_windowed_dense_oracle(lat2, jmax):
         return mult_op(AnalyticFunction.from_modes(lat2, jmax, modes))
     del rng
     G, B = mk(0.01, 1), mk(1.0, 2)
-    got = exp_conjugate(G, B, tol=1e-15)
+    got = exp_conjugate(G, B)
     approx = B
     term = B
     for k in range(1, 7):
@@ -521,8 +522,8 @@ def test_exp_conjugate_algebra_morphism(lat2, jmax):
     G = rand_op(lat2, jmax, 21, amp=0.004)
     A = rand_op(lat2, jmax, 22)
     B = rand_op(lat2, jmax, 23)
-    lhs = exp_conjugate(G, compose(A, B), tol=1e-15)
-    rhs = compose(exp_conjugate(G, A, tol=1e-15), exp_conjugate(G, B, tol=1e-15))
+    lhs = exp_conjugate(G, compose(A, B))
+    rhs = compose(exp_conjugate(G, A), exp_conjugate(G, B))
     win = restrict(lhs - rhs, jmax - 4, lat2.K - 2)
     scale = op_norm(A, 0.0) * op_norm(B, 0.0)
     assert op_norm(win, 0.0) <= 1e-11 * scale
@@ -544,8 +545,8 @@ def test_exp_conjugate_with_phi_direction(lat2, jmax, omega2):
     g = dx_inv(AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 1e-3), (ZERO, 2, 5e-4)]))
     G = smoothing_generator_op(g)
     R = materialize(L)
-    conj = (exp_conjugate(G, R, tol=1e-15)
-            + lie_series(G, phi_derivative(G, omega2), tol=1e-15)[0])
+    conj = (exp_conjugate(G, R)
+            + lie_series(G, phi_derivative(G, omega2))[0])
     u = AnalyticFunction.from_modes(lat2, jmax, [(E1, 2, 0.8), (ZERO, 3, 0.5)])
     lhs = apply_op(conj, u) + om_dphi(u, omega2)
     w = exp_apply(G, u)
@@ -555,10 +556,10 @@ def test_exp_conjugate_with_phi_direction(lat2, jmax, omega2):
 
 
 @pytest.mark.parametrize("amp,terms_expected", [(1e3, 14), (1e-3, 12)])
-def test_lie_series_stops_at_first_small_term(lat2, jmax, amp, terms_expected):
+def test_lie_series_stops_at_first_small_term(lat2, jmax, amp, terms_expected, monkeypatch):
     """An eigen-direction of Ad_G: [X, G] = c X, so term k has norm
     |X| |c|^k / (k + 1)! and the sum is X sum_k c^k / (k + 1)!.  The series
-    stops at the first term below tol * max(1, |X|)."""
+    stops at the first term below SERIES_TOL * max(1, |X|)."""
     G = x_symbol_op(lat2, jmax, lambda j: 0.5j * j)
     nj = 2 * jmax + 1
     blk = np.zeros((nj, nj), dtype=complex)
@@ -566,33 +567,38 @@ def test_lie_series_stops_at_first_small_term(lat2, jmax, amp, terms_expected):
     X = OperatorMatrix(lat2, jmax, {E1: blk}, real=False)
     c = 0.5j * 1 - 0.5j * 2
     tol = 1e-14
+    monkeypatch.setattr(opalg, "SERIES_TOL", tol)
     k, coef, expect = 0, 1.0, 1.0          # coef = c^k / (k + 1)!
     while amp * abs(coef) > tol * max(1.0, amp):
         k += 1
         coef *= c / (k + 1)
         expect += coef
-    total, terms = lie_series(G, X, tol=tol)
+    total, terms = lie_series(G, X)
     assert terms == k + 1 == terms_expected
     got = total.blocks[E1][2 + jmax, 1 + jmax]
     assert abs(got - amp * expect) <= 1e-13 * amp
     assert list(total.blocks) == [E1]
 
 
-def test_series_divergence_detection(lat2, jmax):
+def test_series_divergence_detection(lat2, jmax, monkeypatch):
+    monkeypatch.setattr(opalg, "SERIES_TOL", 1e-14)
+    monkeypatch.setattr(opalg, "MAX_SERIES_TERMS", 25)
     big = mult_op(AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 40.0)]))
     B = dx_op(lat2, jmax, 1)
     with pytest.raises(SeriesDivergenceError):
-        exp_conjugate(big, B, tol=1e-14, max_terms=25)
+        exp_conjugate(big, B)
 
 
-def test_flow_series_divergence_detection(lat2, jmax):
+def test_flow_series_divergence_detection(lat2, jmax, monkeypatch):
+    monkeypatch.setattr(opalg, "SERIES_TOL", 1e-14)
+    monkeypatch.setattr(opalg, "MAX_SERIES_TERMS", 25)
     big = mult_op(AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 40.0)]))
     u = AnalyticFunction.from_modes(lat2, jmax, [(E1, 2, 1.0)])
     with pytest.raises(SeriesDivergenceError, match="stopped decreasing"):
-        exp_apply(big, u, tol=1e-14, max_terms=25)
+        exp_apply(big, u)
+    monkeypatch.setattr(opalg, "MAX_SERIES_TERMS", 3)
     with pytest.raises(SeriesDivergenceError, match="did not reach"):
-        exp_apply(mult_op(AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 0.1)])), u,
-                  tol=1e-14, max_terms=3)
+        exp_apply(mult_op(AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 0.1)])), u)
 
 
 def test_phi_derivative_entries(lat2, jmax, omega2):
