@@ -66,8 +66,10 @@ __all__ = [
 # solve_m3 (0.404 s).
 GRID_COST = 3
 
-# multiply drops the coefficients at or below PRUNE_REL |u|_0 |v|_0: that keeps
-# supports sparse and moves a product far less than any verification tolerance.
+# multiply drops the coefficients at or below PRUNE_REL |u|_0 |v|_0, and
+# opalg.compose, unless its caller passes a budget, the block pairs whose norm
+# bounds sum to at most PRUNE_REL |A| |B|: that keeps supports sparse and moves
+# a product far less than any verification tolerance.
 PRUNE_REL = 1e-18
 
 

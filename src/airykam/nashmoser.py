@@ -430,13 +430,28 @@ _NUMERIC_FAILURES = (
 )
 
 
+def _failure(exc):
+    """Stop reason and failure detail of a numerical failure: its message,
+    and the divisor witness of a SmallDivisorError."""
+    failure = {"message": str(exc)}
+    if isinstance(exc, SmallDivisorError):
+        failure["witness"] = exc.witness()
+    return f"numerical-failure:{type(exc).__name__}", failure
+
+
 def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
     """Run the outer iteration until the collocation residual clears the target.
 
-    Non-convergence (divisor breach, divergence, a non-finite residual or
-    norm_f, exhausted steps) is reported, not raised.
+    Non-convergence (an omega outside the admissible set, divisor breach,
+    divergence, a non-finite residual or norm_f, exhausted steps) is
+    reported, not raised.
     """
-    state = init_state(spec)
+    try:
+        state = init_state(spec)
+    except SmallDivisorError as exc:
+        stop, failure = _failure(exc)
+        return SolveReport(False, 0, stop, [], [], {"eps0": 0.0, "measured": [], "theory": []},
+                           failure=failure)
     residuals = []
     eps_meas = []
     if spec.forcing.norm(0.0) == 0.0:
@@ -454,10 +469,7 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
         try:
             state = step(state, spec)
         except _NUMERIC_FAILURES as exc:
-            stop = f"numerical-failure:{type(exc).__name__}"
-            failure = {"message": str(exc)}
-            if isinstance(exc, SmallDivisorError):
-                failure["witness"] = exc.witness()
+            stop, failure = _failure(exc)
             break
         eps_meas.append(state.records[-1]["norm_h"])
         u = assemble_solution(state)

@@ -26,12 +26,24 @@ indices p with p <= neg[p], and its mirror image; only p = 0 is its own
 mirror.  ``compose`` of two real operators sums the canonical half and
 mirrors the rest.
 
-``compose`` sums its target blocks on one of two paths.  The GEMM path
-multiplies each target-valid block pair (P of them) as dense matrices, P nj^3
+``compose`` forms only the block pairs that can matter to its caller.  The
+block norm |R_p| = max_j' sum_j |R_p[j, j']| (cached per operator) is the
+operator norm induced by the l1 norm, so it is submultiplicative,
+|A_a B_b| <= |A_a| |B_b|, and ``op_norm(R, 0)`` is sum_p |R_p|.  A target
+block is a sum of pair products, so leaving out a set of pairs moves the
+product by at most the sum of their bounds in ``op_norm(., 0)`` (twice that
+in a real product, whose mirror blocks repeat each canonical-half pair).
+``compose`` drops the longest smallest-bound-first run of its target-valid
+pairs that fits in a budget: by default ``analytic.PRUNE_REL`` |A| |B|, and in
+the KAM reduction a share of the Lie series' stop tolerance (see
+``series_budget`` and ``lie_series``).
+
+``compose`` sums the kept pairs on one of two paths.  The GEMM path
+multiplies each kept block pair (P of them) as dense matrices, P nj^3
 multiply-adds.  The join path (``_accel.join_into``) pairs each nonzero
 A_a[i, k] with the nonzeros B_b[k, j] of row k, J products in all; it pays
 where blocks hold a few nonzero diagonals, as those of multiplications by
-functions with few x-modes do.  A call counts J from its operands and joins
+functions with few x-modes do.  A call counts J over its kept pairs and joins
 when J * JOIN_COST < P nj^3.
 
 The dict constructor and ``from_indexed`` take outside blocks and normalize
@@ -49,6 +61,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import analytic
 from ._accel import join_into
 from .analytic import AnalyticFunction, dx, mean_phi_x, multiply, om_dphi, pi0, pi0_perp
 from .errors import SeriesDivergenceError
@@ -72,6 +85,7 @@ __all__ = [
     "exp_apply",
     "exp_conjugate",
     "lie_series",
+    "series_budget",
     "to_dense",
     "dense_labels",
 ]
@@ -98,12 +112,12 @@ JOIN_COST = 400
 class OperatorMatrix:
     """Bounded block-convolution operator.
 
-    The nonzero counts and entry lists that ``compose`` reads are computed
-    once, on first use, and kept in slots: the blocks are read-only, and Lie
-    series pass the same operators to ``compose`` again and again.
+    The block norms, nonzero counts and entry lists that ``compose`` reads are
+    computed once, on first use, and kept in slots: the blocks are read-only,
+    and Lie series pass the same operators to ``compose`` again and again.
     """
 
-    __slots__ = ("lattice", "jmax", "data", "real", "_counts", "_entry_lists")
+    __slots__ = ("lattice", "jmax", "data", "real", "_counts", "_entry_lists", "_norms")
 
     def __init__(self, lattice, jmax, blocks=None, real=True):
         """Build from a dict {MultiIndex: block}; indices outside the truncation are dropped."""
@@ -125,6 +139,7 @@ class OperatorMatrix:
         self.data = _sealed(blocks if trusted else self._normalized(blocks))
         self._counts = None
         self._entry_lists = None
+        self._norms = None
 
     @property
     def nj(self) -> int:
@@ -138,6 +153,12 @@ class OperatorMatrix:
             self._counts = (np.array([np.count_nonzero(b, axis=0) for b in blocks], dtype=float),
                             np.array([np.count_nonzero(b, axis=1) for b in blocks], dtype=float))
         return self._counts
+
+    def block_norms(self):
+        """Column-sum norm max_j' sum_j |R_p[j, j']| of each block, in block order."""
+        if self._norms is None:
+            self._norms = np.array([np.abs(b).sum(axis=0).max() for b in self.data.values()])
+        return self._norms
 
     def nonzero_entries(self):
         """(block, row, column, value) arrays of the nonzero entries, block by
@@ -274,7 +295,11 @@ def smoothing_generator_op(g: AnalyticFunction) -> OperatorMatrix:
 
 
 def op_norm(R: OperatorMatrix, sigma: float) -> float:
-    """Decay norm sum_l e^{sigma |l|_eta} sup_{j'} sum_j e^{sigma |j-j'|} |R(l)[j,j']|."""
+    """Decay norm sum_l e^{sigma |l|_eta} sup_{j'} sum_j e^{sigma |j-j'|} |R(l)[j,j']|.
+
+    At sigma = 0 it is the sum of the cached block norms."""
+    if sigma == 0.0:
+        return sum(R.block_norms().tolist(), 0.0)
     jj = np.arange(-R.jmax, R.jmax + 1)
     W = np.exp(sigma * np.abs(jj[:, None] - jj[None, :]))
     norms = get_enumeration(R.lattice).eta_norms
@@ -318,21 +343,32 @@ def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
     return u._like(out, R.real and u.real)
 
 
-def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    """Block-convolution product A B.
+def compose(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix:
+    """Block-convolution product A B, less the block pairs that cannot matter.
 
     A product of two real operators is real, so only its canonical half
     (targets q <= neg[q]) is summed; the other blocks are mirrors, and the
-    self-mirrored q = 0 block is symmetrized.  Each call takes one of two
-    paths, chosen from nonzero counts of its operands:
+    self-mirrored q = 0 block is symmetrized.
 
-    * the GEMM path multiplies every target-valid block pair as dense
+    The pair (a, b) adds A_a B_b to its target block, and |A_a B_b| <=
+    |A_a| |B_b| in the column-sum norm.  The pairs are sorted by that bound,
+    and the longest smallest-first prefix whose bounds sum to at most
+    ``budget`` is not formed, so the result differs from the full product by
+    at most ``budget`` in ``op_norm(., 0)``.  In a real product a dropped
+    pair is also missing from the mirror block, so it counts twice.  The
+    default budget is ``analytic.PRUNE_REL |A| |B|``, the rule of
+    ``analytic.multiply``.
+
+    The kept pairs are summed on one of two paths, chosen from nonzero counts
+    of the operands:
+
+    * the GEMM path multiplies every kept block pair as dense
       matrices and sums each target block over its pairs, A-major and
       B-minor;
     * the join path (``_accel.join_into``) pairs each nonzero entry
       A_a[i, k] with the nonzeros B_b[k, j] of row k and sums the products.
 
-    With P target-valid block pairs and J products in the join, the join
+    With P kept block pairs and J products of theirs in the join, the join
     runs when J * JOIN_COST < P * nj^3.  Blocks of multiplications by
     functions with few x-modes are Toeplitz with few nonzero diagonals, so
     there J is a small fraction of the GEMM's P * nj^3 multiply-adds.
@@ -347,6 +383,9 @@ def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     if real:
         # a target outside the canonical half maps to -1, like one outside the lattice
         targets = np.where(enum.half[targets], targets, -1)
+    if budget is None:
+        budget = analytic.PRUNE_REL * op_norm(A, 0.0) * op_norm(B, 0.0)
+    targets = _pruned(targets, A.block_norms(), B.block_norms(), budget / 2 if real else budget)
     valid = targets >= 0
     # products of the join: nonzeros of column k of A_a times those of row k of B_b
     joined = (A.nonzero_counts()[0] @ B.nonzero_counts()[1].T)[valid].sum()
@@ -367,9 +406,23 @@ def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     return A._like(out, real=real)
 
 
+def _pruned(targets, a_norms, b_norms, budget):
+    """targets with -1 at the longest prefix of the valid pairs, sorted by
+    their bounds a_norms[a] b_norms[b], whose bounds sum to at most budget."""
+    valid = np.flatnonzero(targets >= 0)
+    bounds = np.outer(a_norms, b_norms).ravel()[valid]
+    order = np.argsort(bounds, kind="stable")
+    dropped = int(np.searchsorted(np.cumsum(bounds[order]), budget, side="right"))
+    if not dropped:
+        return targets
+    out = targets.copy()
+    out.flat[valid[order[:dropped]]] = -1
+    return out
+
+
 def _join(targets, A, B):
-    """{target: block} of the block products, summed entry by entry over the
-    nonzeros of the blocks."""
+    """{target: block} of the kept block products, summed entry by entry over
+    the nonzeros of the blocks that have a kept pair."""
     valid = targets >= 0
     hit = np.zeros(targets.max() + 1, dtype=bool)
     hit[targets[valid]] = True
@@ -378,13 +431,22 @@ def _join(targets, A, B):
     slot = np.full(targets.shape, -1)
     slot[valid] = (np.cumsum(hit) - 1)[targets[valid]]
     out = np.zeros((kept.size, A.nj, A.nj), dtype=complex)
-    join_into(*A.nonzero_entries(), *B.nonzero_entries(), slot, out)
+    join_into(*_in_blocks(A.nonzero_entries(), valid.any(axis=1)),
+              *_in_blocks(B.nonzero_entries(), valid.any(axis=0)), slot, out)
     return dict(zip(kept.tolist(), out))
 
 
-def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    """[A, B] = A B - B A."""
-    return compose(A, B) - compose(B, A)
+def _in_blocks(entries, used):
+    """The entry lists of the blocks marked in used, in their order."""
+    keep = used[entries[0]]
+    return entries if keep.all() else tuple(e[keep] for e in entries)
+
+
+def commutator(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix:
+    """[A, B] = A B - B A, within ``budget`` in ``op_norm(., 0)``: each product
+    may drop half of it (each takes its default budget without one)."""
+    half = None if budget is None else 0.5 * budget
+    return compose(A, B, half) - compose(B, A, half)
 
 
 def phi_derivative(R: OperatorMatrix, omega) -> OperatorMatrix:
@@ -482,6 +544,13 @@ def _series(term, step, norm):
     raise SeriesDivergenceError(f"series did not reach tol={SERIES_TOL} in {MAX_SERIES_TERMS} terms")
 
 
+def series_budget(R: OperatorMatrix) -> float:
+    """SERIES_TOL max(1, |R|) / MAX_SERIES_TERMS: what one product of a series
+    that starts from R may drop, so that the products of a whole series drop
+    no more than the series' own stop tolerance."""
+    return SERIES_TOL * max(1.0, op_norm(R, 0.0)) / MAX_SERIES_TERMS
+
+
 def lie_series(G: OperatorMatrix, X: OperatorMatrix, start_factor=1):
     """sum_{k>=0} Ad_G^k(X) / (k + start_factor)!, with Ad_G(X) = [X, G].
 
@@ -489,11 +558,21 @@ def lie_series(G: OperatorMatrix, X: OperatorMatrix, start_factor=1):
     with start_factor=1 it is X + [X,G]/2! + ... = the series such that
     e^{-G} (omega.d_phi) e^{G} = omega.d_phi + lie_series(G, phi_derivative(G)).
     Returns (sum, terms_used).
+
+    Term k is [term_{k-1}, G] / (k + start_factor), and its commutator takes
+    the budget series_budget(term_0) (k + start_factor), so each term drops at
+    most series_budget(term_0) and the at most MAX_SERIES_TERMS terms together
+    at most SERIES_TOL max(1, |term_0|), the series' own stop tolerance.  The
+    later commutators carry what a term dropped on, scaled by at most
+    (2 |G|)^m / m! after m of them, which sums to a factor e^{2 |G|}.
     """
     lead = 1.0 / math.factorial(start_factor)
     # a unit factor needs no scaled copy of X
-    return _series(X if lead == 1.0 else X * lead,
-                   lambda term, k: commutator(term, G) * (1.0 / (k + start_factor)),
+    first = X if lead == 1.0 else X * lead
+    budget = series_budget(first)
+    return _series(first,
+                   lambda term, k: (commutator(term, G, budget * (k + start_factor))
+                                    * (1.0 / (k + start_factor))),
                    lambda term: op_norm(term, 0.0))
 
 

@@ -33,6 +33,7 @@ from .opalg import (
     op_norm,
     phi_derivative,
     restrict,
+    series_budget,
     smoothing_generator_op,
     split_by_norm,
     x_symbol_op,
@@ -95,8 +96,8 @@ class KamState(_Frequencies):
     lambda1: float
     r: np.ndarray            # correction r_k(j), indexed j + jmax, r[jmax] = 0
     P: OperatorMatrix
+    N: float
     psis: list = field(default_factory=list)
-    N: float = 4.0
     trace: list = field(default_factory=list)
 
     @property
@@ -123,7 +124,8 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
     [L, G] = Gdot + [lambda3 dx^3 + P, G], Gdot = pi0_perp (omega.d_phi g) dx^{-1}:
     R0 = lie_series(G, [L, G]) - lambda3 (3 g_x) dx + a0, where the
     subtracted first-order term is the part of the series that turns a1 dx
-    into lambda1 dx.
+    into lambda1 dx.  The commutator [lambda3 dx^3 + P, G] drops block pairs
+    worth at most series_budget(P) (see ``opalg.compose``).
     """
     lat, jmax = a1.lattice, a1.jmax
     om = np.asarray(omega, dtype=float)
@@ -139,7 +141,7 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
     if G.data:      # then a1 is not constant
         P = compose(mult_op(a1), dx_op(lat, jmax)) + R0
         LG = (smoothing_generator_op(om_dphi(g, om))
-              + commutator(lambda3 * dx_op(lat, jmax, 3) + P, G))
+              + commutator(lambda3 * dx_op(lat, jmax, 3) + P, G, series_budget(P)))
         series, rep["lie_terms"] = lie_series(G, LG)
         R0 = series - lambda3 * compose(mult_op(3.0 * dx(g, 1)), dx_op(lat, jmax)) + R0
     rep["g_norm"] = g.norm(0.0)
@@ -163,6 +165,9 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
     C = [P, Psi] and X = Z + dust - P_low, the homological equation's value
     of [omega.d_phi + D, Psi], the new remainder is one Lie series:
     P_high + dust + C + lie_series(Psi, [X + C, Psi], start_factor=2).
+    The commutators C and [X + C, Psi] each drop block pairs worth at most
+    series_budget(P) (see ``opalg.compose``), and the series within its own
+    stop tolerance (see ``opalg.lie_series``).
     """
     om = np.asarray(omega, dtype=float)
     t0 = time.perf_counter()
@@ -220,8 +225,9 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
 
     P_new = P_high + dust
     if Psi.data:
-        C = commutator(state.P, Psi)
-        tail, _ = lie_series(Psi, commutator(X + C, Psi), start_factor=2)
+        budget = series_budget(state.P)
+        C = commutator(state.P, Psi, budget)
+        tail, _ = lie_series(Psi, commutator(X + C, Psi, budget), start_factor=2)
         P_new = P_new + C + tail
 
     r_new = state.r + z

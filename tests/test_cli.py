@@ -395,6 +395,23 @@ def test_cmd_solve_stops_on_non_finite_residual(tmp_path, monkeypatch, capsys):
     assert doc["residuals"] == [{"max_grid": "nan", "l1_coeff": "nan"}]
 
 
+def test_cmd_solve_reports_omega_outside_the_diophantine_set(tmp_path, capsys):
+    """omega = (1.5, 1.5) has the zero divisor (1, -1) . omega: a membership
+    failure is a stop with its witness (exit 2), not a traceback."""
+    code, out = _solve_small_with(tmp_path, "omega.sample = true",
+                                  "omega.sample = false\nomega.values = [1.5, 1.5]")
+    assert code == 2
+    assert "numerical-failure:SmallDivisorError" in capsys.readouterr().out
+    doc = json.loads(read(out / "report.json"))
+    assert doc["stop_reason"] == "numerical-failure:SmallDivisorError"
+    assert doc["iterations"] == 0 and doc["converged"] is False
+    assert doc["residuals"] == [] and doc["records"] == []
+    witness = doc["failure"]["witness"]
+    assert witness["divisor"] == 0.0 and witness["floor"] > 0.0
+    assert sorted(map(tuple, witness["l"])) == [(1, -1), (2, 1)]
+    assert not (out / "solution.json").exists()
+
+
 def test_cmd_solve_reference_fixture(tmp_path):
     out = tmp_path / "s"
     code = main(["solve", "--config", str(CONFIGS / "solve_small.cfg"),

@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from airykam import opalg
+from airykam import analytic, opalg
 from airykam.analytic import AnalyticFunction, dx, dx_inv, om_dphi, pi0_perp
 from airykam.errors import SeriesDivergenceError
 from airykam.lattice import LatticeParams, MultiIndex, get_enumeration
@@ -41,13 +42,14 @@ def cos_x(lat, jmax):
     return AnalyticFunction.from_modes(lat, jmax, [(ZERO, 1, 0.5)])
 
 
-def _compose_loops(A, B, half=True):
+def _compose_loops(A, B, half=True, skip=()):
     """Loop oracle for compose: the dict loop over MultiIndex block keys, in the
     same (A-major, B-minor) accumulation order.
 
     With ``half`` a real product sums only the targets l whose index is at most
     that of -l and mirrors them, symmetrizing l = 0; without it every target
-    is summed and the constructor averages each with its mirror.
+    is summed and the constructor averages each with its mirror.  The block
+    pairs (l_a, l_b) in ``skip`` are left out.
     """
     enum = get_enumeration(A.lattice)
     real = A.real and B.real
@@ -56,6 +58,8 @@ def _compose_loops(A, B, half=True):
     for la, ba in A.blocks.items():
         for lb, bb in B.blocks.items():
             lo = la + lb
+            if (la, lb) in skip:
+                continue
             if lo in enum.index_of and not (half and enum.index_of[lo] > enum.index_of[-lo]):
                 acc = out.get(lo)
                 prod = ba @ bb
@@ -165,6 +169,9 @@ def test_op_norm_examples(lat2, jmax):
     # multiplication by cos x: two side diagonals of one half
     assert op_norm(mult_op(cos_x(lat2, jmax)), 0.0) == pytest.approx(1.0)
     assert op_norm(mult_op(cos_x(lat2, jmax)), 1.0) == pytest.approx(np.e)
+    # at sigma = 0, the sum over the blocks of their largest column sums
+    R = random_blocks_op(lat2, jmax, 7, True, False)
+    assert op_norm(R, 0.0) == sum(np.abs(b).sum(axis=0).max() for b in R.blocks.values())
 
 
 def test_op_norm_submultiplicative_m0(lat2, jmax):
@@ -347,6 +354,130 @@ def test_join_temporaries_are_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1 and peaks[0] < 6e6
+
+
+def decaying_op(make, lat, jmax, seed, real, sparse):
+    """make's operator with its block at l scaled by 10^{-2 |l|_eta}, so that the
+    pair bounds |A_a| |B_b| spread over many decades, as in a KAM remainder."""
+    R = make(lat, jmax, seed, real, sparse)
+    norms = get_enumeration(lat).eta_norms
+    return R._like({p: 10.0 ** (-2.0 * norms[p]) * b for p, b in R.data.items()})
+
+
+def _dropped_pairs(A, B, budget):
+    """The pairs (l_a, l_b) that compose leaves out at this budget, by the rule
+    written out: the target-valid pairs in A-major, B-minor order, sorted
+    stably by |A_a| |B_b| (column-sum norms), go smallest first while their
+    running sum, doubled in a real product, stays within the budget.  Also
+    returns the number of target-valid pairs."""
+    enum = get_enumeration(A.lattice)
+    real = A.real and B.real
+    norm = lambda b: np.abs(b).sum(axis=0).max()
+    pairs = [(norm(ba) * norm(bb), la, lb)
+             for la, ba in A.blocks.items() for lb, bb in B.blocks.items()
+             if la + lb in enum.index_of
+             and not (real and enum.index_of[la + lb] > enum.index_of[-(la + lb)])]
+    dropped, spent = set(), 0.0
+    for bound, la, lb in sorted(pairs, key=lambda t: t[0]):
+        spent += bound
+        if (2.0 * spent if real else spent) > budget:
+            break
+        dropped.add((la, lb))
+    return dropped, len(pairs)
+
+
+@pytest.mark.parametrize("path", ["gemm", "join"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_compose_drops_the_smallest_bound_prefix(lat2, jmax, real, path, monkeypatch,
+                                                 join_calls):
+    """With a forced budget, compose equals the loop oracle summed without exactly
+    the smallest-bound prefix of the pairs (bitwise on the GEMM path), and it
+    differs from the full product by at most the budget in op_norm."""
+    make = random_blocks_op if path == "gemm" else diagonal_op
+    if path == "join":
+        monkeypatch.setattr(opalg, "JOIN_COST", 0.0)
+    A = decaying_op(make, lat2, jmax, 11, real, False)
+    B = decaying_op(make, lat2, jmax, 12, real, False)
+    scale = op_norm(A, 0.0) * op_norm(B, 0.0)
+    full = _compose_loops(A, B)
+    for rel in (1e-12, 1e-6, 1e-2):
+        budget = rel * scale
+        dropped, valid = _dropped_pairs(A, B, budget)
+        assert 0 < len(dropped) < valid
+        got, want = compose(A, B, budget), _compose_loops(A, B, skip=dropped)
+        assert got.real == want.real
+        assert list(got.blocks) == list(want.blocks)
+        top = max(np.max(np.abs(b)) for b in want.blocks.values())
+        for l, b in want.blocks.items():
+            if path == "gemm":
+                assert np.array_equal(got.blocks[l], b)
+            else:
+                assert np.max(np.abs(got.blocks[l] - b)) <= 1e-15 * top
+        assert op_norm(got - full, 0.0) <= budget + 1e-14 * scale
+    assert len(join_calls) == (3 if path == "join" else 0)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_commutator_splits_its_budget(lat2, jmax, real):
+    """[A, B] with a budget is A B - B A, each product pruned at half of it."""
+    A = decaying_op(random_blocks_op, lat2, jmax, 15, real, False)
+    B = decaying_op(random_blocks_op, lat2, jmax, 16, real, False)
+    budget = 1e-6 * op_norm(A, 0.0) * op_norm(B, 0.0)
+    got = commutator(A, B, budget)
+    want = (_compose_loops(A, B, skip=_dropped_pairs(A, B, budget / 2)[0])
+            - _compose_loops(B, A, skip=_dropped_pairs(B, A, budget / 2)[0]))
+    assert list(got.blocks) == list(want.blocks)
+    assert all(np.array_equal(got.blocks[l], b) for l, b in want.blocks.items())
+
+
+def test_compose_default_budget_is_prune_rel(lat2, jmax, monkeypatch):
+    """Without a budget compose drops what analytic.PRUNE_REL |A| |B| allows, and
+    with PRUNE_REL = 0 nothing."""
+    A = decaying_op(random_blocks_op, lat2, jmax, 13, True, False)
+    B = decaying_op(random_blocks_op, lat2, jmax, 14, True, False)
+    budget = analytic.PRUNE_REL * op_norm(A, 0.0) * op_norm(B, 0.0)
+    dropped, _ = _dropped_pairs(A, B, budget)
+    assert dropped
+    for skip in (dropped, ()):
+        got, want = compose(A, B), _compose_loops(A, B, skip=skip)
+        assert list(got.blocks) == list(want.blocks)
+        assert all(np.array_equal(got.blocks[l], b) for l, b in want.blocks.items())
+        monkeypatch.setattr(analytic, "PRUNE_REL", 0.0)
+
+
+@pytest.mark.parametrize("start_factor", [0, 1, 2])
+def test_lie_series_pruning_stays_within_its_tolerance(lat2, jmax, monkeypatch, start_factor):
+    """Commutator k of a Lie series gets the budget series_budget(term_0)
+    (k + start_factor), and the pruned sum agrees with the series that drops
+    nothing within SERIES_TOL max(1, |X|)."""
+    G = decaying_op(random_blocks_op, lat2, jmax, 21, True, False)
+    G = G * (0.3 / op_norm(G, 0.0))
+    X = decaying_op(random_blocks_op, lat2, jmax, 22, True, False)
+    X = X * (10.0 / op_norm(X, 0.0))
+    budgets, dropped = [], []
+    commutator_, pruned = opalg.commutator, opalg._pruned
+
+    def recorded(A, B, budget=None):
+        budgets.append(budget)
+        return commutator_(A, B, budget)
+
+    def counted(targets, *args):
+        out = pruned(targets, *args)
+        dropped.append(np.count_nonzero(out < 0) - np.count_nonzero(targets < 0))
+        return out
+
+    monkeypatch.setattr(opalg, "commutator", recorded)
+    monkeypatch.setattr(opalg, "_pruned", counted)
+    total, terms = lie_series(G, X, start_factor)
+    first = X * (1.0 / math.factorial(start_factor))
+    share = opalg.SERIES_TOL * max(1.0, op_norm(first, 0.0)) / opalg.MAX_SERIES_TERMS
+    assert budgets == [share * (k + start_factor) for k in range(1, terms)]
+    assert sum(dropped) > 0
+    dropped.clear()
+    monkeypatch.setattr(opalg, "series_budget", lambda R: 0.0)
+    exact, _ = lie_series(G, X, start_factor)
+    assert sum(dropped) == 0
+    assert op_norm(total - exact, 0.0) <= opalg.SERIES_TOL * max(1.0, op_norm(X, 0.0))
 
 
 def _assert_invariants(R):
