@@ -10,11 +10,16 @@ and raises AliasingError beyond tolerance.
 A change of variables is one grid pass over a stack of real fields.
 ``substitute`` evaluates each field at (Phi, x + alpha + p(Phi)) and
 ``substitute_inverse`` at (Phi, y + alpha~(Phi, y)) with y = x - p(phi),
-where Phi = phi + omega beta(phi).  A call builds the amplitudes' grid values
-and W = e^{iX} once for the whole stack.  Each field then costs one
-``_phi_series`` (its x-spectrum at Phi, from the phase factors e^{i l.Phi}
-of the lattice rows), one Horner sum in W (``_x_series``; a phase and an
-x-transform when X - x depends on phi alone) and one ``_extract``.  The
+where Phi = phi + omega beta(phi).  A call builds the amplitudes' grid values,
+the phase factors e^{i l.Phi} of the lattice rows (``_phases``) and
+W = e^{iX} once for the whole stack.  Each field then costs one
+``_phi_series`` (its x-spectrum at Phi, one product with the phase factors),
+one Horner sum in W (``_x_series``; a phase and an x-transform when X - x
+depends on phi alone) and one ``_extract``.  A pass may also combine the
+moved fields pointwise before anything is extracted (``combine`` of
+``substitute_inverse``): it then extracts the combination's outputs, each
+once, in place of the fields, and draws each moved field only when the
+combination asks for it, so the stack is never on the grid at once.  The
 single-field kernels ``compose_x_diffeo``, ``compose_phi_shift`` and
 ``compose_x_translation`` no longer run in a solve: they stay as the
 independent implementation whose chain, truncated after each kernel, is the
@@ -188,15 +193,6 @@ def _x_series(G, W):
     return np.broadcast_to(val, W.shape)
 
 
-# Phase factors e^{i l.Phi} that _phi_series builds at once: rows of them up to
-# this many entries (1 MB complex; one row when a row is longer).  On step 0's
-# push_quadratic pass of solve_m3 at omega seed 7 (4860 phi points, 11 fields;
-# in-process, one BLAS thread, median of 6 calls), 2^12 (one row a chunk),
-# 2^14, 2^16 and 2^18 took 0.90, 0.54, 0.47 and 0.47 s, with traced peaks
-# 19.1 MB up to 2^16 and 20.9 MB at 2^18.
-PHASE_POINTS = 2 ** 16
-
-
 def _cis(angle):
     """e^{i angle} for a real array, from its cosine and sine."""
     out = np.empty(np.shape(angle), dtype=complex)
@@ -205,37 +201,33 @@ def _cis(angle):
     return out
 
 
-def _phi_series(lattice, cols, shift, omega, sphi):
-    """x-spectrum over the phi grid of u(phi + omega * shift(phi), .) for a u
-    given by its coefficient columns (one row per lattice index).
-
-    With Phi_s = phi_s + omega_s shift on each axis s, the spectrum is
-    sum_l e^{i l.Phi} u_l, a product of the (rows x points) phase factors
-    and the columns.  A factor is a product over the axes of powers of
-    e^{i Phi_s} (the negative powers their conjugates), built a chunk of rows
-    at a time.
-    """
+def _phases(lattice, shift, omega, sphi):
+    """Phase factors e^{i l.Phi} of every lattice row l at every point of the
+    phi grid, Phi_s = phi_s + omega_s shift(phi) on each axis s: a
+    (rows x points) array, the product over the axes of powers of e^{i Phi_s}
+    (the negative powers their conjugates)."""
     enum = get_enumeration(lattice)
     flat_shift = np.reshape(shift, -1)
-    powers = []
-    for ax, b, om in zip(_angles(sphi), enum.bounds, omega):
+    E = None
+    for ax, b, om, slots in zip(_angles(sphi), enum.bounds, omega, enum.dense.T):
         Z = _cis(np.broadcast_to(ax, sphi).reshape(-1) + om * flat_shift)
         P = np.empty((2 * b + 1, Z.size), dtype=complex)
         P[b] = 1.0
         for k in range(1, b + 1):
             P[b + k] = P[b + k - 1] * Z
         P[:b] = np.conj(P[:b:-1])
-        powers.append(P)
-    slots = enum.dense + np.asarray(enum.bounds)
-    step = max(1, PHASE_POINTS // flat_shift.size)
-    T = np.zeros((flat_shift.size, cols.shape[1]), dtype=complex)
-    for lo in range(0, enum.size, step):
-        rows = slice(lo, lo + step)
-        E = powers[0][slots[rows, 0]]
-        for P, col in zip(powers[1:], slots[rows, 1:].T):
-            E *= P[col]
-        T += E.T @ cols[rows]
-    return T.reshape(sphi + (cols.shape[1],))
+        if E is None:
+            E = P[slots + b]
+        else:
+            E *= P[slots + b]
+    return E
+
+
+def _phi_series(E, cols, sphi):
+    """x-spectrum over the phi grid of sum_l e^{i l.Phi} u_l for a u given by
+    its coefficient columns (one row per lattice index), at the points whose
+    phase factors are E (``_phases``)."""
+    return (E.T @ cols).reshape(sphi + (cols.shape[1],))
 
 
 def _fixed_point(update, shape, what):
@@ -274,8 +266,9 @@ def compose_phi_shift(u, beta, omega, factor=2, report=None):
         raise ValueError("shift amplitude must depend on phi only")
     _require_real(u, "composed field")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
-    bvals = _real_grid_values(beta, sizes[:-1] + (1,), "time-reparametrization amplitude")[..., 0]
-    T = _phi_series(u.lattice, u.data[:, u.jmax:], bvals, omega, sizes[:-1])
+    sphi = sizes[:-1]
+    bvals = _real_grid_values(beta, sphi + (1,), "time-reparametrization amplitude")[..., 0]
+    T = _phi_series(_phases(u.lattice, bvals, omega, sphi), u.data[:, u.jmax:], sphi)
     return _extract(_to_x_grid(T, sizes[-1]), u.lattice, u.jmax,
                     context="compose_phi_shift", report=report)
 
@@ -302,9 +295,13 @@ def _held(a):
     return a is not None and not a.is_zero()
 
 
+def _moves(alpha, beta, p):
+    return _held(alpha) or _held(beta) or _held(p)
+
+
 def _stack_grid(fields, alpha, beta, p, factor):
     """Grid of a stacked substitution, after refusing what it cannot
-    substitute; None when nothing moves (no field, or no amplitude held)."""
+    substitute; None for an empty stack."""
     for u in fields:
         _require_real(u, "substituted field")
     lattices = {u.lattice for u in fields}
@@ -317,27 +314,27 @@ def _stack_grid(fields, alpha, beta, p, factor):
             lattices.add(a.lattice)
     if len(lattices) > 1:
         raise ValueError("incompatible lattices")
-    if not fields or not (_held(alpha) or _held(beta) or _held(p)):
+    if not fields:
         return None
     jmax = max([u.jmax for u in fields] + ([alpha.jmax] if _held(alpha) else []))
     return grid_sizes(fields[0].lattice, jmax, factor)
 
 
-def _spectrum(u, sphi, shift, omega):
-    """x-spectrum over the phi grid of a real field at phi + omega shift(phi),
-    or at phi for no shift."""
-    if shift is None:
+def _spectrum(u, sphi, E):
+    """x-spectrum over the phi grid of a real field at the points whose phase
+    factors are E (``_phases``), or at phi for E None."""
+    if E is None:
         return _x_spectrum(u, sphi)
-    return _phi_series(u.lattice, u.data[:, u.jmax:], shift, omega, sphi)
+    return _phi_series(E, u.data[:, u.jmax:], sphi)
 
 
-def _phi_values(f, sphi, shift=None, omega=None):
-    """Values of a real function f of phi alone at phi + omega shift(phi) (at
-    phi for no shift) on the phi grid."""
-    if shift is None:
+def _phi_values(f, sphi, E=None):
+    """Values on the phi grid of a real function f of phi alone, at the points
+    whose phase factors are E (at phi for E None)."""
+    if E is None:
         T = _x_spectrum(f, sphi, 1)
     else:
-        T = _phi_series(f.lattice, f.data[:, f.jmax:f.jmax + 1], shift, omega, sphi)
+        T = _phi_series(E, f.data[:, f.jmax:f.jmax + 1], sphi)
     return _to_x_grid(T, 1)[..., 0]
 
 
@@ -360,14 +357,20 @@ def _exp_ix(a, c, sizes):
     return _cis(a)
 
 
-def _substitute(fields, sizes, omega, shift, c, W, context, report):
-    """Every field u at (phi + omega shift(phi), X), truncated back to u's
-    modes, with X given by W or c as in ``_grid_values``."""
+def _substitute(fields, sizes, E, c, W, context, report, combine=None):
+    """Every field u at the points (Phi, X), Phi given by its phase factors E
+    and X by W or c as in ``_grid_values``, truncated back to u's modes; with
+    ``combine``, its outputs instead (``substitute_inverse``)."""
+    moved = (_grid_values(_spectrum(u, sizes[:-1], E), W, c, sizes[-1]) for u in fields)
+    if combine is None:
+        outputs = zip(moved, [u.jmax for u in fields])
+    else:
+        jmax = max(u.jmax for u in fields)
+        outputs = ((vals, jmax) for vals in combine(moved, sizes))
     out = []
-    for u in fields:
-        vals = _grid_values(_spectrum(u, sizes[:-1], shift, omega), W, c, sizes[-1])
+    for vals, jmax in outputs:
         rep = {}
-        out.append(_extract(vals, u.lattice, u.jmax, context=context, report=rep))
+        out.append(_extract(vals, fields[0].lattice, jmax, context=context, report=rep))
         if report is not None:
             for key in ("alias_rel", "discard_rel"):
                 report["max_" + key] = max(report.get("max_" + key, 0.0), rep[key])
@@ -386,19 +389,20 @@ def substitute(fields, alpha, beta, p, omega, factor=2, report=None):
     """
     fields = list(fields)
     sizes = _stack_grid(fields, alpha, beta, p, factor)
-    if sizes is None:
+    if sizes is None or not _moves(alpha, beta, p):
         return fields
     sphi = sizes[:-1]
-    shift = _phi_values(beta, sphi) if _held(beta) else None
-    c = _phi_values(p, sphi, shift, omega) if _held(p) else None
+    E = _phases(fields[0].lattice, _phi_values(beta, sphi), omega, sphi) if _held(beta) else None
+    c = _phi_values(p, sphi, E) if _held(p) else None
     W = None
     if _held(alpha):
         W = _exp_ix(_real_grid_values(alpha, sizes, "x-diffeomorphism amplitude"), c, sizes)
         c = None
-    return _substitute(fields, sizes, omega, shift, c, W, "substitute", report)
+    return _substitute(fields, sizes, E, c, W, "substitute", report)
 
 
-def substitute_inverse(fields, alpha_tilde, beta_tilde, p, omega, factor=2, report=None):
+def substitute_inverse(fields, alpha_tilde, beta_tilde, p, omega, factor=2, report=None,
+                       combine=None):
     """Each real u of ``fields`` at (Phi, y + alpha~(Phi, y)) with
     Phi = phi + omega beta~(phi) and y = x - p(phi): the substitution of the
     inverse change of variables ``conjugation.apply_transform_inverse``.
@@ -407,20 +411,28 @@ def substitute_inverse(fields, alpha_tilde, beta_tilde, p, omega, factor=2, repo
     x -> x - p, applied one after the other, compose to this one map, which
     is evaluated in one grid pass and truncated once.  Amplitudes and
     ``report`` are as in ``substitute``.
+
+    With ``combine`` the pass returns what ``combine(moved, sizes)`` forms
+    pointwise from the moved fields, not the fields: ``moved`` iterates over
+    the fields' grid values at the moved points, in stack order, each
+    evaluated when it is drawn, and ``combine`` yields real grid values on
+    the grid ``sizes``, each extracted to the stack's largest jmax as soon
+    as it is yielded.  It runs also when nothing moves.
     """
     fields = list(fields)
     sizes = _stack_grid(fields, alpha_tilde, beta_tilde, p, factor)
-    if sizes is None:
+    if sizes is None or (combine is None and not _moves(alpha_tilde, beta_tilde, p)):
         return fields
     sphi = sizes[:-1]
-    shift = _phi_values(beta_tilde, sphi) if _held(beta_tilde) else None
+    E = (_phases(fields[0].lattice, _phi_values(beta_tilde, sphi), omega, sphi)
+         if _held(beta_tilde) else None)
     c = -_phi_values(p, sphi) if _held(p) else None
     W = None
     if _held(alpha_tilde):
-        a = _grid_values(_spectrum(alpha_tilde, sphi, shift, omega), None, c, sizes[-1])
+        a = _grid_values(_spectrum(alpha_tilde, sphi, E), None, c, sizes[-1])
         W = _exp_ix(a, c, sizes)            # y + alpha~(Phi, y) = x + c + a
         c = a = None
-    return _substitute(fields, sizes, omega, shift, c, W, "substitute_inverse", report)
+    return _substitute(fields, sizes, E, c, W, "substitute_inverse", report, combine)
 
 
 def invert_x_diffeo(alpha, factor=2, report=None):
@@ -462,7 +474,8 @@ def invert_phi_shift(beta, omega, factor=2, report=None):
         raise NonContractionError(f"|omega.d_phi beta| ~ {slope:.3f} too large to invert")
     sphi = phi_sizes(beta.lattice, factor)
     s, step = _fixed_point(
-        lambda s: -_phi_values(beta, sphi, s[..., 0], omega)[..., None],
+        lambda s: -_phi_values(beta, sphi,
+                               _phases(beta.lattice, s[..., 0], omega, sphi))[..., None],
         sphi + (1,), "phi-shift",
     )
     out = _extract(s, beta.lattice, beta.jmax, context="invert_phi_shift", report=report)

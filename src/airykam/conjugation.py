@@ -30,10 +30,18 @@ C_psi J^{-1} = jac_t C_psi cancelling one power of g,
     e2 = g (R2 + 3 R3 g'),
     e1 = R1 + R2 g' + R3 (g'^2 + g g''),
     e0 = jac_t R0.
+
+The quadratic table is transported pointwise (``push_quadratic``).  The
+chain rule gives dx^i(T v) = sum_l G_{l,i} (dy^l v) with polynomials G in
+J and its x-derivatives, so every new coefficient r T^{-1}[ sum q_{i,j}
+G_{l,i} G_{m,j} / J ] is a pointwise function of the moved q_{i,j} and
+dx^k alpha.  One substitution pass moves them and forms the table at the
+moved points, truncating each new coefficient once.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from math import comb
@@ -41,6 +49,7 @@ from math import comb
 import numpy as np
 
 from ._grid import (
+    _real_grid_values,
     invert_phi_shift,
     invert_x_diffeo,
     moser_compose,
@@ -360,47 +369,81 @@ def apply_transform_inverse(T: TransformationData, u: AnalyticFunction,
     return w
 
 
+def _jacobian_factors(l: int, i: int, J):
+    """G_{l,i} of dx^i(T v) = sum_l G_{l,i} (dy^l v) for 0 <= l <= i <= 3,
+    pointwise from J = (J_0, ..., J_3), the values of 1 + alpha_x and of its
+    x-derivatives of orders 1-3: the recurrence G_{0,0} = J_0,
+    G_{l,i+1} = dx G_{l,i} + G_{l-1,i} J_0 written out."""
+    J0, J1, J2 = J[0], J[1], J[2]
+    if l == 0:
+        return J[i]
+    if l == i:                                  # J_0^(i+1)
+        out = J0 * J0
+        for _ in range(1, i):
+            out *= J0
+        return out
+    if l == 1:
+        return 3.0 * J0 * J1 if i == 2 else 3.0 * J1 * J1 + 4.0 * J0 * J2
+    return 6.0 * J0 * J0 * J1                   # G_{2,3}
+
+
+def _add_terms(acc, w, i, j, J):
+    """Add w G_{l,i} G_{m,j} at grid points (``_jacobian_factors``) to
+    acc[(l, m)] for every l <= i and m <= j, yielding each (l, m) once its
+    term is in: m from j down, and l up for each m.  Each G_{m,j} is formed
+    once, and the cheaper G_{l,i} (i <= 2) once for each m."""
+    for m in range(j, -1, -1):
+        wm = w * _jacobian_factors(m, j, J)
+        for l in range(i + 1):
+            if (l, m) in acc:
+                acc[(l, m)] += wm * _jacobian_factors(l, i, J)
+            else:
+                acc[(l, m)] = wm * _jacobian_factors(l, i, J)
+            yield l, m
+
+
 def push_quadratic(Q: QuadraticForm, T: TransformationData, report=None) -> QuadraticForm:
     """Transport Q(v) -> r T^{-1} Q(T v) in coefficient form.
 
-    Writing dx^i(Tv) = sum_l G_{l,i} (dy^l v) with G_{0,0} = 1 + alpha_x and
-    G_{l,i+1} = dx G_{l,i} + G_{l-1,i} (1 + alpha_x), the new table is
-    q+_{l,m} = r S^{-1}[ (sum_{i,j} q_{i,j} G_{l,i} G_{m,j}) / (1 + alpha_x) ]
-    with S^{-1} the substitution part of T^{-1}, applied to the whole table in
-    one substitution pass (``report`` as in ``_grid.substitute_inverse``).
+    With dx^i(Tv) = sum_l G_{l,i} (dy^l v) (``_jacobian_factors``) the new
+    table is q+_{l,m} = r S^{-1}[ (sum_{i,j} q_{i,j} G_{l,i} G_{m,j}) / (1 + alpha_x) ],
+    S^{-1} the substitution part of T^{-1}.  Substitution commutes with
+    pointwise products, so one pass of ``_grid.substitute_inverse`` moves the
+    q_{i,j} and dx^k alpha (k = 1..4) and forms the sum at the moved points,
+    and r, a function of phi alone, multiplies it where it lands.  The q_{i,j}
+    are drawn one at a time, and each q+_{l,m} is extracted as soon as the
+    last q_{i,j} with i >= l and j >= m is in (``report`` as in
+    ``_grid.substitute_inverse``).
     """
-    jac = 1.0 + dx(T.alpha, 1)
-    jac_inv = moser_power(jac, -1.0, "jacobian-reciprocal")
-    G = {(0, 0): jac}
-    for i in range(4):
-        for l in range(i + 2):
-            term = AnalyticFunction.zeros(Q.lattice, Q.jmax)
-            prev = G.get((l, i))
-            if prev is not None:
-                term = term + dx(prev, 1)
-            below = G.get((l - 1, i))
-            if below is not None:
-                term = term + multiply(below, jac)
-            if not term.is_zero():
-                G[(l, i + 1)] = term
+    if not T.r.phi_only:
+        raise ValueError("the multiplier r must be a function of phi alone")
+    # Row by row, each row from its highest order down (and the terms of a key
+    # as in _add_terms): of the orders tried, the one that holds the fewest
+    # partial sums at once, 6 for the full table and for solve's first table.
+    keys = sorted((key for key in QUADRATIC_KEYS if key in Q.coeffs), key=lambda k: (k[0], -k[1]))
+    if not keys:
+        return QuadraticForm(Q.lattice, Q.jmax)
+    last = {}                      # (l, m) -> the position of the last key adding to it
+    for n, (i, j) in enumerate(keys):
+        for out_key in itertools.product(range(i + 1), range(j + 1)):
+            last[out_key] = n
+    done = []
 
-    out = {}
-    for (i, j), q in Q.coeffs.items():
-        for l in range(i + 1):
-            gl = G.get((l, i))
-            if gl is None:
-                continue
-            for m in range(j + 1):
-                gm = G.get((m, j))
-                if gm is None:
-                    continue
-                contrib = multiply(q, multiply(gl, gm))
-                key = (l, m)
-                out[key] = contrib if key not in out else out[key] + contrib
-    moved = substitute_inverse([multiply(fct, jac_inv) for fct in out.values()], T.alpha_tilde,
-                               T.beta_tilde, T.p, T.omega, report=report)
-    table = {key: multiply(T.r, m) for key, m in zip(out, moved)}
-    return QuadraticForm(Q.lattice, Q.jmax, table)
+    def combine(moved, sizes):
+        J = [1.0 + next(moved)] + [next(moved) for _ in range(3)]
+        r = _real_grid_values(T.r, sizes[:-1] + (1,), "multiplier")
+        acc = {}
+        for n, (i, j) in enumerate(keys):
+            for out_key in _add_terms(acc, next(moved) * r / J[0], i, j, J):
+                if last[out_key] == n:
+                    done.append(out_key)
+                    yield acc.pop(out_key)
+
+    derivs = [dx(T.alpha, k) for k in range(1, 5)]
+    moved = substitute_inverse(derivs + [Q.coeffs[key] for key in keys], T.alpha_tilde,
+                               T.beta_tilde, T.p, T.omega, report=report, combine=combine)
+    table = dict(zip(done, moved))
+    return QuadraticForm(Q.lattice, Q.jmax, {key: table[key] for key in sorted(table)})
 
 
 # -- verification helpers ------------------------------------------------------

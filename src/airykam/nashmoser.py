@@ -310,21 +310,24 @@ def step(state: IterationState, spec: ProblemSpec) -> IterationState:
     )
 
 
-def assemble_solution(state: IterationState) -> AnalyticFunction:
+def assemble_solution(state: IterationState, previous=None) -> AnalyticFunction:
     """u_n = h_0 + sum_{j>=1} T_1 ... T_j h_j.
 
+    ``previous``, if given, is u_{n-1}: the sum without its last term, as
+    this function returned it one step earlier.  Then only T_1 ... T_n h_n
+    is built and added to it, which is the same sum in the same order.
     Each T_i acts at the truncation of step i, so v is embedded there first;
     u ends at the truncation of h_0, the config's jmax.
     """
     if not state.h_list:
         raise ValueError("no completed steps")
-    u = state.h_list[0]
-    for j in range(1, len(state.h_list)):
+    u = previous
+    for j in range(0 if previous is None else len(state.h_list) - 1, len(state.h_list)):
         v = state.h_list[j]
         for i in range(j - 1, -1, -1):
             T = state.transforms[i]
             v = apply_transform(T, v.embed(T.alpha.jmax))
-        u = u + v
+        u = v if u is None else u + v
     return u
 
 
@@ -472,7 +475,7 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
             stop, failure = _failure(exc)
             break
         eps_meas.append(state.records[-1]["norm_h"])
-        u = assemble_solution(state)
+        u = assemble_solution(state, u)
         rr = residual(spec, u)
         residuals.append(rr.as_dict())
         log.info("residual after step %d: %.3e", state.n - 1, rr.value)

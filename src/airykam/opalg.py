@@ -149,9 +149,9 @@ class OperatorMatrix:
         """(column counts, row counts) of each block's nonzeros, as float
         arrays of shape (blocks, nj) in block order."""
         if self._counts is None:
-            blocks = self.data.values()
-            self._counts = (np.array([np.count_nonzero(b, axis=0) for b in blocks], dtype=float),
-                            np.array([np.count_nonzero(b, axis=1) for b in blocks], dtype=float))
+            nz = np.array(list(self.data.values())).reshape(-1, self.nj, self.nj) != 0
+            self._counts = (np.count_nonzero(nz, axis=1).astype(float),
+                            np.count_nonzero(nz, axis=2).astype(float))
         return self._counts
 
     def block_norms(self):

@@ -6,8 +6,14 @@ test directory uses.
 
 import numpy as np
 
-from airykam._grid import compose_phi_shift, compose_x_diffeo, compose_x_translation
+from airykam._grid import (
+    compose_phi_shift,
+    compose_x_diffeo,
+    compose_x_translation,
+    substitute_inverse,
+)
 from airykam.analytic import AnalyticFunction, dx, multiply, om_dphi
+from airykam.conjugation import QuadraticForm, moser_power
 from airykam.lattice import get_enumeration
 from airykam.opalg import compose, materialize, mult_op, to_dense, x_symbol_op
 
@@ -125,3 +131,42 @@ def forward_chain(u, alpha, beta, p, omega, jacobian=False):
         if jacobian:
             w = multiply(1.0 + dx(alpha, 1), w)
     return w
+
+
+def chain_factors(alpha):
+    """{(l, i): G_{l,i}} of dx^i(T v) = sum_l G_{l,i} (dy^l v) for i <= 3, as
+    spectral functions by the recurrence G_{0,0} = J = 1 + alpha_x,
+    G_{l,i+1} = dx G_{l,i} + G_{l-1,i} J; the identically zero ones omitted."""
+    jac = 1.0 + dx(alpha, 1)
+    G = {(0, 0): jac}
+    for i in range(3):
+        for l in range(i + 2):
+            term = AnalyticFunction.zeros(alpha.lattice, alpha.jmax)
+            prev = G.get((l, i))
+            if prev is not None:
+                term = term + dx(prev, 1)
+            below = G.get((l - 1, i))
+            if below is not None:
+                term = term + multiply(below, jac)
+            if not term.is_zero():
+                G[(l, i + 1)] = term
+    return G
+
+
+def push_quadratic_spectral(Q, T):
+    """r T^{-1} Q(T .) in coefficient form by truncated spectral products:
+    q+_{l,m} = r S^{-1}[ (sum_{i,j} q_{i,j} G_{l,i} G_{m,j}) / (1 + alpha_x) ]
+    with 1 / (1 + alpha_x) from a grid power, every product truncated, and
+    S^{-1} the substitution part of T^{-1} in one pass."""
+    G = chain_factors(T.alpha)
+    jac_inv = moser_power(G[(0, 0)], -1.0, "jacobian-reciprocal")
+    out = {}
+    for (i, j), q in Q.coeffs.items():
+        for l in range(i + 1):
+            for m in range(j + 1):
+                if (l, i) in G and (m, j) in G:
+                    contrib = multiply(q, multiply(G[(l, i)], G[(m, j)]))
+                    out[(l, m)] = contrib if (l, m) not in out else out[(l, m)] + contrib
+    moved = substitute_inverse([multiply(f, jac_inv) for f in out.values()], T.alpha_tilde,
+                               T.beta_tilde, T.p, T.omega)
+    return QuadraticForm(Q.lattice, Q.jmax, {key: multiply(T.r, m) for key, m in zip(out, moved)})

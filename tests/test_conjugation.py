@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airykam._grid import compose_x_diffeo, invert_x_diffeo, substitute_inverse
+from airykam._grid import compose_x_diffeo, invert_phi_shift, invert_x_diffeo, substitute_inverse
 from airykam.analytic import AnalyticFunction, dx, multiply, om_dphi, pi0, pi0_perp
 from airykam.conjugation import (
     QuadraticForm,
@@ -20,10 +20,17 @@ from airykam.conjugation import (
     push_quadratic,
     symplectic_pairing,
 )
-from airykam.conjugation import _transported_coefficients
+from airykam.conjugation import QUADRATIC_KEYS, _jacobian_factors, _transported_coefficients
+from airykam.errors import AliasingError
 from airykam.lattice import MultiIndex
 from airykam.opalg import DifferentialOperator
-from oracles import by_real_parts, perturbed_operator
+from oracles import (
+    by_real_parts,
+    chain_factors,
+    eval_pointwise,
+    perturbed_operator,
+    push_quadratic_spectral,
+)
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
@@ -423,6 +430,94 @@ def test_push_quadratic_matches_direct_transport(lat2, jmax, omega2, rand_fct):
         rhs = multiply(T.r, apply_transform_inverse(
             T, evaluate_quadratic(Q, apply_transform(T, v))))
         assert (lhs - rhs).norm(0.0) <= 1e-8 * max(rhs.norm(0.0), 1e-300)
+
+
+def few_modes(lat, jmax, seed, amp, jspan=1, phi_only=False):
+    """A real function with a few modes, |l_1|, |l_2| <= 1 and |j| <= jspan
+    (j = 0 and l != 0 for a function of phi alone)."""
+    rng = np.random.default_rng(seed)
+    modes = []
+    for _ in range(6):
+        l = MultiIndex([int(rng.integers(-1, 2)), int(rng.integers(-1, 2))])
+        if phi_only and l == ZERO:
+            continue
+        j = 0 if phi_only else int(rng.integers(-jspan, jspan + 1))
+        modes.append((l, j, amp * complex(rng.normal(), rng.normal())))
+    return AnalyticFunction.from_modes(lat, jmax, modes)
+
+
+def moving_transform(lat, jmax, omega, mask, scale):
+    """A transform holding alpha, beta and p as ``mask`` says, with their
+    inverses and a multiplier r = 1 + (function of phi alone)."""
+    made = (few_modes(lat, jmax, 11, 3e-3 * scale),
+            few_modes(lat, jmax, 12, 2e-3 * scale, phi_only=True),
+            few_modes(lat, jmax, 13, 2e-3 * scale, phi_only=True))
+    alpha, beta, p = (a if held else zero_fct(lat, jmax) for a, held in zip(made, mask))
+    r = few_modes(lat, jmax, 14, 1e-2, phi_only=True) + 1.0
+    return TransformationData(np.asarray(omega, float), alpha, invert_x_diffeo(alpha), beta,
+                              invert_phi_shift(beta, omega), p, r, r, 1.0, 0.0)
+
+
+def full_table(lat, jmax):
+    """Every key of the quadratic table, each a non-constant coefficient."""
+    return QuadraticForm(lat, jmax, {key: few_modes(lat, jmax, 20 + n, 0.1) + 1.0
+                                     for n, key in enumerate(QUADRATIC_KEYS)})
+
+
+def test_closed_form_chain_factors_match_the_recurrence(lat2, jmax, sample_points):
+    """On an alpha whose powers (1 + alpha_x)^4 stay inside the truncation,
+    so that the recurrence's spectral products are exact."""
+    alpha = AnalyticFunction.from_modes(lat2, jmax, [(E1, 1, 0.03 + 0.02j), (ZERO, 2, 0.01),
+                                                     (E1, -1, -0.02j)])
+    J = [eval_pointwise(1.0 + dx(alpha, 1), *sample_points)]
+    J += [eval_pointwise(dx(alpha, k), *sample_points) for k in (2, 3, 4)]
+    G = chain_factors(alpha)
+    assert sorted(G) == sorted((l, i) for i in range(4) for l in range(i + 1))
+    for (l, i), g in G.items():
+        want = eval_pointwise(g, *sample_points)
+        assert np.max(np.abs(_jacobian_factors(l, i, J) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mask", [(False, False, False), (True, False, False),
+                                  (False, True, False), (False, False, True),
+                                  (True, True, True)],
+                         ids=["identity", "alpha", "beta", "p", "all"])
+def test_push_quadratic_matches_the_spectral_reference(lat2, jmax, omega2, mask):
+    """The reference truncates after every product and the pass once, so the
+    two differ by truncation, which falls with the square of the amplitudes:
+    at these (alpha 3e-5, beta and p 2e-5) by at most 3e-9 of the table."""
+    Q = full_table(lat2, jmax)
+    T = moving_transform(lat2, jmax, omega2, mask, scale=0.01)
+    got, want = push_quadratic(Q, T), push_quadratic_spectral(Q, T)
+    assert sorted(got.coeffs) == sorted(want.coeffs) == list(QUADRATIC_KEYS)
+    diff = sum((got.coeffs[key] - f).norm(0.0) for key, f in want.coeffs.items())
+    assert diff <= (1e-8 if any(mask) else 1e-15) * want.total_norm(0.0)
+
+
+def test_push_quadratic_raises_on_aliasing(lat2, jmax, omega2):
+    """q G_{2,2}^2 / (1 + alpha_x) of a q at the top x-mode reaches past twice
+    jmax; the spectral reference, truncated after every product, does not see it."""
+    alpha = AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 3, 1e-3)])
+    one, zero = AnalyticFunction.constant(lat2, jmax, 1.0), zero_fct(lat2, jmax)
+    T = TransformationData(np.asarray(omega2, float), alpha, invert_x_diffeo(alpha), zero, zero,
+                           zero, one, one, 1.0, 0.0)
+    top = AnalyticFunction.from_modes(lat2, jmax, [(ZERO, jmax, 1.0)])
+    push_quadratic_spectral(QuadraticForm(lat2, jmax, {(2, 2): top}), T)
+    push_quadratic(QuadraticForm(lat2, jmax, {(2, 2): one}), T)
+    with pytest.raises(AliasingError):
+        push_quadratic(QuadraticForm(lat2, jmax, {(2, 2): top}), T)
+
+
+def test_push_quadratic_refuses_an_x_dependent_multiplier(lat2, jmax, omega2):
+    T = identity_transform(lat2, jmax, omega2)
+    T.r = T.r + AnalyticFunction.from_modes(lat2, jmax, [(ZERO, 1, 1e-3)])
+    with pytest.raises(ValueError, match="phi alone"):
+        push_quadratic(quadratic_fixture(lat2, jmax), T)
+
+
+def test_push_quadratic_of_an_empty_table_is_empty(lat2, jmax, omega2):
+    T = identity_transform(lat2, jmax, omega2)
+    assert not push_quadratic(QuadraticForm(lat2, jmax), T).coeffs
 
 
 def test_moser_power(lat2, jmax):

@@ -158,6 +158,34 @@ def test_a_stack_equals_one_field_calls_bitwise(lat2, jmax, omega2, direction):
     assert 0.0 < report["max_alias_rel"] < 1e-7
 
 
+@pytest.mark.parametrize("mask", MASKS, ids=mask_id)
+def test_a_combination_that_passes_the_fields_through_is_the_pass(lat2, jmax, omega2, mask):
+    """combine draws every moved field on the pass's grid and runs also when
+    nothing moves; yielding the fields as they come gives the plain pass."""
+    alpha, beta, p = amplitudes(lat2, jmax, mask)
+    T = transform(lat2, jmax, omega2, alpha, beta, p)
+    us = fields(lat2, jmax)
+    shapes = []
+
+    def combine(moved, sizes):
+        for vals in moved:
+            shapes.append(vals.shape == sizes)
+            yield vals
+
+    report, plain_report = {}, {}
+    got = _grid.substitute_inverse(us, T.alpha_tilde, T.beta_tilde, T.p, omega2,
+                                   report=report, combine=combine)
+    plain = _grid.substitute_inverse(us, T.alpha_tilde, T.beta_tilde, T.p, omega2,
+                                     report=plain_report)
+    assert shapes == [True] * len(us)
+    assert set(report) == {"max_alias_rel", "max_discard_rel"}
+    if any(mask):
+        assert report == plain_report
+        assert all(np.array_equal(g.data, w.data) for g, w in zip(got, plain))
+    else:
+        assert all(rel(g, u) <= 1e-15 for g, u in zip(got, us))
+
+
 @pytest.mark.parametrize("where", [0, 2, 4])
 def test_a_non_real_field_anywhere_in_the_stack_raises(lat2, jmax, omega2, where):
     alpha, beta, p = amplitudes(lat2, jmax, (True, True, True))

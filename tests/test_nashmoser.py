@@ -137,6 +137,24 @@ def test_single_step_and_assemble(lat2, jmax):
     assert state.f.norm(0.0) <= 50.0 * state.h_list[0].norm(0.5) ** 2
 
 
+def test_incremental_assembly_equals_the_full_rebuild_bitwise(lat2, jmax, monkeypatch):
+    """u_n = u_{n-1} + T_1 ... T_n h_n applies n - 1 transforms, and is the
+    full sum bit for bit."""
+    calls = []
+    apply = nashmoser.apply_transform
+    monkeypatch.setattr(nashmoser, "apply_transform",
+                        lambda T, v: calls.append(T) or apply(T, v))
+    spec = make_spec(lat2, jmax, eps=1e-5)
+    state, u = init_state(spec), None
+    for n in range(3):
+        state = step(state, spec)
+        del calls[:]
+        u = assemble_solution(state, u)
+        assert len(calls) == n
+        assert np.array_equal(u.data, assemble_solution(state).data)
+    assert state.transforms[1].alpha.jmax < jmax       # the embeddings are exercised
+
+
 def test_solve_converges_and_reports(lat2, jmax):
     spec = make_spec(lat2, jmax, eps=1e-6)
     rep = solve(spec, max_iters=4)

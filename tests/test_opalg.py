@@ -321,6 +321,20 @@ def test_cached_operand_matches_a_fresh_copy(make, joins, join_calls):
         assert all(np.array_equal(got.data[p], b) for p, b in first.data.items())
 
 
+@pytest.mark.parametrize("make", [diagonal_op, random_blocks_op], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_nonzero_counts_match_per_block_counts(make, real):
+    R = make(SPARSE_LAT, 32, 5, real, True)
+    cols, rows = R.nonzero_counts()
+    assert cols.dtype == rows.dtype == float
+    assert cols.shape == rows.shape == (len(R.data), R.nj)
+    for k, b in enumerate(R.data.values()):
+        assert np.array_equal(cols[k], np.count_nonzero(b, axis=0))
+        assert np.array_equal(rows[k], np.count_nonzero(b, axis=1))
+    empty = OperatorMatrix(SPARSE_LAT, 32, {}, real=real)
+    assert all(c.shape == (0, empty.nj) for c in empty.nonzero_counts())
+
+
 @pytest.mark.parametrize("join_cost", [opalg.JOIN_COST, 0.0], ids=["rule", "free-join"])
 def test_compose_with_every_target_outside_returns_no_blocks(lat2, jmax, monkeypatch,
                                                               join_calls, join_cost):
