@@ -26,7 +26,10 @@ independent implementation whose chain, truncated after each kernel, is the
 tests' oracle, and as the names the perfbench tracer wraps.  An inverse is
 the fixed point of its forward map (alpha~ = -alpha(phi, y + alpha~) and
 beta~ = -beta(theta + omega beta~)), found by the one Picard loop
-``_fixed_point``; ``moser_compose`` evaluates a scalar series pointwise.
+``_fixed_point``; a step of the phi-shift inverse forms its one-column
+product with the phase factors a chunk of points at a time
+(``_shifted_phi_values``).  ``moser_compose`` evaluates a scalar series
+pointwise.
 
 Every grid field has one layout.  A field is real, and on the grid
 sphi x nx it is carried by its x-modes j >= 0: the terms of mode -j are the
@@ -201,26 +204,44 @@ def _cis(angle):
     return out
 
 
-def _phases(lattice, shift, omega, sphi):
-    """Phase factors e^{i l.Phi} of every lattice row l at every point of the
-    phi grid, Phi_s = phi_s + omega_s shift(phi) on each axis s: a
-    (rows x points) array, the product over the axes of powers of e^{i Phi_s}
-    (the negative powers their conjugates)."""
+def _axis_powers(lattice, shift, omega, sphi):
+    """Powers e^{i k Phi_s}, |k| <= b_s, on each axis s at every point of the
+    phi grid, Phi_s = phi_s + omega_s shift(phi): one (2 b_s + 1) x points
+    array per axis, power k in row k + b_s (the negative powers the
+    conjugates)."""
     enum = get_enumeration(lattice)
     flat_shift = np.reshape(shift, -1)
-    E = None
-    for ax, b, om, slots in zip(_angles(sphi), enum.bounds, omega, enum.dense.T):
+    powers = []
+    for ax, b, om in zip(_angles(sphi), enum.bounds, omega):
         Z = _cis(np.broadcast_to(ax, sphi).reshape(-1) + om * flat_shift)
         P = np.empty((2 * b + 1, Z.size), dtype=complex)
         P[b] = 1.0
         for k in range(1, b + 1):
             P[b + k] = P[b + k - 1] * Z
         P[:b] = np.conj(P[:b:-1])
+        powers.append(P)
+    return powers
+
+
+def _row_phases(lattice, powers, points):
+    """Phase factors e^{i l.Phi} of every lattice row l at the ``points`` (a
+    slice of the flattened phi grid): a (rows x points) array, the product
+    over the axes of the rows' powers (``_axis_powers``)."""
+    enum = get_enumeration(lattice)
+    E = None
+    for P, b, slots in zip(powers, enum.bounds, enum.dense.T):
         if E is None:
-            E = P[slots + b]
+            E = P[slots + b, points]
         else:
-            E *= P[slots + b]
+            E *= P[slots + b, points]
     return E
+
+
+def _phases(lattice, shift, omega, sphi):
+    """Phase factors e^{i l.Phi} of every lattice row l at every point of the
+    phi grid, Phi_s = phi_s + omega_s shift(phi) on each axis s: a
+    (rows x points) array."""
+    return _row_phases(lattice, _axis_powers(lattice, shift, omega, sphi), slice(None))
 
 
 def _phi_series(E, cols, sphi):
@@ -336,6 +357,22 @@ def _phi_values(f, sphi, E=None):
     else:
         T = _phi_series(E, f.data[:, f.jmax:f.jmax + 1], sphi)
     return _to_x_grid(T, 1)[..., 0]
+
+
+def _shifted_phi_values(f, shift, omega, sphi):
+    """Values on the phi grid of a real function f of phi alone at
+    phi + omega shift(phi).  The one-column product with the phase factors is
+    formed a chunk of points at a time, with at most 2^16 factors (1 MB) in a
+    chunk, so the whole (rows x points) matrix is never built."""
+    powers = _axis_powers(f.lattice, shift, omega, sphi)
+    points = powers[0].shape[1]
+    step = max(1, 2 ** 16 // get_enumeration(f.lattice).size)
+    col = f.data[:, f.jmax:f.jmax + 1]
+    T = np.empty((points, 1), dtype=complex)
+    for lo in range(0, points, step):
+        chunk = slice(lo, lo + step)
+        T[chunk] = _row_phases(f.lattice, powers, chunk).T @ col
+    return _to_x_grid(T.reshape(sphi + (1,)), 1)[..., 0]
 
 
 def _grid_values(T, W, c, nx):
@@ -474,8 +511,7 @@ def invert_phi_shift(beta, omega, factor=2, report=None):
         raise NonContractionError(f"|omega.d_phi beta| ~ {slope:.3f} too large to invert")
     sphi = phi_sizes(beta.lattice, factor)
     s, step = _fixed_point(
-        lambda s: -_phi_values(beta, sphi,
-                               _phases(beta.lattice, s[..., 0], omega, sphi))[..., None],
+        lambda s: -_shifted_phi_values(beta, s[..., 0], omega, sphi)[..., None],
         sphi + (1,), "phi-shift",
     )
     out = _extract(s, beta.lattice, beta.jmax, context="invert_phi_shift", report=report)

@@ -24,7 +24,9 @@ Every stored block holds three invariants:
 The mirror pairs l, -l split the enumeration into a canonical half, the
 indices p with p <= neg[p], and its mirror image; only p = 0 is its own
 mirror.  ``compose`` of two real operators sums the canonical half and
-mirrors the rest.
+mirrors the rest.  ``commutator`` shares that accumulation (``_product``):
+it subtracts B A from A B on the canonical half, so the mirror blocks and
+the zero test are paid once, for the difference.
 
 ``compose`` forms only the block pairs that can matter to its caller.  The
 block norm |R_p| = max_j' sum_j |R_p[j, j']| (cached per operator) is the
@@ -49,8 +51,11 @@ when J * JOIN_COST < P nj^3.
 The dict constructor and ``from_indexed`` take outside blocks and normalize
 them (copy, zero the j = 0 row and column, symmetrize when real); ``_like``
 trusts its blocks, because the algebra's results (sums, scalar multiples,
-products, splits, restrictions, phi-derivatives) already hold the
-invariants, and only drops zero blocks.
+products, commutators, splits, restrictions, phi-derivatives) already hold
+the invariants, and only drops zero blocks.  It tests for zero only the
+blocks that can vanish: a sum or difference of two operands' blocks, a
+canonical-half product block, and a scaled or masked block.  A block copied,
+negated or mirrored from a stored one is nonzero by the invariant.
 """
 
 from __future__ import annotations
@@ -132,11 +137,11 @@ class OperatorMatrix:
         out._set(lattice, jmax, blocks, real)
         return out
 
-    def _set(self, lattice, jmax, blocks, real, trusted=False):
+    def _set(self, lattice, jmax, blocks, real, trusted=False, vanishing=None):
         self.lattice = lattice
         self.jmax = int(jmax)
         self.real = bool(real)
-        self.data = _sealed(blocks if trusted else self._normalized(blocks))
+        self.data = _sealed(blocks if trusted else self._normalized(blocks), vanishing)
         self._counts = None
         self._entry_lists = None
         self._norms = None
@@ -204,27 +209,31 @@ class OperatorMatrix:
         if self.lattice != other.lattice or self.jmax != other.jmax:
             raise ValueError("incompatible operator truncations")
 
-    def _like(self, blocks, real=None):
+    def _like(self, blocks, real=None, vanishing=None):
         """Trusted constructor for results of the algebra: the blocks already
-        hold the invariants, so only zero blocks are dropped."""
+        hold the invariants, so only zero blocks are dropped, tested among the
+        indices in ``vanishing`` (all blocks when None)."""
         out = OperatorMatrix.__new__(OperatorMatrix)
         out._set(self.lattice, self.jmax, blocks,
-                 self.real if real is None else real, trusted=True)
+                 self.real if real is None else real, trusted=True, vanishing=vanishing)
         return out
 
     def __add__(self, other):
         self._check_compat(other)
         out = dict(self.data)
+        summed = [p for p in other.data if p in out]
         for p, b in other.data.items():
             out[p] = out[p] + b if p in out else b
-        return self._like(out, self.real and other.real)
+        # a block of one operand alone is copied, so only the sums can vanish
+        return self._like(out, self.real and other.real, summed)
 
     def __sub__(self, other):
         self._check_compat(other)
         out = dict(self.data)
+        summed = [p for p in other.data if p in out]
         for p, b in other.data.items():
             out[p] = out[p] - b if p in out else -b
-        return self._like(out, self.real and other.real)
+        return self._like(out, self.real and other.real, summed)
 
     def __mul__(self, scalar):
         s = complex(scalar)
@@ -245,12 +254,15 @@ def _mirror(b):
     return np.conj(b[::-1, ::-1])
 
 
-def _sealed(blocks):
-    """The nonzero blocks, sorted by index and marked read-only."""
+def _sealed(blocks, vanishing=None):
+    """The nonzero blocks, sorted by index and marked read-only.  Only the
+    blocks indexed in ``vanishing`` (all when None) are tested for zero; the
+    caller knows the others to be nonzero."""
+    zero = {p for p in (blocks if vanishing is None else vanishing) if not blocks[p].any()}
     out = {}
     for p in sorted(blocks):
-        b = blocks[p]
-        if b.any():
+        if p not in zero:
+            b = blocks[p]
             b.flags.writeable = False
             out[p] = b
     return out
@@ -315,7 +327,7 @@ def split_by_norm(R: OperatorMatrix, N: float):
     inside = get_enumeration(R.lattice).within(N)
     low = {p: b for p, b in R.data.items() if inside[p]}
     high = {p: b for p, b in R.data.items() if not inside[p]}
-    return R._like(low), R._like(high)
+    return R._like(low, vanishing=()), R._like(high, vanishing=())
 
 
 def restrict(R: OperatorMatrix, jwin: int, lwin: float) -> OperatorMatrix:
@@ -374,10 +386,17 @@ def compose(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix
     there J is a small fraction of the GEMM's P * nj^3 multiply-adds.
     """
     A._check_compat(B)
+    return _completed(A, _product(A, B, budget), A.real and B.real)
+
+
+def _product(A, B, budget):
+    """{target: block} of A B before the mirror blocks: for real operands
+    only the canonical half, with the q = 0 block symmetrized.  The blocks
+    are fresh arrays, and any of them may be zero."""
     enum = get_enumeration(A.lattice)
     real = A.real and B.real
     if not A.data or not B.data:
-        return A._like({}, real=real)
+        return {}
     a_blocks, b_blocks = list(A.data.values()), list(B.data.values())
     targets = enum.conv_table()[np.ix_(list(A.data), list(B.data))]
     if real:
@@ -399,11 +418,22 @@ def compose(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix
                     acc = out.get(q)
                     prod = ba @ bb
                     out[q] = prod if acc is None else acc + prod
+    if real and 0 in out:
+        out[0] = 0.5 * (out[0] + _mirror(out[0]))
+    return out
+
+
+def _completed(A, half, real):
+    """The operator of the blocks half (``_product``) less its zero blocks,
+    completed by their mirror blocks when real.  The zero test runs once per
+    block of half: a mirror of a nonzero block is nonzero."""
+    out = {q: b for q, b in half.items() if b.any()}
     if real:
-        neg = enum.neg.tolist()
+        neg = get_enumeration(A.lattice).neg.tolist()
         for q, b in list(out.items()):
-            out[neg[q]] = 0.5 * (b + _mirror(b)) if neg[q] == q else _mirror(b)
-    return A._like(out, real=real)
+            if q:
+                out[neg[q]] = _mirror(b)
+    return A._like(out, real, vanishing=())
 
 
 def _pruned(targets, a_norms, b_norms, budget):
@@ -444,9 +474,20 @@ def _in_blocks(entries, used):
 
 def commutator(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix:
     """[A, B] = A B - B A, within ``budget`` in ``op_norm(., 0)``: each product
-    may drop half of it (each takes its default budget without one)."""
+    may drop half of it (each takes its default budget without one).
+
+    The difference is taken on the products' canonical halves (``_product``),
+    so the mirror blocks and the zero test are paid once, for the result."""
+    A._check_compat(B)
     half = None if budget is None else 0.5 * budget
-    return compose(A, B, half) - compose(B, A, half)
+    out = _product(A, B, half)
+    for q, b in _product(B, A, half).items():
+        if q in out:
+            # the blocks of _product are fresh, so A B may take the difference in place
+            np.subtract(out[q], b, out=out[q])
+        else:
+            out[q] = -b
+    return _completed(A, out, A.real and B.real)
 
 
 def phi_derivative(R: OperatorMatrix, omega) -> OperatorMatrix:

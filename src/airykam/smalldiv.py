@@ -116,19 +116,24 @@ def _modes(Omega):
     return jj[jj != 0], vals[jj != 0]
 
 
-def _result(ratios, enum, jlist, hlist, divisors, floors):
-    """Assemble a CheckResult from a ratio tensor (inf marks excluded entries)."""
-    k = int(np.argmin(ratios))
-    idx = np.unravel_index(k, ratios.shape)
+def _result(ratios, witness):
+    """Assemble a CheckResult from a ratio array (inf marks excluded entries);
+    ``witness(*index)`` builds the Witness at the argmin when the check fails."""
+    idx = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
     margin = float(ratios[idx])
     ok = margin > 1.0
-    wit = None
-    if not ok:
-        l = enum.indices[idx[0]]
-        j = None if jlist is None else int(jlist[idx[1]])
-        h = None if hlist is None else int(hlist[idx[2]])
-        wit = Witness(l, j, h, float(divisors[idx]), float(floors[idx]))
-    return CheckResult(ok, margin, wit)
+    return CheckResult(ok, margin, None if ok else witness(*idx))
+
+
+def _divide_rows(ratios, row_factors, weights):
+    """ratios[r] /= row_factors[r] * weights in place.  The floors
+    row_factors[r] * weights are formed a block of rows at a time, at most
+    2^16 entries (0.5 MB), so the floor table is never formed whole."""
+    step = max(1, 2 ** 16 // weights.size)
+    shape = (-1,) + (1,) * weights.ndim
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(ratios), step):
+            ratios[lo:lo + step] /= row_factors[lo:lo + step].reshape(shape) * weights
 
 
 def is_diophantine(omega, gamma: float, lattice: LatticeParams) -> CheckResult:
@@ -141,7 +146,8 @@ def is_diophantine(omega, gamma: float, lattice: LatticeParams) -> CheckResult:
     floors = gamma * np.where(np.isinf(enum.dioph), 0.0, enum.dioph)  # 0 at l = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(floors > 0.0, dots / floors, np.inf)
-    return _result(ratios, enum, None, None, dots, floors)
+    return _result(ratios, lambda p: Witness(enum.indices[p], None, None,
+                                             float(dots[p]), float(floors[p])))
 
 
 def is_airy_nonresonant(omega, gamma0: float, lattice: LatticeParams, jmax: int) -> CheckResult:
@@ -155,12 +161,15 @@ def is_airy_nonresonant(omega, gamma0: float, lattice: LatticeParams, jmax: int)
     om = _omega_array(omega, lattice.M)
     dots = enum.dots(om)
     jlist = np.arange(-jmax, jmax + 1)
-    div = np.abs(dots[:, None] + (jlist.astype(float) ** 3)[None, :])
-    floors = (gamma0 / enum.dvals)[:, None] * np.ones_like(div)
-    excluded = (enum.l1 == 0)[:, None] & (jlist == 0)[None, :]
+    j3 = jlist.astype(float) ** 3
+    floors = gamma0 / enum.dvals
+    ratios = np.add.outer(dots, j3)
+    np.abs(ratios, out=ratios)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(excluded, np.inf, div / floors)
-    return _result(ratios, enum, jlist, None, div, floors)
+        ratios /= floors[:, None]
+    ratios[enum.l1 == 0, jmax] = np.inf
+    return _result(ratios, lambda p, c: Witness(enum.indices[p], int(jlist[c]), None,
+                                                float(np.abs(dots[p] + j3[c])), float(floors[p])))
 
 
 def first_melnikov(omega, Omega, gamma: float, lattice: LatticeParams) -> CheckResult:
@@ -171,11 +180,13 @@ def first_melnikov(omega, Omega, gamma: float, lattice: LatticeParams) -> CheckR
     enum = get_enumeration(lattice)
     om = _omega_array(omega, lattice.M)
     dots = enum.dots(om)
-    div = np.abs(dots[:, None] + vals[None, :])
-    floors = (gamma / enum.dvals)[:, None] * (np.abs(jlist.astype(float)) ** 3)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = div / floors
-    return _result(ratios, enum, jlist, None, div, floors)
+    fd = gamma / enum.dvals
+    wt = np.abs(jlist.astype(float)) ** 3
+    ratios = np.add.outer(dots, vals)
+    np.abs(ratios, out=ratios)
+    _divide_rows(ratios, fd, wt)
+    return _result(ratios, lambda p, c: Witness(enum.indices[p], int(jlist[c]), None,
+                                                float(np.abs(dots[p] + vals[c])), float(fd[p] * wt[c])))
 
 
 def second_melnikov(omega, Omega, gamma: float, lattice: LatticeParams, *,
@@ -187,6 +198,10 @@ def second_melnikov(omega, Omega, gamma: float, lattice: LatticeParams, *,
     The j = h, l != 0 pairs carry no cubic weight; they are checked against
     the ambient Diophantine floor when ``gbar`` is given, else skipped.
     ``N`` restricts the scan to |l|_eta <= N.
+
+    The ratios |divisor| / floor of the rows scanned are formed in one
+    buffer, in place (``_divide_rows``); the witness's divisor and floor are
+    formed at the argmin alone.
     """
     jlist, vals = _modes(Omega)
     enum = get_enumeration(lattice)
@@ -195,19 +210,21 @@ def second_melnikov(omega, Omega, gamma: float, lattice: LatticeParams, *,
     fac = 2.0 * gamma if two_gamma else gamma
 
     best = CheckResult(True, np.inf, None)
-    if jlist.size:
+    rows = np.arange(enum.size) if N is None else np.flatnonzero(enum.within(N))
+    if jlist.size and rows.size:
         gap = vals[:, None] - vals[None, :]
         j3 = jlist.astype(float) ** 3
         wt = np.abs(j3[:, None] - j3[None, :])
-        div = np.abs(dots[:, None, None] + gap[None, :, :])
-        floors = (fac / enum.dvals)[:, None, None] * wt[None, :, :]
+        fd = fac / enum.dvals[rows]
+        ratios = np.add.outer(dots[rows], gap)
+        np.abs(ratios, out=ratios)
+        _divide_rows(ratios, fd, wt)
         # j = h pairs carry weight 0 and are handled by the gbar branch below
-        excluded = (jlist[:, None] == jlist[None, :])[None, :, :]
-        if N is not None:
-            excluded = excluded | ~enum.within(N)[:, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(excluded, np.inf, div / floors)
-        best = _result(ratios, enum, jlist, jlist, div, floors)
+        same = np.arange(jlist.size)
+        ratios[:, same, same] = np.inf
+        best = _result(ratios, lambda r, a, b: Witness(
+            enum.indices[rows[r]], int(jlist[a]), int(jlist[b]),
+            float(np.abs(dots[rows[r]] + gap[a, b])), float(fd[r] * wt[a, b])))
 
     if gbar is not None:
         diag = is_diophantine(omega, gbar, lattice)
@@ -292,34 +309,35 @@ def smallest_divisor_report(omega, Omega, lattice: LatticeParams) -> DivisorRepo
     if jlist.size:
         j3 = jlist.astype(float) ** 3
 
-        first = np.abs(dots[:, None] + vals_t[None, :]) * enum.dvals[:, None]
-        first = first / np.maximum(1.0, np.abs(j3))[None, :]
-        k = int(np.argmin(first))
-        idx = np.unravel_index(k, first.shape)
+        first = np.add.outer(dots, vals_t)
+        np.abs(first, out=first)
+        first *= enum.dvals[:, None]
+        first /= np.maximum(1.0, np.abs(j3))[None, :]
+        idx = np.unravel_index(int(np.argmin(first)), first.shape)
         classes["first"] = float(first[idx])
         if first[idx] < best_val:
             best_val = float(first[idx])
             best_wit = Witness(enum.indices[idx[0]], int(jlist[idx[1]]), None,
                                float(np.abs(dots[idx[0]] + vals_t[idx[1]])), 0.0)
 
+        # second-order divisors of the rows l != 0, in one buffer
+        rows = np.flatnonzero(nz)
         gap = vals_t[:, None] - vals_t[None, :]
         wt = np.maximum(1.0, np.abs(j3[:, None] - j3[None, :]))
-        second = np.abs(dots[:, None, None] + gap[None, :, :]) * enum.dvals[:, None, None] / wt
-        same = jlist[:, None] == jlist[None, :]
-        zero_l = (enum.l1 == 0)[:, None, None]
-        excl = np.broadcast_to(same[None, :, :], second.shape) | np.broadcast_to(
-            zero_l, second.shape
-        )
-        second = np.where(excl, np.inf, second)
-        k = int(np.argmin(second))
-        idx = np.unravel_index(k, second.shape)
-        if np.isfinite(second[idx]):
+        second = np.add.outer(dots[rows], gap)
+        np.abs(second, out=second)
+        second *= enum.dvals[rows, None, None]
+        second /= wt
+        same = np.arange(jlist.size)
+        second[:, same, same] = np.inf
+        idx = np.unravel_index(int(np.argmin(second)), second.shape) if rows.size else None
+        if idx is not None and np.isfinite(second[idx]):
             classes["second"] = float(second[idx])
             if second[idx] < best_val:
                 best_val = float(second[idx])
                 best_wit = Witness(
-                    enum.indices[idx[0]], int(jlist[idx[1]]), int(jlist[idx[2]]),
-                    float(np.abs(dots[idx[0]] + gap[idx[1], idx[2]])), 0.0,
+                    enum.indices[rows[idx[0]]], int(jlist[idx[1]]), int(jlist[idx[2]]),
+                    float(np.abs(dots[rows[idx[0]]] + gap[idx[1], idx[2]])), 0.0,
                 )
 
     note = "" if np.isfinite(best_val) else "no nontrivial triples"

@@ -83,6 +83,38 @@ def dense_operator(L):
     return M
 
 
+def melnikov_scan(omega, Omega, floor_factor, lattice, second, N=None):
+    """Brute-force Melnikov scan, one float operation at a time.
+
+    The ratio of (l, j) is |omega.l + Omega(j)| / ((c / d(l)) |j|^3) (first
+    conditions) and that of (l, j, h), j != h, is
+    |omega.l + (Omega(j) - Omega(h))| / ((c / d(l)) |j^3 - h^3|) (second), with
+    c = ``floor_factor``, over the modes j, h != 0 and the indices l with
+    |l|_eta <= N (all without N).  Returns the smallest ratio and, when it is
+    at most 1, the (l, j, h, divisor, floor) of its first occurrence in
+    (l, j, h) order (h None for the first conditions), else None.  The
+    lattice's tables omega.l, d(l) and the window are its inputs.
+    """
+    enum = get_enumeration(lattice)
+    dots = enum.dots(omega)
+    inside = enum.within(np.inf if N is None else N)
+    jmax = len(Omega) // 2
+    modes = [(j, float(Omega[j + jmax])) for j in range(-jmax, jmax + 1) if j]
+    best, witness = np.inf, None
+    for p, l in enumerate(enum.indices):
+        if not inside[p]:
+            continue
+        dot, fd = float(dots[p]), floor_factor / float(enum.dvals[p])
+        for j, oj in modes:
+            cases = [(None, oj, abs(float(j)) ** 3)] if not second else [
+                (h, oj - oh, abs(float(j) ** 3 - float(h) ** 3)) for h, oh in modes if h != j]
+            for h, gap, weight in cases:
+                divisor, floor = abs(dot + gap), fd * weight
+                if divisor / floor < best:
+                    best, witness = divisor / floor, (l, j, h, divisor, floor)
+    return best, (witness if best <= 1.0 else None)
+
+
 def dx_inv_op(lattice, jmax):
     """dx^{-1} on the zero-average functions, as an operator matrix."""
     return x_symbol_op(lattice, jmax, lambda j: 1.0 / (1j * j))

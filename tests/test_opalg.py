@@ -444,6 +444,67 @@ def test_commutator_splits_its_budget(lat2, jmax, real):
     assert all(np.array_equal(got.blocks[l], b) for l, b in want.blocks.items())
 
 
+@pytest.mark.parametrize("budget", [None, 1e-6], ids=["default", "pruned"])
+@pytest.mark.parametrize("b_real", [True, False], ids=["real-real", "real-complex"])
+@pytest.mark.parametrize("path", ["gemm", "join"])
+def test_commutator_is_the_difference_of_its_products(lat2, jmax, monkeypatch, join_calls,
+                                                      path, b_real, budget):
+    """commutator takes A B - B A on the products' canonical halves and mirrors
+    the difference once; it equals compose(A, B, budget/2) - compose(B, A,
+    budget/2) block for block.  The canonical blocks agree bit for bit; a
+    mirror block may differ only in the sign of a zero entry, as conj(C - D)
+    and conj(C) - conj(D) give -0 and +0 where C and D have equal imaginary
+    parts."""
+    make = random_blocks_op if path == "gemm" else diagonal_op
+    if path == "join":
+        monkeypatch.setattr(opalg, "JOIN_COST", 0.0)
+    A = decaying_op(make, lat2, jmax, 31, True, False)
+    B = decaying_op(make, lat2, jmax, 32, b_real, False)
+    if budget is not None:
+        budget *= op_norm(A, 0.0) * op_norm(B, 0.0)
+        assert _dropped_pairs(A, B, budget / 2)[0] and _dropped_pairs(B, A, budget / 2)[0]
+    half = None if budget is None else budget / 2
+    got = commutator(A, B, budget)
+    want = compose(A, B, half) - compose(B, A, half)
+    assert got.real == want.real == b_real
+    assert list(got.data) == list(want.data)
+    canonical = get_enumeration(lat2).half
+    for p, b in want.data.items():
+        assert np.array_equal(got.data[p], b)
+        if canonical[p] or not b_real:
+            assert got.data[p].tobytes() == b.tobytes()
+    assert bool(join_calls) == (path == "join")
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_algebra_stores_no_zero_block(lat2, jmax, real):
+    """Sums, differences, commutators, products, scalings and restrictions whose
+    blocks cancel keep none of them: [A, A], A - A, A + (-A), 0 A and a
+    restriction to |j| <= 0 store no block, and partly cancelling sums keep
+    exactly the blocks that do not cancel."""
+    A = random_blocks_op(lat2, jmax, 41, real, False)
+    B = random_blocks_op(lat2, jmax, 42, real, True)
+    for R in (commutator(A, A), A - A, A + (-A), 0.0 * A, restrict(A, 0, lat2.K)):
+        assert not R.data
+    low, high = split_by_norm(A, 2.0)
+    assert low.data and high.data
+    for R in (A - low, A + (-1.0) * low):
+        assert list(R.data) == list(high.data)
+        assert all(R.data[p] is b for p, b in high.data.items())
+    # the blocks of B cancel, those of A_high only round
+    for R in ((A + B) - (low + B), (B + high) - B):
+        assert list(R.data) == list(high.data)
+    partly = (B + high) - B
+    for R in (A - low, partly, commutator(A, B), compose(A, B)):
+        assert all(b.any() for b in R.data.values())
+    # diagonal blocks on j > 0 times blocks on j < 0: every target block is zero
+    nj = 2 * jmax + 1
+    up, down = (np.diag((np.arange(nj) > jmax) * 1.0), np.diag((np.arange(nj) < jmax) * 1.0))
+    P = OperatorMatrix(lat2, jmax, {E1: up + 0j, ZERO: up + 0j}, real=False)
+    Q = OperatorMatrix(lat2, jmax, {E1: down + 0j, ZERO: down + 0j}, real=False)
+    assert P.data and Q.data and not compose(P, Q).data
+
+
 def test_compose_default_budget_is_prune_rel(lat2, jmax, monkeypatch):
     """Without a budget compose drops what analytic.PRUNE_REL |A| |B| allows, and
     with PRUNE_REL = 0 nothing."""

@@ -12,6 +12,7 @@ from airykam.lattice import (
 from airykam.smalldiv import (
     DiophantineParams,
     FrequencyVector,
+    Witness,
     first_melnikov,
     is_airy_nonresonant,
     is_diophantine,
@@ -19,6 +20,8 @@ from airykam.smalldiv import (
     second_melnikov,
     smallest_divisor_report,
 )
+
+from oracles import melnikov_scan
 
 E1 = MultiIndex.unit(1)
 
@@ -205,6 +208,66 @@ def test_second_melnikov_window(lat2, jmax):
         for j, oj in modes(table) for h, oh in modes(table) if j != h
     )
     assert windowed.margin == pytest.approx(worst)
+
+
+def _as_scan(chk):
+    """(margin, witness tuple) of a CheckResult, in the oracle's form."""
+    w = chk.witness
+    return chk.margin, None if w is None else (w.l, w.j, w.h, w.divisor, w.floor)
+
+
+@pytest.mark.parametrize("N", [None, 5.0, 2.5], ids=["all", "window-5", "window-2.5"])
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
+def test_melnikov_scans_match_brute_force(lat2, odd, N):
+    """first_melnikov and second_melnikov (both floor factors) equal the
+    brute-force scan exactly, margin and witness, for Omega odd in j and not,
+    over the whole lattice and in windows, breached and not."""
+    rng = np.random.default_rng(17 if odd else 18)
+    jmax = 5
+    table = airy_table(jmax, lam3=1.0, lam1=0.3)
+    if not odd:
+        table = table + rng.normal(0.0, 0.4, table.size)
+        table[jmax] = 0.0
+    outcomes = set()
+    # [1.7, 1.8] is resonant: 2 (w1 + w2) = 2^3 - 1^3
+    for omega in [*rng.uniform(1.0, 2.0, (8, 2)), np.array([1.7, 1.8])]:
+        for gamma in (1e-4, 3e-3, 0.1, 0.9):
+            # first conditions take no window; they run once, at more floors
+            for g in (np.geomspace(0.3 * gamma, 3.0 * gamma, 5) if N is None else ()):
+                got = first_melnikov(omega, table, g, lat2)
+                assert _as_scan(got) == melnikov_scan(omega, table, g, lat2, False)
+                outcomes.add(got.ok)
+            for two_gamma in (True, False):
+                got = second_melnikov(omega, table, gamma, lat2, N=N, two_gamma=two_gamma)
+                want = melnikov_scan(omega, table, (2.0 if two_gamma else 1.0) * gamma, lat2,
+                                     True, N)
+                assert _as_scan(got) == want
+                assert got.ok == (want[0] > 1.0)
+                outcomes.add(got.ok)
+    assert outcomes == {True, False}
+
+
+def test_melnikov_breaches_match_brute_force(lat2):
+    """Engineered breaches: the witnesses are the oracle's."""
+    jmax = 4
+    table = airy_table(jmax)
+    omega = np.array([1.37, 1.71])
+    for j in (2, 3):
+        for offset in (0.0, 1e-3, 3e-3, 7e-3):
+            bad = table.copy()
+            bad[j + jmax] = offset - omega[0]       # Omega(j) = -omega.e1 + offset
+            got = first_melnikov(omega, bad, 0.3, lat2)
+            assert _as_scan(got) == melnikov_scan(omega, bad, 0.3, lat2, False)
+            assert not got.ok and (got.witness.l, got.witness.j) == (E1, j)
+    bad[2 + jmax] = -omega[0]
+    got = first_melnikov(omega, bad, 0.5, lat2)
+    assert got.witness == Witness(E1, 2, None, 0.0, 0.5 * 8 / divisor_weight(E1))
+    res = np.array([1.7, 1.8])                      # 2 (w1 + w2) = 2^3 - 1^3
+    got = second_melnikov(res, table, 1e-3, lat2)
+    assert _as_scan(got) == melnikov_scan(res, table, 2e-3, lat2, True)
+    assert not got.ok and got.margin == 0.0 and got.witness.divisor == 0.0
+    windowed = second_melnikov(res, table, 1e-3, lat2, N=5.0)
+    assert windowed.ok and _as_scan(windowed) == melnikov_scan(res, table, 2e-3, lat2, True, 5.0)
 
 
 def test_nesting_and_monotonicity(lat2, jmax):
