@@ -31,16 +31,16 @@ product with the phase factors a chunk of points at a time
 (``_shifted_phi_values``).  ``moser_compose`` evaluates a scalar series
 pointwise.
 
-Every grid field has one layout.  A field is real, and on the grid
-sphi x nx it is carried by its x-modes j >= 0: the terms of mode -j are the
-conjugates of those of mode j, so a kernel sums only the modes j >= 0 and a
-grid field is G_0 + 2 Re sum_{j>=1} G_j W^j.  A function of phi alone is a
+Every grid field has one layout.  Every AnalyticFunction is real-on-real,
+so every field is real, and on the grid sphi x nx it is carried by its
+x-modes j >= 0: the terms of mode -j are the conjugates of those of mode j,
+so a kernel sums only the modes j >= 0 and a grid field is
+G_0 + 2 Re sum_{j>=1} G_j W^j.  A function of phi alone is a
 field whose x axis has one point (nx = 1).  One placement (``_place``) puts
 the modes j >= 0 in FFT order over the phi grid, one evaluation
 (``_to_x_grid``, an ``irfft`` in x) gives every amplitude and series
 argument its grid values from its ``_x_spectrum``, and one extraction
-(``_extract``, an ``rfftn``) takes grid values back.  A kernel refuses a
-non-real field with a ValueError (``_require_real``).
+(``_extract``, an ``rfftn``) takes grid values back.
 """
 
 from __future__ import annotations
@@ -100,16 +100,9 @@ def _place(u, sphi, ncols):
     return spec
 
 
-def _require_real(u, what):
-    """Raise a ValueError naming ``what`` unless u is real."""
-    if not u.real:
-        raise ValueError(f"{what} must be real-on-real")
-
-
-def _real_grid_values(u, sizes, what):
-    """Values of a real u on the grid ``sizes`` (x axis of one point for a
-    function of phi alone)."""
-    _require_real(u, what)
+def _real_grid_values(u, sizes):
+    """Values of u on the grid ``sizes`` (x axis of one point for a function
+    of phi alone)."""
     nx = sizes[-1]
     return _to_x_grid(_x_spectrum(u, sizes[:-1], min(u.jmax, nx // 2) + 1), nx)
 
@@ -271,9 +264,8 @@ def compose_x_diffeo(u, alpha, factor=2, report=None):
     """u(phi, x + alpha(phi, x)), exact for alpha = 0 on the retained modes."""
     if u.lattice != alpha.lattice:
         raise ValueError("incompatible lattices")
-    _require_real(u, "composed field")
     sizes = grid_sizes(u.lattice, max(u.jmax, alpha.jmax), factor)
-    avals = _real_grid_values(alpha, sizes, "x-diffeomorphism amplitude")
+    avals = _real_grid_values(alpha, sizes)
     W = np.exp(1j * (_angles(sizes)[-1] + avals))
     return _extract(_x_series(_x_spectrum(u, sizes[:-1]), W), u.lattice, u.jmax,
                     context="compose_x_diffeo", report=report)
@@ -285,10 +277,9 @@ def compose_phi_shift(u, beta, omega, factor=2, report=None):
         raise ValueError("incompatible lattices")
     if not beta.phi_only:
         raise ValueError("shift amplitude must depend on phi only")
-    _require_real(u, "composed field")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
     sphi = sizes[:-1]
-    bvals = _real_grid_values(beta, sphi + (1,), "time-reparametrization amplitude")[..., 0]
+    bvals = _real_grid_values(beta, sphi + (1,))[..., 0]
     T = _phi_series(_phases(u.lattice, bvals, omega, sphi), u.data[:, u.jmax:], sphi)
     return _extract(_to_x_grid(T, sizes[-1]), u.lattice, u.jmax,
                     context="compose_phi_shift", report=report)
@@ -304,9 +295,8 @@ def compose_x_translation(u, p, factor=2, report=None):
         raise ValueError("incompatible lattices")
     if not p.phi_only:
         raise ValueError("translation amplitude must depend on phi only")
-    _require_real(u, "composed field")
     sizes = grid_sizes(u.lattice, u.jmax, factor)
-    pvals = _real_grid_values(p, sizes[:-1] + (1,), "translation amplitude")
+    pvals = _real_grid_values(p, sizes[:-1] + (1,))
     phase = np.exp(1j * pvals * np.arange(u.jmax + 1))
     return _extract(_to_x_grid(_x_spectrum(u, sizes[:-1]) * phase, sizes[-1]), u.lattice, u.jmax,
                     context="compose_x_translation", report=report)
@@ -323,13 +313,10 @@ def _moves(alpha, beta, p):
 def _stack_grid(fields, alpha, beta, p, factor):
     """Grid of a stacked substitution, after refusing what it cannot
     substitute; None for an empty stack."""
-    for u in fields:
-        _require_real(u, "substituted field")
     lattices = {u.lattice for u in fields}
     for a, what in ((alpha, "x-diffeomorphism amplitude"),
                     (beta, "time-reparametrization amplitude"), (p, "translation amplitude")):
         if a is not None:
-            _require_real(a, what)
             if a is not alpha and not a.phi_only:
                 raise ValueError(f"{what} must depend on phi only")
             lattices.add(a.lattice)
@@ -433,7 +420,7 @@ def substitute(fields, alpha, beta, p, omega, factor=2, report=None):
     c = _phi_values(p, sphi, E) if _held(p) else None
     W = None
     if _held(alpha):
-        W = _exp_ix(_real_grid_values(alpha, sizes, "x-diffeomorphism amplitude"), c, sizes)
+        W = _exp_ix(_real_grid_values(alpha, sizes), c, sizes)
         c = None
     return _substitute(fields, sizes, E, c, W, "substitute", report)
 
@@ -479,7 +466,6 @@ def invert_x_diffeo(alpha, factor=2, report=None):
     kernel, pointwise on the grid, for a real alpha; requires the contraction
     |alpha_x|_0 < 1 and raises NonContractionError otherwise.
     """
-    _require_real(alpha, "x-diffeomorphism amplitude")
     slope = _an.dx(alpha, 1).norm(0.0)
     if slope >= 0.9:
         raise NonContractionError(f"|alpha_x| ~ {slope:.3f} too large to invert")
@@ -502,7 +488,6 @@ def invert_phi_shift(beta, omega, factor=2, report=None):
     Fixed point beta_tilde = -beta(theta + omega beta_tilde) of the forward
     kernel on the phi grid.
     """
-    _require_real(beta, "shift amplitude")
     if not beta.phi_only:
         raise ValueError("shift amplitude must depend on phi only")
     coef = beta.data[:, beta.jmax]
@@ -532,5 +517,5 @@ def moser_compose(series, u, factor=2, report=None):
     sizes = grid_sizes(u.lattice, u.jmax, factor)
     if u.phi_only:
         sizes = sizes[:-1] + (1,)
-    vals = series.fn(_real_grid_values(u, sizes, "scalar-series argument"))
+    vals = series.fn(_real_grid_values(u, sizes))
     return _extract(vals, u.lattice, u.jmax, context="moser_compose", report=report)

@@ -12,12 +12,13 @@ coefficient order is the array order.  ``MultiIndex`` appears only at the
 boundary: the dict constructor, ``get``, the read-only ``coeffs`` view and
 serialization.
 
-Real-on-real functions satisfy c(l, j) = conj(c(-l, -j)); the flag is
-enforced by exact symmetrization so the residual of that identity is zero.
+Every function is real-on-real: c(l, j) = conj(c(-l, -j)).  Each
+constructor enforces the identity by exact symmetrization, so it holds bit
+for bit, and a scalar with a nonzero imaginary part is refused.
 
 ``multiply`` takes one of two paths, each truncating the product to the
 common lattice and jmax.  The direct path sums the nonzero coefficient pairs
-(``_accel.convolve_into``).  A product of two real functions whose pairs
+of the canonical half (``_accel.convolve_into``).  A product whose pairs
 outnumber ``GRID_COST`` times the points of its alias-free grid is formed on
 that grid by the convolution theorem (``_accel.grid_product``), and its
 coefficients at or below ``NOISE_FLOOR`` times the largest, rounding noise,
@@ -77,12 +78,20 @@ def _zero_data(lattice, jmax) -> np.ndarray:
     return np.zeros((get_enumeration(lattice).size, 2 * int(jmax) + 1), dtype=complex)
 
 
+def _real_scalar(value) -> complex:
+    """``value`` as a complex number; a nonzero imaginary part raises a ValueError."""
+    z = complex(value)
+    if z.imag != 0.0:
+        raise ValueError(f"functions are real-on-real: scalar {value!r} is not real")
+    return z
+
+
 class AnalyticFunction:
     """Truncated Fourier series on the enumerated lattice; immutable by convention."""
 
-    __slots__ = ("lattice", "jmax", "data", "real")
+    __slots__ = ("lattice", "jmax", "data")
 
-    def __init__(self, lattice: LatticeParams, jmax: int, coeffs=None, real=True):
+    def __init__(self, lattice: LatticeParams, jmax: int, coeffs=None):
         """Build from a dict {(MultiIndex, j): c}; entries outside the truncation are dropped."""
         if jmax < 0:
             raise ValueError("jmax must be >= 0")
@@ -92,53 +101,50 @@ class AnalyticFunction:
             p = index_of.get(l)
             if p is not None and abs(j) <= jmax:
                 data[p, j + jmax] = c
-        self._set(lattice, jmax, data, real)
+        self._set(lattice, jmax, data)
 
-    def _set(self, lattice, jmax, data, real):
+    def _set(self, lattice, jmax, data):
         self.lattice = lattice
         self.jmax = int(jmax)
-        self.real = bool(real)
-        if self.real:
-            mirror = data[get_enumeration(lattice).neg, ::-1]
-            data = 0.5 * (data + np.conj(mirror))
-        self.data = data
+        mirror = data[get_enumeration(lattice).neg, ::-1]
+        self.data = 0.5 * (data + np.conj(mirror))
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_array(cls, lattice, jmax, data, real=True):
-        """Wrap a (enum.size, 2*jmax+1) coefficient array; it is not copied unless real."""
+    def from_array(cls, lattice, jmax, data):
+        """The symmetrization of a (enum.size, 2*jmax+1) coefficient array, a new array."""
         out = cls.__new__(cls)
-        out._set(lattice, jmax, data, real)
+        out._set(lattice, jmax, data)
         return out
 
     @classmethod
-    def zeros(cls, lattice, jmax, real=True):
-        return cls.from_array(lattice, jmax, _zero_data(lattice, jmax), real)
+    def zeros(cls, lattice, jmax):
+        return cls.from_array(lattice, jmax, _zero_data(lattice, jmax))
 
     @classmethod
     def constant(cls, lattice, jmax, value):
-        """The constant ``value``, real when its imaginary part is zero."""
+        """The constant ``value``, which must be real."""
         data = _zero_data(lattice, jmax)
-        data[0, jmax] = value
-        return cls.from_array(lattice, jmax, data, complex(value).imag == 0.0)
+        data[0, jmax] = _real_scalar(value)
+        return cls.from_array(lattice, jmax, data)
 
     @classmethod
-    def from_modes(cls, lattice, jmax, modes, real=True):
+    def from_modes(cls, lattice, jmax, modes):
         """Build from an iterable of (MultiIndex, j, amplitude).
 
-        With ``real=True`` the conjugate modes are filled in automatically,
-        so ``[(l, j, a)]`` yields a e^{i(l.phi+jx)} + conj(a) e^{-i(l.phi+jx)}.
+        The conjugate modes are filled in automatically, so ``[(l, j, a)]``
+        yields a e^{i(l.phi+jx)} + conj(a) e^{-i(l.phi+jx)}.
         The self-conjugate mode (0, 0) is not doubled: it yields Re(a), so 1.2
         gives the constant 1.2 (a config entry for that mode gives 2 Re(a)).
         """
         coeffs = {}
         for l, j, a in modes:
             coeffs[(l, j)] = coeffs.get((l, j), 0.0) + complex(a)
-            if real and (l, j) != (-l, -j):
+            if (l, j) != (-l, -j):
                 key = (-l, -j)
                 coeffs[key] = coeffs.get(key, 0.0) + np.conj(complex(a))
-        return cls(lattice, jmax, coeffs, real=real)
+        return cls(lattice, jmax, coeffs)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -190,7 +196,7 @@ class AnalyticFunction:
             return self
         lo = self.jmax - jmax
         return AnalyticFunction.from_array(self.lattice, jmax,
-                                           self.data[:, lo:lo + 2 * jmax + 1].copy(), self.real)
+                                           self.data[:, lo:lo + 2 * jmax + 1])
 
     def embed(self, jmax: int) -> "AnalyticFunction":
         """u on the wider x-truncation jmax >= u.jmax: zero-padded columns."""
@@ -201,12 +207,7 @@ class AnalyticFunction:
             return self
         data = _zero_data(self.lattice, jmax)
         data[:, jmax - self.jmax:jmax + self.jmax + 1] = self.data
-        return AnalyticFunction.from_array(self.lattice, jmax, data, self.real)
-
-    def conjugate_symmetry_residual(self) -> float:
-        """Max |c(l,j) - conj(c(-l,-j))|; zero for enforced real functions."""
-        mirror = self.data[get_enumeration(self.lattice).neg, ::-1]
-        return float(np.max(np.abs(self.data - np.conj(mirror)), initial=0.0))
+        return AnalyticFunction.from_array(self.lattice, jmax, data)
 
     # -- linear structure ---------------------------------------------------
 
@@ -214,19 +215,19 @@ class AnalyticFunction:
         if self.lattice != other.lattice or self.jmax != other.jmax:
             raise ValueError("incompatible truncations")
 
-    def _like(self, data, real):
-        return AnalyticFunction.from_array(self.lattice, self.jmax, data, real)
+    def _like(self, data):
+        return AnalyticFunction.from_array(self.lattice, self.jmax, data)
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = AnalyticFunction.constant(self.lattice, self.jmax, other)
         self._check_compat(other)
-        return self._like(self.data + other.data, self.real and other.real)
+        return self._like(self.data + other.data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like(-self.data, self.real)
+        return self._like(-self.data)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -239,8 +240,7 @@ class AnalyticFunction:
     def __mul__(self, scalar):
         if isinstance(scalar, AnalyticFunction):
             return multiply(self, scalar)
-        s = complex(scalar)
-        return self._like(self.data * s, self.real and s.imag == 0.0)
+        return self._like(self.data * _real_scalar(scalar))
 
     __rmul__ = __mul__
 
@@ -254,13 +254,11 @@ class AnalyticFunction:
 def _product_grid(u: AnalyticFunction, v: AnalyticFunction):
     """The grid on which ``multiply`` forms u v, or None for the direct path.
 
-    A product of two real functions takes the grid when its nonzero
-    coefficient pairs outnumber ``GRID_COST`` times the grid's points.  The
-    grid is alias-free: next_fast_len(3 b + 1) points on a phi axis whose
-    lattice indices stay within |l_s| <= b, and next_fast_len(3 jmax + 1) on x.
+    A product takes the grid when its nonzero coefficient pairs outnumber
+    ``GRID_COST`` times the grid's points.  The grid is alias-free:
+    next_fast_len(3 b + 1) points on a phi axis whose lattice indices stay
+    within |l_s| <= b, and next_fast_len(3 jmax + 1) on x.
     """
-    if not (u.real and v.real):
-        return None
     bounds = get_enumeration(u.lattice).bounds + (u.jmax,)
     sizes = tuple(next_fast_len(3 * b + 1) for b in bounds)
     pairs = np.count_nonzero(u.data) * np.count_nonzero(v.data)
@@ -270,28 +268,26 @@ def _product_grid(u: AnalyticFunction, v: AnalyticFunction):
 def multiply(u: AnalyticFunction, v: AnalyticFunction) -> AnalyticFunction:
     """Spectral product, truncated back to the common lattice and jmax.
 
-    A product of two real functions with more than ``GRID_COST`` nonzero
-    coefficient pairs a point of its grid (``_product_grid``) is formed on
-    that grid by ``_accel.grid_product``.  It gives the x-modes j >= 0 of
-    every lattice row; the modes j < 0, and the mode j = 0 of each row
-    outside the canonical half, are filled from their conjugate modes, and
-    the coefficients at or below ``NOISE_FLOOR`` times the largest are
-    dropped.
+    A product with more than ``GRID_COST`` nonzero coefficient pairs a point
+    of its grid (``_product_grid``) is formed on that grid by
+    ``_accel.grid_product``.  It gives the x-modes j >= 0 of every lattice
+    row; the modes j < 0, and the mode j = 0 of each row outside the
+    canonical half, are filled from their conjugate modes, and the
+    coefficients at or below ``NOISE_FLOOR`` times the largest are dropped.
 
     Every other product is the direct sparse convolution over the nonzero
-    coefficient pairs (``_accel.convolve_into``).  A real product sums only
-    its canonical half, as in ``opalg.compose``: pairs whose target row p
-    lies outside the half (p > neg[p]) are dropped, and each such mirror row
-    is filled as the conjugate of row neg[p], reversed in j.  Row 0 is its
-    own mirror and is summed in full.
+    coefficient pairs (``_accel.convolve_into``).  It sums only the canonical
+    half, as in ``opalg.compose``: pairs whose target row p lies outside the
+    half (p > neg[p]) are dropped, and each such mirror row is filled as the
+    conjugate of row neg[p], reversed in j.  Row 0 is its own mirror and is
+    summed in full.
 
     On both paths, entries at or below ``PRUNE_REL * |u|_0 |v|_0`` are
     dropped.
     """
     u._check_compat(v)
-    real = u.real and v.real
     if u.is_zero() or v.is_zero():
-        return AnalyticFunction.zeros(u.lattice, u.jmax, real=real)
+        return AnalyticFunction.zeros(u.lattice, u.jmax)
     enum = get_enumeration(u.lattice)
     mirror = ~enum.half[:-1]
     floor = PRUNE_REL * u.norm(0.0) * v.norm(0.0)
@@ -306,18 +302,16 @@ def multiply(u: AnalyticFunction, v: AnalyticFunction) -> AnalyticFunction:
         floor = max(floor, NOISE_FLOOR * float(np.abs(out).max()))
     else:
         conv = enum.conv_table()
-        if real:
-            # a target outside the canonical half maps to -1, like one outside the lattice
-            conv = np.where(enum.half[conv], conv, -1)
+        # a target outside the canonical half maps to -1, like one outside the lattice
+        conv = np.where(enum.half[conv], conv, -1)
         ia, ja = np.nonzero(u.data)
         ib, jb = np.nonzero(v.data)
         out = np.zeros(u.data.shape, dtype=complex)
         convolve_into(ia, ja - u.jmax, u.data[ia, ja], ib, jb - v.jmax, v.data[ib, jb],
                       conv, u.jmax, out)
-        if real:
-            out[mirror] = np.conj(out[enum.neg[mirror], ::-1])
+        out[mirror] = np.conj(out[enum.neg[mirror], ::-1])
     out[np.abs(out) <= floor] = 0.0
-    return u._like(out, real)
+    return u._like(out)
 
 
 def _j_axis(u: AnalyticFunction) -> np.ndarray:
@@ -328,7 +322,7 @@ def dx(u: AnalyticFunction, order: int = 1) -> AnalyticFunction:
     """Spatial derivative: c(l, j) -> (i j)^order c(l, j)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return u._like(u.data * (1j * _j_axis(u)) ** order, u.real)
+    return u._like(u.data * (1j * _j_axis(u)) ** order)
 
 
 def dx_inv(u: AnalyticFunction) -> AnalyticFunction:
@@ -338,13 +332,13 @@ def dx_inv(u: AnalyticFunction) -> AnalyticFunction:
     jj = _j_axis(u)
     out = np.zeros_like(u.data)
     np.divide(u.data, 1j * jj, out=out, where=(jj != 0)[None, :])
-    return u._like(out, u.real)
+    return u._like(out)
 
 
 def om_dphi(u: AnalyticFunction, omega) -> AnalyticFunction:
     """Directional derivative along the frequency vector: c -> i (omega.l) c."""
     dots = get_enumeration(u.lattice).dots(omega)
-    return u._like(u.data * (1j * dots)[:, None], u.real)
+    return u._like(u.data * (1j * dots)[:, None])
 
 
 def om_dphi_inv(u: AnalyticFunction, omega, gamma: float) -> AnalyticFunction:
@@ -371,13 +365,13 @@ def om_dphi_inv(u: AnalyticFunction, omega, gamma: float) -> AnalyticFunction:
         )
     out = np.zeros_like(u.data)
     out[1:] = u.data[1:] / (1j * div)[:, None]
-    return u._like(out, u.real)
+    return u._like(out)
 
 
 def _masked(u: AnalyticFunction, rows=True, cols=True) -> AnalyticFunction:
     """u with the coefficients outside the lattice-row and x-mode masks set to zero."""
     keep = np.logical_and(np.reshape(rows, (-1, 1)), np.reshape(cols, (1, -1)))
-    return u._like(np.where(keep, u.data, 0.0), u.real)
+    return u._like(np.where(keep, u.data, 0.0))
 
 
 def pi0(u: AnalyticFunction) -> AnalyticFunction:
@@ -415,19 +409,21 @@ def to_payload(u: AnalyticFunction) -> dict:
     return {
         "lattice": {"eta": u.lattice.eta, "M": u.lattice.M, "K": u.lattice.K},
         "jmax": u.jmax,
-        "real": u.real,
+        "real": True,
         "zero_x_average": u.zero_x_average,
         "entries": entries,
     }
 
 
 def from_payload(doc: dict) -> AnalyticFunction:
+    if not doc["real"]:
+        raise ValueError("functions are real-on-real: the payload is not")
     lat = LatticeParams(doc["lattice"]["eta"], doc["lattice"]["M"], doc["lattice"]["K"])
     coeffs = {}
     for pairs, j, re, im in doc["entries"]:
         l = MultiIndex.from_pairs([(int(s), int(v)) for s, v in pairs])
         coeffs[(l, int(j))] = complex(re, im)
-    return AnalyticFunction(lat, int(doc["jmax"]), coeffs, real=bool(doc["real"]))
+    return AnalyticFunction(lat, int(doc["jmax"]), coeffs)
 
 
 def dumps(u: AnalyticFunction) -> str:

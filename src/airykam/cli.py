@@ -36,7 +36,7 @@ from .config import (
     seed_from,
 )
 from .errors import SmallDivisorError
-from .nashmoser import solve
+from .nashmoser import ResidualReport, solve
 from .opalg import DifferentialOperator
 from .reducibility import KamSchedule, reduce_operator
 from .selftest import run_selftest
@@ -100,7 +100,7 @@ def cmd_solve(cfg: dict, out: Path, seed_override=None) -> int:
             "sigma_n": rec["sigma_n"],
             "norm_f_n": rec["norm_f"],
             "norm_h_n": rec["norm_h"],
-            "residual": max(res["max_grid"], res["l1_coeff"]),
+            "residual": ResidualReport(**res).value,
             "min_margin": rec["min_margin"],
             "seconds": rec["seconds"],
         })

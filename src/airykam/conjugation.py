@@ -190,7 +190,7 @@ def _drop_mean(f: AnalyticFunction) -> AnalyticFunction:
     """Remove the (l, j) = (0, 0) coefficient exactly."""
     out = f.data.copy()
     out[0, f.jmax] = 0.0
-    return AnalyticFunction.from_array(f.lattice, f.jmax, out, real=f.real)
+    return AnalyticFunction.from_array(f.lattice, f.jmax, out)
 
 
 def moser_power(f: AnalyticFunction, exponent: float, label="") -> AnalyticFunction:
@@ -431,7 +431,7 @@ def push_quadratic(Q: QuadraticForm, T: TransformationData, report=None) -> Quad
 
     def combine(moved, sizes):
         J = [1.0 + next(moved)] + [next(moved) for _ in range(3)]
-        r = _real_grid_values(T.r, sizes[:-1] + (1,), "multiplier")
+        r = _real_grid_values(T.r, sizes[:-1] + (1,))
         acc = {}
         for n, (i, j) in enumerate(keys):
             for out_key in _add_terms(acc, next(moved) * r / J[0], i, j, J):

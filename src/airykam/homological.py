@@ -32,7 +32,7 @@ def _divide(f: AnalyticFunction, div, floor, what: str) -> AnalyticFunction:
         )
     out = np.zeros_like(f.data)
     np.divide(-f.data, 1j * div, out=out, where=used)
-    return AnalyticFunction.from_array(f.lattice, f.jmax, out, real=f.real)
+    return AnalyticFunction.from_array(f.lattice, f.jmax, out)
 
 
 def solve_airy(f: AnalyticFunction, omega, gamma0: float,

@@ -139,8 +139,6 @@ class ProblemSpec:
         self.c = tuple(float(v) for v in self.c)
         if self.omega.shape != (self.forcing.lattice.M,):
             raise ValueError("omega length must match the lattice site count")
-        if not self.forcing.real:
-            raise ValueError("forcing must be real-on-real")
         if not self.forcing.zero_x_average:
             raise ValueError("forcing must have zero x-average")
         if not self.residual_target > 0:
@@ -203,20 +201,10 @@ def init_state(spec: ProblemSpec) -> IterationState:
     """F_0 = f + (om.d_phi + dx^3) u + Q_0(u); rejects non-admissible omega."""
     chk = is_diophantine(spec.omega, spec.gbar, spec.lattice)
     if not chk.ok:
-        raise SmallDivisorError(
-            f"omega outside the Diophantine set at gbar (margin {chk.margin:.3e})",
-            l=chk.witness.l if chk.witness else None,
-            divisor=chk.witness.divisor if chk.witness else None,
-            floor=chk.witness.floor if chk.witness else None,
-        )
+        raise chk.error(f"omega outside the Diophantine set at gbar (margin {chk.margin:.3e})")
     chk0 = is_airy_nonresonant(spec.omega, spec.gamma0, spec.lattice, spec.jmax)
     if not chk0.ok:
-        w = chk0.witness
-        raise SmallDivisorError(
-            f"omega resonates with the cubic dispersion (margin {chk0.margin:.3e})",
-            l=w.l if w else None, j=w.j if w else None,
-            divisor=w.divisor if w else None, floor=w.floor if w else None,
-        )
+        raise chk0.error(f"omega resonates with the cubic dispersion (margin {chk0.margin:.3e})")
     zero = AnalyticFunction.zeros(spec.lattice, spec.jmax)
     L0 = DifferentialOperator(spec.omega, 1.0, zero, zero)
     Q0 = initial_quadratic_form(spec.c, spec.lattice, spec.jmax)
@@ -358,11 +346,10 @@ def residual(spec: ProblemSpec, u: AnalyticFunction, oversample: Optional[int] =
     Evaluates (om.d_phi + dx^3) u + Q(u) + f by dense FFTs on the factor-2
     grid (a cross-check passes another ``oversample``), independent of the
     sparse solver algebra, and reports the max-grid and l1-coefficient norms
-    of the defect.  u must be real (every solve iterate is): it carries only
-    its x-modes j >= 0 through real FFTs, and l1 counts each half-spectrum
-    column as often as it occurs in the full spectrum.
+    of the defect.  u, real like every function, carries only its x-modes
+    j >= 0 through real FFTs, and l1 counts each half-spectrum column as
+    often as it occurs in the full spectrum.
     """
-    _grid._require_real(u, "residual argument")
     factor = spec.oversample if oversample is None else int(oversample)
     lat, jmax = spec.lattice, spec.jmax
     sizes = _grid.grid_sizes(lat, jmax, factor)

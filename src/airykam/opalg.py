@@ -291,7 +291,7 @@ def _toeplitz_blocks(a: AnalyticFunction, column_divisor):
     rows = np.flatnonzero(a.data.any(axis=1))
     stack = np.where(inside, a.data[rows][:, np.where(inside, shift + jmax, 0)], 0.0)
     blocks = dict(zip(rows.tolist(), stack / column_divisor))
-    return OperatorMatrix.from_indexed(a.lattice, jmax, blocks, real=a.real)
+    return OperatorMatrix.from_indexed(a.lattice, jmax, blocks)
 
 
 def mult_op(a: AnalyticFunction) -> OperatorMatrix:
@@ -339,9 +339,11 @@ def restrict(R: OperatorMatrix, jwin: int, lwin: float) -> OperatorMatrix:
 
 
 def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
-    """Apply the operator to a function (its j = 0 column is ignored)."""
+    """Apply a real operator to a function (its j = 0 column is ignored)."""
     if R.lattice != u.lattice or R.jmax != u.jmax:
         raise ValueError("incompatible truncations")
+    if not R.real:
+        raise ValueError("functions are real-on-real: cannot apply a non-real operator")
     conv = get_enumeration(u.lattice).conv_table()
     vecs = u.data.copy()
     vecs[:, u.jmax] = 0.0
@@ -352,7 +354,7 @@ def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
         hit = target >= 0
         # l_d + l_p is injective in p, so the targets of one block are distinct
         out[target[hit]] += vecs[rows[hit]] @ b.T
-    return u._like(out, R.real and u.real)
+    return u._like(out)
 
 
 def compose(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import AnalyticFunction, dx, dx_inv, mean_phi_x, om_dphi, pi0, pi0_perp
-from .errors import ReductionError, SmallDivisorError
+from .errors import ReductionError
 from .homological import solve_diagonal
 from .lattice import get_enumeration
 from .opalg import (
@@ -175,17 +175,9 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
     nj = 2 * jmax + 1
     omv = state.omega_values()
 
-    chk = second_melnikov(om, omv, schedule.gamma, lat,
-                          gbar=schedule.gbar, N=state.N, two_gamma=False)
+    chk = second_melnikov(om, omv, schedule.gamma, lat, gbar=schedule.gbar, N=state.N)
     if not chk.ok:
-        w = chk.witness
-        raise SmallDivisorError(
-            f"Melnikov breach at step {state.k}: margin {chk.margin:.3e}",
-            l=None if w is None else w.l, j=None if w is None else w.j,
-            h=None if w is None else w.h,
-            divisor=None if w is None else w.divisor,
-            floor=None if w is None else w.floor,
-        )
+        raise chk.error(f"Melnikov breach at step {state.k}: margin {chk.margin:.3e}")
 
     P_low, P_high = split_by_norm(state.P, state.N)
 
@@ -348,13 +340,11 @@ def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
         vals = result.omega_values()
         D = x_symbol_op(L.lattice, L.jmax, lambda j: 1j * vals[j + L.jmax])
         delta = restrict(conj - D, jwin, lwin)
-        offdiag = {p: b.copy() for p, b in delta.data.items()}
-        diag_mismatch = 0.0
-        if 0 in offdiag:
-            b = offdiag[0]
-            diag_mismatch = float(np.max(np.abs(np.diag(b))))
-            np.fill_diagonal(b, 0.0)
-        off = OperatorMatrix.from_indexed(L.lattice, L.jmax, offdiag, real=False)
+        off, diag_mismatch = delta, 0.0
+        if 0 in delta.data:
+            mismatch = np.diag(delta.data[0])
+            diag_mismatch = float(np.max(np.abs(mismatch)))
+            off = delta - x_symbol_op(L.lattice, L.jmax, lambda j: mismatch[j + L.jmax])
         diag["offdiag_residual"] = op_norm(off, 0.0)
         diag["diag_mismatch"] = diag_mismatch
     return result
@@ -372,13 +362,7 @@ def invert_via_diagonalization(red: ReductionResult, f: AnalyticFunction,
     omv = red.omega_values()
     chk = first_melnikov(red.L.omega, omv, gamma, red.lattice)
     if not chk.ok:
-        w = chk.witness
-        raise SmallDivisorError(
-            f"first Melnikov breach: margin {chk.margin:.3e}",
-            l=None if w is None else w.l, j=None if w is None else w.j,
-            divisor=None if w is None else w.divisor,
-            floor=None if w is None else w.floor,
-        )
+        raise chk.error(f"first Melnikov breach: margin {chk.margin:.3e}")
     g = red.apply_M_inverse(f)
     h_tilde = solve_diagonal(g, red.L.omega, omv, gamma)
     h = red.apply_M(h_tilde)

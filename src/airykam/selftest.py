@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._accel import convolve_into
 from ._grid import compose_x_diffeo, moser_compose
 from .analytic import (
     AnalyticFunction,
@@ -25,7 +26,7 @@ from .analytic import (
 )
 from .conjugation import symplectic_pairing
 from .homological import solve_airy
-from .lattice import LatticeParams, MultiIndex, enumerate_indices, eta_norm
+from .lattice import LatticeParams, MultiIndex, enumerate_indices, eta_norm, get_enumeration
 from .opalg import (
     commutator,
     dx_op,
@@ -73,17 +74,17 @@ def run_selftest(verbose: bool = False) -> bool:
     vb = AnalyticFunction(big, 4 * jmax, {k: c for k, c in v.coeffs.items()})
     check("norm algebra |uv| <= |u||v| (pre-truncation)",
           multiply(ub, vb).norm(0.3) <= ub.norm(0.3) * vb.norm(0.3) * (1 + 1e-12))
-    check("reality invariant is exact",
-          multiply(u, v).conjugate_symmetry_residual() == 0.0)
     shape = (len(idx), 2 * jmax + 1)
     draw = np.random.default_rng(7).normal
     dense = [AnalyticFunction.from_array(lat, jmax, draw(size=shape) + 1j * draw(size=shape))
              for _ in range(2)]
     on_grid = multiply(*dense)
-    direct = multiply(*(AnalyticFunction.from_array(lat, jmax, f.data, real=False) for f in dense))
+    lists = [(ia, ja - jmax, f.data[ia, ja]) for f in dense for ia, ja in [np.nonzero(f.data)]]
+    direct = np.zeros(shape, dtype=complex)
+    convolve_into(*lists[0], *lists[1], get_enumeration(lat).conv_table(), jmax, direct)
     check("dense real product on the grid matches convolve_into (1e-14 relative)",
           _product_grid(*dense) is not None
-          and np.max(np.abs(on_grid.data - direct.data)) <= 1e-14 * np.max(np.abs(direct.data)))
+          and np.max(np.abs(on_grid.data - direct)) <= 1e-14 * np.max(np.abs(direct)))
     check("projector complements sum to the identity",
           (pi0(u) + pi0_perp(u) - u).norm(0.0) == 0.0
           and (project_N(u, 3.0) + project_N_perp(u, 3.0) - u).norm(0.0) == 0.0)

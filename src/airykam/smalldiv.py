@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import SmallDivisorError
 from .lattice import LatticeParams, MultiIndex, get_enumeration
 
 __all__ = [
@@ -97,6 +98,14 @@ class CheckResult:
 
     def __bool__(self):
         return self.ok
+
+    def error(self, message) -> SmallDivisorError:
+        """The SmallDivisorError of a failed check: ``message`` and the
+        witness's mode, divisor and floor."""
+        w = self.witness
+        if w is None:
+            return SmallDivisorError(message)
+        return SmallDivisorError(message, l=w.l, j=w.j, h=w.h, divisor=w.divisor, floor=w.floor)
 
 
 def _omega_array(omega, m):
@@ -190,14 +199,13 @@ def first_melnikov(omega, Omega, gamma: float, lattice: LatticeParams) -> CheckR
 
 
 def second_melnikov(omega, Omega, gamma: float, lattice: LatticeParams, *,
-                    gbar: Optional[float] = None, N: Optional[float] = None,
-                    two_gamma: bool = True) -> CheckResult:
-    """|omega.l + Omega(j) - Omega(h)| >= c gamma |j^3 - h^3| / d(l), (l,j,h) != (0,j,j).
+                    gbar: Optional[float] = None, N: Optional[float] = None) -> CheckResult:
+    """|omega.l + Omega(j) - Omega(h)| >= gamma |j^3 - h^3| / d(l), (l,j,h) != (0,j,j).
 
-    ``c`` is 2 for the limiting set (default) and 1 for the per-step sets.
     The j = h, l != 0 pairs carry no cubic weight; they are checked against
     the ambient Diophantine floor when ``gbar`` is given, else skipped.
-    ``N`` restricts the scan to |l|_eta <= N.
+    ``N`` restricts the scan to |l|_eta <= N.  The limiting set of the
+    scheme is the check at 2 gamma.
 
     The ratios |divisor| / floor of the rows scanned are formed in one
     buffer, in place (``_divide_rows``); the witness's divisor and floor are
@@ -207,7 +215,6 @@ def second_melnikov(omega, Omega, gamma: float, lattice: LatticeParams, *,
     enum = get_enumeration(lattice)
     om = _omega_array(omega, lattice.M)
     dots = enum.dots(om)
-    fac = 2.0 * gamma if two_gamma else gamma
 
     best = CheckResult(True, np.inf, None)
     rows = np.arange(enum.size) if N is None else np.flatnonzero(enum.within(N))
@@ -215,7 +222,7 @@ def second_melnikov(omega, Omega, gamma: float, lattice: LatticeParams, *,
         gap = vals[:, None] - vals[None, :]
         j3 = jlist.astype(float) ** 3
         wt = np.abs(j3[:, None] - j3[None, :])
-        fd = fac / enum.dvals[rows]
+        fd = gamma / enum.dvals[rows]
         ratios = np.add.outer(dots[rows], gap)
         np.abs(ratios, out=ratios)
         _divide_rows(ratios, fd, wt)

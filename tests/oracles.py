@@ -42,16 +42,31 @@ def eval_pointwise(f, phis, xs):
     return out
 
 
-def real_parts(u):
-    """The real fields a = (u + u*)/2 and b = (u - u*)/2i with u = a + i b."""
-    return tuple(AnalyticFunction.from_array(u.lattice, u.jmax, d) for d in (u.data, -1j * u.data))
+def real_parts(lattice, jmax, data):
+    """The real functions a = (u + u*)/2 and b = (u - u*)/2i of a complex
+    coefficient array u = a + i b on the truncation (lattice, jmax)."""
+    return tuple(AnalyticFunction.from_array(lattice, jmax, d) for d in (data, -1j * data))
 
 
-def by_real_parts(substitute, u):
-    """substitute(u) for a non-real u = a + i b, as substitute(a) + i substitute(b);
-    the grid kernels take real fields only."""
-    a, b = (substitute(part) for part in real_parts(u))
-    return AnalyticFunction.from_array(u.lattice, u.jmax, a.data + 1j * b.data, real=False)
+def by_real_parts(substitute, lattice, jmax, data):
+    """The coefficient array of substitute(u) for a complex coefficient array
+    u = a + i b, as substitute(a) + i substitute(b): a complex-linear map
+    known by its action on real functions, the only kind there is."""
+    a, b = (substitute(part) for part in real_parts(lattice, jmax, data))
+    return a.data + 1j * b.data
+
+
+def unit(lattice, jmax, p, j):
+    """The coefficient array of the complex mode e^{i(l_p.phi + j x)}."""
+    data = np.zeros((get_enumeration(lattice).size, 2 * jmax + 1), dtype=complex)
+    data[p, j + jmax] = 1.0
+    return data
+
+
+def symmetry_residual(u):
+    """Max |c(l, j) - conj(c(-l, -j))| over the coefficients of u."""
+    mirror = u.data[get_enumeration(u.lattice).neg, ::-1]
+    return float(np.max(np.abs(u.data - np.conj(mirror)), initial=0.0))
 
 
 def perturbed_operator(L, qp):

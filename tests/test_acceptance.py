@@ -164,9 +164,9 @@ def conjugation_dense_residual(L, qp, result, jwin, lwin):
     worst = 0.0
     for col in np.flatnonzero(inside):
         p, k = divmod(int(col), len(jlist))
-        unit = AnalyticFunction.zeros(lat, jmax, real=False)
-        unit.data[p, jslots[k]] = 1.0
-        lhs = by_real_parts(transformed, unit).data[:, jslots].ravel()
+        unit = np.zeros((get_enumeration(lat).size, 2 * jmax + 1), dtype=complex)
+        unit[p, jslots[k]] = 1.0
+        lhs = by_real_parts(transformed, lat, jmax, unit)[:, jslots].ravel()
         diff = np.abs(lhs - dense_plus[:, col]) * inside
         worst = max(worst, float(diff.sum()))
     return worst

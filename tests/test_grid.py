@@ -186,18 +186,6 @@ def test_a_combination_that_passes_the_fields_through_is_the_pass(lat2, jmax, om
         assert all(rel(g, u) <= 1e-15 for g, u in zip(got, us))
 
 
-@pytest.mark.parametrize("where", [0, 2, 4])
-def test_a_non_real_field_anywhere_in_the_stack_raises(lat2, jmax, omega2, where):
-    alpha, beta, p = amplitudes(lat2, jmax, (True, True, True))
-    us = fields(lat2, jmax, n=5)
-    us[where] = AnalyticFunction(lat2, jmax, {(ZERO, 1): 1.0 + 0j}, real=False)
-    for kernel in (_grid.substitute, _grid.substitute_inverse):
-        with pytest.raises(ValueError, match="real"):
-            kernel(us, alpha, beta, p, omega2)
-        with pytest.raises(ValueError, match="real"):       # also when nothing moves
-            kernel(us, None, None, None, omega2)
-
-
 def test_amplitudes_are_checked(lat2, jmax, omega2):
     alpha, beta, p = amplitudes(lat2, jmax, (True, True, True))
     us = fields(lat2, jmax)
@@ -206,9 +194,6 @@ def test_amplitudes_are_checked(lat2, jmax, omega2):
             kernel(us, None, alpha, None, omega2)
         with pytest.raises(ValueError, match="phi only"):
             kernel(us, None, None, alpha, omega2)
-        with pytest.raises(ValueError, match="real"):
-            kernel(us, AnalyticFunction(lat2, jmax, {(ZERO, 1): 1e-3 + 0j}, real=False),
-                   None, None, omega2)
 
 
 def test_an_empty_stack_returns_an_empty_list(lat2, jmax, omega2):
