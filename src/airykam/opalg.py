@@ -26,7 +26,11 @@ indices p with p <= neg[p], and its mirror image; only p = 0 is its own
 mirror.  ``compose`` of two real operators sums the canonical half and
 mirrors the rest.  ``commutator`` shares that accumulation (``_product``):
 it subtracts B A from A B on the canonical half, so the mirror blocks and
-the zero test are paid once, for the difference.
+the zero test are paid once, for the difference, which a Lie series scales
+in place.  Diagonals need no products: [diag(d), G] is G scaled entrywise by
+d_j - d_j' (``diag_commutator``), and a dx is built as blocks
+(``mult_dx_op``).  ``exp_conjugate`` (stop rule relative to the dispersion)
+has no program caller; the tests and ``perfbench`` use it.
 
 ``compose`` forms only the block pairs that can matter to its caller.  The
 block norm |R_p| = max_j' sum_j |R_p[j, j']| (cached per operator) is the
@@ -48,14 +52,11 @@ where blocks hold a few nonzero diagonals, as those of multiplications by
 functions with few x-modes do.  A call counts J over its kept pairs and joins
 when J * JOIN_COST < P nj^3.
 
-The dict constructor and ``from_indexed`` take outside blocks and normalize
-them (copy, zero the j = 0 row and column, symmetrize when real); ``_like``
-trusts its blocks, because the algebra's results (sums, scalar multiples,
-products, commutators, splits, restrictions, phi-derivatives) already hold
-the invariants, and only drops zero blocks.  It tests for zero only the
-blocks that can vanish: a sum or difference of two operands' blocks, a
-canonical-half product block, and a scaled or masked block.  A block copied,
-negated or mirrored from a stored one is nonzero by the invariant.
+The dict constructor and ``from_indexed`` normalize outside blocks (copy,
+zero the j = 0 row and column, symmetrize when real); ``_like`` trusts the
+algebra's results, which hold the invariants, and tests for zero only the
+blocks that can vanish: sums, differences, canonical-half products, scaled
+and masked blocks, not copies, negations or mirrors of stored ones.
 """
 
 from __future__ import annotations
@@ -76,15 +77,18 @@ __all__ = [
     "OperatorMatrix",
     "DifferentialOperator",
     "mult_op",
+    "mult_dx_op",
     "x_symbol_op",
     "dx_op",
     "smoothing_generator_op",
+    "split_diagonal",
     "op_norm",
     "restrict",
     "split_by_norm",
     "apply_op",
     "compose",
     "commutator",
+    "diag_commutator",
     "phi_derivative",
     "materialize",
     "exp_apply",
@@ -270,11 +274,7 @@ def _sealed(blocks, vanishing=None):
 
 def x_symbol_op(lattice, jmax, symbol) -> OperatorMatrix:
     """Fourier multiplier in x: diagonal entries symbol(j) for j != 0."""
-    nj = 2 * jmax + 1
-    d = np.zeros(nj, dtype=complex)
-    for j in range(-jmax, jmax + 1):
-        if j != 0:
-            d[j + jmax] = symbol(j)
+    d = np.array([symbol(j) if j else 0.0 for j in range(-jmax, jmax + 1)], dtype=complex)
     return OperatorMatrix.from_indexed(lattice, jmax, {0: np.diag(d)})
 
 
@@ -282,28 +282,34 @@ def dx_op(lattice, jmax, order=1) -> OperatorMatrix:
     return x_symbol_op(lattice, jmax, lambda j: (1j * j) ** order)
 
 
-def _toeplitz_blocks(a: AnalyticFunction, column_divisor):
-    """Blocks b_p[j, j'] = a(l_p, j - j') / column_divisor[j'] of every nonzero row p."""
+def _toeplitz_blocks(a: AnalyticFunction, scale=None, column=None):
+    """Blocks b_p[j, j'] = scale(a(l_p, j - j'), column[j']) of every nonzero row p."""
     jmax = a.jmax
     jj = np.arange(-jmax, jmax + 1)
     shift = jj[:, None] - jj[None, :]
     inside = np.abs(shift) <= jmax
     rows = np.flatnonzero(a.data.any(axis=1))
     stack = np.where(inside, a.data[rows][:, np.where(inside, shift + jmax, 0)], 0.0)
-    blocks = dict(zip(rows.tolist(), stack / column_divisor))
-    return OperatorMatrix.from_indexed(a.lattice, jmax, blocks)
+    if scale is not None:
+        stack = scale(stack, column)
+    return OperatorMatrix.from_indexed(a.lattice, jmax, dict(zip(rows.tolist(), stack)))
 
 
 def mult_op(a: AnalyticFunction) -> OperatorMatrix:
     """Multiplication by a(phi, x), restricted to zero-average functions."""
-    return _toeplitz_blocks(a, 1.0)
+    return _toeplitz_blocks(a)
+
+
+def mult_dx_op(a: AnalyticFunction) -> OperatorMatrix:
+    """a(phi, x) dx: the blocks of ``mult_op(a)`` with column j' times i j'."""
+    return _toeplitz_blocks(a, np.multiply, 1j * np.arange(-a.jmax, a.jmax + 1))
 
 
 def smoothing_generator_op(g: AnalyticFunction) -> OperatorMatrix:
     """The order -1 generator pi0_perp g(phi, x) dx^{-1}."""
     jj = np.arange(-g.jmax, g.jmax + 1)
     # the j' = 0 column is dropped by the block normalization
-    return _toeplitz_blocks(g, np.where(jj != 0, 1j * jj, 1.0))
+    return _toeplitz_blocks(g, np.divide, np.where(jj != 0, 1j * jj, 1.0))
 
 
 def op_norm(R: OperatorMatrix, sigma: float) -> float:
@@ -328,6 +334,15 @@ def split_by_norm(R: OperatorMatrix, N: float):
     low = {p: b for p, b in R.data.items() if inside[p]}
     high = {p: b for p, b in R.data.items() if not inside[p]}
     return R._like(low, vanishing=()), R._like(high, vanishing=())
+
+
+def split_diagonal(R: OperatorMatrix):
+    """(d, R - diag(d)), d the diagonal of R's l = 0 block indexed j + jmax."""
+    b = R.data.get(0)
+    if b is None:
+        return np.zeros(R.nj, dtype=complex), R
+    d = np.diag(b).copy()
+    return d, R._like({**R.data, 0: b - np.diag(d)}, vanishing=(0,))
 
 
 def restrict(R: OperatorMatrix, jwin: int, lwin: float) -> OperatorMatrix:
@@ -360,32 +375,12 @@ def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
 def compose(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix:
     """Block-convolution product A B, less the block pairs that cannot matter.
 
-    A product of two real operators is real, so only its canonical half
-    (targets q <= neg[q]) is summed; the other blocks are mirrors, and the
-    self-mirrored q = 0 block is symmetrized.
-
-    The pair (a, b) adds A_a B_b to its target block, and |A_a B_b| <=
-    |A_a| |B_b| in the column-sum norm.  The pairs are sorted by that bound,
-    and the longest smallest-first prefix whose bounds sum to at most
-    ``budget`` is not formed, so the result differs from the full product by
-    at most ``budget`` in ``op_norm(., 0)``.  In a real product a dropped
-    pair is also missing from the mirror block, so it counts twice.  The
-    default budget is ``analytic.PRUNE_REL |A| |B|``, the rule of
-    ``analytic.multiply``.
-
-    The kept pairs are summed on one of two paths, chosen from nonzero counts
-    of the operands:
-
-    * the GEMM path multiplies every kept block pair as dense
-      matrices and sums each target block over its pairs, A-major and
-      B-minor;
-    * the join path (``_accel.join_into``) pairs each nonzero entry
-      A_a[i, k] with the nonzeros B_b[k, j] of row k and sums the products.
-
-    With P kept block pairs and J products of theirs in the join, the join
-    runs when J * JOIN_COST < P * nj^3.  Blocks of multiplications by
-    functions with few x-modes are Toeplitz with few nonzero diagonals, so
-    there J is a small fraction of the GEMM's P * nj^3 multiply-adds.
+    The result differs from the full product by at most ``budget`` in
+    ``op_norm(., 0)``, by default ``analytic.PRUNE_REL |A| |B|``, the rule of
+    ``analytic.multiply``.  A real product sums its canonical half (targets
+    q <= neg[q]) and mirrors the rest, symmetrizing q = 0.  The kept pairs
+    are summed on the GEMM path, A-major and B-minor, or on the join path
+    (see the module docstring for the pruning rule and the choice of path).
     """
     A._check_compat(B)
     return _completed(A, _product(A, B, budget), A.real and B.real)
@@ -474,12 +469,13 @@ def _in_blocks(entries, used):
     return entries if keep.all() else tuple(e[keep] for e in entries)
 
 
-def commutator(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix:
+def commutator(A: OperatorMatrix, B: OperatorMatrix, budget=None, scale=None) -> OperatorMatrix:
     """[A, B] = A B - B A, within ``budget`` in ``op_norm(., 0)``: each product
-    may drop half of it (each takes its default budget without one).
+    may drop half of it (each takes its default budget without one).  A real
+    ``scale`` multiplies the result, as ``commutator(A, B, budget) * scale``.
 
-    The difference is taken on the products' canonical halves (``_product``),
-    so the mirror blocks and the zero test are paid once, for the result."""
+    The difference is taken on the products' canonical halves (``_product``)
+    and scaled in place, so the mirror blocks and zero test are paid once."""
     A._check_compat(B)
     half = None if budget is None else 0.5 * budget
     out = _product(A, B, half)
@@ -489,7 +485,17 @@ def commutator(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMat
             np.subtract(out[q], b, out=out[q])
         else:
             out[q] = -b
+    if scale is not None:
+        for b in out.values():
+            np.multiply(scale, b, out=b)
     return _completed(A, out, A.real and B.real)
+
+
+def diag_commutator(d, G: OperatorMatrix) -> OperatorMatrix:
+    """[diag(d), G], d indexed j + jmax: the blocks of G scaled by d_j - d_j'.
+    With d_{-j} = conj(d_j), as for i Omega(j), a real G stays real."""
+    gap = np.subtract.outer(d, d)
+    return G._like({p: gap * b for p, b in G.data.items()})
 
 
 def phi_derivative(R: OperatorMatrix, omega) -> OperatorMatrix:
@@ -554,10 +560,9 @@ class DifferentialOperator:
 def materialize(L: DifferentialOperator) -> OperatorMatrix:
     """Block representation of lambda3 dx^3 + B dx + C: L without omega.d_phi,
     which has no block form."""
-    lat, jmax = L.lattice, L.jmax
-    out = x_symbol_op(lat, jmax, lambda j: -1j * L.lambda3 * j**3)
+    out = x_symbol_op(L.lattice, L.jmax, lambda j: -1j * L.lambda3 * j**3)
     if not L.B.is_zero():
-        out = out + compose(mult_op(L.B), dx_op(lat, jmax))
+        out = out + mult_dx_op(L.B)
     if not L.C.is_zero():
         out = out + mult_op(L.C)
     return out
@@ -598,8 +603,8 @@ def lie_series(G: OperatorMatrix, X: OperatorMatrix, start_factor=1):
     """sum_{k>=0} Ad_G^k(X) / (k + start_factor)!, with Ad_G(X) = [X, G].
 
     With start_factor=0 this is e^{-G} X e^{G} = X + [X,G] + [[X,G],G]/2! + ...;
-    with start_factor=1 it is X + [X,G]/2! + ... = the series such that
-    e^{-G} (omega.d_phi) e^{G} = omega.d_phi + lie_series(G, phi_derivative(G)).
+    with start_factor=1 it is X + [X,G]/2! + ..., so that
+    e^{-G} L e^{G} = L + lie_series(G, [L, G]), [omega.d_phi, G] = phi_derivative(G).
     Returns (sum, terms_used).
 
     Term k is [term_{k-1}, G] / (k + start_factor), and its commutator takes
@@ -614,17 +619,13 @@ def lie_series(G: OperatorMatrix, X: OperatorMatrix, start_factor=1):
     first = X if lead == 1.0 else X * lead
     budget = series_budget(first)
     return _series(first,
-                   lambda term, k: (commutator(term, G, budget * (k + start_factor))
-                                    * (1.0 / (k + start_factor))),
+                   lambda term, k: commutator(term, G, budget * (k + start_factor),
+                                              1.0 / (k + start_factor)),
                    lambda term: op_norm(term, 0.0))
 
 
 def exp_conjugate(G: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    """e^{-G} B e^{G} with the tail bounded below SERIES_TOL by the ratio test.
-
-    Conjugating omega.d_phi + B adds lie_series(G, phi_derivative(G, omega))
-    to this.
-    """
+    """e^{-G} B e^{G}, one series stopped relative to |B| (``lie_series``)."""
     if not G.data:
         return B
     return lie_series(G, B, start_factor=0)[0]

@@ -23,12 +23,11 @@ from .opalg import (
     DifferentialOperator,
     OperatorMatrix,
     commutator,
-    compose,
-    dx_op,
+    diag_commutator,
     exp_apply,
-    exp_conjugate,
     lie_series,
     materialize,
+    mult_dx_op,
     mult_op,
     op_norm,
     phi_derivative,
@@ -36,7 +35,7 @@ from .opalg import (
     series_budget,
     smoothing_generator_op,
     split_by_norm,
-    x_symbol_op,
+    split_diagonal,
 )
 from .smalldiv import first_melnikov, second_melnikov
 
@@ -124,8 +123,8 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
     [L, G] = Gdot + [lambda3 dx^3 + P, G], Gdot = pi0_perp (omega.d_phi g) dx^{-1}:
     R0 = lie_series(G, [L, G]) - lambda3 (3 g_x) dx + a0, where the
     subtracted first-order term is the part of the series that turns a1 dx
-    into lambda1 dx.  The commutator [lambda3 dx^3 + P, G] drops block pairs
-    worth at most series_budget(P) (see ``opalg.compose``).
+    into lambda1 dx.  [lambda3 dx^3, G] is entrywise, and [P, G] drops
+    block pairs worth at most series_budget(P) (see ``opalg.compose``).
     """
     lat, jmax = a1.lattice, a1.jmax
     om = np.asarray(omega, dtype=float)
@@ -139,11 +138,12 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
 
     R0 = mult_op(a0)
     if G.data:      # then a1 is not constant
-        P = compose(mult_op(a1), dx_op(lat, jmax)) + R0
+        P = mult_dx_op(a1) + R0
         LG = (smoothing_generator_op(om_dphi(g, om))
-              + commutator(lambda3 * dx_op(lat, jmax, 3) + P, G, series_budget(P)))
+              + diag_commutator(-1j * lambda3 * np.arange(-jmax, jmax + 1) ** 3, G)
+              + commutator(P, G, series_budget(P)))
         series, rep["lie_terms"] = lie_series(G, LG)
-        R0 = series - lambda3 * compose(mult_op(3.0 * dx(g, 1)), dx_op(lat, jmax)) + R0
+        R0 = series - lambda3 * mult_dx_op(3.0 * dx(g, 1)) + R0
     rep["g_norm"] = g.norm(0.0)
     rep["R0_norm"] = op_norm(R0, 0.0)
     return OrderOneResult(G, R0, g, rep)
@@ -172,7 +172,6 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
     om = np.asarray(omega, dtype=float)
     t0 = time.perf_counter()
     lat, jmax = state.P.lattice, state.jmax
-    nj = 2 * jmax + 1
     omv = state.omega_values()
 
     chk = second_melnikov(om, omv, schedule.gamma, lat, gbar=schedule.gbar, N=state.N)
@@ -181,9 +180,8 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
 
     P_low, P_high = split_by_norm(state.P, state.N)
 
-    zero_block = state.P.data.get(0)
-    zdiag = np.zeros(nj, dtype=complex) if zero_block is None else np.diag(zero_block).copy()
-    re_defect = float(np.max(np.abs(zdiag.real))) if zdiag.size else 0.0
+    zdiag = split_diagonal(state.P)[0]
+    re_defect = float(np.max(np.abs(zdiag.real)))
     if re_defect > IMAG_TOL:
         raise ReductionError(
             f"diagonal of the remainder is not purely imaginary ({re_defect:.3e})"
@@ -203,8 +201,6 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
             np.fill_diagonal(mask, False)
         psi = np.zeros_like(b)
         np.divide(-b, denom, out=psi, where=mask)
-        if not p:
-            np.fill_diagonal(psi, 0.0)
         psi_blocks[p] = psi
     Psi = OperatorMatrix.from_indexed(lat, jmax, psi_blocks, real=state.P.real)
 
@@ -212,8 +208,7 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
     dust = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(zdiag - 1j * z)})
     X = Z_op + dust - P_low
     # homological residual om.d_phi Psi + [D, Psi] - X  (diagnostic)
-    D_op = x_symbol_op(lat, jmax, lambda j: 1j * omv[j + jmax])
-    hom_resid = op_norm(phi_derivative(Psi, om) + commutator(D_op, Psi) - X, 0.0)
+    hom_resid = op_norm(phi_derivative(Psi, om) + diag_commutator(1j * omv, Psi) - X, 0.0)
 
     P_new = P_high + dust
     if Psi.data:
@@ -310,10 +305,12 @@ def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
     """Full reduction of L to diagonal frequencies, with diagnostics.
 
     ``verify_window = (jwin, lwin)`` additionally conjugates L through all
-    generators and records the interior off-diagonal residual and the worst
-    diagonal mismatch.  Each generator conjugates the bounded part
-    materialize(L) and adds the Lie series of its phi-derivative, the
-    conjugate of omega.d_phi less omega.d_phi itself.
+    generators and records the interior off-diagonal residual, the worst
+    diagonal mismatch, the largest diagonal entry (``diag_scale``) and each
+    generator's Lie series term count.  Each G adds to materialize(L) one Lie
+    series in [L, G] = [D, G] + Gdot + [L - D, G], D the l = 0 diagonal so
+    far: [D, G] is entrywise, so every series and budget is relative to a
+    bounded term.
     """
     om = L.omega
     lam1 = L.lambda1()
@@ -335,18 +332,19 @@ def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
     if verify_window is not None:
         jwin, lwin = verify_window
         conj = materialize(L)
+        diag["window_lie_terms"] = []
         for gen in gens:
-            conj = exp_conjugate(gen, conj) + lie_series(gen, phi_derivative(gen, om))[0]
+            d, rest = split_diagonal(conj)
+            series, k = lie_series(gen, diag_commutator(d, gen) + phi_derivative(gen, om)
+                                   + commutator(rest, gen, series_budget(rest)))
+            conj = conj + series
+            diag["window_lie_terms"].append(k)
         vals = result.omega_values()
-        D = x_symbol_op(L.lattice, L.jmax, lambda j: 1j * vals[j + L.jmax])
-        delta = restrict(conj - D, jwin, lwin)
-        off, diag_mismatch = delta, 0.0
-        if 0 in delta.data:
-            mismatch = np.diag(delta.data[0])
-            diag_mismatch = float(np.max(np.abs(mismatch)))
-            off = delta - x_symbol_op(L.lattice, L.jmax, lambda j: mismatch[j + L.jmax])
+        inside = np.abs(np.arange(-L.jmax, L.jmax + 1)) <= jwin
+        d, off = split_diagonal(restrict(conj, jwin, lwin))
         diag["offdiag_residual"] = op_norm(off, 0.0)
-        diag["diag_mismatch"] = diag_mismatch
+        diag["diag_mismatch"] = float(np.max(np.abs(d - 1j * vals)[inside]))
+        diag["diag_scale"] = float(np.max(np.abs(vals[inside])))
     return result
 
 

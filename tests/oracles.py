@@ -4,8 +4,11 @@ Kept out of conftest.py so that test modules import them by a name no other
 test directory uses.
 """
 
+import math
+
 import numpy as np
 
+from airykam import opalg
 from airykam._grid import (
     compose_phi_shift,
     compose_x_diffeo,
@@ -15,7 +18,20 @@ from airykam._grid import (
 from airykam.analytic import AnalyticFunction, dx, multiply, om_dphi
 from airykam.conjugation import QuadraticForm, moser_power
 from airykam.lattice import get_enumeration
-from airykam.opalg import compose, materialize, mult_op, to_dense, x_symbol_op
+from airykam.opalg import (
+    commutator,
+    compose,
+    exp_conjugate,
+    lie_series,
+    materialize,
+    mult_op,
+    op_norm,
+    phi_derivative,
+    restrict,
+    series_budget,
+    to_dense,
+    x_symbol_op,
+)
 
 
 def compare_reductions(red_a, red_b):
@@ -30,6 +46,37 @@ def compare_reductions(red_a, red_b):
         "p_norm_diffs": [abs(red_a.trace[k]["p_norm"] - red_b.trace[k]["p_norm"])
                          for k in range(steps)],
     }
+
+
+def lie_series_scaled_after(G, X, start_factor=1):
+    """``opalg.lie_series`` with each commutator scaled in a second pass over
+    its blocks, commutator(term, G, b) * (1 / (k + start_factor)): the same
+    series, stop rule and budgets."""
+    lead = 1.0 / math.factorial(start_factor)
+    first = X if lead == 1.0 else X * lead
+    budget = series_budget(first)
+    return opalg._series(first,
+                         lambda term, k: (commutator(term, G, budget * (k + start_factor))
+                                          * (1.0 / (k + start_factor))),
+                         lambda term: op_norm(term, 0.0))
+
+
+def two_series_offdiag(red, window):
+    """``offdiag_residual`` of a reduction's verification window conjugated in
+    two series per generator: e^{-G} conj e^{G} by ``exp_conjugate``, whose
+    stop rule is relative to the dispersion, plus the Lie series of G's
+    phi-derivative."""
+    L = red.L
+    conj = materialize(L)
+    for gen in red.gens:
+        conj = exp_conjugate(gen, conj) + lie_series(gen, phi_derivative(gen, L.omega))[0]
+    vals = red.omega_values()
+    D = x_symbol_op(L.lattice, L.jmax, lambda j: 1j * vals[j + L.jmax])
+    delta = restrict(conj - D, *window)
+    if 0 in delta.data:
+        mismatch = np.diag(delta.data[0])
+        delta = delta - x_symbol_op(L.lattice, L.jmax, lambda j: mismatch[j + L.jmax])
+    return op_norm(delta, 0.0)
 
 
 def eval_pointwise(f, phis, xs):

@@ -358,6 +358,26 @@ def test_cmd_reduce_fixture(tmp_path):
     assert trace[0] == "step,p_norm,min_margin,seconds"
 
 
+def _without_seconds(path: Path) -> list:
+    """The rows of a csv file less its ``seconds`` column."""
+    rows = [line.split(",") for line in read(path).splitlines()]
+    drop = rows[0].index("seconds")
+    return [row[:drop] + row[drop + 1:] for row in rows]
+
+
+def test_reduce_rerun_writes_the_same_files(tmp_path):
+    """Two reduce runs write byte-identical report.json and omega_table.csv,
+    and the same trace.csv but for its wall-clock column."""
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["reduce", "--config", str(CONFIGS / "reduce_eps.cfg"),
+                     "--out", str(out)]) == 0
+    for name in ("report.json", "omega_table.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    first, second = (_without_seconds(out / "trace.csv") for out in outs)
+    assert first == second and len(first) > 1
+
+
 def test_cmd_reduce_resonant_witness(tmp_path, capsys):
     code = main(["reduce", "--config", str(CONFIGS / "reduce_resonant.cfg"),
                  "--out", str(tmp_path / "r")])

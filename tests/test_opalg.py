@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,22 +17,25 @@ from airykam.opalg import (
     commutator,
     compose,
     dense_labels,
+    diag_commutator,
     dx_op,
     exp_apply,
     exp_conjugate,
     lie_series,
     materialize,
+    mult_dx_op,
     mult_op,
     op_norm,
     phi_derivative,
     restrict,
     smoothing_generator_op,
     split_by_norm,
+    split_diagonal,
     to_dense,
     x_symbol_op,
 )
 
-from oracles import by_real_parts, dx3_commutator, unit
+from oracles import by_real_parts, dx3_commutator, lie_series_scaled_after, unit
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
@@ -533,9 +537,9 @@ def test_lie_series_pruning_stays_within_its_tolerance(lat2, jmax, monkeypatch, 
     budgets, dropped = [], []
     commutator_, pruned = opalg.commutator, opalg._pruned
 
-    def recorded(A, B, budget=None):
+    def recorded(A, B, budget=None, scale=None):
         budgets.append(budget)
-        return commutator_(A, B, budget)
+        return commutator_(A, B, budget, scale)
 
     def counted(targets, *args):
         out = pruned(targets, *args)
@@ -554,6 +558,86 @@ def test_lie_series_pruning_stays_within_its_tolerance(lat2, jmax, monkeypatch, 
     exact, _ = lie_series(G, X, start_factor)
     assert sum(dropped) == 0
     assert op_norm(total - exact, 0.0) <= opalg.SERIES_TOL * max(1.0, op_norm(X, 0.0))
+
+
+@pytest.mark.parametrize("start_factor", [0, 1, 2])
+def test_lie_series_scales_each_commutator_in_place(lat2, jmax, start_factor):
+    """lie_series scales each commutator's difference blocks in place before
+    they are mirrored; a second scaling pass commutator(term, G, b) * (1 / (k + s))
+    (``oracles.lie_series_scaled_after``) gives the same terms and sum.  The
+    canonical blocks agree bit for bit, and every block as numbers: a mirror
+    block may differ only in the sign of a zero entry, since conj(s b) and
+    s conj(b) give -0 and +0 where b is zero."""
+    G = decaying_op(random_blocks_op, lat2, jmax, 21, True, False)
+    G = G * (0.3 / op_norm(G, 0.0))
+    X = decaying_op(random_blocks_op, lat2, jmax, 22, True, False)
+    got, terms = lie_series(G, X, start_factor)
+    want, want_terms = lie_series_scaled_after(G, X, start_factor)
+    assert terms == want_terms > 3
+    assert list(got.data) == list(want.data)
+    canonical = get_enumeration(lat2).half
+    for p, b in want.data.items():
+        assert np.array_equal(got.data[p], b)
+        if canonical[p]:
+            assert got.data[p].tobytes() == b.tobytes()
+
+
+def _odd_symbols(jmax):
+    """d = i Omega(j) with Omega(j) = -j^3 + 0.05 j + r(j), r odd, and the
+    dispersion d = -i lambda3 j^3; both have d(-j) = conj(d(j))."""
+    j = np.arange(-jmax, jmax + 1)
+    r = np.random.default_rng(7).normal(scale=1e-3, size=j.size)
+    omega = -j**3.0 + 0.05 * j + 0.5 * (r - r[::-1])
+    return {"omega": 1j * omega, "dispersion": -1j * 1.3 * j**3}
+
+
+@pytest.mark.parametrize("symbol", ["omega", "dispersion"])
+def test_diag_commutator_matches_the_product_commutator(lat2, jmax, symbol):
+    """[diag(d), G] scaled entrywise equals the commutator of the products that
+    drop nothing, to rounding: within 2 eps max|d| |G| in op_norm(., 0)
+    (0.25-0.28 eps max|d| |G| here).
+    Each of its blocks at -l is the mirror of its block at l, exactly."""
+    d = _odd_symbols(jmax)[symbol]
+    G = random_blocks_op(lat2, jmax, 61, True, False)
+    got = diag_commutator(d, G)
+    want = commutator(x_symbol_op(lat2, jmax, lambda j: d[j + jmax]), G, 0.0)
+    assert got.real and list(got.data) == list(want.data)
+    scale = np.max(np.abs(d)) * op_norm(G, 0.0)
+    assert op_norm(got - want, 0.0) <= 2 * np.finfo(float).eps * scale
+    neg = get_enumeration(lat2).neg
+    for p, b in got.data.items():
+        assert np.array_equal(got.data[neg[p]], opalg._mirror(b))
+    _assert_invariants(got)
+
+
+def test_split_diagonal_takes_the_l0_diagonal(lat2, jmax):
+    """split_diagonal returns the diagonal of the l = 0 block and the rest,
+    which keeps every other entry; an operator without that block splits
+    into zero and itself."""
+    A = random_blocks_op(lat2, jmax, 62, True, False)
+    d, rest = split_diagonal(A)
+    assert np.array_equal(d, np.diag(A.data[0]))
+    assert not np.diag(rest.data[0]).any()
+    assert op_norm(rest + x_symbol_op(lat2, jmax, lambda j: d[j + jmax]) - A, 0.0) == 0.0
+    high = split_by_norm(A, 0.5)[1]
+    d, rest = split_diagonal(high)
+    assert not d.any() and rest is high
+
+
+def test_mult_dx_op_matches_the_composed_product(lat2, jmax, rand_fct):
+    """a dx built as Toeplitz blocks with column factor i j' equals
+    compose(mult_op(a), dx_op(...)) to rounding, within 2 eps |a dx| in
+    op_norm(., 0) (here they agree exactly), and neither it nor the smoothing generator, whose column
+    divisor skips j' = 0, raises a floating-point warning."""
+    a = rand_fct(63, n_modes=8, zero_x_avg=False) + 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mult_dx_op(a)
+        smoothing_generator_op(a)
+    want = compose(mult_op(a), dx_op(lat2, jmax))
+    assert got.real and list(got.data) == list(want.data)
+    assert op_norm(got - want, 0.0) <= 2 * np.finfo(float).eps * op_norm(want, 0.0)
+    _assert_invariants(got)
 
 
 def _assert_invariants(R):

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from airykam import cli, opalg
 from airykam.analytic import AnalyticFunction, dx, dx_inv, om_dphi, pi0_perp
 from airykam.conjugation import symplectic_pairing
 from airykam.errors import SmallDivisorError
@@ -34,7 +37,7 @@ from airykam.reducibility import (
     order_one_reduction,
     reduce_operator,
 )
-from oracles import compare_reductions, dense_operator, symmetry_residual
+from oracles import compare_reductions, dense_operator, symmetry_residual, two_series_offdiag
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
@@ -260,6 +263,64 @@ def test_reduce_fixture_end_to_end(lat2, omega2):
     assert abs(p1 - p0) <= 1e-8 * abs(p0)
     # M maps real-on-real to real-on-real
     assert symmetry_residual(red.apply_M(u)) == 0.0
+
+
+# the settings of the reduce_sparse benchmark workload: coefficients on site 1
+# alone, K = 12, jmax = 32, so the dispersion reaches 3.3e4
+SPARSE_REDUCE_CFG = """\
+problem.eta = 1.0
+problem.gbar = 0.5
+problem.gamma0 = 0.2
+truncation.M = 2
+truncation.K = 12.0
+truncation.jmax = 32
+omega.sample = true
+omega.seed = 7
+reduce.lambda3 = 1.0
+reduce.B.entries = [[[], 0, 0.05, 0.0], [[[1, 1]], 1, 5e-4, 0.0], [[[1, 2]], 2, 3e-4, 1e-4]]
+reduce.C.entries = [[[[1, 1]], 1, 0.0, -5e-4]]
+reduce.gamma = 0.001
+schedule.N0 = 12.0
+schedule.stop_tol = 1e-10
+schedule.max_steps = 40
+"""
+
+
+def _sparse_reduce(tmp_path, monkeypatch, series_tol, tag):
+    """The report.json diagnostics of a reduce run on SPARSE_REDUCE_CFG with
+    opalg.SERIES_TOL = series_tol, and (reduction, verify window) of the run."""
+    monkeypatch.setattr(opalg, "SERIES_TOL", series_tol)
+    runs = []
+
+    def recorded(L, sched, **kw):
+        runs.append((reduce_operator(L, sched, **kw), kw["verify_window"]))
+        return runs[-1][0]
+
+    monkeypatch.setattr(cli, "reduce_operator", recorded)
+    cfg, out = tmp_path / "sparse.cfg", tmp_path / tag
+    cfg.write_text(SPARSE_REDUCE_CFG)
+    assert cli.main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())["diagnostics"], runs[0]
+
+
+def test_window_residual_holds_at_the_shipped_series_tolerance(tmp_path, monkeypatch):
+    """The window's one series per generator stops relative to bounded terms, so
+    offdiag_residual at the shipped SERIES_TOL agrees with a SERIES_TOL = 1e-22
+    run within 1e-4 relative (4.7e-6 here), and with the two-series window of
+    ``exp_conjugate``, run at 1e-22, within 2e-4 (4.0e-5 here); at the shipped
+    tolerance that window read 4.31e-14 against 3.32e-14.  diag_mismatch is
+    the rounding of the diagonal it compares, whose largest entry in the
+    window is diag_scale: under 1e-15 of it."""
+    shipped, (red, window) = _sparse_reduce(tmp_path, monkeypatch, opalg.SERIES_TOL, "shipped")
+    assert shipped["window_lie_terms"] and len(shipped["window_lie_terms"]) == len(red.gens)
+    vals, j = red.omega_values(), np.arange(-red.jmax, red.jmax + 1)
+    assert shipped["diag_scale"] == np.max(np.abs(vals[np.abs(j) <= window[0]])) > 1e4
+    assert shipped["diag_mismatch"] <= 1e-15 * shipped["diag_scale"]
+    fine, (red, window) = _sparse_reduce(tmp_path, monkeypatch, 1e-22, "fine")
+    value = shipped["offdiag_residual"]
+    assert abs(value - fine["offdiag_residual"]) <= 1e-4 * fine["offdiag_residual"]
+    old = two_series_offdiag(red, window)
+    assert abs(value - old) <= 2e-4 * old
 
 
 def test_invert_via_diagonalization(lat2, omega2):
