@@ -29,8 +29,8 @@ it subtracts B A from A B on the canonical half, so the mirror blocks and
 the zero test are paid once, for the difference, which a Lie series scales
 in place.  Diagonals need no products: [diag(d), G] is G scaled entrywise by
 d_j - d_j' (``diag_commutator``), and a dx is built as blocks
-(``mult_dx_op``).  ``exp_conjugate`` (stop rule relative to the dispersion)
-has no program caller; the tests and ``perfbench`` use it.
+(``mult_dx_op``).  ``exp_conjugate`` (stopped relative to the dispersion)
+has no program caller; tests and ``perfbench`` use it.
 
 ``compose`` forms only the block pairs that can matter to its caller.  The
 block norm |R_p| = max_j' sum_j |R_p[j, j']| (cached per operator) is the
@@ -283,7 +283,7 @@ def dx_op(lattice, jmax, order=1) -> OperatorMatrix:
 
 
 def _toeplitz_blocks(a: AnalyticFunction, scale=None, column=None):
-    """Blocks b_p[j, j'] = scale(a(l_p, j - j'), column[j']) of every nonzero row p."""
+    """Blocks b_p[j, j'] = scale(a(l_p, j - j'), column[j']) of each nonzero row p."""
     jmax = a.jmax
     jj = np.arange(-jmax, jmax + 1)
     shift = jj[:, None] - jj[None, :]
@@ -380,7 +380,7 @@ def compose(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix
     ``analytic.multiply``.  A real product sums its canonical half (targets
     q <= neg[q]) and mirrors the rest, symmetrizing q = 0.  The kept pairs
     are summed on the GEMM path, A-major and B-minor, or on the join path
-    (see the module docstring for the pruning rule and the choice of path).
+    (the module docstring gives the pruning rule and the path choice).
     """
     A._check_compat(B)
     return _completed(A, _product(A, B, budget), A.real and B.real)

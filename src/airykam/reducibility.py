@@ -160,10 +160,11 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
 
     Requires the second Melnikov conditions for Omega_k up to the cutoff N_k;
     absorbs the diagonal Z of the remainder P = P_low + P_high into the
-    frequencies and solves the homological equation for the generator Psi.
-    The dust is the rest of the diagonal (its real and j-even parts).  With
-    C = [P, Psi] and X = Z + dust - P_low, the homological equation's value
-    of [omega.d_phi + D, Psi], the new remainder is one Lie series:
+    frequencies and solves the homological equation for the generator Psi
+    entrywise, like [D, Psi] (D = i Omega_k).  The dust is the rest of the
+    diagonal (its real and j-even parts).  With C = [P, Psi] and
+    X = Z + dust - P_low, the value of [omega.d_phi + D, Psi], the new
+    remainder is one Lie series:
     P_high + dust + C + lie_series(Psi, [X + C, Psi], start_factor=2).
     The commutators C and [X + C, Psi] each drop block pairs worth at most
     series_budget(P) (see ``opalg.compose``), and the series within its own
@@ -307,7 +308,7 @@ def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
     ``verify_window = (jwin, lwin)`` additionally conjugates L through all
     generators and records the interior off-diagonal residual, the worst
     diagonal mismatch, the largest diagonal entry (``diag_scale``) and each
-    generator's Lie series term count.  Each G adds to materialize(L) one Lie
+    generator's series term count.  Each G adds to materialize(L) one Lie
     series in [L, G] = [D, G] + Gdot + [L - D, G], D the l = 0 diagonal so
     far: [D, G] is entrywise, so every series and budget is relative to a
     bounded term.
