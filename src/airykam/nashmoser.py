@@ -10,7 +10,11 @@ operator's variable top-order coefficients, and transports everything:
     Q_{n+1} = r T^{-1} Q_n(T .).
 
 The approximate solution is the telescoping sum u_n = h_0 + sum T_1...T_j h_j
-and is certified by an independent collocation residual.
+and is certified by an independent collocation residual.  u_n needs h_n and
+the transforms of the steps before n only, so ``solve`` runs each step's
+correction (``correct``), checks the residual of u_n, and runs the transport
+(``transport``) only if the target is not met: the last step of a converged
+solve transports nothing.
 
 State n lives at a working x-truncation jmax_n.  Step 0 runs at the
 config's jmax; after each step the solver restricts (f, L, Q) to the
@@ -29,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -65,6 +69,8 @@ __all__ = [
     "ResidualReport",
     "initial_quadratic_form",
     "init_state",
+    "correct",
+    "transport",
     "step",
     "assemble_solution",
     "residual",
@@ -234,9 +240,13 @@ def working_jmax(funcs, jmax: int):
     return jw, float(shares[jw])
 
 
-def step(state: IterationState, spec: ProblemSpec) -> IterationState:
-    """One full outer step at the state's working x-truncation: solve, change
-    variables, transport, and restrict the new state to ``working_jmax``."""
+def correct(state: IterationState, spec: ProblemSpec):
+    """The correction of step n at the state's working x-truncation: reduce
+    L_n and solve L_n h_n = -f_n.
+
+    Returns h_n and the step's record without its transport fields; the
+    record's ``seconds`` cover the correction.
+    """
     t0 = time.perf_counter()
     n = state.n
     gamma_step = spec.dioph.gamma(n + 1)
@@ -249,19 +259,6 @@ def step(state: IterationState, spec: ProblemSpec) -> IterationState:
         raise ReductionError(f"reducibility stalled at outer step {n}: {red.stop_reason}")
     inv_rep = {}
     h = invert_via_diagonalization(red, state.f, gamma_step, report=inv_rep)
-
-    qp = linearize_quadratic(state.Q, h)
-    conj_rep = {}
-    res = conjugate_step(state.L, qp, spec.gbar, report=conj_rep)
-
-    Qh = evaluate_quadratic(state.Q, h)
-    f_raw = multiply(res.transform.r, apply_transform_inverse(res.transform, Qh, report=conj_rep))
-    mean_defect = pi0(f_raw).norm(0.0)
-    f_next = pi0_perp(f_raw)
-    Q_next = push_quadratic(state.Q, res.transform, report=conj_rep)
-    L_next = res.L_plus
-    jmax_next, dropped = working_jmax(
-        [f_next, L_next.B, L_next.C, *Q_next.coeffs.values()], f_next.jmax)
 
     s_n = spec.strips.s(n)
     sigma_n = spec.strips.sigma(n)
@@ -276,26 +273,62 @@ def step(state: IterationState, spec: ProblemSpec) -> IterationState:
         "min_margin": float(min(margins)) if margins else float("nan"),
         "invert_residual_rel": inv_rep.get("residual_rel", 0.0),
         "kam_steps": red.diagnostics.get("steps", 0),
+        "jmax_work": state.f.jmax,
+        "seconds": time.perf_counter() - t0,
+    }
+    log.info("outer step %d: |f|=%.3e |h|=%.3e margin=%.2e",
+             n, record["norm_f"], record["norm_h"], record["min_margin"])
+    return h, record
+
+
+def transport(state: IterationState, spec: ProblemSpec, h: AnalyticFunction,
+              record: dict) -> IterationState:
+    """The transport of step n: change variables, carry (f, L, Q) to state
+    n + 1, and restrict it to ``working_jmax``.
+
+    ``h`` and ``record`` are what ``correct`` returned for ``state``; the
+    new state's last record is ``record`` with the eight transport fields
+    added and the transport's time added to its ``seconds``.
+    """
+    t0 = time.perf_counter()
+    qp = linearize_quadratic(state.Q, h)
+    conj_rep = {}
+    res = conjugate_step(state.L, qp, spec.gbar, report=conj_rep)
+
+    Qh = evaluate_quadratic(state.Q, h)
+    f_raw = multiply(res.transform.r, apply_transform_inverse(res.transform, Qh, report=conj_rep))
+    mean_defect = pi0(f_raw).norm(0.0)
+    f_next = pi0_perp(f_raw)
+    Q_next = push_quadratic(state.Q, res.transform, report=conj_rep)
+    L_next = res.L_plus
+    jmax_next, dropped = working_jmax(
+        [f_next, L_next.B, L_next.C, *Q_next.coeffs.values()], f_next.jmax)
+
+    record = {
+        **record,
         "b2_norm": conj_rep.get("b2_norm", 0.0),
         "operator_hamiltonian_defect": conj_rep.get("operator_hamiltonian_defect", 0.0),
         "hamiltonian_defect": conj_rep.get("hamiltonian_defect", 0.0),
         "x_mean_defect": mean_defect,
         "q_total_norm": Q_next.total_norm(0.0),
-        "jmax_work": state.f.jmax,
         "dropped_rel": dropped,
         "max_alias_rel": conj_rep.get("max_alias_rel", 0.0),
         "max_discard_rel": conj_rep.get("max_discard_rel", 0.0),
-        "seconds": time.perf_counter() - t0,
+        "seconds": record["seconds"] + time.perf_counter() - t0,
     }
-    log.info("outer step %d: |f|=%.3e |h|=%.3e margin=%.2e",
-             n, record["norm_f"], record["norm_h"], record["min_margin"])
     return IterationState(
-        n=n + 1, f=f_next.restrict(jmax_next), L=L_next.restrict(jmax_next),
+        n=state.n + 1, f=f_next.restrict(jmax_next), L=L_next.restrict(jmax_next),
         Q=Q_next.restrict(jmax_next),
         transforms=state.transforms + [res.transform],
         h_list=state.h_list + [h],
         records=state.records + [record],
     )
+
+
+def step(state: IterationState, spec: ProblemSpec) -> IterationState:
+    """One full outer step: the correction, then the transport."""
+    h, record = correct(state, spec)
+    return transport(state, spec, h, record)
 
 
 def assemble_solution(state: IterationState, previous=None) -> AnalyticFunction:
@@ -432,9 +465,13 @@ def _failure(exc):
 def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
     """Run the outer iteration until the collocation residual clears the target.
 
-    Non-convergence (an omega outside the admissible set, divisor breach,
-    divergence, a non-finite residual or norm_f, exhausted steps) is
-    reported, not raised.
+    Each step solves for h_n and checks the residual of u_n before it
+    transports the state; the step that meets the target stops there, so its
+    record holds no transport fields and a transport failure cannot reach
+    it.  Non-convergence (an omega outside the admissible set, divisor
+    breach, divergence, a non-finite residual or norm_f, exhausted steps) is
+    reported, not raised; a step whose transport fails leaves no residual,
+    record or term of u behind, as if the whole step had failed.
     """
     try:
         state = init_state(spec)
@@ -457,22 +494,32 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
     for _ in range(max_iters):
         f_before = state.f.norm(0.0)
         try:
-            state = step(state, spec)
+            h, record = correct(state, spec)
         except _NUMERIC_FAILURES as exc:
             stop, failure = _failure(exc)
             break
-        eps_meas.append(state.records[-1]["norm_h"])
-        u = assemble_solution(state, u)
-        rr = residual(spec, u)
+        # step n done without its transport: f, L and Q are still step n's
+        solved = replace(state, n=state.n + 1, h_list=state.h_list + [h],
+                         records=state.records + [record])
+        u_next = assemble_solution(solved, u)
+        rr = residual(spec, u_next)
+        log.info("residual after step %d: %.3e", state.n, rr.value)
+        converged = rr.value <= spec.residual_target  # False for a NaN
+        if not converged:
+            try:
+                state = transport(state, spec, h, record)
+            except _NUMERIC_FAILURES as exc:
+                stop, failure = _failure(exc)
+                break
+        u = u_next
+        eps_meas.append(record["norm_h"])
         residuals.append(rr.as_dict())
-        log.info("residual after step %d: %.3e", state.n - 1, rr.value)
+        if converged:
+            state, stop = solved, "tolerance"
+            break
         norm_f = state.f.norm(0.0)
         if not (math.isfinite(rr.value) and math.isfinite(norm_f)):
             stop = "non-finite"  # every comparison below would be False
-            break
-        if rr.value <= spec.residual_target:
-            converged = True
-            stop = "tolerance"
             break
         if norm_f > DIVERGENCE_FACTOR * max(f_before, 1e-300):
             stop = "diverging"

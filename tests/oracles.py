@@ -8,14 +8,14 @@ import math
 
 import numpy as np
 
-from airykam import opalg
+from airykam import nashmoser, opalg
 from airykam._grid import (
     compose_phi_shift,
     compose_x_diffeo,
     compose_x_translation,
     substitute_inverse,
 )
-from airykam.analytic import AnalyticFunction, dx, multiply, om_dphi
+from airykam.analytic import AnalyticFunction, dx, multiply, om_dphi, to_payload
 from airykam.conjugation import QuadraticForm, moser_power
 from airykam.lattice import get_enumeration
 from airykam.opalg import (
@@ -264,3 +264,42 @@ def push_quadratic_spectral(Q, T):
     moved = substitute_inverse([multiply(f, jac_inv) for f in out.values()], T.alpha_tilde,
                                T.beta_tilde, T.p, T.omega)
     return QuadraticForm(Q.lattice, Q.jmax, {key: multiply(T.r, m) for key, m in zip(out, moved)})
+
+
+def solve_by_full_steps(spec, max_iters):
+    """The outer loop that transports every step before it checks the
+    residual: full ``nashmoser.step``s, each followed by ``assemble_solution``
+    and ``residual``, with the same stop rules as ``nashmoser.solve`` (less
+    its zero-forcing and inadmissible-omega exits)."""
+    state = nashmoser.init_state(spec)
+    residuals, eps_meas = [], []
+    stop, converged, failure, u = "max-iters", False, None, None
+    for _ in range(max_iters):
+        f_before = state.f.norm(0.0)
+        try:
+            state = nashmoser.step(state, spec)
+        except nashmoser._NUMERIC_FAILURES as exc:
+            stop, failure = nashmoser._failure(exc)
+            break
+        eps_meas.append(state.records[-1]["norm_h"])
+        u = nashmoser.assemble_solution(state, u)
+        rr = nashmoser.residual(spec, u)
+        residuals.append(rr.as_dict())
+        norm_f = state.f.norm(0.0)
+        if not (math.isfinite(rr.value) and math.isfinite(norm_f)):
+            stop = "non-finite"
+            break
+        if rr.value <= spec.residual_target:
+            converged, stop = True, "tolerance"
+            break
+        if norm_f > nashmoser.DIVERGENCE_FACTOR * max(f_before, 1e-300):
+            stop = "diverging"
+            break
+    eps0 = eps_meas[0] * math.e if eps_meas else 0.0
+    theory = [eps0 * math.exp(-nashmoser.CHI**k) for k in range(len(eps_meas))]
+    return nashmoser.SolveReport(
+        converged=converged, iterations=state.n, stop_reason=stop, residuals=residuals,
+        records=state.records,
+        eps_trace={"eps0": eps0, "measured": eps_meas, "theory": theory},
+        solution=None if u is None else to_payload(u), failure=failure,
+    )

@@ -8,7 +8,7 @@ from airykam import _grid, cli, nashmoser
 from airykam.analytic import AnalyticFunction, dx, from_payload, multiply
 from airykam.config import load_config, problem_spec_from
 from airykam.conjugation import evaluate_quadratic, linearize_quadratic
-from airykam.errors import SmallDivisorError
+from airykam.errors import AliasingError, SmallDivisorError
 from airykam.lattice import LatticeParams, MultiIndex
 from airykam.nashmoser import (
     ProblemSpec,
@@ -22,12 +22,18 @@ from airykam.nashmoser import (
     step,
     working_jmax,
 )
+from oracles import solve_by_full_steps
 
 ZERO = MultiIndex.zero()
 E1 = MultiIndex.unit(1)
 
 OMEGA = np.array([1.62509547, 1.8972138])  # admissible for the test lattice
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# the record fields of a step's transport, which the step that converges skips
+TRANSPORT_KEYS = {"b2_norm", "dropped_rel", "hamiltonian_defect", "max_alias_rel",
+                  "max_discard_rel", "operator_hamiltonian_defect", "q_total_norm",
+                  "x_mean_defect"}
 
 
 def make_spec(lat, jmax, eps=1e-6, c=(1.0, 0.5, 0.25, 1.0), **kw):
@@ -299,18 +305,119 @@ def test_records_hold_the_largest_shares_of_the_steps_substitution_passes(lat2, 
 
 
 def test_report_with_grid_limits_is_byte_identical_across_reruns(tmp_path):
+    config = solve_small_config(tmp_path, 1e-12)     # two steps: the first transports
     reports = []
     for k in (1, 2):
         out = tmp_path / f"run{k}"
-        assert cli.main(["solve", "--config", str(CONFIGS / "solve_small.cfg"),
-                         "--out", str(out)]) == 0
+        assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == 0
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
-    records = json.loads(reports[0])["records"]
-    assert records
-    for rec in records:
+    *transported, converged = json.loads(reports[0])["records"]
+    assert transported
+    for rec in transported:
         assert 0.0 < rec["max_alias_rel"] <= _grid.ALIAS_TOL
         assert 0.0 < rec["max_discard_rel"] < 1.0
+    assert not TRANSPORT_KEYS & set(converged)
+
+
+# -- the step that converges does not transport -------------------------------
+
+
+def solve_small_spec(target=None):
+    cfg = load_config(CONFIGS / "solve_small.cfg")
+    if target is not None:
+        cfg["schedule.residual_target"] = target
+    return problem_spec_from(cfg)
+
+
+def solve_small_config(tmp_path, target):
+    """solve_small.cfg with another residual target, written under tmp_path."""
+    shipped = (CONFIGS / "solve_small.cfg").read_text()
+    line = "schedule.residual_target = 1e-10"
+    assert line in shipped
+    config = tmp_path / "solve_small.cfg"
+    config.write_text(shipped.replace(line, f"schedule.residual_target = {target!r}"))
+    return config
+
+
+def failing_transport(monkeypatch, from_call):
+    """Make conjugate_step raise AliasingError from its ``from_call``-th call
+    on; returns the list of calls, which a test may empty to start over."""
+    calls = []
+    conjugate = nashmoser.conjugate_step
+
+    def fake(*args, **kwargs):
+        calls.append(args)
+        if len(calls) >= from_call:
+            raise AliasingError("injected transport failure")
+        return conjugate(*args, **kwargs)
+
+    monkeypatch.setattr(nashmoser, "conjugate_step", fake)
+    return calls
+
+
+def without_seconds(records):
+    return [{k: v for k, v in rec.items() if k != "seconds"} for rec in records]
+
+
+@pytest.mark.parametrize("target, steps", [(None, 1), (1e-12, 2)], ids=["shipped", "1e-12"])
+def test_solve_matches_the_loop_of_full_steps_bitwise(target, steps):
+    spec = solve_small_spec(target)
+    rep = solve(spec, max_iters=4)
+    full = solve_by_full_steps(spec, max_iters=4)
+    assert rep.converged and full.converged
+    assert rep.iterations == full.iterations == steps
+    assert json.dumps(rep.solution) == json.dumps(full.solution)
+    assert json.dumps(rep.residuals) == json.dumps(full.residuals)
+    assert rep.eps_trace == full.eps_trace
+    *earlier, last = without_seconds(full.records)
+    assert without_seconds(rep.records) == earlier + [
+        {k: v for k, v in last.items() if k not in TRANSPORT_KEYS}]
+
+
+@pytest.mark.parametrize("target, stop, transports", [(1e-12, "tolerance", 1),
+                                                      (1e-30, "max-iters", 2)])
+def test_solve_transports_every_step_but_the_one_that_converges(monkeypatch, target, stop,
+                                                                 transports):
+    calls = []
+    push = nashmoser.push_quadratic
+    monkeypatch.setattr(nashmoser, "push_quadratic",
+                        lambda *args, **kwargs: calls.append(args) or push(*args, **kwargs))
+    rep = solve(solve_small_spec(target), max_iters=2)
+    assert rep.stop_reason == stop and rep.iterations == 2
+    assert len(calls) == transports
+    assert all(TRANSPORT_KEYS <= set(rec) for rec in rep.records[:transports])
+    assert all(not TRANSPORT_KEYS & set(rec) for rec in rep.records[transports:])
+
+
+def test_a_transport_failure_on_the_converged_step_is_never_reached(tmp_path, monkeypatch):
+    """Step 1 of solve_small at 1e-12 meets the target; its transport would
+    fail, but the solve stops before it and exits 0."""
+    config = solve_small_config(tmp_path, 1e-12)
+    calls = failing_transport(monkeypatch, 2)
+    full = solve_by_full_steps(problem_spec_from(load_config(config)), max_iters=4)
+    assert full.stop_reason == "numerical-failure:AliasingError" and full.iterations == 1
+    del calls[:]
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["converged"] is True and doc["stop_reason"] == "tolerance"
+    assert doc["iterations"] == 2 and len(doc["residuals"]) == 2 and doc["failure"] is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("from_call, iterations", [(1, 0), (2, 1)])
+def test_a_transport_failure_before_the_target_is_met_reports_as_the_full_steps_do(
+        monkeypatch, from_call, iterations):
+    spec = solve_small_spec(1e-30)
+    calls = failing_transport(monkeypatch, from_call)
+    rep = solve(spec, max_iters=4)
+    del calls[:]
+    full = solve_by_full_steps(spec, max_iters=4)
+    assert rep.stop_reason == "numerical-failure:AliasingError"
+    assert rep.iterations == iterations and len(rep.residuals) == iterations
+    assert json.dumps(rep.to_json_dict()) == json.dumps(full.to_json_dict())
+    assert json.dumps(rep.solution) == json.dumps(full.solution)
 
 
 def place_fftn(u, sizes):
