@@ -340,10 +340,8 @@ def _phi_values(f, sphi, E=None):
     """Values on the phi grid of a real function f of phi alone, at the points
     whose phase factors are E (at phi for E None)."""
     if E is None:
-        T = _x_spectrum(f, sphi, 1)
-    else:
-        T = _phi_series(E, f.data[:, f.jmax:f.jmax + 1], sphi)
-    return _to_x_grid(T, 1)[..., 0]
+        return _real_grid_values(f, sphi + (1,))[..., 0]
+    return _to_x_grid(_phi_series(E, f.data[:, f.jmax:f.jmax + 1], sphi), 1)[..., 0]
 
 
 def _shifted_phi_values(f, shift, omega, sphi):

@@ -35,8 +35,8 @@ from .config import (
     problem_spec_from,
     seed_from,
 )
-from .errors import SmallDivisorError
-from .nashmoser import ResidualReport, solve
+from .errors import ReductionError, SeriesDivergenceError, SmallDivisorError
+from .nashmoser import ResidualReport, _failure, solve
 from .opalg import DifferentialOperator
 from .reducibility import KamSchedule, reduce_operator
 from .selftest import run_selftest
@@ -129,6 +129,11 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
     if lam3 == 0:
         raise ConfigError(f"reduce.lambda3 must be nonzero, got {lam3}")
     L = DifferentialOperator(omega, lam3, B, C)
+    try:
+        L.lambda1()
+    except ValueError as exc:
+        raise ConfigError(f"reduce.B.entries: {exc}; the order-one reduction needs "
+                          "a phi-independent x-average") from None
     sched = KamSchedule(
         gamma=number(cfg, "reduce.gamma", above=0.0),
         gbar=gbar_from(cfg),
@@ -148,6 +153,13 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
         _write_json(out / "report.json",
                     {"converged": False, "stop_reason": "small-divisor",
                      "witness": exc.witness(), "omega": omega.tolist()})
+        return 2
+    except (SeriesDivergenceError, ReductionError) as exc:
+        stop, failure = _failure(exc)
+        print(f"reduction failed: {exc}")
+        _write_json(out / "report.json",
+                    {"converged": False, "stop_reason": stop, "failure": failure,
+                     "omega": omega.tolist()})
         return 2
     doc = {
         "converged": red.converged,

@@ -10,11 +10,17 @@ operator's variable top-order coefficients, and transports everything:
     Q_{n+1} = r T^{-1} Q_n(T .).
 
 The approximate solution is the telescoping sum u_n = h_0 + sum T_1...T_j h_j
-and is certified by an independent collocation residual.  u_n needs h_n and
-the transforms of the steps before n only, so ``solve`` runs each step's
-correction (``correct``), checks the residual of u_n, and runs the transport
-(``transport``) only if the target is not met: the last step of a converged
-solve transports nothing.
+and is certified by an independent collocation residual.
+
+One state type, ``IterationState``, carries the iteration: (f_n, L_n, Q_n),
+the transforms T_0 ... T_{n-1}, the corrections h_0 ... and one record per
+step.  Its step count n is the number of corrections.  A step is two maps of
+that state: ``correct`` appends h_n and its record and leaves (f, L, Q) as
+they are, and ``transport`` reads h_n and the record back, carries (f, L, Q)
+to step n + 1, appends T_n and completes the record.  u_n needs h_n and the
+transforms of the steps before n only, so ``solve`` checks the residual of
+u_n after the correction and transports only if the target is not met: the
+last step of a converged solve transports nothing.
 
 State n lives at a working x-truncation jmax_n.  Step 0 runs at the
 config's jmax; after each step the solver restricts (f, L, Q) to the
@@ -169,13 +175,17 @@ class ProblemSpec:
 
 @dataclass
 class IterationState:
-    n: int
     f: AnalyticFunction
     L: DifferentialOperator
     Q: QuadraticForm
     transforms: list = field(default_factory=list)
     h_list: list = field(default_factory=list)
     records: list = field(default_factory=list)
+
+    @property
+    def n(self) -> int:
+        """The number of corrections made so far."""
+        return len(self.h_list)
 
 
 def initial_quadratic_form(c, lattice, jmax) -> QuadraticForm:
@@ -214,7 +224,7 @@ def init_state(spec: ProblemSpec) -> IterationState:
     zero = AnalyticFunction.zeros(spec.lattice, spec.jmax)
     L0 = DifferentialOperator(spec.omega, 1.0, zero, zero)
     Q0 = initial_quadratic_form(spec.c, spec.lattice, spec.jmax)
-    return IterationState(n=0, f=spec.forcing, L=L0, Q=Q0)
+    return IterationState(f=spec.forcing, L=L0, Q=Q0)
 
 
 def _tail_shares(u: AnalyticFunction) -> np.ndarray:
@@ -240,12 +250,13 @@ def working_jmax(funcs, jmax: int):
     return jw, float(shares[jw])
 
 
-def correct(state: IterationState, spec: ProblemSpec):
+def correct(state: IterationState, spec: ProblemSpec) -> IterationState:
     """The correction of step n at the state's working x-truncation: reduce
     L_n and solve L_n h_n = -f_n.
 
-    Returns h_n and the step's record without its transport fields; the
-    record's ``seconds`` cover the correction.
+    Returns the state with h_n and the step's record appended; f, L and Q
+    are still those of step n.  The record holds no transport fields yet,
+    and its ``seconds`` cover the correction.
     """
     t0 = time.perf_counter()
     n = state.n
@@ -262,35 +273,35 @@ def correct(state: IterationState, spec: ProblemSpec):
 
     s_n = spec.strips.s(n)
     sigma_n = spec.strips.sigma(n)
-    margins = [inv_rep.get("melnikov_margin", float("nan"))]
-    margins += [row["margin"] for row in red.trace]
+    margins = [inv_rep["melnikov_margin"]] + [row["margin"] for row in red.trace]
     record = {
         "step": n,
         "s_n": s_n,
         "sigma_n": sigma_n,
         "norm_f": state.f.norm(max(0.0, s_n - 2.0 * sigma_n)),
         "norm_h": h.norm(max(0.0, min(spec.strips.s(n + 1), s_n))),
-        "min_margin": float(min(margins)) if margins else float("nan"),
-        "invert_residual_rel": inv_rep.get("residual_rel", 0.0),
-        "kam_steps": red.diagnostics.get("steps", 0),
+        "min_margin": float(min(margins)),
+        "invert_residual_rel": inv_rep["residual_rel"],
+        "kam_steps": red.k,
         "jmax_work": state.f.jmax,
         "seconds": time.perf_counter() - t0,
     }
     log.info("outer step %d: |f|=%.3e |h|=%.3e margin=%.2e",
              n, record["norm_f"], record["norm_h"], record["min_margin"])
-    return h, record
+    return replace(state, h_list=state.h_list + [h], records=state.records + [record])
 
 
-def transport(state: IterationState, spec: ProblemSpec, h: AnalyticFunction,
-              record: dict) -> IterationState:
+def transport(state: IterationState, spec: ProblemSpec) -> IterationState:
     """The transport of step n: change variables, carry (f, L, Q) to state
     n + 1, and restrict it to ``working_jmax``.
 
-    ``h`` and ``record`` are what ``correct`` returned for ``state``; the
-    new state's last record is ``record`` with the eight transport fields
-    added and the transport's time added to its ``seconds``.
+    ``state`` is what ``correct`` returned: its last h and record are h_n and
+    the step's record.  The new state keeps ``h_list``, appends T_n, and
+    completes the last record with the eight transport fields, its
+    ``seconds`` with the transport's time.
     """
     t0 = time.perf_counter()
+    h, record = state.h_list[-1], state.records[-1]
     qp = linearize_quadratic(state.Q, h)
     conj_rep = {}
     res = conjugate_step(state.L, qp, spec.gbar, report=conj_rep)
@@ -316,19 +327,16 @@ def transport(state: IterationState, spec: ProblemSpec, h: AnalyticFunction,
         "max_discard_rel": conj_rep.get("max_discard_rel", 0.0),
         "seconds": record["seconds"] + time.perf_counter() - t0,
     }
-    return IterationState(
-        n=state.n + 1, f=f_next.restrict(jmax_next), L=L_next.restrict(jmax_next),
-        Q=Q_next.restrict(jmax_next),
-        transforms=state.transforms + [res.transform],
-        h_list=state.h_list + [h],
-        records=state.records + [record],
+    return replace(
+        state, f=f_next.restrict(jmax_next), L=L_next.restrict(jmax_next),
+        Q=Q_next.restrict(jmax_next), transforms=state.transforms + [res.transform],
+        records=state.records[:-1] + [record],
     )
 
 
 def step(state: IterationState, spec: ProblemSpec) -> IterationState:
     """One full outer step: the correction, then the transport."""
-    h, record = correct(state, spec)
-    return transport(state, spec, h, record)
+    return transport(correct(state, spec), spec)
 
 
 def assemble_solution(state: IterationState, previous=None) -> AnalyticFunction:
@@ -480,7 +488,6 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
         return SolveReport(False, 0, stop, [], [], {"eps0": 0.0, "measured": [], "theory": []},
                            failure=failure)
     residuals = []
-    eps_meas = []
     if spec.forcing.norm(0.0) == 0.0:
         u = AnalyticFunction.zeros(spec.lattice, spec.jmax)
         rr = residual(spec, u)
@@ -494,28 +501,23 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
     for _ in range(max_iters):
         f_before = state.f.norm(0.0)
         try:
-            h, record = correct(state, spec)
+            solved = correct(state, spec)
         except _NUMERIC_FAILURES as exc:
             stop, failure = _failure(exc)
             break
-        # step n done without its transport: f, L and Q are still step n's
-        solved = replace(state, n=state.n + 1, h_list=state.h_list + [h],
-                         records=state.records + [record])
         u_next = assemble_solution(solved, u)
         rr = residual(spec, u_next)
         log.info("residual after step %d: %.3e", state.n, rr.value)
         converged = rr.value <= spec.residual_target  # False for a NaN
-        if not converged:
-            try:
-                state = transport(state, spec, h, record)
-            except _NUMERIC_FAILURES as exc:
-                stop, failure = _failure(exc)
-                break
+        try:
+            state = solved if converged else transport(solved, spec)
+        except _NUMERIC_FAILURES as exc:
+            stop, failure = _failure(exc)
+            break
         u = u_next
-        eps_meas.append(record["norm_h"])
         residuals.append(rr.as_dict())
         if converged:
-            state, stop = solved, "tolerance"
+            stop = "tolerance"
             break
         norm_f = state.f.norm(0.0)
         if not (math.isfinite(rr.value) and math.isfinite(norm_f)):
@@ -524,15 +526,16 @@ def solve(spec: ProblemSpec, max_iters: int = 6) -> SolveReport:
         if norm_f > DIVERGENCE_FACTOR * max(f_before, 1e-300):
             stop = "diverging"
             break
-    eps0 = eps_meas[0] * math.e if eps_meas else 0.0
-    theory = [eps0 * math.exp(-CHI**k) for k in range(len(eps_meas))]
+    measured = [rec["norm_h"] for rec in state.records]
+    eps0 = measured[0] * math.e if measured else 0.0
+    theory = [eps0 * math.exp(-CHI**k) for k in range(len(measured))]
     report = SolveReport(
         converged=converged,
         iterations=state.n,
         stop_reason=stop,
         residuals=residuals,
         records=state.records,
-        eps_trace={"eps0": eps0, "measured": eps_meas, "theory": theory},
+        eps_trace={"eps0": eps0, "measured": measured, "theory": theory},
         solution=None if u is None else to_payload(u),
         failure=failure,
     )

@@ -5,13 +5,22 @@ removes the variable part of the first-order term up to a bounded remainder;
 a quadratically convergent KAM iteration then diagonalizes the remainder,
 producing final frequencies Omega(j) = -lambda3 j^3 + lambda1 j + r(j) and an
 accumulated transformation stored as its list of generators.
+
+One state type, ``Reduction``, carries the whole run: the frequencies, the
+remainder P and cutoff N, the generators [G, Psi_0, Psi_1, ...] and one
+trace row per KAM step.  ``kam_step`` maps a state to the next one,
+``kam_iterate`` returns the state it stopped at with its ``stop_reason``, and
+``reduce_operator`` returns that state with the operator it reduced and its
+diagnostics.  The step count and the convergence flag are read off the trace
+and the stop reason.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -41,14 +50,11 @@ from .smalldiv import first_melnikov, second_melnikov
 
 __all__ = [
     "KamSchedule",
-    "KamState",
+    "Reduction",
     "OrderOneResult",
     "order_one_reduction",
-    "kam_state_init",
     "kam_step",
     "kam_iterate",
-    "KamResult",
-    "ReductionResult",
     "reduce_operator",
     "invert_via_diagonalization",
 ]
@@ -73,12 +79,46 @@ class KamSchedule:
     max_steps: int
 
 
-class _Frequencies:
-    """Frequencies Omega(j) = -lambda3 j^3 + lambda1 j + r(j) of a diagonal operator.
+@dataclass
+class Reduction:
+    """A state of the reduction: frequencies Omega(j) = -lambda3 j^3 +
+    lambda1 j + r(j), remainder P, KAM cutoff N, and the generators of the
+    diagonalizing map M = exp(G) exp(Psi_0) exp(Psi_1) ....
 
-    Shared by KamState and ReductionResult, which carry lambda3, lambda1, the
-    correction r (indexed j + jmax, r[jmax] = 0) and jmax.
+    ``L``, ``stop_reason`` and ``diagnostics`` are set once the iteration
+    stops (``kam_iterate``, ``reduce_operator``).
     """
+
+    lambda3: float
+    lambda1: float
+    P: OperatorMatrix
+    N: float
+    r: Optional[np.ndarray] = None   # r(j), indexed j + jmax, r[jmax] = 0; zeros if None
+    gens: list = field(default_factory=list)     # [G, Psi_0, Psi_1, ...]
+    trace: list = field(default_factory=list)    # one row per KAM step
+    L: Optional[DifferentialOperator] = None
+    stop_reason: Optional[str] = None
+    diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.r is None:
+            self.r = np.zeros(2 * self.P.jmax + 1)
+
+    @property
+    def k(self) -> int:
+        return len(self.trace)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("tolerance", "already-diagonal")
+
+    @property
+    def lattice(self):
+        return self.P.lattice
+
+    @property
+    def jmax(self):
+        return self.P.jmax
 
     def omega_values(self) -> np.ndarray:
         """Omega(j), indexed j + jmax, with the j = 0 slot set to 0."""
@@ -87,21 +127,15 @@ class _Frequencies:
         out[self.jmax] = 0.0
         return out
 
+    def apply_M(self, u: AnalyticFunction) -> AnalyticFunction:
+        for gen in reversed(self.gens):
+            u = exp_apply(gen, u)
+        return u
 
-@dataclass
-class KamState(_Frequencies):
-    k: int
-    lambda3: float
-    lambda1: float
-    r: np.ndarray            # correction r_k(j), indexed j + jmax, r[jmax] = 0
-    P: OperatorMatrix
-    N: float
-    psis: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
-
-    @property
-    def jmax(self):
-        return self.P.jmax
+    def apply_M_inverse(self, u: AnalyticFunction) -> AnalyticFunction:
+        for gen in self.gens:
+            u = exp_apply(-gen, u)
+        return u
 
 
 @dataclass
@@ -149,14 +183,9 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
     return OrderOneResult(G, R0, g, rep)
 
 
-def kam_state_init(lambda3: float, lambda1: float, P0: OperatorMatrix,
-                   N0: float) -> KamState:
-    r = np.zeros(2 * P0.jmax + 1)
-    return KamState(k=0, lambda3=lambda3, lambda1=lambda1, r=r, P=P0, N=N0)
-
-
-def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
-    """One quadratic reduction step.
+def kam_step(state: Reduction, omega, schedule: KamSchedule) -> Reduction:
+    """One quadratic reduction step: the next state, with Psi appended to
+    ``gens`` and the step's row to ``trace``.
 
     Requires the second Melnikov conditions for Omega_k up to the cutoff N_k;
     absorbs the diagonal Z of the remainder P = P_low + P_high into the
@@ -218,92 +247,42 @@ def kam_step(state: KamState, omega, schedule: KamSchedule) -> KamState:
         tail, _ = lie_series(Psi, commutator(X + C, Psi, budget), start_factor=2)
         P_new = P_new + C + tail
 
-    r_new = state.r + z
-
-    new = KamState(
-        k=state.k + 1, lambda3=state.lambda3, lambda1=state.lambda1,
-        r=r_new, P=P_new, psis=state.psis + [Psi],
-        N=state.N * N_RATIO, trace=list(state.trace),
-    )
-    new.trace.append({
+    row = {
         "step": state.k,
         "p_norm": op_norm(state.P, 0.0),
         "margin": chk.margin,
         "hom_residual": hom_resid,
         "odd_defect": odd_defect,
         "seconds": time.perf_counter() - t0,
-    })
-    return new
+    }
+    return replace(state, r=state.r + z, P=P_new, N=state.N * N_RATIO,
+                   gens=state.gens + [Psi], trace=state.trace + [row])
 
 
-@dataclass
-class KamResult:
-    state: KamState
-    converged: bool
-    stop_reason: str
-
-    @property
-    def trace(self):
-        return self.state.trace
-
-
-def kam_iterate(state: KamState, omega, schedule: KamSchedule) -> KamResult:
-    """Iterate kam_step until op_norm(P) <= stop_tol, stagnation, or max_steps."""
-    history = [op_norm(state.P, 0.0)]
-    if history[0] <= schedule.stop_tol:
-        return KamResult(state, True, "already-diagonal")
+def kam_iterate(state: Reduction, omega, schedule: KamSchedule) -> Reduction:
+    """Iterate kam_step until op_norm(P) <= stop_tol, stagnation, or max_steps;
+    returns the last state with its ``stop_reason``."""
+    if op_norm(state.P, 0.0) <= schedule.stop_tol:
+        return replace(state, stop_reason="already-diagonal")
     flat = 0
     for _ in range(schedule.max_steps):
         state = kam_step(state, omega, schedule)
         pn = op_norm(state.P, 0.0)
-        history.append(pn)
         if pn <= schedule.stop_tol:
-            return KamResult(state, True, "tolerance")
-        if pn > 0.5 * history[-2]:
+            return replace(state, stop_reason="tolerance")
+        if pn > 0.5 * state.trace[-1]["p_norm"]:
             flat += 1
             if flat >= 3:
-                return KamResult(state, False, "stagnation")
+                return replace(state, stop_reason="stagnation")
         else:
             flat = 0
-    return KamResult(state, False, "max-steps")
-
-
-@dataclass
-class ReductionResult(_Frequencies):
-    """Everything needed to use the diagonalizing map M = exp(G) Phi_0 Phi_1 ...."""
-
-    L: DifferentialOperator
-    lambda3: float
-    lambda1: float
-    gens: list                       # [G, Psi_0, Psi_1, ...]
-    r: np.ndarray
-    converged: bool
-    stop_reason: str
-    trace: list
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def lattice(self):
-        return self.L.lattice
-
-    @property
-    def jmax(self):
-        return self.L.jmax
-
-    def apply_M(self, u: AnalyticFunction) -> AnalyticFunction:
-        for gen in reversed(self.gens):
-            u = exp_apply(gen, u)
-        return u
-
-    def apply_M_inverse(self, u: AnalyticFunction) -> AnalyticFunction:
-        for gen in self.gens:
-            u = exp_apply(-gen, u)
-        return u
+    return replace(state, stop_reason="max-steps")
 
 
 def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
-                    verify_window=None) -> ReductionResult:
-    """Full reduction of L to diagonal frequencies, with diagnostics.
+                    verify_window=None) -> Reduction:
+    """Full reduction of L to diagonal frequencies: the state ``kam_iterate``
+    stopped at, with ``L`` and its diagnostics set.
 
     ``verify_window = (jwin, lwin)`` additionally conjugates L through all
     generators and records the interior off-diagonal residual, the worst
@@ -316,40 +295,35 @@ def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
     om = L.omega
     lam1 = L.lambda1()
     oor = order_one_reduction(L.lambda3, L.B, L.C, om)
-    state = kam_state_init(L.lambda3, lam1, oor.R0, schedule.N0)
-    kr = kam_iterate(state, om, schedule)
-    gens = ([oor.G] if oor.G.data else []) + kr.state.psis
+    red = kam_iterate(Reduction(L.lambda3, lam1, oor.R0, schedule.N0,
+                                gens=[oor.G] if oor.G.data else []), om, schedule)
     diag = {
         "order_one": oor.report,
-        "kam_stop": kr.stop_reason,
-        "final_p_norm": op_norm(kr.state.P, 0.0),
-        "steps": kr.state.k,
+        "kam_stop": red.stop_reason,
+        "final_p_norm": op_norm(red.P, 0.0),
+        "steps": red.k,
     }
-    result = ReductionResult(
-        L=L, lambda3=L.lambda3, lambda1=lam1, gens=gens, r=kr.state.r,
-        converged=kr.converged, stop_reason=kr.stop_reason,
-        trace=kr.trace, diagnostics=diag,
-    )
+    red = replace(red, L=L, diagnostics=diag)
     if verify_window is not None:
         jwin, lwin = verify_window
         conj = materialize(L)
         diag["window_lie_terms"] = []
-        for gen in gens:
+        for gen in red.gens:
             d, rest = split_diagonal(conj)
             series, k = lie_series(gen, diag_commutator(d, gen) + phi_derivative(gen, om)
                                    + commutator(rest, gen, series_budget(rest)))
             conj = conj + series
             diag["window_lie_terms"].append(k)
-        vals = result.omega_values()
+        vals = red.omega_values()
         inside = np.abs(np.arange(-L.jmax, L.jmax + 1)) <= jwin
         d, off = split_diagonal(restrict(conj, jwin, lwin))
         diag["offdiag_residual"] = op_norm(off, 0.0)
         diag["diag_mismatch"] = float(np.max(np.abs(d - 1j * vals)[inside]))
         diag["diag_scale"] = float(np.max(np.abs(vals[inside])))
-    return result
+    return red
 
 
-def invert_via_diagonalization(red: ReductionResult, f: AnalyticFunction,
+def invert_via_diagonalization(red: Reduction, f: AnalyticFunction,
                                gamma: float, report=None) -> AnalyticFunction:
     """h with L h = -f through the diagonalization: h = M D^{-1} M^{-1} (-f).
 

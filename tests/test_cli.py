@@ -234,6 +234,9 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
      "omega.seed must be >= 0, got -1"),
     ("measure", "measure.cfg", "measure.seed = 42", "measure.seed = -1",
      "measure.seed must be >= 0, got -1"),
+    ("reduce", "reduce_eps.cfg", "reduce.B.entries = [[[], 0, 0.05, 0.0], [[], 1, 0.0005, 0.0]]",
+     "reduce.B.entries = [[[], 0, 0.05, 0.0], [[[1, 1]], 0, 0.01, 0.0]]",
+     "reduce.B.entries: x-average of B varies with phi"),
 ], ids=["string-number", "string-in-omega", "fractional-count", "too-few-samples",
         "reduce-omega-range", "solve-omega-range", "omega-length", "problem-data",
         "max-iters", "residual-target", "kam-stop-tol", "stop-tol",
@@ -246,7 +249,7 @@ def test_cli_rejects_bad_jmax(tmp_path, capsys, value):
         "reduce-sample-zero", "check-omega-sample-yes", "measure-predicate-empty-grid",
         "measure-empty-grid", "solve-omega-both", "reduce-omega-both", "check-omega-both",
         "forcing-lowercase-nan", "reduce-c-lowercase-inf", "omega-lowercase-nan",
-        "omega-seed-negative", "measure-seed-negative"])
+        "omega-seed-negative", "measure-seed-negative", "reduce-b-average-varies"])
 def test_cli_rejects_bad_config_value(tmp_path, capsys, command, name, old, new, why):
     code, out = _run_edited(tmp_path, command, name, old, new)
     assert code == 1
@@ -387,6 +390,20 @@ def test_cmd_reduce_resonant_witness(tmp_path, capsys):
     doc = json.loads(read(tmp_path / "r" / "report.json"))
     assert doc["stop_reason"] == "small-divisor"
     assert doc["witness"]["l"]
+
+
+def test_cmd_reduce_diverging_series_reports_a_numerical_failure(tmp_path, capsys):
+    """Zero-order coefficients of 0.1 make a Lie series of the reduction
+    diverge: exit 2 with a report.json, as a solve reports the same failure."""
+    code, out = _run_edited(
+        tmp_path, "reduce", "reduce_eps.cfg", "reduce.C.entries = [[[], 1, 0.0, -0.0005]]",
+        "reduce.C.entries = [[[[1, 1]], 1, 0.0, 0.1], [[[2, 1]], 2, 0.1, 0.0]]")
+    assert code == 2
+    assert "reduction failed" in capsys.readouterr().out
+    doc = json.loads(read(out / "report.json"))
+    assert doc["converged"] is False
+    assert doc["stop_reason"] == "numerical-failure:SeriesDivergenceError"
+    assert doc["failure"]["message"] and doc["omega"] == [1.2357, 1.7113]
 
 
 def test_cmd_solve_zero_forcing(tmp_path):

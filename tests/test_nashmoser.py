@@ -15,11 +15,13 @@ from airykam.nashmoser import (
     ResidualReport,
     StripSchedule,
     assemble_solution,
+    correct,
     init_state,
     initial_quadratic_form,
     residual,
     solve,
     step,
+    transport,
     working_jmax,
 )
 from oracles import solve_by_full_steps
@@ -141,6 +143,32 @@ def test_single_step_and_assemble(lat2, jmax):
     assert rec["norm_h"] > 0.0 and rec["min_margin"] > 1.0
     # the new forcing is quadratically small
     assert state.f.norm(0.0) <= 50.0 * state.h_list[0].norm(0.5) ** 2
+
+
+def test_correct_appends_h_and_its_record_and_keeps_the_triple(lat2, jmax):
+    spec = make_spec(lat2, jmax, eps=1e-5)
+    state = step(init_state(spec), spec)
+    solved = correct(state, spec)
+    assert solved.n == state.n + 1 == 2
+    assert solved.h_list[:-1] == state.h_list and len(solved.h_list) == 2
+    assert solved.records[:-1] == state.records and solved.records[-1]["step"] == 1
+    assert not TRANSPORT_KEYS & set(solved.records[-1])
+    assert solved.f is state.f and solved.L is state.L and solved.Q is state.Q
+    assert solved.transforms == state.transforms
+
+
+def test_transport_completes_the_last_record_only(lat2, jmax):
+    spec = make_spec(lat2, jmax, eps=1e-5)
+    solved = correct(step(init_state(spec), spec), spec)
+    moved = transport(solved, spec)
+    assert moved.h_list is solved.h_list and moved.n == 2
+    assert moved.transforms[:-1] == solved.transforms and len(moved.transforms) == 2
+    *earlier, last = moved.records
+    assert earlier == solved.records[:-1]
+    assert set(last) == set(solved.records[-1]) | TRANSPORT_KEYS
+    assert {k: last[k] for k in solved.records[-1] if k != "seconds"} == \
+        {k: v for k, v in solved.records[-1].items() if k != "seconds"}
+    assert moved.f is not solved.f and moved.Q is not solved.Q
 
 
 def test_incremental_assembly_equals_the_full_rebuild_bitwise(lat2, jmax, monkeypatch):

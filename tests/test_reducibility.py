@@ -30,9 +30,9 @@ from airykam.opalg import (
 )
 from airykam.reducibility import (
     KamSchedule,
+    Reduction,
     invert_via_diagonalization,
     kam_iterate,
-    kam_state_init,
     kam_step,
     order_one_reduction,
     reduce_operator,
@@ -117,7 +117,7 @@ def _two_series_P(state, new):
     """Reference P_{k+1} = P_high + dust + tail1 + tail2 for the step state -> new."""
     lat, jmax = state.P.lattice, state.jmax
     P_low, P_high = split_by_norm(state.P, state.N)
-    Psi = new.psis[-1]
+    Psi = new.gens[-1]
     Z = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(1j * (new.r - state.r))})
     zdiag = np.diag(state.P.data[0]) if 0 in state.P.data else np.zeros(2 * jmax + 1)
     dust = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(zdiag)}) - Z
@@ -139,10 +139,10 @@ def test_one_series_matches_separate_series(omega2, make, jmax_case, K):
     ref = _three_series_R0(L, res)
     assert op_norm(res.R0 - ref, 0.0) <= 1e-15 * max(1.0, op_norm(ref, 0.0))
     sched = schedule()
-    state = kam_state_init(1.0, L.lambda1(), res.R0, sched.N0)
+    state = Reduction(1.0, L.lambda1(), res.R0, sched.N0)
     for _ in range(3):
         new = kam_step(state, omega2, sched)
-        assert new.psis[-1].data
+        assert new.gens[-1].data
         ref = _two_series_P(state, new)
         assert op_norm(new.P - ref, 0.0) <= 1e-15 * max(1.0, op_norm(state.P, 0.0))
         state = new
@@ -160,7 +160,7 @@ def test_order_one_rejects_phi_dependent_average(lat2, jmax, omega2):
 
 def test_kam_step_trivial(lat2, jmax, omega2):
     P0 = OperatorMatrix(lat2, jmax)
-    st = kam_state_init(1.0, 0.0, P0, 8.0)
+    st = Reduction(1.0, 0.0, P0, 8.0)
     out = kam_step(st, omega2, schedule())
     assert out.k == 1
     assert op_norm(out.P, 0.0) == 0.0
@@ -173,12 +173,12 @@ def test_kam_step_single_block_vanishes(lat2, jmax, omega2):
     blk = np.zeros((nj, nj), dtype=complex)
     blk[3 + jmax, 1 + jmax] = 1e-3 * (0.7 + 0.2j)
     P0 = OperatorMatrix(lat2, jmax, {E1: blk}, real=True)  # mirror filled in
-    st = kam_state_init(1.0, 0.0, P0, 8.0)
+    st = Reduction(1.0, 0.0, P0, 8.0)
     out = kam_step(st, omega2, schedule())
     assert op_norm(out.P, 0.0) < 1e-18
     assert np.max(np.abs(out.r)) == 0.0
     # the generator entry is the divided coefficient
-    psi = out.psis[0].blocks[E1][3 + jmax, 1 + jmax]
+    psi = out.gens[0].blocks[E1][3 + jmax, 1 + jmax]
     divisor = 1j * (omega2[0] + (-(3.0**3) ) - (-(1.0**3)))
     assert psi == pytest.approx(P0.blocks[E1][3 + jmax, 1 + jmax] / -divisor)
 
@@ -190,7 +190,7 @@ def test_kam_step_diagonal_absorbed(lat2, jmax, omega2):
         z[j + jmax] = 1e-3 / j
         z[-j + jmax] = -1e-3 / j
     P0 = OperatorMatrix(lat2, jmax, {ZERO: np.diag(1j * z)}, real=True)
-    st = kam_state_init(1.0, 0.0, P0, 8.0)
+    st = Reduction(1.0, 0.0, P0, 8.0)
     out = kam_step(st, omega2, schedule())
     assert op_norm(out.P, 0.0) < 1e-18
     assert out.r[1 + jmax] == pytest.approx(1e-3)
@@ -204,7 +204,7 @@ def test_kam_step_melnikov_breach(lat2, jmax):
     blk = np.zeros((nj, nj), dtype=complex)
     blk[2 + jmax, 1 + jmax] = 1e-4
     P0 = OperatorMatrix(lat2, jmax, {MultiIndex((2, 2)): blk}, real=True)
-    st = kam_state_init(1.0, 0.0, P0, 8.0)
+    st = Reduction(1.0, 0.0, P0, 8.0)
     with pytest.raises(SmallDivisorError):
         kam_step(st, resonant, schedule())
 
@@ -213,14 +213,28 @@ def test_kam_quadratic_decay(lat2, omega2):
     jmax = 12
     L = fixture_operator(lat2, jmax, omega2)
     oor = order_one_reduction(1.0, L.B, L.C, omega2)
-    st = kam_state_init(1.0, 0.05, oor.R0, 8.0)
+    st = Reduction(1.0, 0.05, oor.R0, 8.0)
     result = kam_iterate(st, omega2, schedule())
     assert result.converged
     norms = [row["p_norm"] for row in result.trace]
-    norms.append(op_norm(result.state.P, 0.0))
+    norms.append(op_norm(result.P, 0.0))
     logs = np.log(norms)
     diffs = np.diff(logs)
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))  # concave decay
+
+
+def test_reduction_counts_its_steps_from_the_trace(lat2, omega2):
+    L = fixture_operator(lat2, 12, omega2)
+    red = reduce_operator(L, schedule())
+    assert red.converged and red.L is L
+    assert red.k == red.diagnostics["steps"] == len(red.trace) > 0
+    assert len(red.gens) == red.k + 1          # G, then one Psi per KAM step
+
+
+def test_a_max_steps_stop_is_not_converged(lat2, omega2):
+    red = reduce_operator(fixture_operator(lat2, 12, omega2), schedule(max_steps=1))
+    assert red.stop_reason == red.diagnostics["kam_stop"] == "max-steps"
+    assert not red.converged and red.k == 1
 
 
 # -- full reduction ---------------------------------------------------------------
