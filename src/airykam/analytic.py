@@ -344,7 +344,7 @@ def om_dphi(u: AnalyticFunction, omega) -> AnalyticFunction:
 def om_dphi_inv(u: AnalyticFunction, omega, gamma: float) -> AnalyticFunction:
     """Solve omega.d_phi h = u for zero-phi-average u.
 
-    Divisors |omega.l| are required to clear the Diophantine floor
+    Divisors |omega.l| are required to exceed the Diophantine floor
     gamma * prod 1/(1 + l_i^2 i^2); a breach raises SmallDivisorError naming
     the first offending index in canonical order.  Divisors are never
     regularized.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class SmallDivisorError(ArithmeticError):
-    """A Fourier divisor fell below its configured lower bound.
+    """A Fourier divisor did not exceed its configured lower bound.
 
     Carries the offending mode so callers can report a witness.
     """

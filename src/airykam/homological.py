@@ -1,8 +1,8 @@
 """Constant-coefficient and diagonal homological equations by Fourier division.
 
-Divisors are never regularized: a divisor under its floor is an error with a
-witness, matching the Cantor-set philosophy (solve only for admissible
-frequencies).
+Divisors are never regularized: a divisor that does not exceed its floor is
+an error with a witness, matching the Cantor-set philosophy (solve only for
+admissible frequencies).
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ __all__ = ["solve_airy", "solve_diagonal"]
 
 def _divide(f: AnalyticFunction, div, floor, what: str) -> AnalyticFunction:
     """h = -f / (i div) on the nonzero coefficients of f, whose divisors must
-    clear the floor; the first breach in canonical order raises with its witness."""
+    exceed the floor; the first breach in canonical order raises with its witness."""
     used = f.data != 0
     div, floor = np.broadcast_arrays(div, floor, used)[:2]
-    breach = np.argwhere(used & (np.abs(div) < floor))
+    breach = np.argwhere(used & (np.abs(div) <= floor))
     if breach.size:
         p, col = breach[0]
         l, j = get_enumeration(f.lattice).indices[p], int(col) - f.jmax
@@ -39,7 +39,7 @@ def solve_airy(f: AnalyticFunction, omega, gamma0: float,
                lambda3: float = 1.0) -> AnalyticFunction:
     """h with (omega.d_phi + lambda3 dx^3) h = -f, exactly on the truncation.
 
-    Requires zero x-average f; each divisor omega.l - lambda3 j^3 must clear
+    Requires zero x-average f; each divisor omega.l - lambda3 j^3 must exceed
     the floor gamma0 / d(l).
     """
     if not f.zero_x_average:

@@ -213,7 +213,6 @@ class Enumeration:
         self.indices = tuple(MultiIndex(dense[i]) for i in order)
         self.index_of = {l: i for i, l in enumerate(self.indices)}
         self.size = len(self.indices)
-        self.l1 = np.abs(self.dense).sum(axis=1)
         self.dvals = np.array([divisor_weight(l) for l in self.indices])
         self.dioph = np.array(
             [diophantine_weight(l) if l else np.inf for l in self.indices]

@@ -1,9 +1,14 @@
 """Membership predicates for the non-resonance sets and Monte Carlo measure
 estimation over the frequency box [1, 2]^M.
 
-Every predicate returns a CheckResult carrying the worst margin
-min |divisor| / floor over the scanned truncated index set (pass means
-margin > 1) and, on failure, the witness that attains it.
+Every condition is one scan of the ratios |omega.l + shift| / floor over a
+set of lattice rows l and columns (modes j, or pairs (j, h)), with the floor
+a row factor times a column weight (``_scan``): the Diophantine condition,
+the cubic non-resonance and the first and second Melnikov conditions.  A
+predicate returns a CheckResult carrying the worst margin, the smallest
+ratio (pass means margin > 1, so a divisor must exceed its floor), and, on
+failure, the witness that attains it.  ``smallest_divisor_report`` reads
+the same scans at floor constant 1.
 
 Frequencies Omega(j) of a diagonal operator come as one array indexed
 j + jmax over |j| <= jmax; the j = 0 slot is unused.
@@ -108,13 +113,6 @@ class CheckResult:
         return SmallDivisorError(message, l=w.l, j=w.j, h=w.h, divisor=w.divisor, floor=w.floor)
 
 
-def _omega_array(omega, m):
-    v = np.asarray(omega, dtype=float)
-    if v.shape != (m,):
-        raise ValueError(f"omega must have length {m}")
-    return v
-
-
 def _modes(Omega):
     """The modes j != 0 of a frequency array indexed j + jmax, and Omega(j) on them."""
     vals = np.asarray(Omega, dtype=float)
@@ -125,114 +123,109 @@ def _modes(Omega):
     return jj[jj != 0], vals[jj != 0]
 
 
-def _result(ratios, witness):
-    """Assemble a CheckResult from a ratio array (inf marks excluded entries);
-    ``witness(*index)`` builds the Witness at the argmin when the check fails."""
-    idx = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
-    margin = float(ratios[idx])
-    ok = margin > 1.0
-    return CheckResult(ok, margin, None if ok else witness(*idx))
+def _scan(omega, lattice, rows, shift, row_floor, weight, excluded, label):
+    """Smallest ratio |omega.l + shift[c]| / (row_floor[l] * weight[c]) over the
+    lattice rows ``rows`` and the columns c of ``shift``, and the Witness at
+    its argmin: (margin, witness), or (inf, None) when nothing is scanned.
 
-
-def _divide_rows(ratios, row_factors, weights):
-    """ratios[r] /= row_factors[r] * weights in place.  The floors
-    row_factors[r] * weights are formed a block of rows at a time, at most
-    2^16 entries (0.5 MB), so the floor table is never formed whole."""
-    step = max(1, 2 ** 16 // weights.size)
-    shape = (-1,) + (1,) * weights.ndim
+    ``row_floor`` is indexed like the lattice, ``weight`` has the shape of
+    ``shift``, ``excluded`` indexes the entries left out of the ratio buffer
+    (rows, *shift.shape), and ``label(*c)`` is the (j, h) of column c.  The
+    buffer is divided in place a block of rows at a time, at most 2^16
+    floors (0.5 MB) at once, so no floor table is formed whole.
+    """
+    enum = get_enumeration(lattice)
+    dots = enum.dots(omega)[rows]
+    fd = row_floor[rows]
+    ratios = np.add.outer(dots, shift)
+    if not ratios.size:
+        return np.inf, None
+    np.abs(ratios, out=ratios)
+    step = max(1, 2 ** 16 // shift.size)
+    shape = (-1,) + (1,) * shift.ndim
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, len(ratios), step):
-            ratios[lo:lo + step] /= row_factors[lo:lo + step].reshape(shape) * weights
+            ratios[lo:lo + step] /= fd[lo:lo + step].reshape(shape) * weight
+    if excluded is not None:
+        ratios[excluded] = np.inf
+    idx = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
+    r, c = idx[0], idx[1:]
+    witness = Witness(enum.indices[np.arange(enum.size)[rows][r]], *label(*c),
+                      float(np.abs(dots[r] + shift[c])), float(fd[r] * weight[c]))
+    return float(ratios[idx]), witness
+
+
+def _check(margin, witness) -> CheckResult:
+    """A scan's CheckResult: it passes when the margin exceeds 1, and keeps
+    the witness only when it fails."""
+    ok = margin > 1.0
+    return CheckResult(ok, margin, None if ok else witness)
+
+
+def _pure_scan(omega, lattice, row_floor):
+    """|omega.l| / row_floor[l] over l != 0 (row 0 is the zero index)."""
+    return _scan(omega, lattice, slice(1, None), np.zeros(1), row_floor, np.ones(1), None,
+                 lambda c: (None, None))
+
+
+def _first_scan(omega, Omega, gamma, lattice):
+    """|omega.l + Omega(j)| / (gamma |j|^3 / d(l)) over all l and j != 0."""
+    jlist, vals = _modes(Omega)
+    enum = get_enumeration(lattice)
+    return _scan(omega, lattice, slice(None), vals, gamma / enum.dvals,
+                 np.abs(jlist.astype(float)) ** 3, None, lambda c: (int(jlist[c]), None))
+
+
+def _second_scan(omega, Omega, gamma, lattice, rows):
+    """|omega.l + Omega(j) - Omega(h)| / (gamma |j^3 - h^3| / d(l)) over the
+    lattice rows ``rows`` and j != h, both nonzero."""
+    jlist, vals = _modes(Omega)
+    enum = get_enumeration(lattice)
+    j3 = jlist.astype(float) ** 3
+    same = np.arange(jlist.size)
+    return _scan(omega, lattice, rows, vals[:, None] - vals[None, :], gamma / enum.dvals,
+                 np.abs(j3[:, None] - j3[None, :]), (slice(None), same, same),
+                 lambda a, b: (int(jlist[a]), int(jlist[b])))
 
 
 def is_diophantine(omega, gamma: float, lattice: LatticeParams) -> CheckResult:
     """|omega.l| > gamma * prod 1/(1 + l_i^2 i^2) for every truncated l != 0."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    enum = get_enumeration(lattice)
-    om = _omega_array(omega, lattice.M)
-    dots = np.abs(enum.dots(om))
-    floors = gamma * np.where(np.isinf(enum.dioph), 0.0, enum.dioph)  # 0 at l = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(floors > 0.0, dots / floors, np.inf)
-    return _result(ratios, lambda p: Witness(enum.indices[p], None, None,
-                                             float(dots[p]), float(floors[p])))
+    return _check(*_pure_scan(omega, lattice, gamma * get_enumeration(lattice).dioph))
 
 
 def is_airy_nonresonant(omega, gamma0: float, lattice: LatticeParams, jmax: int) -> CheckResult:
-    """|omega.l + j^3| >= gamma0 / d(l) over the truncation, (l, j) != (0, 0).
+    """|omega.l + j^3| > gamma0 / d(l) over the truncation, (l, j) != (0, 0).
 
     j is scanned over both signs; by l -> -l symmetry this covers the
     one-sided form, and the witnesses match the divisors omega.l - j^3 that
     the constant-coefficient solver actually divides by.
     """
-    enum = get_enumeration(lattice)
-    om = _omega_array(omega, lattice.M)
-    dots = enum.dots(om)
     jlist = np.arange(-jmax, jmax + 1)
-    j3 = jlist.astype(float) ** 3
-    floors = gamma0 / enum.dvals
-    ratios = np.add.outer(dots, j3)
-    np.abs(ratios, out=ratios)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios /= floors[:, None]
-    ratios[enum.l1 == 0, jmax] = np.inf
-    return _result(ratios, lambda p, c: Witness(enum.indices[p], int(jlist[c]), None,
-                                                float(np.abs(dots[p] + j3[c])), float(floors[p])))
+    floors = gamma0 / get_enumeration(lattice).dvals
+    # entry (0, jmax) is (l, j) = (0, 0): row 0 is the zero index
+    return _check(*_scan(omega, lattice, slice(None), jlist.astype(float) ** 3, floors,
+                         np.ones(jlist.size), (0, jmax), lambda c: (int(jlist[c]), None)))
 
 
 def first_melnikov(omega, Omega, gamma: float, lattice: LatticeParams) -> CheckResult:
-    """|omega.l + Omega(j)| >= gamma |j|^3 / d(l) over the truncated set."""
-    jlist, vals = _modes(Omega)
-    if not jlist.size:
-        return CheckResult(True, np.inf, None)
-    enum = get_enumeration(lattice)
-    om = _omega_array(omega, lattice.M)
-    dots = enum.dots(om)
-    fd = gamma / enum.dvals
-    wt = np.abs(jlist.astype(float)) ** 3
-    ratios = np.add.outer(dots, vals)
-    np.abs(ratios, out=ratios)
-    _divide_rows(ratios, fd, wt)
-    return _result(ratios, lambda p, c: Witness(enum.indices[p], int(jlist[c]), None,
-                                                float(np.abs(dots[p] + vals[c])), float(fd[p] * wt[c])))
+    """|omega.l + Omega(j)| > gamma |j|^3 / d(l) over the truncated set."""
+    return _check(*_first_scan(omega, Omega, gamma, lattice))
 
 
 def second_melnikov(omega, Omega, gamma: float, lattice: LatticeParams, *,
                     gbar: Optional[float] = None, N: Optional[float] = None) -> CheckResult:
-    """|omega.l + Omega(j) - Omega(h)| >= gamma |j^3 - h^3| / d(l), (l,j,h) != (0,j,j).
+    """|omega.l + Omega(j) - Omega(h)| > gamma |j^3 - h^3| / d(l), (l,j,h) != (0,j,j).
 
-    The j = h, l != 0 pairs carry no cubic weight; they are checked against
-    the ambient Diophantine floor when ``gbar`` is given, else skipped.
-    ``N`` restricts the scan to |l|_eta <= N.  The limiting set of the
-    scheme is the check at 2 gamma.
-
-    The ratios |divisor| / floor of the rows scanned are formed in one
-    buffer, in place (``_divide_rows``); the witness's divisor and floor are
-    formed at the argmin alone.
+    ``N`` restricts the scan to |l|_eta <= N.  The j = h, l != 0 pairs
+    carry no cubic weight; they are checked against the ambient Diophantine
+    floor when ``gbar`` is given, else skipped, and that check runs over the
+    whole lattice, not only within N.  The limiting set of the scheme is the
+    check at 2 gamma.
     """
-    jlist, vals = _modes(Omega)
-    enum = get_enumeration(lattice)
-    om = _omega_array(omega, lattice.M)
-    dots = enum.dots(om)
-
-    best = CheckResult(True, np.inf, None)
-    rows = np.arange(enum.size) if N is None else np.flatnonzero(enum.within(N))
-    if jlist.size and rows.size:
-        gap = vals[:, None] - vals[None, :]
-        j3 = jlist.astype(float) ** 3
-        wt = np.abs(j3[:, None] - j3[None, :])
-        fd = gamma / enum.dvals[rows]
-        ratios = np.add.outer(dots[rows], gap)
-        np.abs(ratios, out=ratios)
-        _divide_rows(ratios, fd, wt)
-        # j = h pairs carry weight 0 and are handled by the gbar branch below
-        same = np.arange(jlist.size)
-        ratios[:, same, same] = np.inf
-        best = _result(ratios, lambda r, a, b: Witness(
-            enum.indices[rows[r]], int(jlist[a]), int(jlist[b]),
-            float(np.abs(dots[rows[r]] + gap[a, b])), float(fd[r] * wt[a, b])))
-
+    rows = slice(None) if N is None else get_enumeration(lattice).within(N)
+    best = _check(*_second_scan(omega, Omega, gamma, lattice, rows))
     if gbar is not None:
         diag = is_diophantine(omega, gbar, lattice)
         ok = best.ok and diag.ok
@@ -287,65 +280,21 @@ class DivisorReport:
 
 
 def smallest_divisor_report(omega, Omega, lattice: LatticeParams) -> DivisorReport:
-    """Minimum of |omega.l + Omega(j) - Omega(h)| d(l) / max(1, |j^3 - h^3|).
+    """Smallest divisor ratio of each class at floor constant 1.
 
-    Scanned classes: pure frequency combinations (l != 0, j = h), first-order
-    divisors (h absent), and second-order divisors (j != h).  With jmax = 0
-    (Omega of length 1) only the pure class exists.  Used to choose gamma
-    schedules.
+    The classes are the scans of the checks at gamma = 1: pure frequency
+    combinations |omega.l| d(l) (l != 0), first-order divisors as in
+    ``first_melnikov`` and second-order divisors (l != 0, j != h) as in
+    ``second_melnikov``.  A class with nothing to scan is left out; with
+    jmax = 0 (Omega of length 1) only the pure class exists.  The value and
+    witness are those of the smallest class.  Used to choose gamma schedules.
     """
-    enum = get_enumeration(lattice)
-    om = _omega_array(omega, lattice.M)
-    dots = enum.dots(om)
-    nz = enum.l1 > 0
-    best_val = np.inf
-    best_wit = None
-    classes = {}
-
-    if np.any(nz):
-        vals = np.abs(dots[nz]) * enum.dvals[nz]
-        k = int(np.argmin(vals))
-        classes["pure"] = float(vals[k])
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            lidx = np.nonzero(nz)[0][k]
-            best_wit = Witness(enum.indices[lidx], None, None,
-                               float(np.abs(dots[nz])[k]), 0.0)
-
-    jlist, vals_t = _modes(Omega)
-    if jlist.size:
-        j3 = jlist.astype(float) ** 3
-
-        first = np.add.outer(dots, vals_t)
-        np.abs(first, out=first)
-        first *= enum.dvals[:, None]
-        first /= np.maximum(1.0, np.abs(j3))[None, :]
-        idx = np.unravel_index(int(np.argmin(first)), first.shape)
-        classes["first"] = float(first[idx])
-        if first[idx] < best_val:
-            best_val = float(first[idx])
-            best_wit = Witness(enum.indices[idx[0]], int(jlist[idx[1]]), None,
-                               float(np.abs(dots[idx[0]] + vals_t[idx[1]])), 0.0)
-
-        # second-order divisors of the rows l != 0, in one buffer
-        rows = np.flatnonzero(nz)
-        gap = vals_t[:, None] - vals_t[None, :]
-        wt = np.maximum(1.0, np.abs(j3[:, None] - j3[None, :]))
-        second = np.add.outer(dots[rows], gap)
-        np.abs(second, out=second)
-        second *= enum.dvals[rows, None, None]
-        second /= wt
-        same = np.arange(jlist.size)
-        second[:, same, same] = np.inf
-        idx = np.unravel_index(int(np.argmin(second)), second.shape) if rows.size else None
-        if idx is not None and np.isfinite(second[idx]):
-            classes["second"] = float(second[idx])
-            if second[idx] < best_val:
-                best_val = float(second[idx])
-                best_wit = Witness(
-                    enum.indices[rows[idx[0]]], int(jlist[idx[1]]), int(jlist[idx[2]]),
-                    float(np.abs(dots[rows[idx[0]]] + gap[idx[1], idx[2]])), 0.0,
-                )
-
-    note = "" if np.isfinite(best_val) else "no nontrivial triples"
-    return DivisorReport(float(best_val), best_wit, classes, note)
+    scans = {
+        "pure": _pure_scan(omega, lattice, 1.0 / get_enumeration(lattice).dvals),
+        "first": _first_scan(omega, Omega, 1.0, lattice),
+        "second": _second_scan(omega, Omega, 1.0, lattice, slice(1, None)),
+    }
+    scans = {k: v for k, v in scans.items() if np.isfinite(v[0])}
+    value, witness = min(scans.values(), key=lambda v: v[0], default=(np.inf, None))
+    note = "" if np.isfinite(value) else "no nontrivial triples"
+    return DivisorReport(value, witness, {k: v[0] for k, v in scans.items()}, note)

@@ -4,7 +4,8 @@ import pytest
 from airykam.analytic import AnalyticFunction, dx, om_dphi, om_dphi_inv, pi0_perp
 from airykam.errors import SmallDivisorError
 from airykam.homological import solve_airy, solve_diagonal
-from airykam.lattice import MultiIndex
+from airykam.lattice import LatticeParams, MultiIndex
+from airykam.smalldiv import first_melnikov, is_airy_nonresonant
 
 from oracles import symmetry_residual
 
@@ -49,6 +50,26 @@ def test_solve_airy_rejects_mean_and_breach(lat2, jmax, omega2):
         solve_airy(f, omega, 0.2)
     # the mirror mode (-5, -2) of the real f comes first in canonical order
     assert err.value.j == -2
+
+
+@pytest.mark.parametrize("pair", ["diagonal", "airy"])
+def test_divisor_at_its_floor_fails_check_and_solve(pair):
+    """|divisor| = floor at (l, j) = (0, +-1): the check fails with margin 1.0,
+    and the solver of the same divisors raises rather than divides."""
+    lat = LatticeParams(1.0, 1, 0.5)            # only l = 0
+    omega = np.array([1.5])
+    f = AnalyticFunction.from_modes(lat, 1, [(ZERO, 1, 1.0)])
+    if pair == "diagonal":                      # |Omega(+-1)| = 0.25 = gamma |j|^3
+        Omega = np.array([-0.25, 0.0, 0.25])
+        chk = first_melnikov(omega, Omega, 0.25, lat)
+        solve = lambda: solve_diagonal(f, omega, Omega, 0.25)
+    else:                                       # |j^3| = 1 = gamma0 / d(0)
+        chk = is_airy_nonresonant(omega, 1.0, lat, 1)
+        solve = lambda: solve_airy(f, omega, 1.0)
+    assert chk.margin == 1.0 and not chk.ok
+    with pytest.raises(SmallDivisorError) as err:
+        solve()
+    assert abs(err.value.divisor) == err.value.floor == chk.witness.floor
 
 
 def airy_frequencies(jmax, lam1=0.0):

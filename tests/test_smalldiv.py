@@ -8,6 +8,7 @@ from airykam.lattice import (
     divisor_weight,
     enumerate_indices,
     eta_norm,
+    get_enumeration,
 )
 from airykam.smalldiv import (
     DiophantineParams,
@@ -316,24 +317,30 @@ def test_smallest_divisor_report(lat2, jmax):
     rep1 = smallest_divisor_report(np.array([1.37]), airy_table(0), single)
     assert rep1.value == pytest.approx(2.0 * 1.37)
     assert rep1.witness.j is None
-    # diagonal-style scan with the cubic table reproduces the worst
-    # first-order witness of the cubic non-resonance scan
+    assert rep1.witness.floor == 0.5                # d(e1) = 2
+    # brute force at floor constant 1, one float operation at a time: the
+    # ratio |omega.l + shift| / ((1 / d(l)) weight) of each class, its first
+    # smallest occurrence in (l, j, h) order the class's witness
     table = airy_table(jmax)
     rep = smallest_divisor_report(omega, table, lat2)
-    assert set(rep.classes) == {"pure", "first", "second"}
-    chk = is_airy_nonresonant(omega, 0.2, lat2, jmax)
-    worst_pair = None
-    worst_val = np.inf
-    for l in enumerate_indices(lat2):
-        dot = float(np.dot(np.array(l.dense(2), float), omega))
-        for j in range(-jmax, jmax + 1):
-            if j == 0:
-                continue
-            v = abs(dot - j**3) * divisor_weight(l) / max(1.0, abs(j) ** 3)
-            if v < worst_val:
-                worst_val, worst_pair = v, (l, j)
-    assert rep.classes["first"] == pytest.approx(worst_val)
-    del chk, worst_pair
+    enum = get_enumeration(lat2)
+    dots = enum.dots(omega)
+    best = {}
+    for p, l in enumerate(enum.indices):
+        dot, fd = float(dots[p]), 1.0 / float(enum.dvals[p])
+        cases = [("first", j, None, oj, abs(float(j)) ** 3) for j, oj in modes(table)]
+        if l:
+            cases.append(("pure", None, None, 0.0, 1.0))
+            cases += [("second", j, h, oj - oh, abs(float(j) ** 3 - float(h) ** 3))
+                      for j, oj in modes(table) for h, oh in modes(table) if h != j]
+        for cls, j, h, gap, weight in cases:
+            divisor, floor = abs(dot + gap), fd * weight
+            if divisor / floor < best.get(cls, (np.inf,))[0]:
+                best[cls] = (divisor / floor, Witness(l, j, h, divisor, floor))
+    assert rep.classes == {cls: ratio for cls, (ratio, _) in best.items()}
+    value, witness = min((best[cls] for cls in ("pure", "first", "second")),
+                         key=lambda v: v[0])
+    assert (rep.value, rep.witness, rep.note) == (value, witness, "")
 
 
 def test_witness_reproduces_violation(lat2, jmax):
