@@ -65,5 +65,6 @@ def solve_diagonal(f: AnalyticFunction, omega, Omega, gamma: float) -> AnalyticF
     enum = get_enumeration(f.lattice)
     jj = np.arange(-f.jmax, f.jmax + 1)
     div = enum.dots(omega)[:, None] + Omega[None, :]
-    floor = (gamma * np.abs(jj) ** 3)[None, :] / enum.dvals[:, None]
+    # formed as first_melnikov forms it, so the two agree to the last bit
+    floor = (gamma / enum.dvals)[:, None] * np.abs(jj) ** 3
     return _divide(f, div, floor, "Melnikov floor")

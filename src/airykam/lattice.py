@@ -214,6 +214,7 @@ class Enumeration:
         self.index_of = {l: i for i, l in enumerate(self.indices)}
         self.size = len(self.indices)
         self.dvals = np.array([divisor_weight(l) for l in self.indices])
+        # the zero index (row 0) has no Diophantine weight; its inf is never read
         self.dioph = np.array(
             [diophantine_weight(l) if l else np.inf for l in self.indices]
         )

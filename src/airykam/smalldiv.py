@@ -125,14 +125,16 @@ def _modes(Omega):
 
 def _scan(omega, lattice, rows, shift, row_floor, weight, excluded, label):
     """Smallest ratio |omega.l + shift[c]| / (row_floor[l] * weight[c]) over the
-    lattice rows ``rows`` and the columns c of ``shift``, and the Witness at
-    its argmin: (margin, witness), or (inf, None) when nothing is scanned.
+    lattice rows ``rows`` and the columns c of ``shift``: (margin, witness),
+    where ``witness()`` builds the Witness at the argmin, or (inf, None) when
+    nothing is scanned.
 
     ``row_floor`` is indexed like the lattice, ``weight`` has the shape of
-    ``shift``, ``excluded`` indexes the entries left out of the ratio buffer
-    (rows, *shift.shape), and ``label(*c)`` is the (j, h) of column c.  The
-    buffer is divided in place a block of rows at a time, at most 2^16
-    floors (0.5 MB) at once, so no floor table is formed whole.
+    ``shift`` (None for the unit weight), ``excluded`` indexes the entries
+    left out of the ratio buffer (rows, *shift.shape), and ``label(*c)`` is
+    the (j, h) of column c.  The buffer is divided in place a block of rows
+    at a time, at most 2^16 floors (0.5 MB) at once, so no floor table is
+    formed whole.
     """
     enum = get_enumeration(lattice)
     dots = enum.dots(omega)[rows]
@@ -141,30 +143,34 @@ def _scan(omega, lattice, rows, shift, row_floor, weight, excluded, label):
     if not ratios.size:
         return np.inf, None
     np.abs(ratios, out=ratios)
-    step = max(1, 2 ** 16 // shift.size)
+    step = len(ratios) if weight is None else max(1, 2 ** 16 // shift.size)
     shape = (-1,) + (1,) * shift.ndim
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, len(ratios), step):
-            ratios[lo:lo + step] /= fd[lo:lo + step].reshape(shape) * weight
+            floor = fd[lo:lo + step].reshape(shape)
+            ratios[lo:lo + step] /= floor if weight is None else floor * weight
     if excluded is not None:
         ratios[excluded] = np.inf
     idx = np.unravel_index(int(np.argmin(ratios)), ratios.shape)
     r, c = idx[0], idx[1:]
-    witness = Witness(enum.indices[np.arange(enum.size)[rows][r]], *label(*c),
-                      float(np.abs(dots[r] + shift[c])), float(fd[r] * weight[c]))
+
+    def witness():
+        floor = fd[r] if weight is None else fd[r] * weight[c]
+        return Witness(enum.indices[np.arange(enum.size)[rows][r]], *label(*c),
+                       float(np.abs(dots[r] + shift[c])), float(floor))
     return float(ratios[idx]), witness
 
 
 def _check(margin, witness) -> CheckResult:
-    """A scan's CheckResult: it passes when the margin exceeds 1, and keeps
+    """A scan's CheckResult: it passes when the margin exceeds 1, and builds
     the witness only when it fails."""
     ok = margin > 1.0
-    return CheckResult(ok, margin, None if ok else witness)
+    return CheckResult(ok, margin, None if ok else witness())
 
 
 def _pure_scan(omega, lattice, row_floor):
     """|omega.l| / row_floor[l] over l != 0 (row 0 is the zero index)."""
-    return _scan(omega, lattice, slice(1, None), np.zeros(1), row_floor, np.ones(1), None,
+    return _scan(omega, lattice, slice(1, None), np.zeros(1), row_floor, None, None,
                  lambda c: (None, None))
 
 
@@ -206,7 +212,7 @@ def is_airy_nonresonant(omega, gamma0: float, lattice: LatticeParams, jmax: int)
     floors = gamma0 / get_enumeration(lattice).dvals
     # entry (0, jmax) is (l, j) = (0, 0): row 0 is the zero index
     return _check(*_scan(omega, lattice, slice(None), jlist.astype(float) ** 3, floors,
-                         np.ones(jlist.size), (0, jmax), lambda c: (int(jlist[c]), None)))
+                         None, (0, jmax), lambda c: (int(jlist[c]), None)))
 
 
 def first_melnikov(omega, Omega, gamma: float, lattice: LatticeParams) -> CheckResult:
@@ -297,4 +303,4 @@ def smallest_divisor_report(omega, Omega, lattice: LatticeParams) -> DivisorRepo
     scans = {k: v for k, v in scans.items() if np.isfinite(v[0])}
     value, witness = min(scans.values(), key=lambda v: v[0], default=(np.inf, None))
     note = "" if np.isfinite(value) else "no nontrivial triples"
-    return DivisorReport(value, witness, {k: v[0] for k, v in scans.items()}, note)
+    return DivisorReport(value, witness and witness(), {k: v[0] for k, v in scans.items()}, note)

@@ -52,10 +52,10 @@ def test_solve_airy_rejects_mean_and_breach(lat2, jmax, omega2):
     assert err.value.j == -2
 
 
-@pytest.mark.parametrize("pair", ["diagonal", "airy"])
+@pytest.mark.parametrize("pair", ["diagonal", "airy", "diagonal-inexact"])
 def test_divisor_at_its_floor_fails_check_and_solve(pair):
-    """|divisor| = floor at (l, j) = (0, +-1): the check fails with margin 1.0,
-    and the solver of the same divisors raises rather than divides."""
+    """|divisor| = floor at one (l, j): the check fails with margin 1.0, and
+    the solver of the same divisors raises rather than divides."""
     lat = LatticeParams(1.0, 1, 0.5)            # only l = 0
     omega = np.array([1.5])
     f = AnalyticFunction.from_modes(lat, 1, [(ZERO, 1, 1.0)])
@@ -63,9 +63,20 @@ def test_divisor_at_its_floor_fails_check_and_solve(pair):
         Omega = np.array([-0.25, 0.0, 0.25])
         chk = first_melnikov(omega, Omega, 0.25, lat)
         solve = lambda: solve_diagonal(f, omega, Omega, 0.25)
-    else:                                       # |j^3| = 1 = gamma0 / d(0)
+    elif pair == "airy":                        # |j^3| = 1 = gamma0 / d(0)
         chk = is_airy_nonresonant(omega, 1.0, lat, 1)
         solve = lambda: solve_airy(f, omega, 1.0)
+    else:
+        # (l, j) = (2, 3): d(l) = 33, and gamma |j|^3 / d(l) rounds differently
+        # when formed as (gamma |j|^3) / d(l): the floors must be formed alike
+        lat, omega, gamma = LatticeParams(1.0, 1, 2.0), np.array([1.0]), 0.062
+        floor = (gamma / 33.0) * 27.0
+        assert floor != (gamma * 27.0) / 33.0
+        Omega = np.array([31.5, 21.0, 10.5, 0.0, -10.5, -21.0, floor - 2.0])
+        assert 2.0 + Omega[-1] == floor
+        f = AnalyticFunction.from_modes(lat, 3, [(MultiIndex((2,)), 3, 1.0)])
+        chk = first_melnikov(omega, Omega, gamma, lat)
+        solve = lambda: solve_diagonal(f, omega, Omega, gamma)
     assert chk.margin == 1.0 and not chk.ok
     with pytest.raises(SmallDivisorError) as err:
         solve()
