@@ -118,6 +118,29 @@ def cmd_solve(cfg: dict, out: Path, seed_override=None) -> int:
     return 2
 
 
+def _write_reduction(out: Path, doc: dict, trace):
+    """report.json of a reduction, doc with the rows of its KAM steps less
+    their wall-clock seconds, and the steps' trace.csv."""
+    _write_json(out / "report.json", {**doc, "trace": [
+        {k: v for k, v in row.items() if k != "seconds"} for row in trace]})
+    _write_csv(out / "trace.csv", ["step", "p_norm", "min_margin", "seconds"],
+               [{**row, "min_margin": row["margin"]} for row in trace])
+
+
+def _reduce_failed(out: Path, exc, omega, trace) -> int:
+    """Report a failed reduction with the KAM steps it completed; exit code 2."""
+    if isinstance(exc, SmallDivisorError):
+        print(f"reduction aborted on a small divisor: {exc}")
+        print(f"witness: {exc.witness()}")
+        doc = {"stop_reason": "small-divisor", "witness": exc.witness()}
+    else:
+        stop, failure = _failure(exc)
+        print(f"reduction failed: {exc}")
+        doc = {"stop_reason": stop, "failure": failure}
+    _write_reduction(out, {**doc, "converged": False, "omega": omega.tolist()}, trace)
+    return 2
+
+
 def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
     lattice = lattice_from(cfg)
     check_convolution_size(lattice)
@@ -147,38 +170,23 @@ def cmd_reduce(cfg: dict, out: Path, seed_override=None) -> int:
     lwin = number(cfg, "reduce.interior_K", max(1.0, lattice.K - 2.0), above=0.0)
     try:
         red = reduce_operator(L, sched, verify_window=(jwin, lwin))
-    except SmallDivisorError as exc:
-        print(f"reduction aborted on a small divisor: {exc}")
-        print(f"witness: {exc.witness()}")
-        _write_json(out / "report.json",
-                    {"converged": False, "stop_reason": "small-divisor",
-                     "witness": exc.witness(), "omega": omega.tolist()})
-        return 2
-    except (SeriesDivergenceError, ReductionError) as exc:
-        stop, failure = _failure(exc)
-        print(f"reduction failed: {exc}")
-        _write_json(out / "report.json",
-                    {"converged": False, "stop_reason": stop, "failure": failure,
-                     "omega": omega.tolist()})
-        return 2
-    doc = {
+    except (SmallDivisorError, SeriesDivergenceError, ReductionError) as exc:
+        # failed outside the KAM steps: in the order-one reduction or the window
+        return _reduce_failed(out, exc, omega, [])
+    if red.failure is not None:
+        return _reduce_failed(out, red.failure, omega, red.trace)
+    _write_reduction(out, {
         "converged": red.converged,
         "stop_reason": red.stop_reason,
         "lambda3": red.lambda3,
         "lambda1": red.lambda1,
         "omega": omega.tolist(),
         "diagnostics": red.diagnostics,
-        "trace": [{k: v for k, v in row.items() if k != "seconds"} for row in red.trace],
-    }
-    _write_json(out / "report.json", doc)
+    }, red.trace)
     vals = red.omega_values()
     _write_csv(out / "omega_table.csv", ["j", "omega_inf"],
                [{"j": j, "omega_inf": float(vals[j + jmax])}
                 for j in range(-jmax, jmax + 1) if j != 0])
-    _write_csv(out / "trace.csv", ["step", "p_norm", "min_margin", "seconds"],
-               [{"step": row["step"], "p_norm": row["p_norm"],
-                 "min_margin": row["margin"], "seconds": row["seconds"]}
-                for row in red.trace])
     if not red.converged:
         print(f"reduction did not converge: {red.stop_reason}")
         return 2

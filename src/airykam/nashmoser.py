@@ -266,6 +266,8 @@ def correct(state: IterationState, spec: ProblemSpec) -> IterationState:
         stop_tol=spec.kam_stop_tol, max_steps=spec.kam_max_steps,
     )
     red = reduce_operator(state.L, sched)
+    if red.failure is not None:
+        raise red.failure
     if not red.converged:
         raise ReductionError(f"reducibility stalled at outer step {n}: {red.stop_reason}")
     inv_rep = {}

@@ -8,26 +8,33 @@ omega.d_phi cannot be written in that form: it lives only in
 series of the generator's phi-derivative (see ``lie_series``).
 
 Blocks are (2 jmax + 1) x (2 jmax + 1) complex arrays indexed by j + jmax.
-``OperatorMatrix.data`` holds the nonzero blocks keyed by lattice
-enumeration index, in ascending order; the target index of a product of
-blocks comes from the enumeration's convolution table.  ``MultiIndex`` keys
-appear only at the boundary: the dict constructor and the read-only
-``blocks`` view.
+An operator holds one stack of them: ``OperatorMatrix.index``, the ascending
+lattice enumeration indices of its nonzero blocks, and ``stack``, a
+read-only (blocks, nj, nj) array of those blocks in that order.  Sums merge
+the index arrays; norms, nonzero counts and entry lists are reductions of
+the stack; the target index of a product of blocks comes from the
+enumeration's convolution table.  ``MultiIndex`` keys appear only at the
+boundary: the dict constructor and the read-only ``blocks`` view.
 
 Every stored block holds three invariants:
 
 * its j = 0 row and column are identically zero (operators act on
   zero-x-average functions);
-* it is nonzero and read-only, so operators may share block arrays;
+* it is nonzero: every result drops its zero blocks, found by one ``any``
+  over its stack;
 * for a real operator, R(-l) = conj(R(l)) reversed in j and j', exactly.
+
+The dict constructor and ``from_stack`` normalize the blocks they are given
+(copy, zero the j = 0 row and column, symmetrize when real); the results of
+the algebra hold the invariants already.
 
 The mirror pairs l, -l split the enumeration into a canonical half, the
 indices p with p <= neg[p], and its mirror image; only p = 0 is its own
 mirror.  ``compose`` of two real operators sums the canonical half and
 mirrors the rest.  ``commutator`` shares that accumulation (``_product``):
-it subtracts B A from A B on the canonical half, so the mirror blocks and
-the zero test are paid once, for the difference, which a Lie series scales
-in place.  Diagonals need no products: [diag(d), G] is G scaled entrywise by
+it subtracts B A from A B on the canonical half, so the mirror blocks are
+formed once, for the difference, which a Lie series scales in place.
+Diagonals need no products: [diag(d), G] is G scaled entrywise by
 d_j - d_j' (``diag_commutator``), and a dx is built as blocks
 (``mult_dx_op``).  ``exp_conjugate`` (stopped relative to the dispersion)
 has no program caller; tests and ``perfbench`` use it.
@@ -44,25 +51,21 @@ pairs that fits in a budget: by default ``analytic.PRUNE_REL`` |A| |B|, and in
 the KAM reduction a share of the Lie series' stop tolerance (see
 ``series_budget`` and ``lie_series``).
 
-``compose`` sums the kept pairs on one of two paths.  The GEMM path
-multiplies each kept block pair (P of them) as dense matrices, P nj^3
+``compose`` sums the kept pairs (P of them) into one stack of target blocks
+on one of two paths.  The GEMM path multiplies each left block by all of its
+kept right blocks in one batched matmul, left block by left block, P nj^3
 multiply-adds.  The join path (``_accel.join_into``) pairs each nonzero
 A_a[i, k] with the nonzeros B_b[k, j] of row k, J products in all; it pays
 where blocks hold a few nonzero diagonals, as those of multiplications by
 functions with few x-modes do.  A call counts J over its kept pairs and joins
 when J * JOIN_COST < P nj^3.
-
-The dict constructor and ``from_indexed`` normalize outside blocks (copy,
-zero the j = 0 row and column, symmetrize when real); ``_like`` trusts the
-algebra's results, which hold the invariants, and tests for zero only the
-blocks that can vanish: sums, differences, canonical-half products, scaled
-and masked blocks, not copies, negations or mirrors of stored ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -119,93 +122,83 @@ JOIN_COST = 400
 
 
 class OperatorMatrix:
-    """Bounded block-convolution operator.
-
-    The block norms, nonzero counts and entry lists that ``compose`` reads are
-    computed once, on first use, and kept in slots: the blocks are read-only,
-    and Lie series pass the same operators to ``compose`` again and again.
-    """
-
-    __slots__ = ("lattice", "jmax", "data", "real", "_counts", "_entry_lists", "_norms")
+    """Bounded block-convolution operator: blocks ``stack[k]`` at enumeration
+    indices ``index[k]`` (see the module docstring).  The block norms, nonzero
+    counts and entry lists ``compose`` reads are computed once, on first use:
+    a Lie series passes the same generator to ``compose`` in every term."""
 
     def __init__(self, lattice, jmax, blocks=None, real=True):
-        """Build from a dict {MultiIndex: block}; indices outside the truncation are dropped."""
+        """Build from a dict {MultiIndex: block}, normalized as by
+        ``from_stack``; indices outside the truncation are dropped."""
         index_of = get_enumeration(lattice).index_of
-        by_index = {index_of[l]: b for l, b in (blocks or {}).items() if l in index_of}
-        self._set(lattice, jmax, by_index, real)
+        kept = {index_of[l]: b for l, b in (blocks or {}).items() if l in index_of}
+        self._normalize(lattice, jmax, list(kept), list(kept.values()), real)
 
     @classmethod
-    def from_indexed(cls, lattice, jmax, blocks, real=True):
-        """Build from a dict {enumeration index: block}."""
+    def from_stack(cls, lattice, jmax, index, stack, real=True):
+        """Build from blocks stack[k] at distinct indices index[k], in any order:
+        copies with the j = 0 row and column zeroed, symmetrized when real."""
         out = cls.__new__(cls)
-        out._set(lattice, jmax, blocks, real)
+        out._normalize(lattice, jmax, index, stack, real)
         return out
 
-    def _set(self, lattice, jmax, blocks, real, trusted=False, vanishing=None):
-        self.lattice = lattice
-        self.jmax = int(jmax)
-        self.real = bool(real)
-        self.data = _sealed(blocks if trusted else self._normalized(blocks), vanishing)
-        self._counts = None
-        self._entry_lists = None
-        self._norms = None
+    def _normalize(self, lattice, jmax, index, stack, real):
+        index, stack = np.asarray(index, dtype=np.int64), np.asarray(stack, dtype=complex)
+        nj = 2 * int(jmax) + 1
+        if stack.size and stack.shape != (index.size, nj, nj):
+            raise ValueError("block shape mismatch")
+        order = np.argsort(index)
+        # the fancy index copies, so the caller's blocks stay as they are
+        index, stack = index[order], stack.reshape(-1, nj, nj)[order]
+        stack[:, jmax, :] = 0.0
+        stack[:, :, jmax] = 0.0
+        if real:
+            neg = get_enumeration(lattice).neg
+            full = _union(index, neg[index])
+            stack = _spread(index, stack, full)
+            stack = 0.5 * (stack + _mirror(stack[np.searchsorted(full, neg[full])]))
+            index = full
+        self._set(lattice, jmax, index, stack, real)
+
+    def _set(self, lattice, jmax, index, stack, real):
+        """Keep the blocks of stack that are nonzero, sealed read-only."""
+        nonzero = stack.any(axis=(1, 2))
+        if not nonzero.all():
+            index, stack = index[nonzero], stack[nonzero]
+        stack.flags.writeable = False
+        self.lattice, self.jmax, self.real = lattice, int(jmax), bool(real)
+        self.index, self.stack = index, stack
 
     @property
     def nj(self) -> int:
         return 2 * self.jmax + 1
 
+    @cached_property
     def nonzero_counts(self):
         """(column counts, row counts) of each block's nonzeros, as float
         arrays of shape (blocks, nj) in block order."""
-        if self._counts is None:
-            nz = np.array(list(self.data.values())).reshape(-1, self.nj, self.nj) != 0
-            self._counts = (np.count_nonzero(nz, axis=1).astype(float),
-                            np.count_nonzero(nz, axis=2).astype(float))
-        return self._counts
+        nz = self.stack != 0
+        return (np.count_nonzero(nz, axis=1).astype(float),
+                np.count_nonzero(nz, axis=2).astype(float))
 
+    @cached_property
     def block_norms(self):
         """Column-sum norm max_j' sum_j |R_p[j, j']| of each block, in block order."""
-        if self._norms is None:
-            self._norms = np.array([np.abs(b).sum(axis=0).max() for b in self.data.values()])
-        return self._norms
+        return np.abs(self.stack).sum(axis=1).max(axis=1)
 
+    @cached_property
     def nonzero_entries(self):
         """(block, row, column, value) arrays of the nonzero entries, block by
         block in C order."""
-        if self._entry_lists is None:
-            blocks = list(self.data.values())
-            nj = self.nj
-            flat = [np.flatnonzero(b != 0) for b in blocks]
-            pos = np.concatenate(flat)
-            self._entry_lists = (
-                np.repeat(np.arange(len(blocks)), [f.size for f in flat]), pos // nj, pos % nj,
-                np.concatenate([b.ravel()[f] for b, f in zip(blocks, flat)]))
-        return self._entry_lists
+        pos = np.flatnonzero(self.stack != 0)
+        block, at = np.divmod(pos, self.nj ** 2)
+        return block, at // self.nj, at % self.nj, self.stack.ravel()[pos]
 
     @property
     def blocks(self):
         """Read-only {MultiIndex: block} of the nonzero blocks, in enumeration order."""
         indices = get_enumeration(self.lattice).indices
-        return MappingProxyType({indices[p]: b for p, b in self.data.items()})
-
-    def _normalized(self, raw):
-        """Copies of the blocks with the j = 0 row and column zeroed, symmetrized
-        when real."""
-        nj = self.nj
-        kept = {}
-        for p, b in raw.items():
-            b = np.array(b, dtype=complex)
-            if b.shape != (nj, nj):
-                raise ValueError("block shape mismatch")
-            b[self.jmax, :] = 0.0
-            b[:, self.jmax] = 0.0
-            kept[int(p)] = b
-        if self.real:
-            neg = get_enumeration(self.lattice).neg.tolist()
-            zero = np.zeros((nj, nj), dtype=complex)
-            kept = {p: 0.5 * (kept.get(p, zero) + _mirror(kept.get(neg[p], zero)))
-                    for p in set(kept) | {neg[p] for p in kept}}
-        return kept
+        return MappingProxyType({indices[p]: b for p, b in zip(self.index.tolist(), self.stack)})
 
     # -- linear structure ---------------------------------------------------
 
@@ -213,36 +206,28 @@ class OperatorMatrix:
         if self.lattice != other.lattice or self.jmax != other.jmax:
             raise ValueError("incompatible operator truncations")
 
-    def _like(self, blocks, real=None, vanishing=None):
-        """Trusted constructor for results of the algebra: the blocks already
-        hold the invariants, so only zero blocks are dropped, tested among the
-        indices in ``vanishing`` (all blocks when None)."""
+    def _like(self, index, stack, real=None):
+        """Trusted constructor for results of the algebra: the blocks at the
+        ascending indices already hold the invariants, so only zero blocks
+        are dropped."""
         out = OperatorMatrix.__new__(OperatorMatrix)
-        out._set(self.lattice, self.jmax, blocks,
-                 self.real if real is None else real, trusted=True, vanishing=vanishing)
+        out._set(self.lattice, self.jmax, index, stack, self.real if real is None else real)
         return out
 
     def __add__(self, other):
         self._check_compat(other)
-        out = dict(self.data)
-        summed = [p for p in other.data if p in out]
-        for p, b in other.data.items():
-            out[p] = out[p] + b if p in out else b
-        # a block of one operand alone is copied, so only the sums can vanish
-        return self._like(out, self.real and other.real, summed)
+        return self._like(*_merged(self.index, self.stack, other.index, other.stack, np.add),
+                          self.real and other.real)
 
     def __sub__(self, other):
         self._check_compat(other)
-        out = dict(self.data)
-        summed = [p for p in other.data if p in out]
-        for p, b in other.data.items():
-            out[p] = out[p] - b if p in out else -b
-        return self._like(out, self.real and other.real, summed)
+        return self._like(*_merged(self.index, self.stack, other.index, other.stack,
+                                   np.subtract),
+                          self.real and other.real)
 
     def __mul__(self, scalar):
         s = complex(scalar)
-        return self._like({p: s * b for p, b in self.data.items()},
-                          self.real and s.imag == 0.0)
+        return self._like(self.index, s * self.stack, self.real and s.imag == 0.0)
 
     __rmul__ = __mul__
 
@@ -250,32 +235,43 @@ class OperatorMatrix:
         return self * (-1.0)
 
     def __repr__(self):
-        return f"OperatorMatrix(jmax={self.jmax}, blocks={len(self.data)})"
+        return f"OperatorMatrix(jmax={self.jmax}, blocks={self.index.size})"
 
 
 def _mirror(b):
-    """conj(b) reversed in j and j': the block of a real operator at -l."""
-    return np.conj(b[::-1, ::-1])
+    """conj(b) reversed in j and j' (of each block of a stack): R(-l) of a real R."""
+    return np.conj(b[..., ::-1, ::-1])
 
 
-def _sealed(blocks, vanishing=None):
-    """The nonzero blocks, sorted by index and marked read-only.  Only the
-    blocks indexed in ``vanishing`` (all when None) are tested for zero; the
-    caller knows the others to be nonzero."""
-    zero = {p for p in (blocks if vanishing is None else vanishing) if not blocks[p].any()}
-    out = {}
-    for p in sorted(blocks):
-        if p not in zero:
-            b = blocks[p]
-            b.flags.writeable = False
-            out[p] = b
+def _union(a, b):
+    """The ascending union of two index arrays (``np.union1d`` imports ``numpy.ma``)."""
+    hit = np.zeros(max(a.max(initial=-1), b.max(initial=-1)) + 1, dtype=bool)
+    hit[a] = True
+    hit[b] = True
+    return np.flatnonzero(hit)
+
+
+def _merged(ia, sa, ib, sb, op):
+    """(index, stack) of op(A, B) for the blocks sa, sb at ascending indices
+    ia, ib: op(a, b) over the union of the indices, a zero block standing in
+    where one operand has none."""
+    index = _union(ia, ib)
+    return index, op(_spread(ia, sa, index), _spread(ib, sb, index))
+
+
+def _spread(index, stack, union):
+    """The blocks stack at the positions of index in union, zero elsewhere."""
+    if index.size == union.size:
+        return stack
+    out = np.zeros((union.size,) + stack.shape[1:], dtype=complex)
+    out[np.searchsorted(union, index)] = stack
     return out
 
 
 def x_symbol_op(lattice, jmax, symbol) -> OperatorMatrix:
     """Fourier multiplier in x: diagonal entries symbol(j) for j != 0."""
     d = np.array([symbol(j) if j else 0.0 for j in range(-jmax, jmax + 1)], dtype=complex)
-    return OperatorMatrix.from_indexed(lattice, jmax, {0: np.diag(d)})
+    return OperatorMatrix.from_stack(lattice, jmax, [0], np.diag(d)[None])
 
 
 def dx_op(lattice, jmax, order=1) -> OperatorMatrix:
@@ -292,7 +288,7 @@ def _toeplitz_blocks(a: AnalyticFunction, scale=None, column=None):
     stack = np.where(inside, a.data[rows][:, np.where(inside, shift + jmax, 0)], 0.0)
     if scale is not None:
         stack = scale(stack, column)
-    return OperatorMatrix.from_indexed(a.lattice, jmax, dict(zip(rows.tolist(), stack)))
+    return OperatorMatrix.from_stack(a.lattice, jmax, rows, stack)
 
 
 def mult_op(a: AnalyticFunction) -> OperatorMatrix:
@@ -317,40 +313,40 @@ def op_norm(R: OperatorMatrix, sigma: float) -> float:
 
     At sigma = 0 it is the sum of the cached block norms."""
     if sigma == 0.0:
-        return sum(R.block_norms().tolist(), 0.0)
+        return sum(R.block_norms.tolist(), 0.0)
     jj = np.arange(-R.jmax, R.jmax + 1)
     W = np.exp(sigma * np.abs(jj[:, None] - jj[None, :]))
-    norms = get_enumeration(R.lattice).eta_norms
-    total = 0.0
-    for p, b in R.data.items():
-        cols = (W * np.abs(b)).sum(axis=0)
-        total += math.exp(sigma * norms[p]) * float(cols.max())
-    return total
+    cols = (W * np.abs(R.stack)).sum(axis=1).max(axis=1).tolist()
+    norms = get_enumeration(R.lattice).eta_norms[R.index].tolist()
+    return sum((math.exp(sigma * n) * c for n, c in zip(norms, cols)), 0.0)
 
 
 def split_by_norm(R: OperatorMatrix, N: float):
-    """The parts of R with blocks |l|_eta <= N and > N."""
-    inside = get_enumeration(R.lattice).within(N)
-    low = {p: b for p, b in R.data.items() if inside[p]}
-    high = {p: b for p, b in R.data.items() if not inside[p]}
-    return R._like(low, vanishing=()), R._like(high, vanishing=())
+    """The parts of R with blocks |l|_eta <= N and > N, views of its stack."""
+    k = _inside(R, N)
+    return R._like(R.index[:k], R.stack[:k]), R._like(R.index[k:], R.stack[k:])
+
+
+def _inside(R, N):
+    """How many of R's blocks have |l|_eta <= N; they lead, as the enumeration ascends in it."""
+    return np.count_nonzero(get_enumeration(R.lattice).within(N)[R.index])
 
 
 def split_diagonal(R: OperatorMatrix):
     """(d, R - diag(d)), d the diagonal of R's l = 0 block indexed j + jmax."""
-    b = R.data.get(0)
-    if b is None:
+    if not R.index.size or R.index[0]:
         return np.zeros(R.nj, dtype=complex), R
-    d = np.diag(b).copy()
-    return d, R._like({**R.data, 0: b - np.diag(d)}, vanishing=(0,))
+    d = np.diag(R.stack[0]).copy()
+    stack = R.stack.copy()
+    stack[0] -= np.diag(d)
+    return d, R._like(R.index, stack)
 
 
 def restrict(R: OperatorMatrix, jwin: int, lwin: float) -> OperatorMatrix:
     """Zero out rows/columns with |j| > jwin and drop blocks |l|_eta > lwin."""
     keep = np.abs(np.arange(-R.jmax, R.jmax + 1)) <= jwin
-    mask = np.outer(keep, keep)
-    inside = get_enumeration(R.lattice).within(lwin)
-    return R._like({p: b * mask for p, b in R.data.items() if inside[p]})
+    k = _inside(R, lwin)
+    return R._like(R.index[:k], R.stack[:k] * np.outer(keep, keep))
 
 
 def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
@@ -364,7 +360,7 @@ def apply_op(R: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
     vecs[:, u.jmax] = 0.0
     rows = np.flatnonzero(vecs.any(axis=1))
     out = np.zeros_like(u.data)
-    for pd, b in R.data.items():
+    for pd, b in zip(R.index.tolist(), R.stack):
         target = conv[pd, rows]
         hit = target >= 0
         # l_d + l_p is injective in p, so the targets of one block are distinct
@@ -383,54 +379,57 @@ def compose(A: OperatorMatrix, B: OperatorMatrix, budget=None) -> OperatorMatrix
     (the module docstring gives the pruning rule and the path choice).
     """
     A._check_compat(B)
-    return _completed(A, _product(A, B, budget), A.real and B.real)
+    return _completed(A, *_product(A, B, budget), A.real and B.real)
 
 
 def _product(A, B, budget):
-    """{target: block} of A B before the mirror blocks: for real operands
-    only the canonical half, with the q = 0 block symmetrized.  The blocks
-    are fresh arrays, and any of them may be zero."""
+    """(targets, blocks) of A B before the mirror blocks: for real operands
+    only the canonical half, with the q = 0 block symmetrized.  The targets
+    ascend, the blocks are a fresh stack, and any of them may be zero."""
     enum = get_enumeration(A.lattice)
     real = A.real and B.real
-    if not A.data or not B.data:
-        return {}
-    a_blocks, b_blocks = list(A.data.values()), list(B.data.values())
-    targets = enum.conv_table()[np.ix_(list(A.data), list(B.data))]
+    targets = enum.conv_table()[np.ix_(A.index, B.index)]
     if real:
         # a target outside the canonical half maps to -1, like one outside the lattice
         targets = np.where(enum.half[targets], targets, -1)
     if budget is None:
         budget = analytic.PRUNE_REL * op_norm(A, 0.0) * op_norm(B, 0.0)
-    targets = _pruned(targets, A.block_norms(), B.block_norms(), budget / 2 if real else budget)
+    targets = _pruned(targets, A.block_norms, B.block_norms, budget / 2 if real else budget)
     valid = targets >= 0
+    hit = np.zeros(enum.size, dtype=bool)
+    hit[targets[valid]] = True
+    kept = np.flatnonzero(hit)
+    # A_a B_b adds to out[slot[a, b]], the block of target kept[slot[a, b]]
+    slot = np.where(valid, np.cumsum(hit)[targets] - 1, -1)
+    out = np.zeros((kept.size, A.nj, A.nj), dtype=complex)
     # products of the join: nonzeros of column k of A_a times those of row k of B_b
-    joined = (A.nonzero_counts()[0] @ B.nonzero_counts()[1].T)[valid].sum()
+    joined = (A.nonzero_counts[0] @ B.nonzero_counts[1].T)[valid].sum()
     if joined * JOIN_COST < np.count_nonzero(valid) * A.nj ** 3:
-        out = _join(targets, A, B)
+        join_into(*_in_blocks(A.nonzero_entries, valid.any(axis=1)),
+                  *_in_blocks(B.nonzero_entries, valid.any(axis=0)), slot, out)
     else:
-        out = {}
-        for ba, row in zip(a_blocks, targets.tolist()):
-            for q, bb in zip(row, b_blocks):
-                if q >= 0:
-                    acc = out.get(q)
-                    prod = ba @ bb
-                    out[q] = prod if acc is None else acc + prod
-    if real and 0 in out:
+        for ba, row in zip(A.stack, slot):
+            cols = np.flatnonzero(row >= 0)
+            if cols.size:
+                # l_a + l_b is injective in b, so the targets of one left block are distinct
+                out[row[cols]] += ba @ B.stack[cols]
+    if real and kept.size and not kept[0]:
         out[0] = 0.5 * (out[0] + _mirror(out[0]))
-    return out
+    return kept, out
 
 
-def _completed(A, half, real):
-    """The operator of the blocks half (``_product``) less its zero blocks,
-    completed by their mirror blocks when real.  The zero test runs once per
-    block of half: a mirror of a nonzero block is nonzero."""
-    out = {q: b for q, b in half.items() if b.any()}
+def _completed(A, targets, half, real):
+    """The operator of the blocks half at targets (``_product``), completed
+    by their mirror blocks when real; zero blocks are dropped."""
     if real:
-        neg = get_enumeration(A.lattice).neg.tolist()
-        for q, b in list(out.items()):
-            if q:
-                out[neg[q]] = _mirror(b)
-    return A._like(out, real, vanishing=())
+        neg = get_enumeration(A.lattice).neg
+        index = _union(targets, neg[targets])
+        stack = _spread(targets, half, index)
+        # the ascending targets start with q = 0, its own mirror, if they hold it
+        lo = int(targets.size > 0 and not targets[0])
+        stack[np.searchsorted(index, neg[targets[lo:]])] = _mirror(half[lo:])
+        targets, half = index, stack
+    return A._like(targets, half, real)
 
 
 def _pruned(targets, a_norms, b_norms, budget):
@@ -447,22 +446,6 @@ def _pruned(targets, a_norms, b_norms, budget):
     return out
 
 
-def _join(targets, A, B):
-    """{target: block} of the kept block products, summed entry by entry over
-    the nonzeros of the blocks that have a kept pair."""
-    valid = targets >= 0
-    hit = np.zeros(targets.max() + 1, dtype=bool)
-    hit[targets[valid]] = True
-    kept = np.flatnonzero(hit)
-    # out[slot] is the block of target kept[slot]
-    slot = np.full(targets.shape, -1)
-    slot[valid] = (np.cumsum(hit) - 1)[targets[valid]]
-    out = np.zeros((kept.size, A.nj, A.nj), dtype=complex)
-    join_into(*_in_blocks(A.nonzero_entries(), valid.any(axis=1)),
-              *_in_blocks(B.nonzero_entries(), valid.any(axis=0)), slot, out)
-    return dict(zip(kept.tolist(), out))
-
-
 def _in_blocks(entries, used):
     """The entry lists of the blocks marked in used, in their order."""
     keep = used[entries[0]]
@@ -475,33 +458,27 @@ def commutator(A: OperatorMatrix, B: OperatorMatrix, budget=None, scale=None) ->
     ``scale`` multiplies the result, as ``commutator(A, B, budget) * scale``.
 
     The difference is taken on the products' canonical halves (``_product``)
-    and scaled in place, so the mirror blocks and zero test are paid once."""
+    and scaled in place, so the mirror blocks are formed once."""
     A._check_compat(B)
     half = None if budget is None else 0.5 * budget
-    out = _product(A, B, half)
-    for q, b in _product(B, A, half).items():
-        if q in out:
-            # the blocks of _product are fresh, so A B may take the difference in place
-            np.subtract(out[q], b, out=out[q])
-        else:
-            out[q] = -b
+    index, stack = _merged(*_product(A, B, half), *_product(B, A, half), np.subtract)
     if scale is not None:
-        for b in out.values():
-            np.multiply(scale, b, out=b)
-    return _completed(A, out, A.real and B.real)
+        np.multiply(scale, stack, out=stack)
+    return _completed(A, index, stack, A.real and B.real)
 
 
 def diag_commutator(d, G: OperatorMatrix) -> OperatorMatrix:
     """[diag(d), G], d indexed j + jmax: the blocks of G scaled by d_j - d_j'.
     With d_{-j} = conj(d_j), as for i Omega(j), a real G stays real."""
-    gap = np.subtract.outer(d, d)
-    return G._like({p: gap * b for p, b in G.data.items()})
+    return G._like(G.index, np.subtract.outer(d, d) * G.stack)
 
 
 def phi_derivative(R: OperatorMatrix, omega) -> OperatorMatrix:
     """Derivative of the coefficients along omega: blocks scaled by i (omega.l)."""
     dots = get_enumeration(R.lattice).dots(omega)
-    return R._like({p: (1j * dots[p]) * b for p, b in R.data.items() if p})
+    moving = R.index != 0
+    index = R.index[moving]
+    return R._like(index, (1j * dots[index])[:, None, None] * R.stack[moving])
 
 
 # -- structured differential operators ---------------------------------------
@@ -626,14 +603,14 @@ def lie_series(G: OperatorMatrix, X: OperatorMatrix, start_factor=1):
 
 def exp_conjugate(G: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     """e^{-G} B e^{G}, one series stopped relative to |B| (``lie_series``)."""
-    if not G.data:
+    if not G.index.size:
         return B
     return lie_series(G, B, start_factor=0)[0]
 
 
 def exp_apply(G: OperatorMatrix, u: AnalyticFunction) -> AnalyticFunction:
     """e^{G} u as a truncated series."""
-    if not G.data or u.is_zero():
+    if not G.index.size or u.is_zero():
         return u
     return _series(u, lambda term, k: apply_op(G, term) * (1.0 / k),
                    lambda term: term.norm(0.0))[0]
@@ -658,7 +635,7 @@ def to_dense(R: OperatorMatrix) -> np.ndarray:
     n = enum.size * nj
     M = np.zeros((n, n), dtype=complex)
     grid = M.reshape(enum.size, nj, enum.size, nj)     # [p, j, q, j'] view
-    for pd, b in R.data.items():
+    for pd, b in zip(R.index.tolist(), R.stack[:, jslots[:, None], jslots]):
         q = np.flatnonzero(conv[pd] >= 0)
-        grid[conv[pd, q], :, q, :] += b[np.ix_(jslots, jslots)]
+        grid[conv[pd, q], :, q, :] += b
     return M

@@ -9,10 +9,11 @@ accumulated transformation stored as its list of generators.
 One state type, ``Reduction``, carries the whole run: the frequencies, the
 remainder P and cutoff N, the generators [G, Psi_0, Psi_1, ...] and one
 trace row per KAM step.  ``kam_step`` maps a state to the next one,
-``kam_iterate`` returns the state it stopped at with its ``stop_reason``, and
-``reduce_operator`` returns that state with the operator it reduced and its
-diagnostics.  The step count and the convergence flag are read off the trace
-and the stop reason.
+``kam_iterate`` returns the state it stopped at with its ``stop_reason`` (a
+failed step leaves the last completed state, with the error in ``failure``),
+and ``reduce_operator`` returns that state with the operator it reduced and
+its diagnostics.  The step count and the convergence flag are read off the
+trace and the stop reason.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import AnalyticFunction, dx, dx_inv, mean_phi_x, om_dphi, pi0, pi0_perp
-from .errors import ReductionError
+from .errors import ReductionError, SeriesDivergenceError, SmallDivisorError
 from .homological import solve_diagonal
 from .lattice import get_enumeration
 from .opalg import (
@@ -86,7 +87,8 @@ class Reduction:
     diagonalizing map M = exp(G) exp(Psi_0) exp(Psi_1) ....
 
     ``L``, ``stop_reason`` and ``diagnostics`` are set once the iteration
-    stops (``kam_iterate``, ``reduce_operator``).
+    stops (``kam_iterate``, ``reduce_operator``); ``failure`` holds the error
+    of a KAM step that failed after this state.
     """
 
     lambda3: float
@@ -99,6 +101,7 @@ class Reduction:
     L: Optional[DifferentialOperator] = None
     stop_reason: Optional[str] = None
     diagnostics: dict = field(default_factory=dict)
+    failure: Optional[Exception] = None
 
     def __post_init__(self):
         if self.r is None:
@@ -171,7 +174,7 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
     G = smoothing_generator_op(g)
 
     R0 = mult_op(a0)
-    if G.data:      # then a1 is not constant
+    if G.index.size:      # then a1 is not constant
         P = mult_dx_op(a1) + R0
         LG = (smoothing_generator_op(om_dphi(g, om))
               + diag_commutator(-1j * lambda3 * np.arange(-jmax, jmax + 1) ** 3, G)
@@ -181,6 +184,20 @@ def order_one_reduction(lambda3: float, a1: AnalyticFunction, a0: AnalyticFuncti
     rep["g_norm"] = g.norm(0.0)
     rep["R0_norm"] = op_norm(R0, 0.0)
     return OrderOneResult(G, R0, g, rep)
+
+
+def _homological_generator(P_low: OperatorMatrix, omega, omv) -> OperatorMatrix:
+    """Psi_l[j, j'] = -P_low_l[j, j'] / (i (omega.l + Omega(j) - Omega(j'))), zero where
+    that divides by zero and on the l = 0 diagonal: one broadcast over P_low's stack."""
+    dots = get_enumeration(P_low.lattice).dots(omega)
+    denom = 1j * (dots[P_low.index][:, None, None] + (omv[:, None] - omv[None, :]))
+    mask = np.abs(denom) > 0
+    if P_low.index.size and not P_low.index[0]:
+        np.fill_diagonal(mask[0], False)
+    psi = np.zeros_like(P_low.stack)
+    np.divide(-P_low.stack, denom, out=psi, where=mask)
+    return OperatorMatrix.from_stack(P_low.lattice, P_low.jmax, P_low.index, psi,
+                                     real=P_low.real)
 
 
 def kam_step(state: Reduction, omega, schedule: KamSchedule) -> Reduction:
@@ -221,27 +238,15 @@ def kam_step(state: Reduction, omega, schedule: KamSchedule) -> Reduction:
     odd_defect = float(np.max(np.abs(z + z[::-1])))
     z = 0.5 * (z - z[::-1])
 
-    gap = omv[:, None] - omv[None, :]
-    dots = get_enumeration(lat).dots(om)
-    psi_blocks = {}
-    for p, b in P_low.data.items():
-        denom = 1j * (dots[p] + gap)
-        mask = np.abs(denom) > 0
-        if not p:
-            np.fill_diagonal(mask, False)
-        psi = np.zeros_like(b)
-        np.divide(-b, denom, out=psi, where=mask)
-        psi_blocks[p] = psi
-    Psi = OperatorMatrix.from_indexed(lat, jmax, psi_blocks, real=state.P.real)
-
-    Z_op = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(1j * z)})
-    dust = OperatorMatrix.from_indexed(lat, jmax, {0: np.diag(zdiag - 1j * z)})
+    Psi = _homological_generator(P_low, om, omv)
+    Z_op = OperatorMatrix.from_stack(lat, jmax, [0], np.diag(1j * z)[None])
+    dust = OperatorMatrix.from_stack(lat, jmax, [0], np.diag(zdiag - 1j * z)[None])
     X = Z_op + dust - P_low
     # homological residual om.d_phi Psi + [D, Psi] - X  (diagnostic)
     hom_resid = op_norm(phi_derivative(Psi, om) + diag_commutator(1j * omv, Psi) - X, 0.0)
 
     P_new = P_high + dust
-    if Psi.data:
+    if Psi.index.size:
         budget = series_budget(state.P)
         C = commutator(state.P, Psi, budget)
         tail, _ = lie_series(Psi, commutator(X + C, Psi, budget), start_factor=2)
@@ -261,12 +266,16 @@ def kam_step(state: Reduction, omega, schedule: KamSchedule) -> Reduction:
 
 def kam_iterate(state: Reduction, omega, schedule: KamSchedule) -> Reduction:
     """Iterate kam_step until op_norm(P) <= stop_tol, stagnation, or max_steps;
-    returns the last state with its ``stop_reason``."""
+    returns the last state with its ``stop_reason``, "failure" (with the error
+    in ``failure``) when a step raises a numerical failure."""
     if op_norm(state.P, 0.0) <= schedule.stop_tol:
         return replace(state, stop_reason="already-diagonal")
     flat = 0
     for _ in range(schedule.max_steps):
-        state = kam_step(state, omega, schedule)
+        try:
+            state = kam_step(state, omega, schedule)
+        except (SmallDivisorError, SeriesDivergenceError, ReductionError) as exc:
+            return replace(state, stop_reason="failure", failure=exc)
         pn = op_norm(state.P, 0.0)
         if pn <= schedule.stop_tol:
             return replace(state, stop_reason="tolerance")
@@ -282,7 +291,8 @@ def kam_iterate(state: Reduction, omega, schedule: KamSchedule) -> Reduction:
 def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
                     verify_window=None) -> Reduction:
     """Full reduction of L to diagonal frequencies: the state ``kam_iterate``
-    stopped at, with ``L`` and its diagnostics set.
+    stopped at, with ``L`` and its diagnostics set.  A reduction whose
+    iteration failed (``failure`` set) is returned without the window.
 
     ``verify_window = (jwin, lwin)`` additionally conjugates L through all
     generators and records the interior off-diagonal residual, the worst
@@ -296,7 +306,7 @@ def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
     lam1 = L.lambda1()
     oor = order_one_reduction(L.lambda3, L.B, L.C, om)
     red = kam_iterate(Reduction(L.lambda3, lam1, oor.R0, schedule.N0,
-                                gens=[oor.G] if oor.G.data else []), om, schedule)
+                                gens=[oor.G] if oor.G.index.size else []), om, schedule)
     diag = {
         "order_one": oor.report,
         "kam_stop": red.stop_reason,
@@ -304,14 +314,16 @@ def reduce_operator(L: DifferentialOperator, schedule: KamSchedule, *,
         "steps": red.k,
     }
     red = replace(red, L=L, diagnostics=diag)
-    if verify_window is not None:
+    if verify_window is not None and red.failure is None:
         jwin, lwin = verify_window
         conj = materialize(L)
         diag["window_lie_terms"] = []
         for gen in red.gens:
             d, rest = split_diagonal(conj)
-            series, k = lie_series(gen, diag_commutator(d, gen) + phi_derivative(gen, om)
-                                   + commutator(rest, gen, series_budget(rest)))
+            LG = (diag_commutator(d, gen) + phi_derivative(gen, om)
+                  + commutator(rest, gen, series_budget(rest)))
+            del rest    # a copy of conj's blocks, not needed by the series
+            series, k = lie_series(gen, LG)
             conj = conj + series
             diag["window_lie_terms"].append(k)
         vals = red.omega_values()

@@ -17,7 +17,7 @@ from airykam._grid import (
 )
 from airykam.analytic import AnalyticFunction, dx, multiply, om_dphi, to_payload
 from airykam.conjugation import QuadraticForm, moser_power
-from airykam.lattice import get_enumeration
+from airykam.lattice import MultiIndex, get_enumeration
 from airykam.opalg import (
     commutator,
     compose,
@@ -73,8 +73,8 @@ def two_series_offdiag(red, window):
     vals = red.omega_values()
     D = x_symbol_op(L.lattice, L.jmax, lambda j: 1j * vals[j + L.jmax])
     delta = restrict(conj - D, *window)
-    if 0 in delta.data:
-        mismatch = np.diag(delta.data[0])
+    if MultiIndex.zero() in delta.blocks:
+        mismatch = np.diag(delta.blocks[MultiIndex.zero()])
         delta = delta - x_symbol_op(L.lattice, L.jmax, lambda j: mismatch[j + L.jmax])
     return op_norm(delta, 0.0)
 

@@ -390,11 +390,16 @@ def test_cmd_reduce_resonant_witness(tmp_path, capsys):
     doc = json.loads(read(tmp_path / "r" / "report.json"))
     assert doc["stop_reason"] == "small-divisor"
     assert doc["witness"]["l"]
+    # the breach is at step 0: no KAM step completed
+    assert doc["trace"] == []
+    assert read(tmp_path / "r" / "trace.csv").splitlines() == ["step,p_norm,min_margin,seconds"]
 
 
 def test_cmd_reduce_diverging_series_reports_a_numerical_failure(tmp_path, capsys):
     """Zero-order coefficients of 0.1 make a Lie series of the reduction
-    diverge: exit 2 with a report.json, as a solve reports the same failure."""
+    diverge: exit 2 with a report.json, as a solve reports the same failure.
+    Two KAM steps complete before the third fails, and report.json and
+    trace.csv keep both rows, as a converged run's do."""
     code, out = _run_edited(
         tmp_path, "reduce", "reduce_eps.cfg", "reduce.C.entries = [[[], 1, 0.0, -0.0005]]",
         "reduce.C.entries = [[[[1, 1]], 1, 0.0, 0.1], [[[2, 1]], 2, 0.1, 0.0]]")
@@ -404,6 +409,13 @@ def test_cmd_reduce_diverging_series_reports_a_numerical_failure(tmp_path, capsy
     assert doc["converged"] is False
     assert doc["stop_reason"] == "numerical-failure:SeriesDivergenceError"
     assert doc["failure"]["message"] and doc["omega"] == [1.2357, 1.7113]
+    rows = doc["trace"]
+    assert [row["step"] for row in rows] == [0, 1]
+    assert [row["p_norm"] for row in rows] == pytest.approx([0.40106673263661,
+                                                             1.2167597051812609], rel=1e-9)
+    assert all(row["margin"] == 4.9428 and row["odd_defect"] == 0.0 for row in rows)
+    assert _without_seconds(out / "trace.csv") == [["step", "p_norm", "min_margin"]] + [
+        [str(row["step"]), repr(row["p_norm"]), repr(row["margin"])] for row in rows]
 
 
 def test_cmd_solve_zero_forcing(tmp_path):

@@ -128,10 +128,10 @@ def diagonal_op(lat, jmax, seed, real, sparse, max_diagonals=3):
                                  replace=False)
         b = sum(np.diag(rng.normal(size=nj - abs(o)) + 1j * rng.normal(size=nj - abs(o)), o)
                 for o in offsets)
-        blocks[p] = b
+        blocks[l] = b
         if real:
-            blocks[neg] = np.conj(b[::-1, ::-1])
-    return OperatorMatrix.from_indexed(lat, jmax, blocks, real=real)
+            blocks[enum.indices[neg]] = np.conj(b[::-1, ::-1])
+    return OperatorMatrix(lat, jmax, blocks, real=real)
 
 
 @pytest.fixture
@@ -167,7 +167,7 @@ def rand_op(lat, jmax, seed, amp=0.1, span=1, jband=2, order=0):
 
 
 def test_op_norm_examples(lat2, jmax):
-    eye = OperatorMatrix.from_indexed(lat2, jmax, {0: np.eye(2 * jmax + 1, dtype=complex)})
+    eye = OperatorMatrix(lat2, jmax, {ZERO: np.eye(2 * jmax + 1, dtype=complex)})
     assert op_norm(eye, 0.8) == pytest.approx(1.0)
     assert op_norm(OperatorMatrix(lat2, jmax), 0.3) == 0.0
     # multiplication by cos x: two side diagonals of one half
@@ -254,7 +254,7 @@ def test_materialize_convolution_blocks(lat2, jmax, omega2):
 
 def test_compose_identity(lat2, jmax):
     R = rand_op(lat2, jmax, 3)
-    I = OperatorMatrix.from_indexed(lat2, jmax, {0: np.eye(2 * jmax + 1, dtype=complex)})
+    I = OperatorMatrix(lat2, jmax, {ZERO: np.eye(2 * jmax + 1, dtype=complex)})
     assert op_norm(compose(I, R) - R, 0.0) == 0.0
     assert op_norm(compose(R, I) - R, 0.0) == 0.0
 
@@ -317,27 +317,27 @@ def test_cached_operand_matches_a_fresh_copy(make, joins, join_calls):
     A, B = (make(SPARSE_LAT, 32, seed, True, True) for seed in (3, 4))
     first = compose(A, B)
     assert len(join_calls) == joins
-    assert A._counts is not None and (A._entry_lists is not None) == bool(joins)
+    assert "nonzero_counts" in vars(A) and ("nonzero_entries" in vars(A)) == bool(joins)
     cached = compose(A, B)
-    fresh = compose(A._like(dict(A.data)), B._like(dict(B.data)))
+    fresh = compose(A._like(A.index, A.stack), B._like(B.index, B.stack))
     assert len(join_calls) == 3 * joins
     for got in (cached, fresh):
-        assert list(got.data) == list(first.data)
-        assert all(np.array_equal(got.data[p], b) for p, b in first.data.items())
+        assert got.index.tolist() == first.index.tolist()
+        assert np.array_equal(got.stack, first.stack)
 
 
 @pytest.mark.parametrize("make", [diagonal_op, random_blocks_op], ids=["diagonal", "dense"])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_nonzero_counts_match_per_block_counts(make, real):
     R = make(SPARSE_LAT, 32, 5, real, True)
-    cols, rows = R.nonzero_counts()
+    cols, rows = R.nonzero_counts
     assert cols.dtype == rows.dtype == float
-    assert cols.shape == rows.shape == (len(R.data), R.nj)
-    for k, b in enumerate(R.data.values()):
+    assert cols.shape == rows.shape == (R.index.size, R.nj)
+    for k, b in enumerate(R.stack):
         assert np.array_equal(cols[k], np.count_nonzero(b, axis=0))
         assert np.array_equal(rows[k], np.count_nonzero(b, axis=1))
     empty = OperatorMatrix(SPARSE_LAT, 32, {}, real=real)
-    assert all(c.shape == (0, empty.nj) for c in empty.nonzero_counts())
+    assert all(c.shape == (0, empty.nj) for c in empty.nonzero_counts)
 
 
 @pytest.mark.parametrize("join_cost", [opalg.JOIN_COST, 0.0], ids=["rule", "free-join"])
@@ -348,7 +348,7 @@ def test_compose_with_every_target_outside_returns_no_blocks(lat2, jmax, monkeyp
     nj = 2 * jmax + 1
     far = MultiIndex.unit(1, int(lat2.K))           # |l|_eta = K: 2 l leaves the lattice
     A = OperatorMatrix(lat2, jmax, {far: np.eye(nj, dtype=complex)}, real=False)
-    assert not compose(A, A).data
+    assert not compose(A, A).index.size
     assert not join_calls
 
 
@@ -380,7 +380,8 @@ def decaying_op(make, lat, jmax, seed, real, sparse):
     pair bounds |A_a| |B_b| spread over many decades, as in a KAM remainder."""
     R = make(lat, jmax, seed, real, sparse)
     norms = get_enumeration(lat).eta_norms
-    return R._like({p: 10.0 ** (-2.0 * norms[p]) * b for p, b in R.data.items()})
+    return R._like(R.index, np.array([10.0 ** (-2.0 * norms[p]) * b
+                                      for p, b in zip(R.index, R.stack)]))
 
 
 def _dropped_pairs(A, B, budget):
@@ -472,12 +473,12 @@ def test_commutator_is_the_difference_of_its_products(lat2, jmax, monkeypatch, j
     got = commutator(A, B, budget)
     want = compose(A, B, half) - compose(B, A, half)
     assert got.real == want.real == b_real
-    assert list(got.data) == list(want.data)
+    assert got.index.tolist() == want.index.tolist()
     canonical = get_enumeration(lat2).half
-    for p, b in want.data.items():
-        assert np.array_equal(got.data[p], b)
+    for p, g, b in zip(want.index, got.stack, want.stack):
+        assert np.array_equal(g, b)
         if canonical[p] or not b_real:
-            assert got.data[p].tobytes() == b.tobytes()
+            assert g.tobytes() == b.tobytes()
     assert bool(join_calls) == (path == "join")
 
 
@@ -490,24 +491,24 @@ def test_algebra_stores_no_zero_block(lat2, jmax, real):
     A = random_blocks_op(lat2, jmax, 41, real, False)
     B = random_blocks_op(lat2, jmax, 42, real, True)
     for R in (commutator(A, A), A - A, A + (-A), 0.0 * A, restrict(A, 0, lat2.K)):
-        assert not R.data
+        assert not R.index.size
     low, high = split_by_norm(A, 2.0)
-    assert low.data and high.data
+    assert low.index.size and high.index.size
     for R in (A - low, A + (-1.0) * low):
-        assert list(R.data) == list(high.data)
-        assert all(R.data[p] is b for p, b in high.data.items())
+        assert R.index.tolist() == high.index.tolist()
+        assert np.array_equal(R.stack, high.stack)
     # the blocks of B cancel, those of A_high only round
     for R in ((A + B) - (low + B), (B + high) - B):
-        assert list(R.data) == list(high.data)
+        assert R.index.tolist() == high.index.tolist()
     partly = (B + high) - B
     for R in (A - low, partly, commutator(A, B), compose(A, B)):
-        assert all(b.any() for b in R.data.values())
+        assert all(b.any() for b in R.stack)
     # diagonal blocks on j > 0 times blocks on j < 0: every target block is zero
     nj = 2 * jmax + 1
     up, down = (np.diag((np.arange(nj) > jmax) * 1.0), np.diag((np.arange(nj) < jmax) * 1.0))
     P = OperatorMatrix(lat2, jmax, {E1: up + 0j, ZERO: up + 0j}, real=False)
     Q = OperatorMatrix(lat2, jmax, {E1: down + 0j, ZERO: down + 0j}, real=False)
-    assert P.data and Q.data and not compose(P, Q).data
+    assert P.index.size and Q.index.size and not compose(P, Q).index.size
 
 
 def test_compose_default_budget_is_prune_rel(lat2, jmax, monkeypatch):
@@ -574,12 +575,12 @@ def test_lie_series_scales_each_commutator_in_place(lat2, jmax, start_factor):
     got, terms = lie_series(G, X, start_factor)
     want, want_terms = lie_series_scaled_after(G, X, start_factor)
     assert terms == want_terms > 3
-    assert list(got.data) == list(want.data)
+    assert got.index.tolist() == want.index.tolist()
     canonical = get_enumeration(lat2).half
-    for p, b in want.data.items():
-        assert np.array_equal(got.data[p], b)
+    for p, g, b in zip(want.index, got.stack, want.stack):
+        assert np.array_equal(g, b)
         if canonical[p]:
-            assert got.data[p].tobytes() == b.tobytes()
+            assert g.tobytes() == b.tobytes()
 
 
 def _odd_symbols(jmax):
@@ -601,12 +602,12 @@ def test_diag_commutator_matches_the_product_commutator(lat2, jmax, symbol):
     G = random_blocks_op(lat2, jmax, 61, True, False)
     got = diag_commutator(d, G)
     want = commutator(x_symbol_op(lat2, jmax, lambda j: d[j + jmax]), G, 0.0)
-    assert got.real and list(got.data) == list(want.data)
+    assert got.real and got.index.tolist() == want.index.tolist()
     scale = np.max(np.abs(d)) * op_norm(G, 0.0)
     assert op_norm(got - want, 0.0) <= 2 * np.finfo(float).eps * scale
-    neg = get_enumeration(lat2).neg
-    for p, b in got.data.items():
-        assert np.array_equal(got.data[neg[p]], opalg._mirror(b))
+    blocks = got.blocks
+    for l, b in blocks.items():
+        assert np.array_equal(blocks[-l], opalg._mirror(b))
     _assert_invariants(got)
 
 
@@ -616,8 +617,8 @@ def test_split_diagonal_takes_the_l0_diagonal(lat2, jmax):
     into zero and itself."""
     A = random_blocks_op(lat2, jmax, 62, True, False)
     d, rest = split_diagonal(A)
-    assert np.array_equal(d, np.diag(A.data[0]))
-    assert not np.diag(rest.data[0]).any()
+    assert np.array_equal(d, np.diag(A.blocks[ZERO]))
+    assert not np.diag(rest.blocks[ZERO]).any()
     assert op_norm(rest + x_symbol_op(lat2, jmax, lambda j: d[j + jmax]) - A, 0.0) == 0.0
     high = split_by_norm(A, 0.5)[1]
     d, rest = split_diagonal(high)
@@ -635,24 +636,29 @@ def test_mult_dx_op_matches_the_composed_product(lat2, jmax, rand_fct):
         got = mult_dx_op(a)
         smoothing_generator_op(a)
     want = compose(mult_op(a), dx_op(lat2, jmax))
-    assert got.real and list(got.data) == list(want.data)
+    assert got.real and got.index.tolist() == want.index.tolist()
     assert op_norm(got - want, 0.0) <= 2 * np.finfo(float).eps * op_norm(want, 0.0)
     _assert_invariants(got)
 
 
 def _assert_invariants(R):
-    """Stored blocks hold the invariants, so normalizing them again changes nothing."""
+    """The layout holds one read-only block per index, at strictly ascending
+    indices inside the enumeration, and the stored blocks hold the invariants,
+    so normalizing them again changes nothing."""
     jmax = R.jmax
-    neg = get_enumeration(R.lattice).neg
-    for p, b in R.data.items():
+    assert R.index.dtype == np.int64 and R.stack.shape == (R.index.size, R.nj, R.nj)
+    assert np.all(np.diff(R.index) > 0)
+    assert np.all((0 <= R.index) & (R.index < get_enumeration(R.lattice).size))
+    assert not R.stack.flags.writeable
+    blocks = R.blocks
+    for l, b in blocks.items():
         assert np.any(b) and not b.flags.writeable
         assert not np.any(b[jmax, :]) and not np.any(b[:, jmax])
         if R.real:
-            assert np.array_equal(R.data[int(neg[p])], np.conj(b[::-1, ::-1]))
-    again = OperatorMatrix.from_indexed(R.lattice, R.jmax, dict(R.data), real=R.real)
-    assert list(again.data) == list(R.data)
-    for p, b in again.data.items():
-        assert np.array_equal(R.data[p], b)
+            assert np.array_equal(blocks[-l], np.conj(b[::-1, ::-1]))
+    again = OperatorMatrix(R.lattice, R.jmax, dict(blocks), real=R.real)
+    assert again.index.tolist() == R.index.tolist()
+    assert np.array_equal(again.stack, R.stack)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["full", "site1"])
@@ -668,14 +674,14 @@ def test_closed_results_hold_block_invariants(lat2, jmax, omega2, real, sparse):
 
 
 def test_stored_blocks_are_read_only(lat2, jmax):
-    """Operators share block arrays (A + B reuses B's block where A has none),
-    so an in-place write must raise."""
+    """An operator's block norms, nonzero counts and entry lists are computed
+    once from its stack, so an in-place write to a block must raise."""
     nj = 2 * jmax + 1
     blk = np.ones((nj, nj), dtype=complex)
     A = OperatorMatrix(lat2, jmax, {E1: blk})
     B = OperatorMatrix(lat2, jmax, {E2: blk})
     total = A + B
-    assert total.blocks[E2] is B.blocks[E2]
+    assert np.array_equal(total.blocks[E2], B.blocks[E2])
     assert blk.flags.writeable          # the caller's array was copied
     for b in (A.blocks[E1], total.blocks[E2]):
         with pytest.raises(ValueError):
